@@ -1,9 +1,11 @@
 """Prediction ranges, robustness certificates, loss intervals, parameter bounds.
 
-Everything here consumes the weight zonotope produced by learning.  A
-prediction for a concrete point is an affine form, so its range is exact for
-the zonotope; uncertain test points and losses produce higher-order forms
-that are linearized before concretizing, which stays sound but can widen.
+Everything here consumes the weight zonotope produced by learning, as its
+generator matrix ``W`` around ``w_R``.  A prediction for a concrete point is
+affine in the symbols, so its range is exact for the zonotope; losses are
+quadratic in the symbols and are linearized before concretizing, which stays
+sound but can widen.  Uncertain test points multiply two zonotopes and go
+through the polynomial forms of :mod:`zonoridge.forms`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .forms import PolyForm, sum_forms
+from .forms import sum_forms
 from .learning import AbstractWeights
 from .zonotope import ZVector, interval_of, linearize
 
@@ -92,6 +94,11 @@ class ParameterIntervals:
         ]
 
 
+def _prediction_bounds(X: np.ndarray, weights: AbstractWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Centers ``X w_R`` and radii (row sums of ``|X W|``) of the predictions ``X w``."""
+    return X @ weights.w_R, np.abs(X @ weights.generators()).sum(axis=1)
+
+
 def predict_interval(x: np.ndarray, weights: AbstractWeights) -> PredictionInterval:
     """Viable prediction range for a concrete test point.
 
@@ -103,13 +110,8 @@ def predict_interval(x: np.ndarray, weights: AbstractWeights) -> PredictionInter
     x = np.asarray(x, dtype=float)
     if x.shape != (weights.dim,):
         raise ShapeMismatchError(f"test point must have dimension {weights.dim}")
-    center = float(x @ weights.w_R)
-    radius = 0.0
-    for gen in weights.w_D_coeffs.values():
-        radius += abs(float(x @ gen))
-    for i in range(weights.dim):
-        radius += abs(float(x @ weights.A_inv[:, i])) * weights.k[i]
-    return PredictionInterval(center - radius, center + radius)
+    center, radius = _prediction_bounds(x[None, :], weights)
+    return PredictionInterval(float(center[0] - radius[0]), float(center[0] + radius[0]))
 
 
 def predict_interval_uncertain(
@@ -143,20 +145,26 @@ def certify_robustness(
     test_X = np.asarray(test_X, dtype=float)
     if test_X.ndim != 2 or test_X.shape[0] == 0:
         raise ShapeMismatchError("test set must be a nonempty 2-d array")
+    if test_X.shape[1] != weights.dim:
+        raise ShapeMismatchError(f"test points must have dimension {weights.dim}")
     if threshold <= 0:
         raise ValueError("threshold must be positive")
+    centers, radii = _prediction_bounds(test_X, weights)
     per_point = []
-    robust_count = 0
-    for row in test_X:
-        interval = predict_interval(row, weights)
-        robust = interval.width < threshold
-        robust_count += robust
-        per_point.append((interval, robust))
+    for center, radius in zip(centers.tolist(), radii.tolist()):
+        interval = PredictionInterval(center - radius, center + radius)
+        per_point.append((interval, interval.width < threshold))
     return RobustnessReport(
         threshold=threshold,
         per_point=per_point,
-        ratio=robust_count / test_X.shape[0],
+        ratio=sum(robust for _, robust in per_point) / test_X.shape[0],
     )
+
+
+def _square_min(center: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Least value of ``v**2`` over each interval ``center +- radius``."""
+    lo, hi = center - radius, center + radius
+    return np.where((lo <= 0.0) & (hi >= 0.0), 0.0, np.minimum(lo * lo, hi * hi))
 
 
 def loss_interval(
@@ -168,15 +176,21 @@ def loss_interval(
 ) -> LossInterval:
     """Range of the test loss over the weight zonotope.
 
-    Expands the quadratic loss as one polynomial form (degree <= 2 in the
-    symbols), linearizes, and concretizes.  Aggregating symbolically before
-    concretizing keeps the cross-point correlations that per-prediction
-    interval arithmetic would lose, which tightens the upper end.  Both
-    supported formulas are nonnegative combinations of squares of affine
-    forms, so the lower end additionally uses each square's exact minimum
-    (the squared distance of zero to the affine term's interval); the
-    linearized lower bound alone would forget that squares cannot go
-    negative.
+    With the generator matrix ``W`` (see ``AbstractWeights.generators``),
+    residual generators ``R = X W`` and centers ``c = X w_R - y``, the loss
+    is the quadratic ``center + b'e + e'Qe`` in the symbols ``e``, where
+
+        Q = R'R / n + lam W'W,   b = 2 R'c / n + 2 lam W'w_R.
+
+    Linearizing every degree-2 monomial and concretizing gives the radius
+    ``sum |b| + sum |Q|``.  Aggregating symbolically before concretizing
+    keeps the cross-point correlations that per-prediction interval
+    arithmetic would lose, which tightens the upper end.  Both supported
+    formulas are nonnegative combinations of squares of affine forms, so the
+    lower end additionally uses each square's exact minimum (the squared
+    distance of zero to the affine term's interval, from the row sums of
+    ``|R|`` and ``|W|``); the linearized lower bound alone would forget that
+    squares cannot go negative.
     """
     test_X = np.asarray(test_X, dtype=float)
     test_y = np.asarray(test_y, dtype=float)
@@ -186,41 +200,31 @@ def loss_interval(
         raise ShapeMismatchError("test X and y row counts differ")
     if formula not in ("ridge", "mse"):
         raise ValueError(f"unknown loss formula {formula!r}")
-    reg = weights.registry
-    w_vec = weights.as_zvector()
     n = test_X.shape[0]
-
-    def square_min(f: PolyForm) -> float:
-        lo, hi = interval_of(f)
-        if lo <= 0.0 <= hi:
-            return 0.0
-        return min(lo * lo, hi * hi)
-
-    pieces = []
-    structural_lo = 0.0
-    for i in range(n):
-        pred = sum_forms(
-            reg,
-            (w_vec[j].scale(test_X[i, j]) for j in range(weights.dim) if test_X[i, j] != 0.0),
-        )
-        resid = pred - test_y[i]
-        structural_lo += square_min(resid) / n
-        pieces.append((resid * resid).scale(1.0 / n))
+    W = weights.generators()
+    R = test_X @ W
+    c = test_X @ weights.w_R - test_y
+    center = (c * c / n).sum()
+    structural_lo = (_square_min(c, np.abs(R).sum(axis=1)) / n).sum()
+    b = R.T @ (2.0 * c / n)
+    Q = R.T @ (R / n)
     if formula == "ridge" and lam > 0.0:
-        for j in range(weights.dim):
-            structural_lo += lam * square_min(w_vec[j])
-            pieces.append((w_vec[j] * w_vec[j]).scale(lam))
-    total = sum_forms(reg, pieces)
-    linear = linearize(ZVector(reg, [total]))
-    lo, hi = interval_of(linear[0])
-    return LossInterval(lo=max(lo, structural_lo), hi=hi, formula=formula)
+        w_R = weights.w_R
+        center += (lam * w_R * w_R).sum()
+        structural_lo += (lam * _square_min(w_R, np.abs(W).sum(axis=1))).sum()
+        b += 2.0 * lam * (W.T @ w_R)
+        Q += lam * (W.T @ W)
+    radius = np.abs(b).sum() + np.abs(np.diag(Q)).sum() + 2.0 * np.abs(np.triu(Q, 1)).sum()
+    return LossInterval(
+        lo=float(max(center - radius, structural_lo)), hi=float(center + radius), formula=formula
+    )
 
 
 def parameter_intervals(
     weights: AbstractWeights, names: list[str] | None = None
 ) -> ParameterIntervals:
     """Componentwise bounds of the weight zonotope (exact per dimension)."""
-    boxes = [interval_of(f) for f in weights.as_zvector()]
-    lo = np.array([b[0] for b in boxes])
-    hi = np.array([b[1] for b in boxes])
+    radius = np.abs(weights.generators()).sum(axis=1)
+    lo = weights.w_R - radius
+    hi = weights.w_R + radius
     return ParameterIntervals(lo=lo, hi=hi, names=names or [f"w{j}" for j in range(len(lo))])

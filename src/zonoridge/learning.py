@@ -40,18 +40,25 @@ The constant column is stored as ``c0 = (2/n) h`` so the scalar case reads
 
 Below that threshold the dataset is mu-split until every part satisfies the
 bound, per-part fixed points are computed, and the results are box-joined.
+
+Everything here works on arrays, not on polynomial forms.  Each data symbol
+lives in exactly one cell (a row, a column or the label, and a coefficient),
+so the coefficient of every monomial in ``c'`` and ``h`` is a small product
+of rows of ``X_R``, ``A``, ``A^-1`` and the ``w_D`` generators, and only
+monomials whose symbols all share one row can collect more than one term
+(see ``_diameter_terms``).  The weight zonotope is the generator matrix
+``[G_D' | A^-1 diag(k)]`` around ``w_R``.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 
 import numpy as np
 
-from .dataset import AbstractDataset
+from .dataset import LABEL_COL, AbstractDataset
 from .errors import (
     IllConditionedError,
     LambdaTooSmall,
@@ -61,19 +68,11 @@ from .errors import (
 )
 from .forms import PolyForm
 from .symbols import SymbolKind, SymbolRegistry
-from .zonotope import (
-    ZVector,
-    box_join,
-    interval_hull,
-    linearize,
-    mat_mul,
-    mat_real,
-    mat_vec,
-    real_mat_mat,
-    real_mat_vec,
-)
+from .zonotope import ZVector
 
 _COND_BOUND = 1e12
+#: Elements of one temporary array in the chunked kernels (512 KB of float64).
+CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -126,6 +125,15 @@ class AbstractWeights:
         for sid, gen in self.w_D_coeffs.items():
             out += gen * assignment[sid]
         return out
+
+    def generators(self) -> np.ndarray:
+        """Generator matrix ``W = [G_D' | A^-1 diag(k)]`` of the weight zonotope.
+
+        Row i is dimension i; column j multiplies one error symbol: first the
+        data symbols in ``w_D_coeffs`` order, then the d fresh symbols of the
+        box part.  The zonotope is ``{w_R + W e : e in [-1, 1]^m}``.
+        """
+        return _generator_matrix(self.w_D_coeffs, self.A_inv, self.k)
 
     def as_zvector(self) -> ZVector:
         """The weight zonotope as a vector of affine forms."""
@@ -269,30 +277,194 @@ def closed_form_symbolic_data(
     """Generator vectors of the data-symbol weight part.
 
     Solves ``(X_R'X_R + lam n I) w_D = X_S'y_R + X_R'y_S
-    - (X_R'X_S + X_S'X_R) w_R`` one data symbol at a time: each symbol lives
-    in exactly one cell, so its column of the right-hand side is assembled
-    directly from that cell's row and coefficient.
+    - (X_R'X_S + X_S'X_R) w_R`` for all data symbols at once: each symbol
+    lives in exactly one cell, so its column of the right-hand side is
+    assembled directly from that cell's row and coefficient.
     """
-    X_R, y_R = ad.X_R, ad.y_R
+    X_R = ad.X_R
     n, d = X_R.shape
     gram = X_R.T @ X_R + lam * n * np.eye(d)
-    out: dict[int, np.ndarray] = {}
-    for sid in ad.data_symbols():
-        coef = ad.coefficients.get(sid, 0.0)
-        if coef == 0.0:
-            continue
-        r, c = ad.provenance[sid]
-        rhs = np.zeros(d)
-        if c < 0:  # label cell
-            rhs += coef * X_R[r, :]
-        else:
-            rhs[c] += coef * y_R[r]
-            rhs -= coef * w_R[c] * X_R[r, :]
-            rhs[c] -= coef * float(X_R[r, :] @ w_R)
-        gen = np.linalg.solve(gram, rhs)
-        if np.any(gen != 0.0):
-            out[sid] = gen
+    sids, rows, cols, coef = _cells(ad)
+    gens = np.linalg.solve(gram, _data_rhs(ad, w_R, rows, cols, coef)).T
+    return {sid: gen for sid, gen in zip(sids, gens) if np.any(gen != 0.0)}
+
+
+def _cells(ad: AbstractDataset) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The data symbols with a nonzero coefficient, in id order, as arrays.
+
+    Returns the ids and, per symbol, the row and column of its cell
+    (``LABEL_COL`` for a label cell) and its coefficient.
+    """
+    sids = ad.split_symbols()
+    cells = np.array([ad.provenance[s] for s in sids], dtype=np.intp).reshape(-1, 2)
+    coef = np.array([ad.coefficients[s] for s in sids], dtype=float)
+    return sids, cells[:, 0], cells[:, 1], coef
+
+
+def _data_rhs(
+    ad: AbstractDataset, w_R: np.ndarray, rows: np.ndarray, cols: np.ndarray, coef: np.ndarray
+) -> np.ndarray:
+    """``X_S'y_R + X_R'y_S - (X_R'X_S + X_S'X_R) w_R``, one column per symbol."""
+    x = ad.X_R[rows]
+    rhs = coef[:, None] * x  # a label cell contributes coef * x_r
+    f = np.flatnonzero(cols != LABEL_COL)
+    c, a = cols[f], coef[f]
+    rhs[f] = -(a * w_R[c])[:, None] * x[f]
+    rhs[f, c] += a * (ad.y_R[rows[f]] - x[f] @ w_R)
+    return rhs.T
+
+
+def _generator_rows(w_D: Mapping[int, np.ndarray], sids: list[int], d: int) -> np.ndarray:
+    """``w_D`` generators of ``sids`` as rows; a symbol without one gets zeros."""
+    zero = np.zeros(d)
+    return np.array([w_D.get(s, zero) for s in sids], dtype=float).reshape(len(sids), d)
+
+
+def _generator_matrix(
+    w_D: Mapping[int, np.ndarray], A_inv: np.ndarray, k: np.ndarray
+) -> np.ndarray:
+    data = _generator_rows(w_D, list(w_D), A_inv.shape[0])
+    return np.hstack([data.T, A_inv * k])
+
+
+def _matches(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs ``(i, j)`` with ``a[i] == b[j]``."""
+    order = np.argsort(a, kind="stable")
+    first = np.searchsorted(a[order], b, side="left")
+    counts = np.searchsorted(a[order], b, side="right") - first
+    ends = np.cumsum(counts)
+    j = np.repeat(np.arange(len(b)), counts)
+    pos = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts - first, counts)
+    return order[pos], j
+
+
+def _abs_row_sums(count: int, inner: int, d: int, block) -> np.ndarray:
+    """Per-row sums of ``|block(lo, hi)|`` over its middle axis, in chunks.
+
+    ``block(lo, hi)`` returns the ``(hi - lo, inner, d)`` coefficients of
+    rows ``lo..hi-1``.  Each row is reduced on its own and the caller sums
+    the rows afterwards, so the result does not depend on the chunk size.
+    """
+    out = np.zeros((count, d))
+    step = max(1, CHUNK_ELEMENTS // max(1, inner * d))
+    for lo in range(0, count, step):
+        hi = min(count, lo + step)
+        coefs = block(lo, hi)
+        out[lo:hi] = np.abs(coefs, out=coefs).sum(axis=1)
     return out
+
+
+def _diameter_terms(
+    ad: AbstractDataset,
+    w_R: np.ndarray,
+    w_D: Mapping[int, np.ndarray],
+    A: np.ndarray,
+    A_inv: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``c'`` and ``h`` of the diameter system, as sums of |coefficients|.
+
+    Feature symbol s sits in row r, column c with coefficient a; g_s is its
+    ``w_D`` generator (label symbols have generators but no M or N terms).
+    With ``M_s = a (x_r e_c' + e_c x_r')`` and, for same-row feature symbols
+    ``s <= t``, ``N_st = a_s a_t (E_{c_s c_t} + E_{c_t c_s})`` (``N_ss =
+    a_s^2 E_cc``), the monomials and their coefficients, all mapped by A, are
+
+    * ``c'``: ``e_s -> A M_s A^-1`` and ``e_s e_t -> A N_st A^-1``;
+    * ``h``, degree 2: ``e_s e_t -> A (M_s g_t + M_t g_s)`` (``M_s g_s``
+      once for ``s = t``), plus ``A N_st w_R`` for a same-row feature pair
+      and ``-a_s b_t A e_{c_s}`` for a same-row feature/label pair;
+    * ``h``, degree 3: ``e_s e_t e_u -> A N_st g_u``.
+
+    A monomial is reached from more than one source only when all its
+    symbols lie in one row, so only same-row triples are merged before
+    taking absolute values; every other product is its own monomial and is
+    abs-summed in chunks of ``CHUNK_ELEMENTS``.
+    """
+    d = ad.d
+    sids, rows, cols, coef = _cells(ad)
+    feat = cols != LABEL_COL
+    order = np.concatenate([np.flatnonzero(feat), np.flatnonzero(~feat)])  # features first
+    rows, cols, coef = rows[order], cols[order], coef[order]
+    nf, ns = int(feat.sum()), len(sids)
+    G = _generator_rows(w_D, [sids[i] for i in order], d)
+
+    fr, fc, fa = rows[:nf], cols[:nf], coef[:nf]
+    x = ad.X_R[fr]
+    Ax = x @ A.T  # A x_r
+    Ac = A[:, fc].T  # A e_c
+    cprime = np.abs(
+        fa[:, None, None]
+        * (Ax[:, :, None] * A_inv[fc][:, None, :] + Ac[:, :, None] * (x @ A_inv)[:, None, :])
+    ).sum(axis=0)
+
+    i, j = _matches(fr, fr)
+    ps, pt = i[i <= j], j[i <= j]  # same-row feature pairs s <= t
+    # N_st = fp (E_{c_s c_t} + E_{c_t c_s}); halving fp for s = t gives N_ss = a_s^2 E_cc.
+    fp = fa[ps] * fa[pt] * np.where(ps == pt, 0.5, 1.0)
+    cprime += np.abs(
+        fp[:, None, None]
+        * (
+            Ac[ps][:, :, None] * A_inv[fc[pt]][:, None, :]
+            + Ac[pt][:, :, None] * A_inv[fc[ps]][:, None, :]
+        )
+    ).sum(axis=0)
+
+    # Degree 2: row s of a block holds the monomials e_s e_t with s < t
+    # among features, s = t, and every label t.
+    aY = fa[:, None] * G[:, fc].T  # a_s g_t[c_s]
+    aZ = fa[:, None] * (x @ G.T)  # a_s (x_r . g_t)
+    fl, tl = _matches(fr, rows[nf:])  # same-row feature/label pairs
+    ex_s = np.concatenate([ps, fl])
+    ex_t = np.concatenate([pt, nf + tl])
+    ex_v = np.concatenate(
+        [
+            fp[:, None] * (Ac[ps] * w_R[fc[pt]][:, None] + Ac[pt] * w_R[fc[ps]][:, None]),
+            -(fa[fl] * coef[nf + tl])[:, None] * Ac[fl],
+        ]
+    ).reshape(-1, d)
+    findex = np.arange(nf)
+
+    def pairs(lo: int, hi: int) -> np.ndarray:
+        b = slice(lo, hi)
+        s = findex[b, None]
+        own = np.ones((hi - lo, ns), dtype=bool)
+        own[:, :nf] = findex >= s
+        y, z = aY[b] * own, aZ[b] * own  # M_s g_t
+        out = y[:, :, None] * Ax[b, None, :]
+        out += z[:, :, None] * Ac[b, None, :]
+        y, z = aY[:, b].T * (findex > s), aZ[:, b].T * (findex > s)  # M_t g_s
+        back = y[:, :, None] * Ax
+        back += z[:, :, None] * Ac
+        out[:, :nf] += back
+        sel = (ex_s >= lo) & (ex_s < hi)
+        out[ex_s[sel] - lo, ex_t[sel]] += ex_v[sel]
+        return out
+
+    # Degree 3 across rows: pair p times a symbol u outside the pair's row.
+    prow = fr[ps]
+    v_s, v_t = fp[:, None] * Ac[ps], fp[:, None] * Ac[pt]
+
+    def triples(lo: int, hi: int) -> np.ndarray:
+        b = slice(lo, hi)
+        other = rows != prow[b, None]
+        out = (G[:, fc[pt[b]]].T * other)[:, :, None] * v_s[b, None, :]
+        out += (G[:, fc[ps[b]]].T * other)[:, :, None] * v_t[b, None, :]
+        return out
+
+    h = (
+        _abs_row_sums(nf, ns, d, pairs).sum(axis=0)
+        + _abs_row_sums(len(ps), ns, d, triples).sum(axis=0)
+    )
+
+    # Degree 3 within a row: merge the sources of each sorted triple.
+    u, p = _matches(rows, prow)
+    vals = G[u, fc[pt[p]]][:, None] * v_s[p] + G[u, fc[ps[p]]][:, None] * v_t[p]
+    keys = np.sort(np.stack([ps[p], pt[p], u], axis=1), axis=1) @ np.array([ns * ns, ns, 1])
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    merged = np.zeros((len(uniq), d))
+    np.add.at(merged, inverse, vals)
+    h += np.abs(merged).sum(axis=0)
+    return cprime, h
 
 
 def build_transform(X_R: np.ndarray, cfg: RidgeConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -318,14 +490,6 @@ def build_transform(X_R: np.ndarray, cfg: RidgeConfig) -> tuple[np.ndarray, np.n
     return a, np.linalg.inv(a)
 
 
-def _w_d_zvector(ad: AbstractDataset, w_D: dict[int, np.ndarray], d: int) -> ZVector:
-    entries = []
-    for i in range(d):
-        terms = {(sid,): gen[i] for sid, gen in w_D.items() if gen[i] != 0.0}
-        entries.append(PolyForm(ad.registry, 0.0, terms))
-    return ZVector(ad.registry, entries)
-
-
 def build_non_data_system(
     ad: AbstractDataset,
     lam: float,
@@ -334,37 +498,21 @@ def build_non_data_system(
     A: np.ndarray,
     A_inv: np.ndarray,
 ) -> NonDataSystem:
-    """Assemble the diameter system via exact polynomial-form algebra.
+    """Assemble the diameter system from dense per-symbol terms.
 
-    The coefficient sums behind ``c'`` and ``c0`` are taken per distinct
-    monomial after full expansion, so cancellations across the summands are
-    honored; this matches what linearization followed by an interval hull
-    produces and is never looser.
+    ``c'`` and ``c0`` are sums of |coefficients| over the distinct monomials
+    of degree at most 3 that the expansion of the gradient produces.  Each
+    data symbol lives in exactly one cell, so two products can land on the
+    same monomial only when all of its symbols lie in one row; those
+    same-row monomials are merged before taking absolute values, so
+    cancellations between summands are honored exactly as a full
+    polynomial expansion would, and every other product is summed as is
+    (see ``_diameter_terms``).  This matches what linearization followed by
+    an interval hull produces and is never looser.
     """
-    X_R = ad.X_R
-    n, d = X_R.shape
-    XS = ad.x_symbolic()
-    yS = ad.y_symbolic()
-    XSt = XS.transpose()
-
-    Q = A @ (X_R.T @ X_R) @ A_inv
-
-    cross = real_mat_mat(X_R.T, XS) + mat_real(XSt, X_R)  # X_R'X_S + X_S'X_R
-    xss = mat_mul(XSt, XS)
-    quad = cross + xss
-    projected = mat_real(real_mat_mat(A, quad), A_inv)
-    cprime = np.array(
-        [[projected[i, j].coeff_abs_sum() for j in range(d)] for i in range(d)]
-    )
-
-    w_d_vec = _w_d_zvector(ad, w_D, d)
-    w_r_vec = ZVector.from_real(ad.registry, w_R)
-    const_part = (
-        mat_vec(cross, w_d_vec)
-        + mat_vec(xss, w_r_vec + w_d_vec)
-        - mat_vec(XSt, yS)
-    )
-    h = np.array([f.coeff_abs_sum() for f in real_mat_vec(A, const_part)])
+    n = ad.n
+    Q = A @ (ad.X_R.T @ ad.X_R) @ A_inv
+    cprime, h = _diameter_terms(ad, w_R, w_D, A, A_inv)
     c0 = (2.0 / n) * h
 
     off = np.abs(Q) + cprime
@@ -456,6 +604,13 @@ def _assemble(
     )
 
 
+def _solve_part(
+    part: AbstractDataset, cfg: RidgeConfig
+) -> tuple[np.ndarray, dict[int, np.ndarray], np.ndarray, NonDataSystem, np.ndarray]:
+    w_R, w_D, _, A_inv, sys = _prepare(part, cfg)
+    return w_R, w_D, A_inv, sys, solve_non_data(sys, cfg.lam, cfg.tolerance)
+
+
 def fixed_point(
     ad: AbstractDataset, cfg: RidgeConfig, verify: bool = True
 ) -> tuple[AbstractWeights, FixedPointDiagnostics]:
@@ -485,9 +640,7 @@ def fixed_point(
     # Splitting path: grow m until every part is feasible (centers shift per
     # part, so the prediction must be re-checked).  An infeasible system has
     # a nonzero constant column, which requires at least one feature symbol
-    # with a nonzero coefficient, so splitting makes progress.  Preparing
-    # and solving a part is pure, so parts run in parallel; fresh symbols
-    # are allocated afterwards in part order to keep ids deterministic.
+    # with a nonzero coefficient, so splitting makes progress.
     s = len(ad.split_symbols())
     m = determine_num_splits(sys0, cfg.lam, ad)
     while True:
@@ -496,64 +649,33 @@ def fixed_point(
                 f"{m}**{s} parts exceed split budget {cfg.split_budget}"
             )
         parts = ad.split(m, budget=cfg.split_budget)
-
-        def solve_part(part):
-            w_R, w_D, A, A_inv, part_sys = _prepare(part, cfg)
-            k = solve_non_data(part_sys, cfg.lam, cfg.tolerance)
-            return w_R, w_D, A, A_inv, part_sys, k
-
         try:
-            if len(parts) > 8:
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    solved = list(pool.map(solve_part, parts))
-            else:
-                solved = [solve_part(p) for p in parts]
+            solved = [_solve_part(part, cfg) for part in parts]
         except LambdaTooSmall:
             m += 1
             continue
-
-        results = []
-        part_betas = []
-        margin = np.inf
-        for part, (w_R, w_D, A, A_inv, part_sys, k) in zip(parts, solved):
-            margin = min(margin, part_sys.m_matrix_margin(cfg.lam))
-            part_betas.append(part_sys.beta)
-            fresh = ad.registry.new_symbols(ad.d, SymbolKind.FRESH)
-            results.append(
-                AbstractWeights(
-                    w_R=w_R,
-                    w_D_coeffs=w_D,
-                    k=k,
-                    A=A,
-                    A_inv=A_inv,
-                    fresh_ids=fresh,
-                    registry=ad.registry,
-                    lam=cfg.lam,
-                    provenance={sid: part.provenance[sid] for sid in w_D},
-                )
-            )
         break
 
-    joined_vec = box_join([w.as_zvector() for w in results])
+    # Box join: the smallest box holding every part's interval hull
+    # w_R +- (row sums of |W|).
     d = ad.d
-    w_R = joined_vec.centers()
-    k = np.zeros(d)
-    fresh_ids = []
-    for i, f in enumerate(joined_vec.entries):
-        coeffs = f.linear_coeffs()
-        if coeffs:
-            ((fid, coef),) = coeffs.items()
-            fresh_ids.append(fid)
-            k[i] = abs(coef)
-        else:
-            fresh_ids.append(ad.registry.new_symbol(SymbolKind.FRESH))
+    lo = np.full(d, np.inf)
+    hi = np.full(d, -np.inf)
+    part_betas = []
+    margin = np.inf
+    for w_R, w_D, A_inv, part_sys, k in solved:
+        margin = min(margin, part_sys.m_matrix_margin(cfg.lam))
+        part_betas.append(part_sys.beta)
+        radius = np.abs(_generator_matrix(w_D, A_inv, k)).sum(axis=1)
+        lo = np.minimum(lo, w_R - radius)
+        hi = np.maximum(hi, w_R + radius)
     weights = AbstractWeights(
-        w_R=w_R,
+        w_R=0.5 * (lo + hi),
         w_D_coeffs={},
-        k=k,
+        k=0.5 * (hi - lo),
         A=np.eye(d),
         A_inv=np.eye(d),
-        fresh_ids=fresh_ids,
+        fresh_ids=ad.registry.new_symbols(d, SymbolKind.FRESH),
         registry=ad.registry,
         lam=cfg.lam,
         provenance={},
@@ -575,18 +697,22 @@ def verify_fixed_point_residual(
 ) -> ResidualReport:
     """Apply one symbolic gradient step and measure how far it moves.
 
-    Uses the exact form algebra end to end: the box part is rebuilt as
-    affine forms, the high-order gradient component is expanded as
-    polynomial forms, linearized with fresh symbols (regenerated per call),
-    and the interval hull in the transformed space yields new box diameters
-    ``k'``.  At a true fixed point the real and data-symbol parts are
-    unchanged and ``k' = k``.  The normalized box residual divides out the
-    ``2 eta / n`` step factor, making it comparable to the system's scale.
+    The step is taken on the dense terms of the diameter system.  With
+    ``H = 2 lam I + (2/n) X_R'X_R``, the data-symbol part of the gradient is
+    ``(2/n) ((X_R'X_R + lam n I) G_D' - RHS)`` (``RHS`` as in
+    :func:`closed_form_symbolic_data`), and the interval hull of the box
+    part after the step, in the transformed space, has diameters
+
+        k' = |A (I - eta H) A^-1| k + eta (2/n) (c' k + h),
+
+    where ``c'`` and ``h`` come from the weights' own ``w_D``.  At a true
+    fixed point the real and data-symbol parts are unchanged and
+    ``k' = k``.  The normalized box residual divides out the ``2 eta / n``
+    step factor, making it comparable to the system's scale.
     """
     X_R, y_R = ad.X_R, ad.y_R
     n, d = X_R.shape
     lam = weights.lam
-    reg = ad.registry
     gram = X_R.T @ X_R
     Q = weights.A @ gram @ weights.A_inv
     qmax = float(np.max(np.diag(Q), initial=0.0))
@@ -597,52 +723,14 @@ def verify_fixed_point_residual(
     g_r = (2.0 / n) * (gram @ weights.w_R - X_R.T @ y_R) + 2.0 * lam * weights.w_R
     real_residual = float(np.max(np.abs(eta * g_r), initial=0.0))
 
-    # Data-symbol part, symbolically.
-    XS = ad.x_symbolic()
-    yS = ad.y_symbolic()
-    XSt = XS.transpose()
-    w_d_vec = _w_d_zvector(ad, weights.w_D_coeffs, d)
-    cross = real_mat_mat(X_R.T, XS) + mat_real(XSt, X_R)
-    g_ld = (
-        real_mat_vec(2.0 * lam * np.eye(d) + (2.0 / n) * gram, w_d_vec)
-        + mat_vec(cross, ZVector.from_real(reg, weights.w_R)).scale(2.0 / n)
-        - mat_vec(XSt, ZVector.from_real(reg, y_R)).scale(2.0 / n)
-        - real_mat_vec((2.0 / n) * X_R.T, yS)
-    )
-    data_residual = 0.0
-    for f in g_ld.entries:
-        if abs(f.center) > data_residual:
-            data_residual = abs(f.center)
-        for coef in f.terms.values():
-            data_residual = max(data_residual, abs(coef))
-    data_residual *= eta
+    sids, rows, cols, coef = _cells(ad)
+    G = _generator_rows(weights.w_D_coeffs, sids, d)
+    g_d = (gram + lam * n * np.eye(d)) @ G.T - _data_rhs(ad, weights.w_R, rows, cols, coef)
+    data_residual = eta * (2.0 / n) * float(np.max(np.abs(g_d), initial=0.0))
 
-    # Box part: w_ND as affine forms over the stored fresh symbols.
-    w_nd_entries = []
-    for i in range(d):
-        terms = {}
-        for j, fid in enumerate(weights.fresh_ids):
-            coef = weights.A_inv[i, j] * weights.k[j]
-            if coef != 0.0:
-                terms[(fid,)] = coef
-        w_nd_entries.append(PolyForm(reg, 0.0, terms))
-    w_nd = ZVector(reg, w_nd_entries)
-
-    g_lnd = real_mat_vec(2.0 * lam * np.eye(d) + (2.0 / n) * gram, w_nd)
-    xss = mat_mul(XSt, XS)
-    w_total = ZVector.from_real(reg, weights.w_R) + w_d_vec + w_nd
-    g_h = (
-        mat_vec(cross, w_d_vec + w_nd)
-        + mat_vec(xss, w_total)
-        - mat_vec(XSt, yS)
-    ).scale(2.0 / n)
-    stepped = w_nd - (g_lnd + linearize(g_h)).scale(eta)
-    projected = real_mat_vec(weights.A, stepped)
-    hull = interval_hull(projected, projected.symbols())
-    k_new = np.zeros(d)
-    for i, f in enumerate(hull.entries):
-        coeffs = f.linear_coeffs()
-        k_new[i] = abs(next(iter(coeffs.values()))) if coeffs else 0.0
+    cprime, h = _diameter_terms(ad, weights.w_R, weights.w_D_coeffs, weights.A, weights.A_inv)
+    step = weights.A @ (np.eye(d) - eta * (2.0 * lam * np.eye(d) + (2.0 / n) * gram)) @ weights.A_inv
+    k_new = np.abs(step) @ weights.k + eta * (2.0 / n) * (cprime @ weights.k + h)
     box_residual = float(np.max(np.abs(k_new - weights.k), initial=0.0))
     return ResidualReport(
         eta=eta,
