@@ -38,7 +38,7 @@ def main():
             target="both", percentage=0.2, radius=radius, seed=11, columns=("f0",)
         )
         ad = inject_uncertainty(ds, spec)
-        weights, _ = fixed_point(ad, RidgeConfig(lam=lam), verify=False)
+        weights, _ = fixed_point(ad, RidgeConfig(lam=lam))
         li = loss_interval(test_X, test_y, weights, lam)
         gt = oracle_ranges(ad, lam, test_X, test_y, strategy="corner")
         assert li.lo <= gt.loss_lo and gt.loss_hi <= li.hi, "containment violated"

@@ -41,7 +41,7 @@ def report(title, effect, n_missing, noise):
     lo = (0.0 - scaler.mean[0]) / scaler.scale[0]
     hi = (1.0 - scaler.mean[0]) / scaler.scale[0]
     ad = abstract_missing(ds_s, {"treatment": (lo, hi)})
-    weights, _ = fixed_point(ad, RidgeConfig(lam=0.02), verify=False)
+    weights, _ = fixed_point(ad, RidgeConfig(lam=0.02))
     pi = parameter_intervals(weights, names=list(ds.columns))
 
     # Single-value imputation for contrast: fill with the range midpoint.

@@ -45,7 +45,7 @@ def main():
             ad = inject_uncertainty(
                 train, UncertaintySpec("labels", percentage=0.1, radius=radius, seed=seed)
             )
-            weights, _ = fixed_point(ad, RidgeConfig(lam=lam), verify=False)
+            weights, _ = fixed_point(ad, RidgeConfig(lam=lam))
             ratios.append(certify_robustness(test.X, weights, threshold).ratio)
 
             intervals = np.column_stack([ad.y_R, ad.y_R])

@@ -317,14 +317,6 @@ def _split(cfg: ExperimentConfig, data: Dataset, seed: int) -> tuple[Dataset, Da
     return train, test
 
 
-def _label_intervals(ad) -> np.ndarray:
-    intervals = np.column_stack([ad.y_R, ad.y_R])
-    for sid in ad.label_symbols():
-        r, _ = ad.provenance[sid]
-        intervals[r] = ad.cell_interval(sid)
-    return intervals
-
-
 def _run_tasks(tasks, fn, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
@@ -375,7 +367,7 @@ def cmd_certify(cfg: ExperimentConfig) -> RunReport:
             "baseline_ratio": math.nan,
         }
         if cfg.target == "labels":
-            baseline = interval_ridge_labels(train.X, _label_intervals(ad), cfg.lam)
+            baseline = interval_ridge_labels(train.X, ad.label_intervals(), cfg.lam)
             robust = sum(
                 (lambda lh: lh[1] - lh[0] < threshold_abs)(baseline.predict_interval(x))
                 for x in test.X

@@ -18,9 +18,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, EmptyDataError, SplitBudgetError
-from .forms import PolyForm
 from .symbols import SymbolKind, SymbolRegistry
-from .zonotope import ZMatrix, ZVector
 
 BIAS_COLUMN = "bias"
 #: Marker used in provenance tuples for label cells (features use the column index).
@@ -149,32 +147,19 @@ class AbstractDataset:
             abs(self.coefficients.get(s, 0.0)) > 0.0 for s in self.feature_symbols()
         )
 
-    def x_symbolic(self) -> ZMatrix:
-        """X_S as a zero-centered matrix of affine forms."""
-        n, d = self.X_R.shape
-        rows = [[PolyForm(self.registry, 0.0) for _ in range(d)] for _ in range(n)]
-        for sid, (r, c) in self.provenance.items():
-            if c == LABEL_COL:
-                continue
-            coef = self.coefficients.get(sid, 0.0)
-            rows[r][c] = PolyForm(self.registry, 0.0, {(sid,): coef})
-        return ZMatrix(self.registry, rows)
-
-    def y_symbolic(self) -> ZVector:
-        """y_S as a zero-centered vector of affine forms."""
-        entries = [PolyForm(self.registry, 0.0) for _ in range(self.n)]
-        for sid, (r, c) in self.provenance.items():
-            if c != LABEL_COL:
-                continue
-            coef = self.coefficients.get(sid, 0.0)
-            entries[r] = PolyForm(self.registry, 0.0, {(sid,): coef})
-        return ZVector(self.registry, entries)
-
     def cell_interval(self, sid: int) -> tuple[float, float]:
         r, c = self.provenance[sid]
         center = self.y_R[r] if c == LABEL_COL else self.X_R[r, c]
         coef = abs(self.coefficients.get(sid, 0.0))
         return (center - coef, center + coef)
+
+    def label_intervals(self) -> np.ndarray:
+        """Per-row label intervals ``(n, 2)``: a label cell's ``cell_interval``,
+        ``[y, y]`` for every other row."""
+        intervals = np.column_stack([self.y_R, self.y_R])
+        for sid in self.label_symbols():
+            intervals[self.provenance[sid][0]] = self.cell_interval(sid)
+        return intervals
 
     def materialize(self, assignment: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
         """One possible world: plug a symbol assignment into the decomposition."""

@@ -1,4 +1,8 @@
-"""Sparse polynomial forms over error symbols in [-1, 1].
+"""Sparse polynomial forms over error symbols in [-1, 1]: the input types.
+
+A caller describes an uncertain test point as a :class:`ZVector` of affine
+:class:`PolyForm` entries; :func:`zonoridge.inference.predict_interval_uncertain`
+reads it into a center and a generator matrix.
 
 A :class:`PolyForm` is ``center + sum(coef * monomial)`` where each monomial
 is a product of error symbols, stored canonically as a sorted tuple of symbol
@@ -16,10 +20,11 @@ monomial count.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Iterable
+from collections.abc import Mapping, Sequence
 
-from .errors import DegreeError, RegistryMismatchError
+import numpy as np
+
+from .errors import DegreeError, RegistryMismatchError, ShapeMismatchError
 from .symbols import SymbolRegistry
 
 # Coefficients at or below this magnitude are treated as exact zeros.
@@ -193,24 +198,55 @@ class PolyForm:
         return hash((id(self.registry), self.center, frozenset(self.terms.items())))
 
 
-def add_forms(a: PolyForm, b: PolyForm) -> PolyForm:
-    """Exact coefficientwise sum of two forms over the same registry."""
-    return a + b
+class ZVector:
+    """Dense vector of forms sharing one registry."""
 
+    __slots__ = ("registry", "entries")
 
-def mul_forms(a: PolyForm, b: PolyForm) -> PolyForm:
-    """Exact distributive product of two forms over the same registry."""
-    return a * b
+    def __init__(self, registry: SymbolRegistry, entries: Sequence[PolyForm]):
+        for f in entries:
+            if f.registry is not registry:
+                raise RegistryMismatchError("entry from a different registry")
+        self.registry = registry
+        self.entries = list(entries)
 
+    @classmethod
+    def from_real(cls, registry: SymbolRegistry, values: Sequence[float]) -> "ZVector":
+        return cls(registry, [PolyForm(registry, float(v)) for v in values])
 
-def sum_forms(registry: SymbolRegistry, forms: Iterable[PolyForm]) -> PolyForm:
-    """Sum many forms without building long intermediate chains."""
-    center = 0.0
-    terms: dict[Monomial, float] = {}
-    for f in forms:
-        if f.registry is not registry:
-            raise RegistryMismatchError("operands belong to different registries")
-        center += f.center
-        for mono, coef in f.terms.items():
-            terms[mono] = terms.get(mono, 0.0) + coef
-    return PolyForm(registry, center, terms)
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, i: int) -> PolyForm:
+        return self.entries[i]
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __add__(self, other: "ZVector") -> "ZVector":
+        if len(self) != len(other):
+            raise ShapeMismatchError("vector length mismatch")
+        return ZVector(self.registry, [a + b for a, b in zip(self.entries, other.entries)])
+
+    def __sub__(self, other: "ZVector") -> "ZVector":
+        if len(self) != len(other):
+            raise ShapeMismatchError("vector length mismatch")
+        return ZVector(self.registry, [a - b for a, b in zip(self.entries, other.entries)])
+
+    def scale(self, factor: float) -> "ZVector":
+        return ZVector(self.registry, [f.scale(factor) for f in self.entries])
+
+    def evaluate(self, assignment: Mapping[int, float]) -> np.ndarray:
+        return np.array([f.evaluate(assignment) for f in self.entries])
+
+    def is_affine(self) -> bool:
+        return all(f.is_affine() for f in self.entries)
+
+    def centers(self) -> np.ndarray:
+        return np.array([f.center for f in self.entries])
+
+    def symbols(self) -> set[int]:
+        out: set[int] = set()
+        for f in self.entries:
+            out.update(f.symbols())
+        return out

@@ -4,8 +4,11 @@ Everything here consumes the weight zonotope produced by learning, as its
 generator matrix ``W`` around ``w_R``.  A prediction for a concrete point is
 affine in the symbols, so its range is exact for the zonotope; losses are
 quadratic in the symbols and are linearized before concretizing, which stays
-sound but can widen.  Uncertain test points multiply two zonotopes and go
-through the polynomial forms of :mod:`zonoridge.forms`.
+sound but can widen.  An uncertain test point is a vector of affine forms
+(:class:`~zonoridge.forms.ZVector`), read into its own center and generator
+matrix; its prediction is quadratic in the symbols and is linearized the same
+way.  A point with a higher-degree entry is not a zonotope and raises
+:class:`~zonoridge.errors.DegreeError`.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ShapeMismatchError
-from .forms import sum_forms
+from .errors import DegreeError, RegistryMismatchError, ShapeMismatchError
+from .forms import ZVector
 from .learning import AbstractWeights
-from .zonotope import ZVector, interval_of, linearize
 
 Method = Literal["zonotope", "interval_baseline", "oracle_under"]
 
@@ -119,20 +121,54 @@ def predict_interval_uncertain(
 ) -> PredictionInterval:
     """Prediction range for an uncertain test point.
 
-    The product of the point's forms with the weight forms is a polynomial
-    zonotope; it is linearized before taking the interval, so the result is
-    a sound superset.  Sharing symbols with the training data expresses
-    correlated uncertainty; fresh symbols express independence.
+    The point must be a vector of affine forms, ``x_c + P e``; an entry of
+    degree 2 or more raises :class:`DegreeError`.  Sharing symbols with the
+    training data (or with the weights' fresh symbols) expresses correlated
+    uncertainty; new symbols express independence.  Over the union of the
+    point's and the weights' symbols, with ``W`` the weights' generator
+    matrix, the product ``x . w`` has
+
+    * center ``x_c . w_R``,
+    * linear coefficients ``L = x_c'W + w_R'P``,
+    * degree-2 coefficients from ``C = P'W``: ``C[u,v] + C[v,u]`` for the
+      monomial ``e_u e_v`` with ``u < v`` and ``C[u,u]`` for ``e_u^2``.
+
+    Linearizing gives every monomial its own fresh symbol, so the radius is
+    ``sum |L| + sum |degree-2 coefficients|``: a sound superset.
     """
     if len(x_abstract) != weights.dim:
         raise ShapeMismatchError(f"test point must have dimension {weights.dim}")
-    w_vec = weights.as_zvector()
-    prod = sum_forms(
-        weights.registry, (x_abstract[j] * w_vec[j] for j in range(weights.dim))
+    if x_abstract.registry is not weights.registry:
+        raise RegistryMismatchError("test point and weights belong to different registries")
+    if not x_abstract.is_affine():
+        raise DegreeError("uncertain test points must be affine forms")
+    W = weights.generators()
+    column = {sid: j for j, sid in enumerate([*weights.w_D_coeffs, *weights.fresh_ids])}
+    point_ids = sorted(x_abstract.symbols())
+    for sid in point_ids:
+        column.setdefault(sid, len(column))
+    own = [column[sid] for sid in point_ids]  # the point's symbols among the columns
+    W = np.hstack([W, np.zeros((weights.dim, len(column) - W.shape[1]))])
+    P = np.zeros((weights.dim, len(point_ids)))
+    row = {sid: a for a, sid in enumerate(point_ids)}
+    for i, f in enumerate(x_abstract):
+        for (sid,), coef in f.terms.items():
+            P[i, row[sid]] = coef
+
+    x_c = x_abstract.centers()
+    linear = x_c @ W
+    linear[own] += weights.w_R @ P
+    C = P.T @ W  # row a: the monomials e_a e_v, for every column v
+    shared = C[:, own]  # e_a e_b with both symbols in the point: merge both orders
+    C[:, own] = 0.0
+    quad = (
+        np.abs(C).sum()
+        + np.abs(np.diag(shared)).sum()
+        + np.abs(np.triu(shared + shared.T, 1)).sum()
     )
-    linear = linearize(ZVector(weights.registry, [prod]))
-    lo, hi = interval_of(linear[0])
-    return PredictionInterval(lo, hi)
+    center = float(x_c @ weights.w_R)
+    radius = float(np.abs(linear).sum() + quad)
+    return PredictionInterval(center - radius, center + radius)
 
 
 def certify_robustness(

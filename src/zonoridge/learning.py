@@ -66,9 +66,7 @@ from .errors import (
     SplitBudgetError,
     ZonoError,
 )
-from .forms import PolyForm
 from .symbols import SymbolKind, SymbolRegistry
-from .zonotope import ZVector
 
 _COND_BOUND = 1e12
 #: Elements of one temporary array in the chunked kernels (512 KB of float64).
@@ -134,21 +132,6 @@ class AbstractWeights:
         box part.  The zonotope is ``{w_R + W e : e in [-1, 1]^m}``.
         """
         return _generator_matrix(self.w_D_coeffs, self.A_inv, self.k)
-
-    def as_zvector(self) -> ZVector:
-        """The weight zonotope as a vector of affine forms."""
-        entries = []
-        for i in range(self.dim):
-            terms = {}
-            for sid, gen in self.w_D_coeffs.items():
-                if gen[i] != 0.0:
-                    terms[(sid,)] = gen[i]
-            for j, fid in enumerate(self.fresh_ids):
-                coef = self.A_inv[i, j] * self.k[j]
-                if coef != 0.0:
-                    terms[(fid,)] = terms.get((fid,), 0.0) + coef
-            entries.append(PolyForm(self.registry, self.w_R[i], terms))
-        return ZVector(self.registry, entries)
 
     def to_json(self, diagnostics: "FixedPointDiagnostics | None" = None) -> str:
         payload = {
@@ -612,12 +595,14 @@ def _solve_part(
 
 
 def fixed_point(
-    ad: AbstractDataset, cfg: RidgeConfig, verify: bool = True
+    ad: AbstractDataset, cfg: RidgeConfig
 ) -> tuple[AbstractWeights, FixedPointDiagnostics]:
     """Compute the abstract fixed point, mu-splitting when beta exceeds lam.
 
     On the direct path the result shares data symbols with the dataset and
-    carries the solved box diameters.  On the splitting path each part gets
+    carries the solved box diameters; its diagnostics carry the residual of
+    one gradient step (``verify_fixed_point_residual``), taken on the
+    diameter system just assembled.  On the splitting path each part gets
     its own fixed point and the per-part weight zonotopes are box-joined;
     the join drops data-symbol correlation, which is flagged in the
     diagnostics.
@@ -633,7 +618,7 @@ def fixed_point(
             lambda_used=cfg.lam,
             splits_used=1,
             m_matrix_margin=sys0.m_matrix_margin(cfg.lam),
-            residual=verify_fixed_point_residual(ad, weights, cfg) if verify else None,
+            residual=_residual_report(ad, weights, sys0),
         )
         return weights, diag
 
@@ -703,19 +688,29 @@ def verify_fixed_point_residual(
     :func:`closed_form_symbolic_data`), and the interval hull of the box
     part after the step, in the transformed space, has diameters
 
-        k' = |A (I - eta H) A^-1| k + eta (2/n) (c' k + h),
+        k' = |A (I - eta H) A^-1| k + eta ((2/n) c' k + c0),
 
-    where ``c'`` and ``h`` come from the weights' own ``w_D``.  At a true
+    where ``c'`` and ``c0 = (2/n) h`` are assembled by
+    :func:`build_non_data_system` from the weights' own ``w_D``.  At a true
     fixed point the real and data-symbol parts are unchanged and
     ``k' = k``.  The normalized box residual divides out the ``2 eta / n``
     step factor, making it comparable to the system's scale.
     """
+    sys = build_non_data_system(
+        ad, weights.lam, weights.w_R, weights.w_D_coeffs, weights.A, weights.A_inv
+    )
+    return _residual_report(ad, weights, sys)
+
+
+def _residual_report(
+    ad: AbstractDataset, weights: AbstractWeights, sys: NonDataSystem
+) -> ResidualReport:
+    """``verify_fixed_point_residual`` on ``sys``, the weights' assembled system."""
     X_R, y_R = ad.X_R, ad.y_R
     n, d = X_R.shape
     lam = weights.lam
     gram = X_R.T @ X_R
-    Q = weights.A @ gram @ weights.A_inv
-    qmax = float(np.max(np.diag(Q), initial=0.0))
+    qmax = float(np.max(np.diag(sys.Q), initial=0.0))
     denom = 2.0 * lam + (2.0 / n) * max(qmax, 0.0)
     eta = 0.5 / denom if denom > 0 else 0.1
 
@@ -728,9 +723,8 @@ def verify_fixed_point_residual(
     g_d = (gram + lam * n * np.eye(d)) @ G.T - _data_rhs(ad, weights.w_R, rows, cols, coef)
     data_residual = eta * (2.0 / n) * float(np.max(np.abs(g_d), initial=0.0))
 
-    cprime, h = _diameter_terms(ad, weights.w_R, weights.w_D_coeffs, weights.A, weights.A_inv)
     step = weights.A @ (np.eye(d) - eta * (2.0 * lam * np.eye(d) + (2.0 / n) * gram)) @ weights.A_inv
-    k_new = np.abs(step) @ weights.k + eta * (2.0 / n) * (cprime @ weights.k + h)
+    k_new = np.abs(step) @ weights.k + eta * ((2.0 / n) * (sys.Cprime @ weights.k) + sys.c0)
     box_residual = float(np.max(np.abs(k_new - weights.k), initial=0.0))
     return ResidualReport(
         eta=eta,

@@ -6,8 +6,8 @@ by a registry; each id carries a kind:
 
 * ``DATA`` symbols are created while abstracting an uncertain dataset and tie
   model weights back to the dataset cells they came from.
-* ``FRESH`` symbols are created by linearization, order reduction and joins;
-  they never appear in the abstract dataset.
+* ``FRESH`` symbols carry the box part of a weight zonotope, one per
+  dimension (also after a join); they never appear in the abstract dataset.
 
 A registry is shared by all forms participating in one computation; mixing
 forms from different registries is an error.

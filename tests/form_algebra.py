@@ -1,136 +1,45 @@
-"""Vectors and matrices of polynomial forms, and the sound set operations.
+"""Polynomial-form algebra that the reference implementations are built on.
 
-A :class:`ZVector` over affine forms is a linear zonotope in symbolic form; a
-vector or matrix over general :class:`~zonoridge.forms.PolyForm` entries is a
-polynomial zonotope.  All entries of one object share a registry.
+The library computes on generator matrices; this module keeps the general
+form algebra it used before, so that ``reference_forms`` can follow the
+definitions term by term.  A :class:`~zonoridge.forms.ZVector` over affine
+forms is a linear zonotope in symbolic form; a vector or matrix over general
+:class:`~zonoridge.forms.PolyForm` entries is a polynomial zonotope.  All
+entries of one object share a registry.
 
 The operations here come in two families:
 
 * exact transformers: addition, scalar and matrix multiplication --
   evaluation commutes with them;
 * sound over-approximations: :func:`linearize`, :func:`interval_hull`,
-  :func:`tih_reduce`, :func:`box_join` -- every point of the input's
-  concretization lies in the output's concretization.
-
-:func:`mu_split` partitions a zonotope along its data symbols; the union of
-the parts' concretizations equals the input's.
+  :func:`box_join` -- every point of the input's concretization lies in the
+  output's concretization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product as iter_product
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegreeError,
-    IllConditionedError,
-    RegistryMismatchError,
-    ShapeMismatchError,
-    SplitBudgetError,
-)
-from .forms import COEF_EPS, Monomial, PolyForm, sum_forms
-from .symbols import SymbolKind, SymbolRegistry
+from zonoridge.dataset import LABEL_COL, AbstractDataset
+from zonoridge.errors import DegreeError, RegistryMismatchError, ShapeMismatchError
+from zonoridge.forms import COEF_EPS, Monomial, PolyForm, ZVector
+from zonoridge.learning import AbstractWeights
+from zonoridge.symbols import SymbolKind, SymbolRegistry
 
 
-@dataclass(frozen=True)
-class IntervalBox:
-    """Axis-aligned box: per-dimension [lo, hi] with lo <= hi."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        if lo.shape != hi.shape:
-            raise ShapeMismatchError("lo/hi shape mismatch")
-        if np.any(lo > hi + 1e-12):
-            raise ValueError("interval box requires lo <= hi componentwise")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def width(self) -> np.ndarray:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, point: np.ndarray, tol: float = 0.0) -> bool:
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        return bool(np.all(p >= self.lo - tol) and np.all(p <= self.hi + tol))
-
-
-class ZVector:
-    """Dense vector of forms sharing one registry."""
-
-    __slots__ = ("registry", "entries")
-
-    def __init__(self, registry: SymbolRegistry, entries: Sequence[PolyForm]):
-        for f in entries:
-            if f.registry is not registry:
-                raise RegistryMismatchError("entry from a different registry")
-        self.registry = registry
-        self.entries = list(entries)
-
-    @classmethod
-    def from_real(cls, registry: SymbolRegistry, values: Sequence[float]) -> "ZVector":
-        return cls(registry, [PolyForm(registry, float(v)) for v in values])
-
-    @classmethod
-    def zeros(cls, registry: SymbolRegistry, dim: int) -> "ZVector":
-        return cls.from_real(registry, [0.0] * dim)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> PolyForm:
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __add__(self, other: "ZVector") -> "ZVector":
-        if len(self) != len(other):
-            raise ShapeMismatchError("vector length mismatch")
-        return ZVector(self.registry, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "ZVector") -> "ZVector":
-        if len(self) != len(other):
-            raise ShapeMismatchError("vector length mismatch")
-        return ZVector(self.registry, [a - b for a, b in zip(self.entries, other.entries)])
-
-    def scale(self, factor: float) -> "ZVector":
-        return ZVector(self.registry, [f.scale(factor) for f in self.entries])
-
-    def evaluate(self, assignment: Mapping[int, float]) -> np.ndarray:
-        return np.array([f.evaluate(assignment) for f in self.entries])
-
-    def is_affine(self) -> bool:
-        return all(f.is_affine() for f in self.entries)
-
-    def centers(self) -> np.ndarray:
-        return np.array([f.center for f in self.entries])
-
-    def symbols(self) -> set[int]:
-        out: set[int] = set()
-        for f in self.entries:
-            out.update(f.symbols())
-        return out
-
-    def interval_box(self) -> IntervalBox:
-        """Componentwise interval concretization (affine entries only)."""
-        los, his = [], []
-        for f in self.entries:
-            lo, hi = interval_of(f)
-            los.append(lo)
-            his.append(hi)
-        return IntervalBox(np.array(los), np.array(his))
+def sum_forms(registry: SymbolRegistry, forms: Iterable[PolyForm]) -> PolyForm:
+    """Sum many forms without building long intermediate chains."""
+    center = 0.0
+    terms: dict[Monomial, float] = {}
+    for f in forms:
+        if f.registry is not registry:
+            raise RegistryMismatchError("operands belong to different registries")
+        center += f.center
+        for mono, coef in f.terms.items():
+            terms[mono] = terms.get(mono, 0.0) + coef
+    return PolyForm(registry, center, terms)
 
 
 class ZMatrix:
@@ -156,10 +65,6 @@ class ZMatrix:
             registry,
             [[PolyForm(registry, v) for v in row] for row in arr],
         )
-
-    @classmethod
-    def zeros(cls, registry: SymbolRegistry, n: int, d: int) -> "ZMatrix":
-        return cls.from_real(registry, np.zeros((n, d)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -277,18 +182,6 @@ def interval_of(f: PolyForm) -> tuple[float, float]:
     return (f.center - radius, f.center + radius)
 
 
-def order(v: ZVector | ZMatrix) -> Fraction:
-    """Distinct monomials across all entries, divided by the dimension."""
-    if isinstance(v, ZMatrix):
-        entries = [f for row in v.rows for f in row]
-    else:
-        entries = list(v.entries)
-    monos: set[Monomial] = set()
-    for f in entries:
-        monos.update(f.terms)
-    return Fraction(len(monos), len(entries))
-
-
 def linearize(v: ZVector, registry: SymbolRegistry | None = None) -> ZVector:
     """Replace every degree->=2 monomial with a fresh error symbol.
 
@@ -346,69 +239,6 @@ def interval_hull(v: ZVector, selected: set[int]) -> ZVector:
     return ZVector(reg, out)
 
 
-def tih_reduce(
-    a: np.ndarray,
-    v: ZVector,
-    selected: set[int],
-    cond_bound: float = 1e12,
-) -> ZVector:
-    """Interval hull in the space transformed by ``a``, mapped back by its inverse.
-
-    The identity transform reduces to :func:`interval_hull`.  Matrices with
-    condition number above ``cond_bound`` are rejected: the inverse map would
-    amplify float error enough to endanger soundness margins.
-    """
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] != len(v):
-        raise ShapeMismatchError("transform must be square and match the vector dimension")
-    cond = np.linalg.cond(arr)
-    if not np.isfinite(cond) or cond > cond_bound:
-        raise IllConditionedError(f"transform condition number {cond:.3e} exceeds {cond_bound:.1e}")
-    a_inv = np.linalg.inv(arr)
-    return real_mat_vec(a_inv, interval_hull(real_mat_vec(arr, v), selected))
-
-
-def mu_split(v: ZVector, m: int, budget: int = 65536) -> list[ZVector]:
-    """Partition a linear zonotope evenly into ``m`` parts per data symbol.
-
-    Every data-symbol generator is scaled by ``1/m`` and the center shifted
-    to one of the ``m`` sub-cells, composed across all data symbols, so the
-    result has ``m**s`` parts whose concretizations union to the input's.
-    Fresh symbols are left untouched.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not v.is_affine():
-        raise DegreeError("mu_split requires affine entries")
-    reg = v.registry
-    data_syms = sorted(s for s in v.symbols() if reg.is_data(s))
-    if m == 1 or not data_syms:
-        return [ZVector(reg, list(v.entries))]
-    n_parts = m ** len(data_syms)
-    if n_parts > budget:
-        raise SplitBudgetError(f"{n_parts} parts exceed budget {budget}")
-    # Per-symbol center shift for sub-cell j of m: (2j + 1 - m) / m, generator
-    # scaled by 1/m.
-    shifts = [(2 * j + 1 - m) / m for j in range(m)]
-    parts = []
-    for combo in iter_product(range(m), repeat=len(data_syms)):
-        assign = dict(zip(data_syms, combo))
-        entries = []
-        for f in v.entries:
-            center = f.center
-            terms: dict[Monomial, float] = {}
-            for mono, coef in f.terms.items():
-                sid = mono[0]
-                if sid in assign:
-                    center += coef * shifts[assign[sid]]
-                    terms[mono] = coef / m
-                else:
-                    terms[mono] = coef
-            entries.append(PolyForm(reg, center, terms))
-        parts.append(ZVector(reg, entries))
-    return parts
-
-
 def box_join(parts: Sequence[ZVector]) -> ZVector:
     """Smallest axis-aligned box zonotope containing every part's box.
 
@@ -424,9 +254,9 @@ def box_join(parts: Sequence[ZVector]) -> ZVector:
             raise ShapeMismatchError("parts must share a dimension")
         if p.registry is not reg:
             raise RegistryMismatchError("parts belong to different registries")
-    boxes = [p.interval_box() for p in parts]
-    lo = np.min([b.lo for b in boxes], axis=0)
-    hi = np.max([b.hi for b in boxes], axis=0)
+    boxes = np.array([[interval_of(f) for f in p] for p in parts])
+    lo = boxes[:, :, 0].min(axis=0)
+    hi = boxes[:, :, 1].max(axis=0)
     fresh = reg.new_symbols(dim, SymbolKind.FRESH)
     entries = []
     for i in range(dim):
@@ -435,3 +265,42 @@ def box_join(parts: Sequence[ZVector]) -> ZVector:
         terms = {(fresh[i],): radius} if radius > COEF_EPS else {}
         entries.append(PolyForm(reg, center, terms))
     return ZVector(reg, entries)
+
+
+def x_symbolic(ad: AbstractDataset) -> ZMatrix:
+    """X_S as a zero-centered matrix of affine forms."""
+    n, d = ad.X_R.shape
+    rows = [[PolyForm(ad.registry, 0.0) for _ in range(d)] for _ in range(n)]
+    for sid, (r, c) in ad.provenance.items():
+        if c == LABEL_COL:
+            continue
+        coef = ad.coefficients.get(sid, 0.0)
+        rows[r][c] = PolyForm(ad.registry, 0.0, {(sid,): coef})
+    return ZMatrix(ad.registry, rows)
+
+
+def y_symbolic(ad: AbstractDataset) -> ZVector:
+    """y_S as a zero-centered vector of affine forms."""
+    entries = [PolyForm(ad.registry, 0.0) for _ in range(ad.n)]
+    for sid, (r, c) in ad.provenance.items():
+        if c != LABEL_COL:
+            continue
+        coef = ad.coefficients.get(sid, 0.0)
+        entries[r] = PolyForm(ad.registry, 0.0, {(sid,): coef})
+    return ZVector(ad.registry, entries)
+
+
+def weights_zvector(weights: AbstractWeights) -> ZVector:
+    """The weight zonotope as a vector of affine forms."""
+    entries = []
+    for i in range(weights.dim):
+        terms = {}
+        for sid, gen in weights.w_D_coeffs.items():
+            if gen[i] != 0.0:
+                terms[(sid,)] = gen[i]
+        for j, fid in enumerate(weights.fresh_ids):
+            coef = weights.A_inv[i, j] * weights.k[j]
+            if coef != 0.0:
+                terms[(fid,)] = terms.get((fid,), 0.0) + coef
+        entries.append(PolyForm(weights.registry, weights.w_R[i], terms))
+    return ZVector(weights.registry, entries)

@@ -2,9 +2,11 @@
 
 These are the implementations that the library used before its dense
 generator-matrix kernels.  ``build_non_data_system``,
-``verify_fixed_point_residual`` and ``loss_interval`` expand every product
-into :class:`~zonoridge.forms.PolyForm` monomials and sum coefficients per
-canonical monomial; ``predict_interval`` loops over generators;
+``verify_fixed_point_residual``, ``loss_interval`` and
+``predict_interval_uncertain`` expand every product into
+:class:`~zonoridge.forms.PolyForm` monomials (the algebra of
+``form_algebra``) and sum coefficients per canonical monomial;
+``predict_interval`` loops over generators;
 ``parameter_intervals`` and ``split_join`` concretize the weights as affine
 forms, the latter through ``box_join``.  They are slow but follow the
 definitions term by term, so the differential tests compare the dense
@@ -15,9 +17,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from form_algebra import (
+    box_join,
+    interval_hull,
+    interval_of,
+    linearize,
+    mat_mul,
+    mat_real,
+    mat_vec,
+    real_mat_mat,
+    real_mat_vec,
+    sum_forms,
+    weights_zvector,
+    x_symbolic,
+    y_symbolic,
+)
 from zonoridge.dataset import AbstractDataset
 from zonoridge.errors import ShapeMismatchError
-from zonoridge.forms import PolyForm, sum_forms
+from zonoridge.forms import PolyForm, ZVector
 from zonoridge.inference import LossInterval, ParameterIntervals, PredictionInterval
 from zonoridge.learning import (
     AbstractWeights,
@@ -30,18 +47,6 @@ from zonoridge.learning import (
     solve_non_data,
 )
 from zonoridge.symbols import SymbolKind
-from zonoridge.zonotope import (
-    ZVector,
-    box_join,
-    interval_hull,
-    interval_of,
-    linearize,
-    mat_mul,
-    mat_real,
-    mat_vec,
-    real_mat_mat,
-    real_mat_vec,
-)
 
 
 def _w_d_zvector(ad: AbstractDataset, w_D: dict[int, np.ndarray], d: int) -> ZVector:
@@ -69,8 +74,8 @@ def build_non_data_system(
     """
     X_R = ad.X_R
     n, d = X_R.shape
-    XS = ad.x_symbolic()
-    yS = ad.y_symbolic()
+    XS = x_symbolic(ad)
+    yS = y_symbolic(ad)
     XSt = XS.transpose()
 
     Q = A @ (X_R.T @ X_R) @ A_inv
@@ -127,8 +132,8 @@ def verify_fixed_point_residual(
     real_residual = float(np.max(np.abs(eta * g_r), initial=0.0))
 
     # Data-symbol part, symbolically.
-    XS = ad.x_symbolic()
-    yS = ad.y_symbolic()
+    XS = x_symbolic(ad)
+    yS = y_symbolic(ad)
     XSt = XS.transpose()
     w_d_vec = _w_d_zvector(ad, weights.w_D_coeffs, d)
     cross = real_mat_mat(X_R.T, XS) + mat_real(XSt, X_R)
@@ -210,7 +215,7 @@ def loss_interval(
     if formula not in ("ridge", "mse"):
         raise ValueError(f"unknown loss formula {formula!r}")
     reg = weights.registry
-    w_vec = weights.as_zvector()
+    w_vec = weights_zvector(weights)
     n = test_X.shape[0]
 
     def square_min(f: PolyForm) -> float:
@@ -259,11 +264,32 @@ def predict_interval(x: np.ndarray, weights: AbstractWeights) -> PredictionInter
     return PredictionInterval(center - radius, center + radius)
 
 
+def predict_interval_uncertain(
+    x_abstract: ZVector, weights: AbstractWeights
+) -> PredictionInterval:
+    """Prediction range for an uncertain test point.
+
+    The product of the point's forms with the weight forms is a polynomial
+    zonotope; it is linearized before taking the interval, so the result is
+    a sound superset.  Sharing symbols with the training data expresses
+    correlated uncertainty; fresh symbols express independence.
+    """
+    if len(x_abstract) != weights.dim:
+        raise ShapeMismatchError(f"test point must have dimension {weights.dim}")
+    w_vec = weights_zvector(weights)
+    prod = sum_forms(
+        weights.registry, (x_abstract[j] * w_vec[j] for j in range(weights.dim))
+    )
+    linear = linearize(ZVector(weights.registry, [prod]))
+    lo, hi = interval_of(linear[0])
+    return PredictionInterval(lo, hi)
+
+
 def parameter_intervals(
     weights: AbstractWeights, names: list[str] | None = None
 ) -> ParameterIntervals:
     """Componentwise bounds of the weight zonotope (exact per dimension)."""
-    boxes = [interval_of(f) for f in weights.as_zvector()]
+    boxes = [interval_of(f) for f in weights_zvector(weights)]
     lo = np.array([b[0] for b in boxes])
     hi = np.array([b[1] for b in boxes])
     return ParameterIntervals(lo=lo, hi=hi, names=names or [f"w{j}" for j in range(len(lo))])
@@ -287,6 +313,6 @@ def split_join(
                 registry=part.registry, lam=cfg.lam,
             )
         )
-    joined_vec = box_join([w.as_zvector() for w in results])
+    joined_vec = box_join([weights_zvector(w) for w in results])
     k = np.array([f.coeff_abs_sum() for f in joined_vec.entries])
     return joined_vec.centers(), k

@@ -245,7 +245,7 @@ class TestCriterion5LossContainmentAndGap:
                 )
                 ad = inject_uncertainty(ds, spec)
                 assert len(ad.data_symbols()) <= 12
-                weights, _ = fixed_point(ad, RidgeConfig(lam=lam), verify=False)
+                weights, _ = fixed_point(ad, RidgeConfig(lam=lam))
                 li = loss_interval(test_X, test_y, weights, lam)
                 gt = oracle_ranges(ad, lam, test_X, test_y, strategy="corner", budget=2**12)
                 assert li.lo <= gt.loss_lo + 1e-9 and gt.loss_hi <= li.hi + 1e-9, (
@@ -365,7 +365,7 @@ class TestCriterion8RegularizationTrend:
         lambdas = [0.01, 0.05, 0.1, 0.5, 1.0]
         ratios = []
         for lam in lambdas:
-            weights, _ = fixed_point(ad, RidgeConfig(lam=lam), verify=False)
+            weights, _ = fixed_point(ad, RidgeConfig(lam=lam))
             ratios.append(certify_robustness(test.X, weights, threshold_abs).ratio)
         assert all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:])), (
             f"robustness ratio not monotone in lambda: {ratios}"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from form_algebra import x_symbolic, y_symbolic
 from zonoridge.dataset import (
     LABEL_COL,
     Dataset,
@@ -11,7 +12,7 @@ from zonoridge.dataset import (
     load_csv,
     train_test_split,
 )
-from zonoridge.errors import DataError, EmptyDataError
+from zonoridge.errors import DataError, EmptyDataError, SplitBudgetError
 
 
 @pytest.fixture
@@ -126,12 +127,12 @@ class TestInjectUncertainty:
     def test_zero_percentage_no_symbols(self):
         ad = inject_uncertainty(_toy(10), UncertaintySpec("labels", 0.0, 0.1, seed=0))
         assert ad.data_symbols() == []
-        assert ad.y_symbolic().is_affine()
+        assert y_symbolic(ad).is_affine()
 
     def test_zero_radius_symbols_prune_to_zero(self):
         ad = inject_uncertainty(_toy(10), UncertaintySpec("labels", 0.5, 0.0, seed=0))
         assert len(ad.data_symbols()) == 5
-        for f in ad.y_symbolic():
+        for f in y_symbolic(ad):
             assert f.is_constant()
 
     def test_half_width_formula(self):
@@ -183,6 +184,14 @@ class TestInjectUncertainty:
         label_rows = {ad.provenance[s][0] for s in ad.label_symbols()}
         assert feat_rows == label_rows
 
+    def test_label_intervals(self):
+        ad = inject_uncertainty(_toy(10, seed=3), UncertaintySpec("both", 0.3, 0.2, seed=4))
+        labelled = {ad.provenance[s][0]: ad.cell_interval(s) for s in ad.label_symbols()}
+        intervals = ad.label_intervals()
+        assert intervals.shape == (10, 2) and len(labelled) == 3
+        for r in range(10):
+            assert tuple(intervals[r]) == labelled.get(r, (ad.y_R[r], ad.y_R[r]))
+
     def test_bias_never_targeted(self):
         ds = _toy(10, seed=10)
         ad = inject_uncertainty(ds, UncertaintySpec("features", 1.0, 0.5, seed=11))
@@ -208,7 +217,7 @@ class TestAbstractMissing:
         ds = _toy(5)
         ad = abstract_missing(ds, {})
         assert ad.data_symbols() == []
-        assert ad.x_symbolic().is_zero()
+        assert x_symbolic(ad).is_zero()
 
     def test_missing_without_range_errors(self):
         X = np.array([[1.0, np.nan]])
@@ -251,23 +260,37 @@ class TestFeatureScaler:
 
 class TestSplit:
     def test_split_partitions_cells(self):
-        ds = _toy(6, seed=12)
-        ad = inject_uncertainty(ds, UncertaintySpec("labels", 0.34, 0.3, seed=13))
-        syms = ad.data_symbols()
-        parts = ad.split(2)
-        assert len(parts) == 2 ** len(syms)
-        rng = np.random.default_rng(14)
-        for _ in range(100):
-            e = {s: float(rng.uniform(-1, 1)) for s in syms}
-            _, y = ad.materialize(e)
-            covered = False
-            for p in parts:
-                ok = True
-                for sid in syms:
-                    lo, hi = p.cell_interval(sid)
-                    r, _ = p.provenance[sid]
-                    if not (lo - 1e-12 <= y[r] <= hi + 1e-12):
-                        ok = False
-                        break
-                covered |= ok
-            assert covered
+        # (target, percentage, m, zero): label cells; feature and label cells
+        # with one zero-coefficient symbol, which must not be split; m = 1.
+        cases = (("labels", 0.34, 2, False), ("both", 0.17, 2, True), ("labels", 0.34, 1, False))
+        for target, pct, m, zero in cases:
+            ad = inject_uncertainty(_toy(6, seed=12), UncertaintySpec(target, pct, 0.3, seed=13))
+            if zero:
+                ad.coefficients[ad.feature_symbols()[0]] = 0.0
+            parts = ad.split(m)
+            if m == 1:
+                assert len(parts) == 1 and parts[0] is ad
+                continue
+            syms = ad.data_symbols()
+            assert len(parts) == m ** len(ad.split_symbols())
+            rng = np.random.default_rng(14)
+            for _ in range(100):
+                e = {s: float(rng.uniform(-1, 1)) for s in syms}
+                X, y = ad.materialize(e)
+                covered = False
+                for p in parts:
+                    ok = True
+                    for sid in syms:
+                        lo, hi = p.cell_interval(sid)
+                        r, c = p.provenance[sid]
+                        val = y[r] if c == LABEL_COL else X[r, c]
+                        if not (lo - 1e-12 <= val <= hi + 1e-12):
+                            ok = False
+                            break
+                    covered |= ok
+                assert covered
+
+    def test_budget(self):
+        ad = inject_uncertainty(_toy(6, seed=12), UncertaintySpec("labels", 0.34, 0.3, seed=13))
+        with pytest.raises(SplitBudgetError):
+            ad.split(10, budget=100)

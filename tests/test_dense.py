@@ -20,11 +20,14 @@ import reference_forms as ref
 import zonoridge
 from zonoridge import learning
 from zonoridge.dataset import LABEL_COL, AbstractDataset
+from zonoridge.errors import DegreeError
+from zonoridge.forms import PolyForm, ZVector
 from zonoridge.inference import (
     certify_robustness,
     loss_interval,
     parameter_intervals,
     predict_interval,
+    predict_interval_uncertain,
 )
 from zonoridge.learning import (
     AbstractWeights,
@@ -201,9 +204,8 @@ def test_queries_match_reference(kind, d, n, seed, transform, formula, lam):
     assert_close(dense_params.hi, reference_params.hi)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_split_join_matches_reference(seed):
-    # One feature cell wide enough that beta exceeds lambda.
+def split_problem(seed):
+    """One feature cell wide enough that beta exceeds lambda, so the fit splits."""
     rng = np.random.default_rng(seed)
     X = np.column_stack([np.ones(5), rng.uniform(0.5, 1.5, 5)])
     reg = SymbolRegistry()
@@ -215,9 +217,76 @@ def test_split_join_matches_reference(seed):
     cfg = RidgeConfig(lam=0.05)
     weights, diag = fixed_point(ad, cfg)
     assert diag.splits_used > 1
+    return ad, cfg, weights, diag
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_join_matches_reference(seed):
+    ad, cfg, weights, diag = split_problem(seed)
     center, k = ref.split_join(ad.split(diag.splits_used), cfg)
     assert_close(weights.w_R, center)
     assert_close(weights.k, k)
+
+
+def uncertain_point(weights, ad, rng, share):
+    """Affine test point over symbols drawn from ``share``.
+
+    ``new`` symbols are the point's own, ``data`` are the training cells' and
+    ``fresh`` the weights' box symbols; ``real`` gives a point without
+    symbols.  About a quarter of the coefficients are exactly zero.
+    """
+    reg = weights.registry
+    pools = {
+        "new": reg.new_symbols(3, SymbolKind.DATA),
+        "data": ad.data_symbols(),
+        "fresh": list(weights.fresh_ids),
+    }
+    if share == "real":
+        return ZVector.from_real(reg, rng.uniform(-2.0, 2.0, weights.dim))
+    pool = sum(pools.values(), []) if share == "all" else pools[share]
+    entries = []
+    for _ in range(weights.dim):
+        picked = rng.choice(pool, size=min(len(pool), int(rng.integers(0, 4))), replace=False)
+        terms = {
+            (int(sid),): 0.0 if rng.random() < 0.25 else float(rng.uniform(-0.5, 0.5))
+            for sid in picked
+        }
+        entries.append(PolyForm(reg, float(rng.uniform(-2.0, 2.0)), terms))
+    return ZVector(reg, entries)
+
+
+@SETTINGS
+@given(
+    **problem_args,
+    share=st.sampled_from(["new", "data", "fresh", "all", "real"]),
+    split=st.booleans(),
+)
+@example(kind="both", d=1, n=5, seed=9, transform="svd", share="all", split=False)
+@example(kind="features", d=3, n=6, seed=10, transform="svd", share="data", split=False)
+@example(kind="labels", d=2, n=6, seed=11, transform="identity", share="fresh", split=True)
+def test_uncertain_point_matches_reference(kind, d, n, seed, transform, share, split):
+    if split:
+        ad, _, weights, _ = split_problem(seed % 4)
+        assert weights.w_D_coeffs == {}
+    else:
+        ad, cfg = make_problem(kind, d, n, seed, transform)
+        weights = perturbed_weights(ad, cfg, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x = uncertain_point(weights, ad, rng, share)
+        dense = predict_interval_uncertain(x, weights)
+        reference = ref.predict_interval_uncertain(x, weights)
+        assert_close([dense.lo, dense.hi], [reference.lo, reference.hi])
+
+
+def test_uncertain_point_of_degree_two_raises():
+    ad, cfg = make_problem("features", 2, 6, seed=12)
+    weights = perturbed_weights(ad, cfg, 12)
+    sid = ad.data_symbols()[0]
+    square = PolyForm(ad.registry, 1.0, {(sid, sid): 0.5})
+    x = ZVector(ad.registry, [PolyForm(ad.registry, 1.0), square])
+    with pytest.raises(DegreeError):
+        predict_interval_uncertain(x, weights)
 
 
 def test_chunk_size_does_not_change_results(monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import make_symbols, random_assignment, random_form
 from zonoridge.errors import DegreeError, RegistryMismatchError
-from zonoridge.forms import PolyForm, add_forms, mul_forms
+from zonoridge.forms import PolyForm
 from zonoridge.symbols import SymbolKind, SymbolRegistry
 
 
@@ -13,7 +13,7 @@ def test_add_cancels_coefficients(registry):
     e1 = make_symbols(registry, 1)[0]
     a = PolyForm.symbol(registry, e1, 1.0, center=1.0)
     b = PolyForm.symbol(registry, e1, -1.0, center=2.0)
-    out = add_forms(a, b)
+    out = a + b
     assert out.center == 3.0
     assert out.is_constant()
 
@@ -29,23 +29,23 @@ def test_registry_mismatch_raises():
     a = PolyForm.symbol(r1, r1.new_symbol(SymbolKind.DATA))
     b = PolyForm.symbol(r2, r2.new_symbol(SymbolKind.DATA))
     with pytest.raises(RegistryMismatchError):
-        add_forms(a, b)
+        a + b
     with pytest.raises(RegistryMismatchError):
-        mul_forms(a, b)
+        a * b
 
 
 def test_mul_difference_of_squares(registry):
     e1 = make_symbols(registry, 1)[0]
     a = PolyForm.symbol(registry, e1, 1.0, center=1.0)
     b = PolyForm.symbol(registry, e1, -1.0, center=1.0)
-    out = mul_forms(a, b)
+    out = a * b
     assert out.center == 1.0
     assert out.terms == {(e1, e1): -1.0}
 
 
 def test_mul_two_symbols_gives_degree_two_monomial(registry):
     e1, e2 = make_symbols(registry, 2)
-    out = mul_forms(PolyForm.symbol(registry, e1), PolyForm.symbol(registry, e2))
+    out = PolyForm.symbol(registry, e1) * PolyForm.symbol(registry, e2)
     assert out.terms == {(e1, e2): 1.0}
     assert out.degree() == 2
 
@@ -55,7 +55,7 @@ def test_mul_matches_pointwise_products(registry):
     rng = np.random.default_rng(7)
     a = random_form(registry, syms, rng)
     b = random_form(registry, syms, rng)
-    prod = mul_forms(a, b)
+    prod = a * b
     for _ in range(100):
         e = random_assignment(syms, rng)
         expected = a.evaluate(e) * b.evaluate(e)
@@ -101,7 +101,7 @@ def test_tiny_coefficients_are_dropped(registry):
 
 def test_linear_coeffs_requires_affine(registry):
     e1 = make_symbols(registry, 1)[0]
-    sq = mul_forms(PolyForm.symbol(registry, e1), PolyForm.symbol(registry, e1))
+    sq = PolyForm.symbol(registry, e1) * PolyForm.symbol(registry, e1)
     with pytest.raises(DegreeError):
         sq.linear_coeffs()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zonoridge.dataset import LABEL_COL, AbstractDataset, Dataset, UncertaintySpec, inject_uncertainty
-from zonoridge.forms import PolyForm
+from zonoridge.forms import PolyForm, ZVector
 from zonoridge.inference import (
     certify_robustness,
     loss_interval,
@@ -13,7 +13,6 @@ from zonoridge.inference import (
 from zonoridge.learning import RidgeConfig, fixed_point
 from zonoridge.oracles import concrete_loss, enumerate_worlds, oracle_ranges, ridge_concrete, sample_worlds
 from zonoridge.symbols import SymbolKind, SymbolRegistry
-from zonoridge.zonotope import ZVector
 
 
 def make_dataset(n, d_feat, seed):

@@ -335,6 +335,8 @@ class TestVerifyResidual:
         # The normalized residual is the true system residual; it must also
         # be tiny, which pins the scalar bookkeeping of the assembly.
         assert rep.box_residual_normalized < 1e-8 * (1 + np.max(weights.k))
+        # fixed_point reuses the system it assembled; rebuilding it gives the same report.
+        assert rep == verify_fixed_point_residual(ad, weights, cfg)
 
     def test_detects_broken_k(self):
         ds = make_dataset(14, 2, seed=24)

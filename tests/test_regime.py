@@ -39,11 +39,7 @@ def mpg_shaped_dataset(seed=0, n=392):
 
 
 def baseline_ratio(train, ad, test, lam, threshold):
-    intervals = np.column_stack([ad.y_R, ad.y_R])
-    for sid in ad.label_symbols():
-        r, _ = ad.provenance[sid]
-        intervals[r] = ad.cell_interval(sid)
-    base = interval_ridge_labels(train.X, intervals, lam)
+    base = interval_ridge_labels(train.X, ad.label_intervals(), lam)
     hits = sum(
         1 for x in test.X
         if (lambda lh: lh[1] - lh[0] < threshold)(base.predict_interval(x))
@@ -80,7 +76,7 @@ class TestMpgShapedRegime:
         ad_feat = inject_uncertainty(
             train, UncertaintySpec("features", 0.10, 0.08, seed=4, columns=("weight",))
         )
-        w_feat, diag = fixed_point(ad_feat, RidgeConfig(lam=lam), verify=False)
+        w_feat, diag = fixed_point(ad_feat, RidgeConfig(lam=lam))
         assert diag.splits_used == 1, "standardized features should keep beta <= lambda"
         r_lab = certify_robustness(test.X, w_lab, threshold).ratio
         r_feat = certify_robustness(test.X, w_feat, threshold).ratio
@@ -96,13 +92,13 @@ class TestRobustnessTrends:
         by_radius = []
         for radius in (0.02, 0.05, 0.1, 0.2):
             ad = inject_uncertainty(train, UncertaintySpec("labels", 0.1, radius, seed=7))
-            w, _ = fixed_point(ad, RidgeConfig(lam=lam), verify=False)
+            w, _ = fixed_point(ad, RidgeConfig(lam=lam))
             by_radius.append(certify_robustness(test.X, w, threshold).ratio)
         assert all(a >= b - 1e-12 for a, b in zip(by_radius, by_radius[1:]))
         by_pct = []
         for pct in (0.05, 0.1, 0.2, 0.4):
             ad = inject_uncertainty(train, UncertaintySpec("labels", pct, 0.1, seed=8))
-            w, _ = fixed_point(ad, RidgeConfig(lam=lam), verify=False)
+            w, _ = fixed_point(ad, RidgeConfig(lam=lam))
             by_pct.append(certify_robustness(test.X, w, threshold).ratio)
         assert all(a >= b - 1e-12 for a, b in zip(by_pct, by_pct[1:]))
 
