@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -177,36 +176,51 @@ class AbstractDataset:
         """Data symbols worth splitting: those with a nonzero coefficient."""
         return [s for s in self.data_symbols() if self.coefficients.get(s, 0.0) != 0.0]
 
+    def split_plan(self, m: int, budget: int = 65536) -> "SplitPlan":
+        """Array form of ``split(m)``: which sub-cell every part takes.
+
+        Raises ``SplitBudgetError`` when the ``m**s`` parts exceed ``budget``.
+        """
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        syms = self.split_symbols()
+        n_parts = m ** len(syms)
+        if n_parts > budget:
+            raise SplitBudgetError(f"{n_parts} parts exceed budget {budget}")
+        radii = np.array([self.coefficients[s] for s in syms], dtype=float)
+        combos = np.indices((m,) * len(syms)).reshape(len(syms), n_parts).T
+        return SplitPlan(
+            symbols=syms,
+            radii=radii,
+            combos=combos,
+            shifts=(2 * np.arange(m) + 1 - m) / m,
+            coefficients=radii / m,
+        )
+
     def split(self, m: int, budget: int = 65536) -> list["AbstractDataset"]:
         """Partition evenly into ``m`` parts per data symbol (``m**s`` parts).
 
         Each part keeps the same symbols with coefficients scaled by ``1/m``
         and centers shifted to one sub-cell; the union of the parts'
         concretizations equals this dataset's.  Zero-coefficient symbols are
-        excluded from ``s``: splitting them would only clone parts.
+        excluded from ``s``: splitting them would only clone parts.  The
+        parts are those of ``split_plan(m)``, in its order.
         """
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        syms = self.split_symbols()
-        if m == 1 or not syms:
+        plan = self.split_plan(m, budget)
+        if m == 1 or not plan.symbols:
             return [self]
-        n_parts = m ** len(syms)
-        if n_parts > budget:
-            raise SplitBudgetError(f"{n_parts} parts exceed budget {budget}")
-        shifts = [(2 * j + 1 - m) / m for j in range(m)]
         parts = []
-        for combo in iter_product(range(m), repeat=len(syms)):
+        for offsets in plan.offsets():
             X = self.X_R.copy()
             y = self.y_R.copy()
             coefs = dict(self.coefficients)
-            for sid, j in zip(syms, combo):
+            for sid, offset, coef in zip(plan.symbols, offsets, plan.coefficients):
                 r, c = self.provenance[sid]
-                coef = self.coefficients.get(sid, 0.0)
                 if c == LABEL_COL:
-                    y[r] += coef * shifts[j]
+                    y[r] += offset
                 else:
-                    X[r, c] += coef * shifts[j]
-                coefs[sid] = coef / m
+                    X[r, c] += offset
+                coefs[sid] = float(coef)
             parts.append(
                 AbstractDataset(
                     X_R=X,
@@ -219,6 +233,26 @@ class AbstractDataset:
                 )
             )
         return parts
+
+
+@dataclass(frozen=True)
+class SplitPlan:
+    """An even ``m``-way split along every split symbol, as arrays.
+
+    Part p, in ``itertools.product`` order over ``symbols``, takes sub-cell
+    ``combos[p, i]`` of symbol i: the cell's center moves by ``radii[i] *
+    shifts[combos[p, i]]`` and its coefficient becomes ``coefficients[i]``.
+    """
+
+    symbols: list[int]
+    radii: np.ndarray  # (s,) the symbols' coefficients before the split
+    combos: np.ndarray  # (m**s, s) sub-cell index per part and symbol
+    shifts: np.ndarray  # (m,) sub-cell centers (2j + 1 - m) / m, in units of a radius
+    coefficients: np.ndarray  # (s,) radii / m, the same in every part
+
+    def offsets(self, parts: slice = slice(None)) -> np.ndarray:
+        """Center offsets ``(P, s)`` of the split cells of the selected parts."""
+        return self.radii * self.shifts[self.combos[parts]]
 
 
 def load_csv(

@@ -39,7 +39,9 @@ The constant column is stored as ``c0 = (2/n) h`` so the scalar case reads
     beta = (1/n) max_i ( sum_{j!=i} (|q_ij| + c'_ij) + c'_ii - q_ii ).
 
 Below that threshold the dataset is mu-split until every part satisfies the
-bound, per-part fixed points are computed, and the results are box-joined.
+bound, the fixed points of all parts are computed in one batched pass (the
+part index is a leading axis of the kernels' arrays), and the results are
+box-joined.
 
 Everything here works on arrays, not on polynomial forms.  Each data symbol
 lives in exactly one cell (a row, a column or the label, and a coefficient),
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 from collections.abc import Mapping
 
 import numpy as np
@@ -179,26 +182,33 @@ class AbstractWeights:
 
 @dataclass
 class NonDataSystem:
-    """Assembled diameter system ``(lam n + q_ii - c'_ii) k_i - ... = (n/2) c0_i``."""
+    """Assembled diameter system ``(lam n + q_ii - c'_ii) k_i - ... = (n/2) c0_i``.
+
+    The public functions build and take one system; the split path stacks
+    the systems of many parts along a leading axis (``Q`` and ``Cprime`` of
+    shape ``(P, d, d)``, ``c0`` of ``(P, d)``, ``beta`` of ``(P,)``), and
+    the methods then return one result per part.
+    """
 
     Q: np.ndarray
     Cprime: np.ndarray
     c0: np.ndarray
-    beta: float
+    beta: float | np.ndarray
     n: int
 
     def coefficient_matrix(self, lam: float) -> np.ndarray:
-        d = self.Q.shape[0]
         m = -(np.abs(self.Q) + self.Cprime)
-        for i in range(d):
-            m[i, i] = lam * self.n + self.Q[i, i] - self.Cprime[i, i]
+        i = np.arange(self.Q.shape[-1])
+        m[..., i, i] = lam * self.n + self.Q[..., i, i] - self.Cprime[..., i, i]
         return m
 
-    def m_matrix_margin(self, lam: float) -> float:
+    def m_matrix_margin(self, lam: float) -> float | np.ndarray:
+        """Least diagonal dominance ``min_i (m_ii - sum_{j!=i} |m_ij|)``."""
         m = self.coefficient_matrix(lam)
-        d = m.shape[0]
-        off = np.abs(m).sum(axis=1) - np.abs(np.diag(m))
-        return float(np.min(np.diag(m) - off))
+        diag = np.diagonal(m, axis1=-2, axis2=-1)
+        off = np.abs(m).sum(axis=-1) - np.abs(diag)
+        margin = np.min(diag - off, axis=-1)
+        return margin if margin.ndim else float(margin)
 
 
 @dataclass
@@ -243,15 +253,34 @@ class FixedPointDiagnostics:
         }
 
 
+_RANK_DEFICIENT = "centers are rank-deficient at lambda = 0"
+
+
+def _ridge(
+    gram: np.ndarray, xty: np.ndarray, lam: float, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ridge solutions ``(X'X + lam n I)^-1 X'y`` of a stack of parts.
+
+    Returns the solutions ``(P, d)``, the regularized Gram matrices and the
+    parts whose centers are rank-deficient at ``lam = 0``; those are solved
+    against the identity instead, and the caller refuses them.
+    """
+    reg = gram + lam * n * np.eye(gram.shape[-1])
+    deficient = np.zeros(len(reg), dtype=bool)
+    if lam == 0.0:
+        deficient = np.linalg.cond(reg) > 1e13
+        reg[deficient] = np.eye(gram.shape[-1])
+    return np.linalg.solve(reg, xty[..., None])[..., 0], reg, deficient
+
+
 def ridge_closed_form_real(X_R: np.ndarray, y_R: np.ndarray, lam: float) -> np.ndarray:
     """Ridge solution on the real centers: ``(X_R'X_R + lam n I)^-1 X_R'y_R``."""
     X_R = np.asarray(X_R, dtype=float)
     y_R = np.asarray(y_R, dtype=float)
-    n, d = X_R.shape
-    gram = X_R.T @ X_R + lam * n * np.eye(d)
-    if lam == 0.0 and np.linalg.cond(gram) > 1e13:
-        raise np.linalg.LinAlgError("centers are rank-deficient at lambda = 0")
-    return np.linalg.solve(gram, X_R.T @ y_R)
+    w_R, _, deficient = _ridge((X_R.T @ X_R)[None], (X_R.T @ y_R)[None], lam, X_R.shape[0])
+    if deficient[0]:
+        raise np.linalg.LinAlgError(_RANK_DEFICIENT)
+    return w_R[0]
 
 
 def closed_form_symbolic_data(
@@ -267,34 +296,50 @@ def closed_form_symbolic_data(
     X_R = ad.X_R
     n, d = X_R.shape
     gram = X_R.T @ X_R + lam * n * np.eye(d)
-    sids, rows, cols, coef = _cells(ad)
-    gens = np.linalg.solve(gram, _data_rhs(ad, w_R, rows, cols, coef)).T
-    return {sid: gen for sid, gen in zip(sids, gens) if np.any(gen != 0.0)}
+    cells = _cells(ad)
+    gens = np.linalg.solve(gram, _data_rhs(cells, *_at_cells(ad, cells), w_R[None])[0]).T
+    return {sid: gen for sid, gen in zip(cells.sids, gens) if np.any(gen != 0.0)}
 
 
-def _cells(ad: AbstractDataset) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+class _Cells(NamedTuple):
     """The data symbols with a nonzero coefficient, in id order, as arrays.
 
-    Returns the ids and, per symbol, the row and column of its cell
-    (``LABEL_COL`` for a label cell) and its coefficient.
+    Per symbol: the row and column of its cell (``LABEL_COL`` for a label
+    cell) and its coefficient.  The parts of a split share everything but
+    the coefficients, which the split scales.
     """
+
+    sids: list[int]
+    rows: np.ndarray
+    cols: np.ndarray
+    coef: np.ndarray
+
+
+def _cells(ad: AbstractDataset) -> _Cells:
     sids = ad.split_symbols()
     cells = np.array([ad.provenance[s] for s in sids], dtype=np.intp).reshape(-1, 2)
     coef = np.array([ad.coefficients[s] for s in sids], dtype=float)
-    return sids, cells[:, 0], cells[:, 1], coef
+    return _Cells(sids, cells[:, 0], cells[:, 1], coef)
 
 
-def _data_rhs(
-    ad: AbstractDataset, w_R: np.ndarray, rows: np.ndarray, cols: np.ndarray, coef: np.ndarray
-) -> np.ndarray:
-    """``X_S'y_R + X_R'y_S - (X_R'X_S + X_S'X_R) w_R``, one column per symbol."""
-    x = ad.X_R[rows]
-    rhs = coef[:, None] * x  # a label cell contributes coef * x_r
-    f = np.flatnonzero(cols != LABEL_COL)
-    c, a = cols[f], coef[f]
-    rhs[f] = -(a * w_R[c])[:, None] * x[f]
-    rhs[f, c] += a * (ad.y_R[rows[f]] - x[f] @ w_R)
-    return rhs.T
+def _at_cells(ad: AbstractDataset, cells: _Cells) -> tuple[np.ndarray, np.ndarray]:
+    """The feature row ``(1, S, d)`` and label ``(1, S)`` at each cell, as a stack of one part."""
+    return ad.X_R[cells.rows][None], ad.y_R[cells.rows][None]
+
+
+def _data_rhs(cells: _Cells, x: np.ndarray, y: np.ndarray, w_R: np.ndarray) -> np.ndarray:
+    """``X_S'y_R + X_R'y_S - (X_R'X_S + X_S'X_R) w_R``, one column per symbol.
+
+    Part p has the feature row ``x[p, i]`` and label ``y[p, i]`` at cell i
+    and the ridge solution ``w_R[p]``; the result is ``(P, d, S)``.
+    """
+    rhs = cells.coef[:, None] * x  # a label cell contributes coef * x_r
+    f = np.flatnonzero(cells.cols != LABEL_COL)
+    c, a = cells.cols[f], cells.coef[f]
+    xf = x[:, f]
+    rhs[:, f] = -(a * w_R[:, c])[..., None] * xf
+    rhs[:, f, c] += a * (y[:, f] - (xf @ w_R[..., None])[..., 0])
+    return rhs.swapaxes(1, 2)
 
 
 def _generator_rows(w_D: Mapping[int, np.ndarray], sids: list[int], d: int) -> np.ndarray:
@@ -321,30 +366,37 @@ def _matches(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[pos], j
 
 
-def _abs_row_sums(count: int, inner: int, d: int, block) -> np.ndarray:
-    """Per-row sums of ``|block(lo, hi)|`` over its middle axis, in chunks.
+def _abs_row_sums(parts: int, count: int, inner: int, d: int, block) -> np.ndarray:
+    """Per-part, per-row sums of ``|block(lo, hi)|`` over its inner axis, in chunks.
 
-    ``block(lo, hi)`` returns the ``(hi - lo, inner, d)`` coefficients of
-    rows ``lo..hi-1``.  Each row is reduced on its own and the caller sums
-    the rows afterwards, so the result does not depend on the chunk size.
+    ``block(lo, hi)`` returns the ``(parts, hi - lo, inner, d)`` coefficients
+    of rows ``lo..hi-1``.  Each row of each part is reduced on its own and
+    the caller sums the rows afterwards, so the result does not depend on
+    the chunk size.
     """
-    out = np.zeros((count, d))
-    step = max(1, CHUNK_ELEMENTS // max(1, inner * d))
+    out = np.zeros((parts, count, d))
+    step = max(1, CHUNK_ELEMENTS // max(1, parts * inner * d))
     for lo in range(0, count, step):
         hi = min(count, lo + step)
         coefs = block(lo, hi)
-        out[lo:hi] = np.abs(coefs, out=coefs).sum(axis=1)
+        out[:, lo:hi] = np.abs(coefs, out=coefs).sum(axis=2)
     return out
 
 
 def _diameter_terms(
-    ad: AbstractDataset,
+    cells: _Cells,
+    x: np.ndarray,
     w_R: np.ndarray,
-    w_D: Mapping[int, np.ndarray],
+    G: np.ndarray,
     A: np.ndarray,
     A_inv: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``c'`` and ``h`` of the diameter system, as sums of |coefficients|.
+    """``c'`` and ``h`` of the diameter systems of P parts, as sums of |coefficients|.
+
+    The parts share ``cells``; part p has the feature row ``x[p, i]`` at
+    cell i, the ridge solution ``w_R[p]``, one ``w_D`` generator per cell in
+    ``G[p]`` and the transform ``A[p]``, ``A_inv[p]``.  Returns ``c'`` as
+    ``(P, d, d)`` and ``h`` as ``(P, d)``.
 
     Feature symbol s sits in row r, column c with coefficient a; g_s is its
     ``w_D`` generator (label symbols have generators but no M or N terms).
@@ -363,22 +415,23 @@ def _diameter_terms(
     taking absolute values; every other product is its own monomial and is
     abs-summed in chunks of ``CHUNK_ELEMENTS``.
     """
-    d = ad.d
-    sids, rows, cols, coef = _cells(ad)
-    feat = cols != LABEL_COL
+    P, d = w_R.shape
+    feat = cells.cols != LABEL_COL
     order = np.concatenate([np.flatnonzero(feat), np.flatnonzero(~feat)])  # features first
-    rows, cols, coef = rows[order], cols[order], coef[order]
-    nf, ns = int(feat.sum()), len(sids)
-    G = _generator_rows(w_D, [sids[i] for i in order], d)
+    rows, cols, coef = cells.rows[order], cells.cols[order], cells.coef[order]
+    nf, ns = int(feat.sum()), len(order)
+    G = G[:, order]
 
     fr, fc, fa = rows[:nf], cols[:nf], coef[:nf]
-    x = ad.X_R[fr]
-    Ax = x @ A.T  # A x_r
-    Ac = A[:, fc].T  # A e_c
+    x = x[:, order[:nf]]
+    A_t = A.swapaxes(1, 2)
+    Ax = x @ A_t  # A x_r
+    Ac = A_t[:, fc]  # A e_c
+    Ai = A_inv[:, fc]  # e_c' A^-1
     cprime = np.abs(
         fa[:, None, None]
-        * (Ax[:, :, None] * A_inv[fc][:, None, :] + Ac[:, :, None] * (x @ A_inv)[:, None, :])
-    ).sum(axis=0)
+        * (Ax[..., :, None] * Ai[..., None, :] + Ac[..., :, None] * (x @ A_inv)[..., None, :])
+    ).sum(axis=1)
 
     i, j = _matches(fr, fr)
     ps, pt = i[i <= j], j[i <= j]  # same-row feature pairs s <= t
@@ -387,24 +440,25 @@ def _diameter_terms(
     cprime += np.abs(
         fp[:, None, None]
         * (
-            Ac[ps][:, :, None] * A_inv[fc[pt]][:, None, :]
-            + Ac[pt][:, :, None] * A_inv[fc[ps]][:, None, :]
+            Ac[:, ps, :, None] * Ai[:, pt, None, :]
+            + Ac[:, pt, :, None] * Ai[:, ps, None, :]
         )
-    ).sum(axis=0)
+    ).sum(axis=1)
 
     # Degree 2: row s of a block holds the monomials e_s e_t with s < t
     # among features, s = t, and every label t.
-    aY = fa[:, None] * G[:, fc].T  # a_s g_t[c_s]
-    aZ = fa[:, None] * (x @ G.T)  # a_s (x_r . g_t)
+    aY = fa[:, None] * G[:, :, fc].swapaxes(1, 2)  # a_s g_t[c_s]
+    aZ = fa[:, None] * (x @ G.swapaxes(1, 2))  # a_s (x_r . g_t)
     fl, tl = _matches(fr, rows[nf:])  # same-row feature/label pairs
     ex_s = np.concatenate([ps, fl])
     ex_t = np.concatenate([pt, nf + tl])
     ex_v = np.concatenate(
         [
-            fp[:, None] * (Ac[ps] * w_R[fc[pt]][:, None] + Ac[pt] * w_R[fc[ps]][:, None]),
-            -(fa[fl] * coef[nf + tl])[:, None] * Ac[fl],
-        ]
-    ).reshape(-1, d)
+            fp[:, None] * (Ac[:, ps] * w_R[:, fc[pt], None] + Ac[:, pt] * w_R[:, fc[ps], None]),
+            -(fa[fl] * coef[nf + tl])[:, None] * Ac[:, fl],
+        ],
+        axis=1,
+    )
     findex = np.arange(nf)
 
     def pairs(lo: int, hi: int) -> np.ndarray:
@@ -412,42 +466,61 @@ def _diameter_terms(
         s = findex[b, None]
         own = np.ones((hi - lo, ns), dtype=bool)
         own[:, :nf] = findex >= s
-        y, z = aY[b] * own, aZ[b] * own  # M_s g_t
-        out = y[:, :, None] * Ax[b, None, :]
-        out += z[:, :, None] * Ac[b, None, :]
-        y, z = aY[:, b].T * (findex > s), aZ[:, b].T * (findex > s)  # M_t g_s
-        back = y[:, :, None] * Ax
-        back += z[:, :, None] * Ac
-        out[:, :nf] += back
+        y, z = aY[:, b] * own, aZ[:, b] * own  # M_s g_t
+        out = y[..., None] * Ax[:, b, None, :]
+        out += z[..., None] * Ac[:, b, None, :]
+        later = findex > s
+        y, z = aY[:, :, b].swapaxes(1, 2) * later, aZ[:, :, b].swapaxes(1, 2) * later  # M_t g_s
+        back = y[..., None] * Ax[:, None]
+        back += z[..., None] * Ac[:, None]
+        out[:, :, :nf] += back
         sel = (ex_s >= lo) & (ex_s < hi)
-        out[ex_s[sel] - lo, ex_t[sel]] += ex_v[sel]
+        out[:, ex_s[sel] - lo, ex_t[sel]] += ex_v[:, sel]
         return out
 
     # Degree 3 across rows: pair p times a symbol u outside the pair's row.
     prow = fr[ps]
-    v_s, v_t = fp[:, None] * Ac[ps], fp[:, None] * Ac[pt]
+    v_s, v_t = fp[:, None] * Ac[:, ps], fp[:, None] * Ac[:, pt]
 
     def triples(lo: int, hi: int) -> np.ndarray:
         b = slice(lo, hi)
         other = rows != prow[b, None]
-        out = (G[:, fc[pt[b]]].T * other)[:, :, None] * v_s[b, None, :]
-        out += (G[:, fc[ps[b]]].T * other)[:, :, None] * v_t[b, None, :]
+        out = (G[:, :, fc[pt[b]]].swapaxes(1, 2) * other)[..., None] * v_s[:, b, None, :]
+        out += (G[:, :, fc[ps[b]]].swapaxes(1, 2) * other)[..., None] * v_t[:, b, None, :]
         return out
 
     h = (
-        _abs_row_sums(nf, ns, d, pairs).sum(axis=0)
-        + _abs_row_sums(len(ps), ns, d, triples).sum(axis=0)
+        _abs_row_sums(P, nf, ns, d, pairs).sum(axis=1)
+        + _abs_row_sums(P, len(ps), ns, d, triples).sum(axis=1)
     )
 
     # Degree 3 within a row: merge the sources of each sorted triple.
     u, p = _matches(rows, prow)
-    vals = G[u, fc[pt[p]]][:, None] * v_s[p] + G[u, fc[ps[p]]][:, None] * v_t[p]
+    vals = G[:, u, fc[pt[p]]][..., None] * v_s[:, p] + G[:, u, fc[ps[p]]][..., None] * v_t[:, p]
     keys = np.sort(np.stack([ps[p], pt[p], u], axis=1), axis=1) @ np.array([ns * ns, ns, 1])
     uniq, inverse = np.unique(keys, return_inverse=True)
-    merged = np.zeros((len(uniq), d))
-    np.add.at(merged, inverse, vals)
-    h += np.abs(merged).sum(axis=0)
+    merged = np.zeros((P, len(uniq), d))
+    np.add.at(merged, (slice(None), inverse), vals)
+    h += np.abs(merged).sum(axis=1)
     return cprime, h
+
+
+def _transform(gram: np.ndarray, cfg: RidgeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``build_transform`` for a stack of Gram matrices ``X_R'X_R``: ``(P, d, d)`` each."""
+    P, d = gram.shape[0], gram.shape[-1]
+    if isinstance(cfg.transform, str):
+        if cfg.transform == "identity":
+            eye = np.repeat(np.eye(d)[None], P, axis=0)
+            return eye, eye.copy()
+        _, _, vt = np.linalg.svd(gram)
+        return vt, vt.swapaxes(1, 2)
+    a = np.asarray(cfg.transform, dtype=float)
+    if a.shape != (d, d):
+        raise ShapeMismatchError(f"transform must be {d}x{d}, got {a.shape}")
+    cond = np.linalg.cond(a)
+    if not np.isfinite(cond) or cond > _COND_BOUND:
+        raise IllConditionedError(f"custom transform condition number {cond:.3e}")
+    return np.repeat(a[None], P, axis=0), np.repeat(np.linalg.inv(a)[None], P, axis=0)
 
 
 def build_transform(X_R: np.ndarray, cfg: RidgeConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -457,20 +530,22 @@ def build_transform(X_R: np.ndarray, cfg: RidgeConfig) -> tuple[np.ndarray, np.n
     system is diagonal; identity leaves the original space.  Custom matrices
     are validated for conditioning before inverting.
     """
-    d = X_R.shape[1]
-    if isinstance(cfg.transform, str):
-        if cfg.transform == "identity":
-            return np.eye(d), np.eye(d)
-        gram = X_R.T @ X_R
-        _, _, vt = np.linalg.svd(gram)
-        return vt, vt.T
-    a = np.asarray(cfg.transform, dtype=float)
-    if a.shape != (d, d):
-        raise ShapeMismatchError(f"transform must be {d}x{d}, got {a.shape}")
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > _COND_BOUND:
-        raise IllConditionedError(f"custom transform condition number {cond:.3e}")
-    return a, np.linalg.inv(a)
+    A, A_inv = _transform((X_R.T @ X_R)[None], cfg)
+    return A[0], A_inv[0]
+
+
+def _system(Q: np.ndarray, cprime: np.ndarray, h: np.ndarray, n: int) -> NonDataSystem:
+    """The diameter system with ``c0 = (2/n) h`` and its threshold ``beta``.
+
+    Works on one system or on a stack of them along a leading axis.
+    """
+    off = np.abs(Q) + cprime
+    i = np.arange(Q.shape[-1])
+    off[..., i, i] = 0.0
+    beta = np.max(off.sum(axis=-1) + cprime[..., i, i] - Q[..., i, i], axis=-1) / n
+    return NonDataSystem(
+        Q=Q, Cprime=cprime, c0=(2.0 / n) * h, beta=beta if beta.ndim else float(beta), n=n
+    )
 
 
 def build_non_data_system(
@@ -493,15 +568,86 @@ def build_non_data_system(
     (see ``_diameter_terms``).  This matches what linearization followed by
     an interval hull produces and is never looser.
     """
-    n = ad.n
+    cells = _cells(ad)
+    x, _ = _at_cells(ad, cells)
+    G = _generator_rows(w_D, cells.sids, ad.d)
+    cprime, h = _diameter_terms(cells, x, w_R[None], G[None], A[None], A_inv[None])
     Q = A @ (ad.X_R.T @ ad.X_R) @ A_inv
-    cprime, h = _diameter_terms(ad, w_R, w_D, A, A_inv)
-    c0 = (2.0 / n) * h
+    return _system(Q, cprime[0], h[0], ad.n)
 
-    off = np.abs(Q) + cprime
-    np.fill_diagonal(off, 0.0)
-    beta = float(np.max(off.sum(axis=1) + np.diag(cprime) - np.diag(Q)) / n)
-    return NonDataSystem(Q=Q, Cprime=cprime, c0=c0, beta=beta, n=n)
+
+def _solve_each(m: np.ndarray, rhs: np.ndarray, solve: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``m k = rhs`` for the parts marked in ``solve``; the others get ``k = 0``.
+
+    Returns ``k`` and the parts whose matrix is singular (their ``k`` is 0).
+    """
+    singular = np.zeros_like(solve)
+    try:
+        if solve.all():
+            return np.linalg.solve(m, rhs[..., None])[..., 0], singular
+        k = np.zeros_like(rhs)
+        k[solve] = np.linalg.solve(m[solve], rhs[solve][..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        k = np.zeros_like(rhs)
+        for p in np.flatnonzero(solve):
+            try:
+                k[p] = np.linalg.solve(m[p], rhs[p])
+            except np.linalg.LinAlgError:
+                singular[p] = True
+    return k, singular
+
+
+def _diameters(sys: NonDataSystem, lam: float, tolerance: float) -> tuple[np.ndarray, list]:
+    """``solve_non_data`` on a stack of systems.
+
+    Returns the diameters ``(P, d)`` and the checks, in the order
+    ``solve_non_data`` makes them, as ``(failed parts, error of part p)``
+    pairs (see ``_first_failure``).  A homogeneous part gets ``k = 0`` and
+    no check.
+    """
+    homogeneous = ~sys.c0.any(axis=-1)
+    if homogeneous.all():
+        return np.zeros_like(sys.c0), []
+    infeasible = ~homogeneous & (lam < sys.beta - tolerance)
+    solved = ~(homogeneous | infeasible)
+    m = sys.coefficient_matrix(lam)
+    rhs = (sys.n / 2.0) * sys.c0
+    k, singular = _solve_each(m, rhs, solved)
+    # An unsolved part has k = 0: a homogeneous one passes the last two
+    # checks, and any other already failed an earlier one, which wins.
+    resid = np.abs(np.einsum("pij,pj->pi", m, k) - rhs).max(axis=-1, initial=0.0)
+    scale = 1.0 + np.abs(rhs).max(axis=-1, initial=0.0)
+    clamp = tolerance * (1.0 + np.abs(k).max(axis=-1, initial=0.0))
+    checks = [
+        (infeasible, lambda p: LambdaTooSmall(float(sys.beta[p]))),
+        (singular, lambda p: np.linalg.LinAlgError("Singular matrix")),
+        (
+            resid > 1e-8 * scale,
+            lambda p: ZonoError(f"diameter system residual {resid[p]:.3e} too large"),
+        ),
+        (
+            (k < -clamp[:, None]).any(axis=-1),
+            lambda p: ZonoError(f"negative box diameter {k[p].min():.3e} beyond tolerance"),
+        ),
+    ]
+    return np.maximum(k, 0.0), checks
+
+
+def _first_failure(checks: list) -> Exception | None:
+    """The error that solving the parts one by one, in order, raises first.
+
+    ``checks`` lists ``(failed, error)`` pairs in the order one part runs
+    them: ``failed`` marks the parts that fail the check and ``error(p)``
+    builds part p's exception.  The lowest failing part wins, and within it
+    the earliest check.
+    """
+    first = None
+    for failed, error in checks:
+        if failed.any():
+            p = int(failed.argmax())
+            if first is None or p < first[0]:
+                first = (p, error)
+    return None if first is None else first[1](first[0])
 
 
 def solve_non_data(sys: NonDataSystem, lam: float, tolerance: float = 1e-9) -> np.ndarray:
@@ -514,21 +660,14 @@ def solve_non_data(sys: NonDataSystem, lam: float, tolerance: float = 1e-9) -> n
     entries beyond a small clamp indicate numerical trouble and are
     rejected.
     """
-    if np.all(sys.c0 == 0.0):
-        return np.zeros(sys.Q.shape[0])
-    if lam < sys.beta - tolerance:
-        raise LambdaTooSmall(sys.beta)
-    m = sys.coefficient_matrix(lam)
-    rhs = (sys.n / 2.0) * sys.c0
-    k = np.linalg.solve(m, rhs)
-    resid = np.max(np.abs(m @ k - rhs)) if k.size else 0.0
-    scale = 1.0 + float(np.max(np.abs(rhs), initial=0.0))
-    if resid > 1e-8 * scale:
-        raise ZonoError(f"diameter system residual {resid:.3e} too large")
-    clamp = tolerance * (1.0 + float(np.max(np.abs(k), initial=0.0)))
-    if np.any(k < -clamp):
-        raise ZonoError(f"negative box diameter {k.min():.3e} beyond tolerance")
-    return np.maximum(k, 0.0)
+    stack = NonDataSystem(
+        Q=sys.Q[None], Cprime=sys.Cprime[None], c0=sys.c0[None], beta=np.array([sys.beta]), n=sys.n
+    )
+    k, checks = _diameters(stack, lam, tolerance)
+    error = _first_failure(checks)
+    if error is not None:
+        raise error
+    return k[0]
 
 
 def determine_num_splits(
@@ -587,11 +726,103 @@ def _assemble(
     )
 
 
-def _solve_part(
-    part: AbstractDataset, cfg: RidgeConfig
-) -> tuple[np.ndarray, dict[int, np.ndarray], np.ndarray, NonDataSystem, np.ndarray]:
-    w_R, w_D, _, A_inv, sys = _prepare(part, cfg)
-    return w_R, w_D, A_inv, sys, solve_non_data(sys, cfg.lam, cfg.tolerance)
+class _Touched(NamedTuple):
+    """A dataset cut into the rows that hold a split cell and the rest.
+
+    Every part of a split shares the rest, so its sums ``gram = X_U'X_U``
+    and ``xty = X_U'y_U`` are taken once; ``X`` and ``y`` are the touched
+    rows and ``pos`` the index of each cell's row among them.
+    """
+
+    gram: np.ndarray
+    xty: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
+    pos: np.ndarray
+
+
+def _touched(ad: AbstractDataset, cells: _Cells) -> _Touched:
+    touched, pos = np.unique(cells.rows, return_inverse=True)
+    rest = np.ones(ad.n, dtype=bool)
+    rest[touched] = False
+    X_U, y_U = ad.X_R[rest], ad.y_R[rest]
+    return _Touched(X_U.T @ X_U, X_U.T @ y_U, ad.X_R[touched], ad.y_R[touched], pos)
+
+
+def _part_block(base: _Touched, d: int) -> int:
+    """Parts solved together: a block's largest temporary stays near ``CHUNK_ELEMENTS``.
+
+    The largest per-part temporaries are the ``(terms, d, d)`` products of
+    ``c'`` (one per feature cell and same-row pair), the same-row triples of
+    ``h``, one row of the degree-2 block and the touched rows.
+    """
+    per_row = np.bincount(base.pos).astype(np.int64)
+    S = len(base.pos)
+    pairs, triples = int(per_row @ per_row), int(per_row @ per_row**2)
+    largest = d * max(d * (S + pairs), triples, S * S, len(base.X))
+    return max(1, CHUNK_ELEMENTS // max(1, largest))
+
+
+def _solve_parts(
+    base: _Touched, cells: _Cells, offsets: np.ndarray, n: int, cfg: RidgeConfig
+) -> tuple[np.ndarray, np.ndarray, NonDataSystem, Exception | None]:
+    """Fixed points of the parts whose split cells moved by ``offsets`` ``(P, S)``.
+
+    Only the touched rows are copied per part, and every stage is one call
+    over all parts.  Returns each part's interval hull ``w_R +- radius``,
+    its diameter system and the error that solving the parts one by one, in
+    order, would raise first (``None`` if every part is solved).
+    """
+    X = np.repeat(base.X[None], len(offsets), axis=0)
+    y = np.repeat(base.y[None], len(offsets), axis=0)
+    f = cells.cols != LABEL_COL
+    np.add.at(X, (slice(None), base.pos[f], cells.cols[f]), offsets[:, f])
+    np.add.at(y, (slice(None), base.pos[~f]), offsets[:, ~f])
+    gram = base.gram + X.swapaxes(1, 2) @ X
+    xty = base.xty + (X.swapaxes(1, 2) @ y[..., None])[..., 0]
+    x, y = X[:, base.pos], y[:, base.pos]  # feature row and label at each cell
+
+    w_R, reg, deficient = _ridge(gram, xty, cfg.lam, n)
+    G = np.linalg.solve(reg, _data_rhs(cells, x, y, w_R)).swapaxes(1, 2)
+    A, A_inv = _transform(gram, cfg)
+    sys = _system(A @ gram @ A_inv, *_diameter_terms(cells, x, w_R, G, A, A_inv), n)
+    k, checks = _diameters(sys, cfg.lam, cfg.tolerance)
+    error = _first_failure(
+        [(deficient, lambda p: np.linalg.LinAlgError(_RANK_DEFICIENT)), *checks]
+    )
+    # Interval hull of [G_D' | A^-1 diag(k)] around w_R.
+    radius = np.abs(np.concatenate([G.swapaxes(1, 2), A_inv * k[:, None, :]], axis=2)).sum(axis=2)
+    return w_R, radius, sys, error
+
+
+def _join_split(
+    ad: AbstractDataset, m: int, cfg: RidgeConfig
+) -> tuple[np.ndarray, np.ndarray, list[float], float] | None:
+    """Box join of the fixed points of all parts of an ``m``-way split.
+
+    The parts are solved in blocks, in ``AbstractDataset.split`` order.
+    Returns the box's bounds, the part betas and the least M-matrix margin;
+    ``None`` if the first part to fail is below its feasibility threshold.
+    """
+    plan = ad.split_plan(m, budget=cfg.split_budget)
+    cells = _cells(ad)._replace(coef=plan.coefficients)
+    base = _touched(ad, cells)
+    block = _part_block(base, ad.d)
+    lo = np.full(ad.d, np.inf)
+    hi = np.full(ad.d, -np.inf)
+    betas, margin = [], np.inf
+    for start in range(0, len(plan.combos), block):
+        offsets = plan.offsets(slice(start, start + block))
+        w_R, radius, sys, error = _solve_parts(base, cells, offsets, ad.n, cfg)
+        if isinstance(error, LambdaTooSmall):
+            return None
+        if error is not None:
+            raise error
+        lo = np.minimum(lo, (w_R - radius).min(axis=0))
+        hi = np.maximum(hi, (w_R + radius).max(axis=0))
+        betas.extend(sys.beta.tolist())
+        margin = min(margin, float(sys.m_matrix_margin(cfg.lam).min()))
+    return lo, hi, betas, margin
 
 
 def fixed_point(
@@ -602,8 +833,12 @@ def fixed_point(
     On the direct path the result shares data symbols with the dataset and
     carries the solved box diameters; its diagnostics carry the residual of
     one gradient step (``verify_fixed_point_residual``), taken on the
-    diameter system just assembled.  On the splitting path each part gets
-    its own fixed point and the per-part weight zonotopes are box-joined;
+    diameter system just assembled.  On the splitting path the ``m**s``
+    parts are solved as one batch, in blocks that bound memory: every
+    stage is one call over a leading part axis, and the sums over the rows
+    without a split cell are taken once for all parts.  Each part gets the
+    checks of the direct path, and the first failing part decides, as if
+    the parts were solved in order.  The part zonotopes are box-joined;
     the join drops data-symbol correlation, which is flagged in the
     diagnostics.
     """
@@ -633,27 +868,14 @@ def fixed_point(
             raise SplitBudgetError(
                 f"{m}**{s} parts exceed split budget {cfg.split_budget}"
             )
-        parts = ad.split(m, budget=cfg.split_budget)
-        try:
-            solved = [_solve_part(part, cfg) for part in parts]
-        except LambdaTooSmall:
-            m += 1
-            continue
-        break
+        joined = _join_split(ad, m, cfg)
+        if joined is not None:
+            break
+        m += 1
 
-    # Box join: the smallest box holding every part's interval hull
-    # w_R +- (row sums of |W|).
+    # Box join: the smallest box holding every part's interval hull.
+    lo, hi, part_betas, margin = joined
     d = ad.d
-    lo = np.full(d, np.inf)
-    hi = np.full(d, -np.inf)
-    part_betas = []
-    margin = np.inf
-    for w_R, w_D, A_inv, part_sys, k in solved:
-        margin = min(margin, part_sys.m_matrix_margin(cfg.lam))
-        part_betas.append(part_sys.beta)
-        radius = np.abs(_generator_matrix(w_D, A_inv, k)).sum(axis=1)
-        lo = np.minimum(lo, w_R - radius)
-        hi = np.maximum(hi, w_R + radius)
     weights = AbstractWeights(
         w_R=0.5 * (lo + hi),
         w_D_coeffs={},
@@ -668,8 +890,8 @@ def fixed_point(
     diag = FixedPointDiagnostics(
         beta=sys0.beta,
         lambda_used=cfg.lam,
-        splits_used=len(parts),
-        m_matrix_margin=float(margin),
+        splits_used=len(part_betas),
+        m_matrix_margin=margin,
         residual=None,
         join_lost_correlation=True,
         part_betas=part_betas,
@@ -718,9 +940,10 @@ def _residual_report(
     g_r = (2.0 / n) * (gram @ weights.w_R - X_R.T @ y_R) + 2.0 * lam * weights.w_R
     real_residual = float(np.max(np.abs(eta * g_r), initial=0.0))
 
-    sids, rows, cols, coef = _cells(ad)
-    G = _generator_rows(weights.w_D_coeffs, sids, d)
-    g_d = (gram + lam * n * np.eye(d)) @ G.T - _data_rhs(ad, weights.w_R, rows, cols, coef)
+    cells = _cells(ad)
+    G = _generator_rows(weights.w_D_coeffs, cells.sids, d)
+    rhs = _data_rhs(cells, *_at_cells(ad, cells), weights.w_R[None])[0]
+    g_d = (gram + lam * n * np.eye(d)) @ G.T - rhs
     data_residual = eta * (2.0 / n) * float(np.max(np.abs(g_d), initial=0.0))
 
     step = weights.A @ (np.eye(d) - eta * (2.0 * lam * np.eye(d) + (2.0 / n) * gram)) @ weights.A_inv

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,33 @@ class TestSplit:
                             break
                     covered |= ok
                 assert covered
+
+    def test_split_is_its_plan(self):
+        # A feature and a label cell in one row, and a zero-coefficient
+        # symbol that is not split.
+        ad = inject_uncertainty(_toy(6, seed=12), UncertaintySpec("both", 0.1, 0.3, seed=13))
+        ad.coefficients[ad.feature_symbols()[0]] = 0.0
+        m = 3
+        plan = ad.split_plan(m)
+        syms = ad.split_symbols()
+        assert plan.symbols == syms and len(syms) == 2
+        assert plan.combos.tolist() == [list(c) for c in product(range(m), repeat=len(syms))]
+        assert plan.shifts.tolist() == [(2 * j + 1 - m) / m for j in range(m)]
+        parts = ad.split(m)
+        assert len(parts) == len(plan.combos)
+        for part, offsets in zip(parts, plan.offsets()):
+            X, y = ad.X_R.copy(), ad.y_R.copy()
+            for sid, offset, coef in zip(syms, offsets, plan.coefficients):
+                r, c = ad.provenance[sid]
+                if c == LABEL_COL:
+                    y[r] += offset
+                else:
+                    X[r, c] += offset
+                assert part.coefficients[sid] == coef == ad.coefficients[sid] / m
+            np.testing.assert_array_equal(part.X_R, X)
+            np.testing.assert_array_equal(part.y_R, y)
+        with pytest.raises(SplitBudgetError):
+            ad.split_plan(m, budget=m ** len(syms) - 1)
 
     def test_budget(self):
         ad = inject_uncertainty(_toy(6, seed=12), UncertaintySpec("labels", 0.34, 0.3, seed=13))

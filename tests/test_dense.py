@@ -4,8 +4,11 @@ Every comparison is relative to the largest magnitude involved, at 1e-12.
 The fixed-point residuals are rounding noise at a true fixed point, which
 the reference additionally truncates at ``COEF_EPS``; the residual checks
 therefore run on perturbed weights, where every residual is macroscopic.
+The batched split fit is compared the same way with a loop of the public
+one-part functions over ``AbstractDataset.split``.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -19,8 +22,8 @@ from hypothesis import strategies as st
 import reference_forms as ref
 import zonoridge
 from zonoridge import learning
-from zonoridge.dataset import LABEL_COL, AbstractDataset
-from zonoridge.errors import DegreeError
+from zonoridge.dataset import LABEL_COL, AbstractDataset, Dataset, abstract_missing
+from zonoridge.errors import DegreeError, LambdaTooSmall, SplitBudgetError, ZonoError
 from zonoridge.forms import PolyForm, ZVector
 from zonoridge.inference import (
     certify_robustness,
@@ -31,12 +34,15 @@ from zonoridge.inference import (
 )
 from zonoridge.learning import (
     AbstractWeights,
+    NonDataSystem,
     RidgeConfig,
     build_non_data_system,
     build_transform,
     closed_form_symbolic_data,
+    determine_num_splits,
     fixed_point,
     ridge_closed_form_real,
+    solve_non_data,
     verify_fixed_point_residual,
 )
 from zonoridge.symbols import SymbolKind, SymbolRegistry
@@ -316,3 +322,252 @@ def test_import_does_not_load_scipy():
         env=env, capture_output=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def split_case(kind, d, seed, transform="svd", share=0.7):
+    """Few wide cells, with ``lam`` at ``share`` of the threshold so the fit splits.
+
+    ``missing`` abstracts two missing feature cells, ``features`` has two
+    feature cells (in one row when d > 2), ``both`` makes every column of
+    one row uncertain, label included, plus another row's label.  Each
+    problem also has one zero-coefficient cell, which is never split.
+    """
+    rng = np.random.default_rng(seed)
+    n = 6
+    if d > 1:
+        X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, (n, d - 1))])
+    else:
+        X = rng.uniform(0.5, 1.5, (n, 1))
+    y = rng.uniform(-1.0, 1.0, n)
+    first, wide = (1, 1.0) if d > 1 else (0, 3.0)
+    r = [int(v) for v in rng.choice(n, 3, replace=False)]
+    if kind == "missing" and d > 1:
+        ds = Dataset(X=X, y=y, columns=["bias"] + [f"f{j}" for j in range(1, d)])
+        for row in r[:2]:
+            ds.X[row, int(rng.integers(1, d))] = np.nan
+        ad = abstract_missing(ds, zonoridge.domain_ranges(ds).feature_ranges)
+    else:
+        if kind == "both":
+            cells = [(r[0], c) for c in range(first, d)] + [(r[0], LABEL_COL), (r[1], LABEL_COL)]
+        else:
+            cells = [(r[0], int(rng.integers(first, d))), (r[0] if d > 2 else r[1], d - 1)]
+        reg = SymbolRegistry()
+        provenance, coefficients = {}, {}
+        for cell in dict.fromkeys(cells):
+            sid = reg.new_symbol(SymbolKind.DATA)
+            provenance[sid] = cell
+            coefficients[sid] = float(rng.uniform(0.3, 1.0)) * wide
+        ad = AbstractDataset(X_R=X, y_R=y, registry=reg, provenance=provenance,
+                             coefficients=coefficients)
+    sid = ad.registry.new_symbol(SymbolKind.DATA)
+    ad.provenance[sid] = (r[2], d - 1)
+    ad.coefficients[sid] = 0.0
+    if transform == "custom":
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        transform = q @ np.diag(rng.uniform(0.5, 2.0, d))
+    cfg = RidgeConfig(lam=1.0, transform=transform)
+    beta = build_non_data_system(ad, 1.0, *prepared(ad, cfg)).beta  # does not depend on lam
+    return ad, RidgeConfig(lam=max(share * beta, 1e-3), transform=transform, split_budget=200)
+
+
+def looped_part(part, cfg):
+    """One part's fixed point through the public one-part functions."""
+    w_R = ridge_closed_form_real(part.X_R, part.y_R, cfg.lam)
+    w_D = closed_form_symbolic_data(part, cfg.lam, w_R)
+    A, A_inv = build_transform(part.X_R, cfg)
+    sys = build_non_data_system(part, cfg.lam, w_R, w_D, A, A_inv)
+    k = solve_non_data(sys, cfg.lam, cfg.tolerance)
+    weights = AbstractWeights(w_R=w_R, w_D_coeffs=w_D, k=k, A=A, A_inv=A_inv, fresh_ids=[],
+                              registry=part.registry, lam=cfg.lam)
+    return w_R, np.abs(weights.generators()).sum(axis=1), sys.beta, sys.m_matrix_margin(cfg.lam)
+
+
+def looped_join(parts, cfg):
+    """Box join of the parts, solved one by one: center, k, part betas, margin."""
+    w_R, radius, betas, margins = (np.array(v) for v in zip(*(looped_part(p, cfg) for p in parts)))
+    lo, hi = (w_R - radius).min(axis=0), (w_R + radius).max(axis=0)
+    return 0.5 * (lo + hi), 0.5 * (hi - lo), betas, margins.min()
+
+
+def looped_split_fit(ad, cfg):
+    """The split path of ``fixed_point`` with a loop over ``ad.split(m)``."""
+    w_R, w_D, A, A_inv = prepared(ad, cfg)
+    sys = build_non_data_system(ad, cfg.lam, w_R, w_D, A, A_inv)
+    s = len(ad.split_symbols())
+    m = determine_num_splits(sys, cfg.lam, ad)
+    if m == 1:
+        return None, 1
+    while True:
+        if m**s > cfg.split_budget:
+            raise SplitBudgetError(f"{m}**{s}")
+        try:
+            return looped_join(ad.split(m), cfg), m**s
+        except LambdaTooSmall:
+            m += 1
+
+
+def batched_split_fit(ad, cfg):
+    weights, diag = fixed_point(ad, cfg)
+    join = (weights.w_R, weights.k, np.array(diag.part_betas), diag.m_matrix_margin)
+    return join, diag.splits_used
+
+
+def assert_join_close(batched, looped):
+    scale = max(float(np.max(np.abs(v))) for v in looped)
+    for got, want in zip(batched, looped):
+        assert_close(got, want, scale)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(["missing", "features", "both"]),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    transform=st.sampled_from(["svd", "identity", "custom"]),
+    share=st.floats(0.3, 0.9),
+)
+@example(kind="missing", d=3, seed=1, transform="svd", share=0.7)
+@example(kind="features", d=3, seed=2, transform="identity", share=0.7)
+@example(kind="both", d=3, seed=3, transform="custom", share=0.7)
+@example(kind="features", d=1, seed=4, transform="svd", share=0.5)
+@example(kind="both", d=2, seed=5, transform="svd", share=0.5)
+def test_batched_split_fit_matches_part_loop(kind, d, seed, transform, share):
+    ad, cfg = split_case(kind, d, seed, transform, share)
+    try:
+        looped, parts = looped_split_fit(ad, cfg)
+    except (SplitBudgetError, LambdaTooSmall) as exc:
+        with pytest.raises(type(exc)):
+            fixed_point(ad, cfg)
+        return
+    batched, splits_used = batched_split_fit(ad, cfg)
+    assert splits_used == parts
+    if parts > 1:
+        assert_join_close(batched, looped)
+
+
+def test_split_examples_take_the_split_path():
+    """The explicit examples above reach the join, not only refusals."""
+    cases = [("missing", 3, 1, "svd", 0.7), ("features", 3, 2, "identity", 0.7),
+             ("both", 3, 3, "custom", 0.7), ("features", 1, 4, "svd", 0.5),
+             ("both", 2, 5, "svd", 0.5)]
+    for case in cases:
+        ad, cfg = split_case(*case)
+        assert fixed_point(ad, cfg)[1].splits_used > 1
+
+
+def test_part_block_size_does_not_change_results(monkeypatch):
+    ad, cfg = split_case("both", 3, 3, "svd", 0.5)
+    default, parts = batched_split_fit(ad, cfg)
+    assert parts > 8
+    for elements in (1, 300):
+        monkeypatch.setattr(learning, "CHUNK_ELEMENTS", elements)
+        blocked, _ = batched_split_fit(ad, cfg)
+        for got, want in zip(blocked, default):
+            np.testing.assert_array_equal(got, want)
+
+
+def retry_case():
+    """Two missing-value-like cells for which the predicted split count is far too small."""
+    rng = np.random.default_rng(2857)
+    X = np.column_stack([np.ones(6), rng.uniform(-1.0, 1.0, 6)])
+    y = rng.uniform(-1.0, 1.0, 6)
+    reg = SymbolRegistry()
+    provenance, coefficients = {}, {}
+    for row in rng.choice(6, 2, replace=False):
+        sid = reg.new_symbol(SymbolKind.DATA)
+        provenance[sid] = (int(row), 1)
+        coefficients[sid] = float(rng.uniform(0.5, 3.0))
+    ad = AbstractDataset(X_R=X, y_R=y, registry=reg, provenance=provenance,
+                         coefficients=coefficients)
+    return ad, RidgeConfig(lam=0.02)
+
+
+def test_split_retry_grows_m_past_the_prediction():
+    ad, cfg = retry_case()
+    w_R, w_D, A, A_inv = prepared(ad, cfg)
+    assert determine_num_splits(build_non_data_system(ad, cfg.lam, w_R, w_D, A, A_inv),
+                                cfg.lam, ad) == 12
+    batched, splits_used = batched_split_fit(ad, cfg)
+    assert splits_used == 34**2  # as the one-part-at-a-time loop found
+    assert_join_close(batched, looped_join(ad.split(34), cfg))
+    with pytest.raises(LambdaTooSmall):
+        looped_join(ad.split(33), cfg)
+
+
+def test_rank_deficient_part_at_lambda_zero_raises(monkeypatch):
+    # The x column is constant but for the one uncertain cell; the first
+    # part of a two-way split moves that cell onto the constant.
+    reg = SymbolRegistry()
+    sid = reg.new_symbol(SymbolKind.DATA)
+    ad = AbstractDataset(
+        X_R=np.column_stack([np.ones(4), [1.0, 1.0, 1.0, 1.25]]),
+        y_R=np.array([0.0, 1.0, 0.5, 2.0]), registry=reg, provenance={sid: (3, 1)}, coefficients={sid: 0.5},
+    )
+    cfg = RidgeConfig(lam=0.0, split_budget=16)
+    monkeypatch.setattr(learning, "determine_num_splits", lambda sys, lam, ad: 2)
+    np.testing.assert_array_equal(ad.split(2)[0].X_R[:, 1], 1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+        looped_join(ad.split(2), cfg)
+    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+        fixed_point(ad, cfg)
+
+
+def test_homogeneous_part_skips_the_threshold():
+    Q = np.stack([np.diag([1.0, 2.0])] * 2)
+    Cprime = np.full((2, 2, 2), 0.5)
+    c0 = np.array([[0.0, 0.0], [0.3, 0.1]])
+    sys = NonDataSystem(Q=Q, Cprime=Cprime, c0=c0, beta=np.array([5.0, 0.01]), n=4)
+    k, checks = learning._diameters(sys, 0.5, 1e-9)
+    assert learning._first_failure(checks) is None
+    np.testing.assert_array_equal(k[0], 0.0)
+    one = NonDataSystem(Q=Q[1], Cprime=Cprime[1], c0=c0[1], beta=0.01, n=4)
+    np.testing.assert_array_equal(k[1], solve_non_data(one, 0.5))
+    # The same homogeneous part with a nonzero constant column is refused.
+    sys.c0[0, 0] = 1e-3
+    _, checks = learning._diameters(sys, 0.5, 1e-9)
+    assert isinstance(learning._first_failure(checks), LambdaTooSmall)
+
+
+def test_first_failure_is_the_lowest_part():
+    checks = [
+        (np.array([False, False, True]), lambda p: LambdaTooSmall(float(p))),
+        (np.array([False, True, True]), lambda p: ZonoError(f"part {p}")),
+    ]
+    error = learning._first_failure(checks)
+    assert type(error) is ZonoError and str(error) == "part 1"
+    checks[0][0][1] = True
+    assert isinstance(learning._first_failure(checks), LambdaTooSmall)
+
+
+def test_singular_part_fails_in_part_order():
+    # d = 1: beta = (c' - q) / n, and lam = beta makes the matrix exactly 0.
+    q = np.array([4.0, 2.0, 1.0])  # regular, singular at lam = 0.25, infeasible
+    cp = np.array([1.0, 3.0, 3.0])
+
+    def stack(order):
+        return NonDataSystem(
+            Q=q[order, None, None], Cprime=cp[order, None, None], c0=np.ones((len(order), 1)),
+            beta=(cp[order] - q[order]) / 4, n=4,
+        )
+
+    def one(i):
+        return NonDataSystem(Q=q[i, None, None], Cprime=cp[i, None, None], c0=np.ones(1),
+                             beta=float((cp[i] - q[i]) / 4), n=4)
+
+    k, checks = learning._diameters(stack([0, 1, 2]), 0.25, 1e-9)
+    assert isinstance(learning._first_failure(checks), np.linalg.LinAlgError)
+    np.testing.assert_array_equal(k[0], solve_non_data(one(0), 0.25))
+    _, checks = learning._diameters(stack([2, 1]), 0.25, 1e-9)
+    assert isinstance(learning._first_failure(checks), LambdaTooSmall)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_non_data(one(1), 0.25)
+
+
+def test_split_budget_refused_before_any_part(monkeypatch):
+    ad, cfg = split_case("both", 3, 3, "svd", 0.5)
+    called = []
+    monkeypatch.setattr(learning, "_solve_parts", lambda *args: called.append(args))
+    monkeypatch.setattr(AbstractDataset, "split_plan", lambda *args: called.append(args))
+    with pytest.raises(SplitBudgetError):
+        fixed_point(ad, dataclasses.replace(cfg, split_budget=2))
+    assert called == []
