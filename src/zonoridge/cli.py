@@ -20,6 +20,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +37,7 @@ from .dataset import (
 from .errors import BudgetExceededError, DataError, ZonoError
 from .inference import certify_robustness, loss_interval, parameter_intervals, predict_interval
 from .learning import RidgeConfig, contains_world_weights, fixed_point
-from .oracles import (
-    enumerate_worlds,
-    interval_ridge_labels,
-    oracle_ranges,
-    ridge_concrete,
-    sample_worlds,
-)
+from .oracles import _train_worlds, concrete_loss, interval_ridge_labels, oracle_ranges
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -480,30 +475,29 @@ def cmd_oracle_check(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
         weights, diag = fixed_point(ad, cfg.ridge_config())
         li = loss_interval(test.X, test.y, weights, cfg.lam)
         intervals = [predict_interval(x, weights) for x in test.X]
-        worlds = list(sample_worlds(ad, cfg.oracle_samples, seed))
-        n_syms = len(ad.split_symbols())
-        if 2**n_syms <= cfg.oracle_budget:
-            worlds.extend(enumerate_worlds(ad, "corner", budget=cfg.oracle_budget))
-        weight_fail = pred_fail = loss_fail = 0
-        for wa, X, y in worlds:
-            w_star = ridge_concrete(X, y, cfg.lam)
-            if not contains_world_weights(weights, wa.values, w_star):
-                weight_fail += 1
-            preds = test.X @ w_star
-            for p, interval in zip(preds, intervals):
-                if not (interval.lo - 1e-7 <= p <= interval.hi + 1e-7):
-                    pred_fail += 1
-                    break
-            loss = float((test.X @ w_star - test.y) @ (test.X @ w_star - test.y)) / test.n
-            loss += cfg.lam * float(w_star @ w_star)
-            if not (li.lo - 1e-7 <= loss <= li.hi + 1e-7):
-                loss_fail += 1
+        pred_lo = np.array([interval.lo for interval in intervals]) - 1e-7
+        pred_hi = np.array([interval.hi for interval in intervals]) + 1e-7
+        worlds = [_train_worlds(ad, cfg.lam, "uniform", samples=cfg.oracle_samples, seed=seed)]
+        try:
+            worlds.append(_train_worlds(ad, cfg.lam, "corner", budget=cfg.oracle_budget))
+        except BudgetExceededError:
+            pass  # more corners than the budget: the sampled worlds alone
+        syms = ad.data_symbols()
+        count = weight_fail = pred_fail = loss_fail = 0
+        for values, w_stars in chain(*worlds):
+            count += len(w_stars)
+            for e, w_star in zip(values.tolist(), w_stars):
+                weight_fail += not contains_world_weights(weights, dict(zip(syms, e)), w_star)
+            preds = (test.X @ w_stars[..., None])[..., 0]
+            pred_fail += int(np.sum(~((pred_lo <= preds) & (preds <= pred_hi)).all(axis=1)))
+            loss = concrete_loss(test.X, test.y, w_stars, cfg.lam)
+            loss_fail += int(np.sum(~((li.lo - 1e-7 <= loss) & (loss <= li.hi + 1e-7))))
         row = {
             "seed": seed,
             "percentage": cfg.percentage,
             "radius": cfg.radius,
             "lambda": cfg.lam,
-            "worlds": len(worlds),
+            "worlds": count,
             "weight_failures": weight_fail,
             "prediction_failures": pred_fail,
             "loss_failures": loss_fail,

@@ -162,14 +162,29 @@ class AbstractDataset:
 
     def materialize(self, assignment: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
         """One possible world: plug a symbol assignment into the decomposition."""
-        X = self.X_R.copy()
-        y = self.y_R.copy()
-        for sid, (r, c) in self.provenance.items():
-            delta = self.coefficients.get(sid, 0.0) * assignment[sid]
-            if c == LABEL_COL:
-                y[r] += delta
-            else:
-                X[r, c] += delta
+        values = np.array([[assignment[s] for s in self.data_symbols()]], dtype=float)
+        X, y = self.materialize_batch(values)
+        return X[0], y[0]
+
+    def materialize_batch(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Possible worlds ``(W, n, d)`` and ``(W, n)``, one per row of ``values``.
+
+        ``values`` is ``(W, S)``: column j holds the values of
+        ``data_symbols()[j]``.  Every cell of world w gains its symbol's
+        ``coefficient * values[w, j]``; cells shared by several symbols add
+        them in ``provenance`` order.
+        """
+        values = np.asarray(values, dtype=float)
+        column = {s: j for j, s in enumerate(self.data_symbols())}
+        sids = list(self.provenance)
+        cells = np.array([self.provenance[s] for s in sids], dtype=np.intp).reshape(-1, 2)
+        coef = np.array([self.coefficients.get(s, 0.0) for s in sids], dtype=float)
+        delta = coef * values[:, [column[s] for s in sids]]
+        X = np.repeat(self.X_R[None], len(values), axis=0)
+        y = np.repeat(self.y_R[None], len(values), axis=0)
+        f = cells[:, 1] != LABEL_COL
+        np.add.at(X, (slice(None), cells[f, 0], cells[f, 1]), delta[:, f])
+        np.add.at(y, (slice(None), cells[~f, 0]), delta[:, ~f])
         return X, y
 
     def split_symbols(self) -> list[int]:

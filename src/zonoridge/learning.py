@@ -121,11 +121,12 @@ class AbstractWeights:
         return self.w_R.shape[0]
 
     def w_D(self, assignment: Mapping[int, float]) -> np.ndarray:
-        """Evaluate the data-symbol part at a concrete assignment."""
-        out = np.zeros(self.dim)
-        for sid, gen in self.w_D_coeffs.items():
-            out += gen * assignment[sid]
-        return out
+        """Evaluate the data-symbol part at a concrete assignment: ``e @ G_D``."""
+        if not self.w_D_coeffs:
+            return np.zeros(self.dim)
+        e = np.array([assignment[sid] for sid in self.w_D_coeffs], dtype=float)
+        G_D = np.concatenate(list(self.w_D_coeffs.values())).reshape(len(e), self.dim)
+        return e @ G_D
 
     def generators(self) -> np.ndarray:
         """Generator matrix ``W = [G_D' | A^-1 diag(k)]`` of the weight zonotope.

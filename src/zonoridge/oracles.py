@@ -6,6 +6,17 @@ of the true possible-model set (weights are rational, not affine, in the
 symbols once features are uncertain, so corners need not be extremal); the
 abstract learner must cover everything they produce.
 
+The worlds are handled as arrays: the assignments of all worlds are drawn
+or enumerated at once, ``AbstractDataset.materialize_batch`` builds a block
+of worlds by indexing, and ``ridge_concrete`` and ``concrete_loss`` train
+and score a whole block with stacked products and one stacked solve.  Each
+world's data, weights and loss equal, bit for bit, those of building,
+training and scoring it alone.  Enumeration and training work in blocks
+that keep the largest temporary near ``learning.CHUNK_ELEMENTS``;
+``sample_worlds`` returns every world, so it builds them as one block.
+Nothing here calls the learner: the oracle stays an independent check of
+it.
+
 The interval baseline supports label uncertainty only and deliberately
 propagates per-dimension weight intervals with interval arithmetic,
 discarding the correlation between dimensions.
@@ -14,11 +25,11 @@ discarding the correlation between dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal
 
 import numpy as np
 
+from . import learning
 from .dataset import AbstractDataset
 from .errors import BudgetExceededError, DataError
 
@@ -28,28 +39,39 @@ Strategy = Literal["corner", "grid", "uniform"]
 def ridge_concrete(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Exact ridge solution ``(X'X + lam*n*I)^-1 X'y`` on concrete data.
 
-    For ``lam == 0`` the feature matrix must have full column rank.
+    ``X`` may be a stack ``(W, n, d)`` of worlds with labels ``(W, n)``;
+    the result is then ``(W, d)``, one stacked solve whose rows equal the
+    calls on each world.  For ``lam == 0`` every feature matrix must have
+    full column rank.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, d = X.shape
-    gram = X.T @ X + lam * n * np.eye(d)
-    if lam == 0.0 and np.linalg.cond(gram) > 1e13:
+    n, d = X.shape[-2:]
+    Xt = X.swapaxes(-1, -2)
+    gram = Xt @ X + lam * n * np.eye(d)
+    if lam == 0.0 and np.any(np.linalg.cond(gram) > 1e13):
         raise np.linalg.LinAlgError("X'X is singular at lambda = 0; need full column rank")
-    return np.linalg.solve(gram, X.T @ y)
+    return np.linalg.solve(gram, Xt @ y[..., None])[..., 0]
 
 
 def concrete_loss(
     X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float, formula: str = "ridge"
 ) -> float:
-    """Mean squared error, plus ``lam * w'w`` for the ridge formula."""
-    resid = X @ w - y
-    mse = float(resid @ resid) / X.shape[0]
+    """Mean squared error, plus ``lam * w'w`` for the ridge formula.
+
+    ``w`` may be a stack ``(W, d)`` of weights; the result is then an array
+    of W losses, each equal to the call on its row.  The products are
+    matrix products with one column, which give the same bits as ``@`` on
+    one vector.
+    """
+    if formula not in ("ridge", "mse"):
+        raise ValueError(f"unknown loss formula {formula!r}")
+    w = np.asarray(w, dtype=float)[..., None]
+    resid = X @ w - np.asarray(y, dtype=float)[:, None]
+    loss = (resid.swapaxes(-1, -2) @ resid)[..., 0, 0][()] / X.shape[0]
     if formula == "ridge":
-        return mse + lam * float(w @ w)
-    if formula == "mse":
-        return mse
-    raise ValueError(f"unknown loss formula {formula!r}")
+        loss = loss + lam * (w.swapaxes(-1, -2) @ w)[..., 0, 0][()]
+    return float(loss) if w.ndim == 2 else loss
 
 
 @dataclass(frozen=True)
@@ -65,44 +87,115 @@ class WorldAssignment:
                 raise ValueError("assignments must lie in [-1, 1]")
 
 
+def _block(ad: AbstractDataset) -> int:
+    """Worlds built and trained together: a block's ``(W, n, d)`` stays near ``CHUNK_ELEMENTS``."""
+    return max(1, learning.CHUNK_ELEMENTS // max(1, ad.n * ad.d))
+
+
+def _grid_values(
+    ad: AbstractDataset, strategy: Strategy, levels: int, budget: int
+) -> Iterator[np.ndarray]:
+    """Every corner (or grid point) of the cube, in blocks of assignment rows.
+
+    Only symbols with a nonzero coefficient vary, in ``itertools.product``
+    order over ``data_symbols()``; the others stay at 0, which gives the
+    same worlds.  Raises ``BudgetExceededError`` at the call, before any
+    block exists.
+    """
+    if strategy == "corner":
+        points = np.array([-1.0, 1.0])
+    elif strategy == "grid":
+        points = np.linspace(-1.0, 1.0, levels)
+    else:
+        raise ValueError(f"enumerate_worlds does not support strategy {strategy!r}")
+    syms = ad.data_symbols()
+    varied = set(ad.split_symbols())
+    active = [j for j, s in enumerate(syms) if s in varied]
+    count = len(points) ** len(active)
+    if count > budget:
+        raise BudgetExceededError(f"{count} worlds exceed budget {budget}")
+
+    def blocks() -> Iterator[np.ndarray]:
+        block = _block(ad)
+        for start in range(0, count, block):
+            index = np.arange(start, min(count, start + block))
+            values = np.zeros((len(index), len(syms)))
+            for j in reversed(active):  # the last symbol varies fastest
+                index, digit = np.divmod(index, len(points))
+                values[:, j] = points[digit]
+            yield values
+
+    return blocks()
+
+
+def _sampled_values(ad: AbstractDataset, count: int, seed: int) -> np.ndarray:
+    """Seeded uniform assignments ``(count, S)``, none for ``count <= 0``.
+
+    One draw of the whole array gives the same stream as one scalar draw per
+    symbol and world, world by world.
+    """
+    shape = (max(count, 0), len(ad.data_symbols()))
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+
+
+def _worlds(
+    ad: AbstractDataset, strategy: str, values: np.ndarray
+) -> list[tuple[WorldAssignment, np.ndarray, np.ndarray]]:
+    """``(assignment, X, y)`` of every row of ``values``, built as one block."""
+    syms = ad.data_symbols()
+    X, y = ad.materialize_batch(values)
+    return [
+        (WorldAssignment(dict(zip(syms, row)), strategy), Xw, yw)
+        for row, Xw, yw in zip(values.tolist(), X, y)
+    ]
+
+
 def enumerate_worlds(
     ad: AbstractDataset,
     strategy: Strategy = "corner",
     levels: int = 3,
     budget: int = 65536,
 ) -> Iterator[tuple[WorldAssignment, np.ndarray, np.ndarray]]:
-    """Materialize every corner (or grid point) of the uncertainty cube."""
-    syms = ad.data_symbols()
-    if strategy == "corner":
-        points: Sequence[float] = (-1.0, 1.0)
-    elif strategy == "grid":
-        points = tuple(np.linspace(-1.0, 1.0, levels))
-    else:
-        raise ValueError(f"enumerate_worlds does not support strategy {strategy!r}")
-    count = len(points) ** len(syms)
-    if count > budget:
-        raise BudgetExceededError(f"{count} worlds exceed budget {budget}")
-    if not syms:
-        yield WorldAssignment({}, strategy), ad.X_R.copy(), ad.y_R.copy()
-        return
-    for combo in iter_product(points, repeat=len(syms)):
-        e = dict(zip(syms, (float(v) for v in combo)))
-        X, y = ad.materialize(e)
-        yield WorldAssignment(e, strategy), X, y
+    """Materialize every corner (or grid point) of the uncertainty cube.
+
+    Symbols with a zero coefficient are held at 0: they change no cell, so
+    the budget counts only the others.  Worlds are built in blocks.
+    """
+    for values in _grid_values(ad, strategy, levels, budget):
+        yield from _worlds(ad, strategy, values)
 
 
 def sample_worlds(
     ad: AbstractDataset, count: int, seed: int
 ) -> list[tuple[WorldAssignment, np.ndarray, np.ndarray]]:
-    """Seeded uniform samples from the uncertainty cube."""
-    syms = ad.data_symbols()
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        e = {s: float(rng.uniform(-1.0, 1.0)) for s in syms}
-        X, y = ad.materialize(e)
-        out.append((WorldAssignment(e, "uniform"), X, y))
-    return out
+    """Seeded uniform samples from the uncertainty cube, built as one block."""
+    return _worlds(ad, "uniform", _sampled_values(ad, count, seed))
+
+
+def _train_worlds(
+    ad: AbstractDataset,
+    lam: float,
+    strategy: Strategy = "corner",
+    levels: int = 3,
+    budget: int = 65536,
+    samples: int = 0,
+    seed: int = 0,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Blocks ``(values, weights)`` of worlds and their trained ridge weights.
+
+    The worlds are those of ``enumerate_worlds`` (``"corner"``, ``"grid"``)
+    or ``sample_worlds`` (``"uniform"``, ``samples`` of them), in the same
+    order; ``values`` holds their assignments ``(W, S)`` over
+    ``data_symbols()`` and ``weights`` the ``ridge_concrete`` solution
+    ``(W, d)`` of each.  Too many corners raise ``BudgetExceededError`` at
+    the call, before any world is built.
+    """
+    if strategy == "uniform":
+        values, step = _sampled_values(ad, samples, seed), _block(ad)
+        blocks = (values[start : start + step] for start in range(0, len(values), step))
+    else:
+        blocks = _grid_values(ad, strategy, levels, budget)
+    return ((values, ridge_concrete(*ad.materialize_batch(values), lam)) for values in blocks)
 
 
 @dataclass
@@ -135,24 +228,18 @@ def oracle_ranges(
     """Train one ridge model per world; record weight/prediction/loss extremes."""
     test_X = np.asarray(test_X, dtype=float)
     test_y = np.asarray(test_y, dtype=float)
-    if strategy == "uniform":
-        worlds = iter(sample_worlds(ad, samples, seed))
-    else:
-        worlds = enumerate_worlds(ad, strategy, levels=levels, budget=budget)
     weights = []
-    pred_lo = pred_hi = None
+    pred_lo = np.full(len(test_X), np.inf)
+    pred_hi = np.full(len(test_X), -np.inf)
     loss_lo, loss_hi = np.inf, -np.inf
-    count = 0
-    for _, X, y in worlds:
-        w = ridge_concrete(X, y, lam)
-        weights.append(w)
-        preds = test_X @ w
-        pred_lo = preds if pred_lo is None else np.minimum(pred_lo, preds)
-        pred_hi = preds if pred_hi is None else np.maximum(pred_hi, preds)
+    for _, w in _train_worlds(ad, lam, strategy, levels, budget, samples, seed):
+        weights.extend(w)
+        preds = (test_X @ w[..., None])[..., 0]
+        pred_lo = np.minimum(pred_lo, preds.min(axis=0))
+        pred_hi = np.maximum(pred_hi, preds.max(axis=0))
         loss = concrete_loss(test_X, test_y, w, lam, formula)
-        loss_lo, loss_hi = min(loss_lo, loss), max(loss_hi, loss)
-        count += 1
-    if count == 0:
+        loss_lo, loss_hi = min(loss_lo, float(loss.min())), max(loss_hi, float(loss.max()))
+    if not weights:
         raise DataError("oracle saw no worlds")
     stack = np.vstack(weights)
     return WorldOracleResult(
@@ -163,7 +250,7 @@ def oracle_ranges(
         pred_hi=pred_hi,
         loss_lo=loss_lo,
         loss_hi=loss_hi,
-        n_worlds=count,
+        n_worlds=len(weights),
         strategy=strategy,
     )
 

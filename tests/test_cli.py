@@ -159,6 +159,22 @@ class TestOracleCheck:
         ])
         assert rc == 0
 
+    def test_zero_radius_completes_and_passes(self, data_csv, tmp_path):
+        # Every data symbol has a zero coefficient: the corners are one world.
+        cfg = base_config(data_csv, tmp_path / "out", radius=0.0, target="both", percentage=0.5)
+        report, ok = cmd_oracle_check(cfg)
+        assert ok
+        assert [r["worlds"] for r in report.rows] == [cfg.oracle_samples + 1] * 2
+
+    def test_zero_radius_exit_code_zero(self, data_csv, tmp_path):
+        rc = main([
+            "oracle-check", "--dataset", data_csv, "--label", "target",
+            "--seeds", "1", "--radius", "0", "--target", "both", "--percentage", "0.5",
+            "--lambda", "0.02", "--oracle-samples", "20",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+
 
 class TestStandardize:
     def test_flag_enables_feature_uncertain_runs(self, tmp_path):

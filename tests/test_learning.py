@@ -374,6 +374,106 @@ class TestContainsWorldWeights:
         assert not contains_world_weights(weights, e, w_bad)
 
 
+def looped_contains(weights, e_data, w_star, tol=None):
+    """``contains_world_weights`` with the data part summed one generator at a time."""
+    w_star = np.asarray(w_star, dtype=float)
+    if tol is None:
+        tol = 1e-7 * (1.0 + float(np.max(np.abs(w_star))))
+    w_D = np.zeros(weights.dim)
+    for sid, gen in weights.w_D_coeffs.items():
+        w_D += gen * e_data[sid]
+    r = weights.A @ (w_star - weights.w_R - w_D)
+    for i in range(weights.dim):
+        if weights.k[i] > 0.0:
+            if abs(r[i]) > weights.k[i] * (1.0 + 1e-12) + tol:
+                return False
+        elif abs(r[i]) > tol:
+            return False
+    return True
+
+
+def manual_weights(w_R, gens, k, A):
+    reg = SymbolRegistry()
+    sids = reg.new_symbols(len(gens), SymbolKind.DATA)
+    return AbstractWeights(
+        w_R=np.asarray(w_R, dtype=float),
+        w_D_coeffs={s: np.asarray(g, dtype=float) for s, g in zip(sids, gens)},
+        k=np.asarray(k, dtype=float), A=np.asarray(A, dtype=float),
+        A_inv=np.linalg.inv(A), fresh_ids=reg.new_symbols(len(w_R), SymbolKind.FRESH),
+        registry=reg, lam=0.1,
+    )
+
+
+class TestContainmentMatchesTheLoop:
+    def test_random_weights_same_verdict(self):
+        rng = np.random.default_rng(40)
+        verdicts = []
+        for _ in range(300):
+            d, S = int(rng.integers(1, 7)), int(rng.integers(0, 30))
+            k = rng.uniform(0.0, 1.0, d) * (rng.random(d) < 0.7)
+            weights = manual_weights(
+                rng.standard_normal(d), rng.standard_normal((S, d)), k,
+                np.eye(d) + 0.3 * rng.standard_normal((d, d)),
+            )
+            e = {s: float(rng.uniform(-1, 1)) for s in weights.w_D_coeffs}
+            # The product sums in another order than the loop: equal to S ulps.
+            terms = [g * e[s] for s, g in weights.w_D_coeffs.items()]
+            looped = np.sum(terms, axis=0) if terms else np.zeros(d)
+            bound = S * np.finfo(float).eps * np.abs(terms).sum(axis=0) if terms else 0.0
+            assert np.all(np.abs(weights.w_D(e) - looped) <= bound)
+            # Inside the box, on its faces or beyond them; degenerate dimensions
+            # land inside or outside the tolerance.
+            u = rng.choice([0.5, 1.0, 1.5], d) * rng.choice([-1.0, 1.0], d)
+            box = np.where(k > 0, k * u, rng.choice([0.0, 1e-3], d) * u)
+            w_star = weights.w_R + weights.w_D(e) + weights.A_inv @ box
+            verdict = contains_world_weights(weights, e, w_star)
+            assert verdict == looped_contains(weights, e, w_star)
+            verdicts.append(verdict)
+        assert 50 < sum(verdicts) < 250
+
+    def test_one_ulp_either_side_of_the_bound(self):
+        # A = I, w_R = 0 and a dyadic data part make r = w* - w_D exact, so
+        # the test sits on the float boundary k (1 + 1e-12) + tol itself.
+        weights = manual_weights([0.0, 0.0], [[0.5, 0.0], [0.25, 0.0]], [0.6, 0.0], np.eye(2))
+        s1, s2 = weights.w_D_coeffs
+        e = {s1: 0.75, s2: -0.5}
+        w_D = weights.w_D(e)
+        assert w_D.tolist() == [0.25, 0.0]
+        tol = 1e-3
+        for dim, bound in ((0, 0.6 * (1.0 + 1e-12) + tol), (1, tol)):
+            for sign in (1.0, -1.0):
+                for r, inside in (
+                    (bound, True),
+                    (np.nextafter(bound, 0.0), True),
+                    (np.nextafter(bound, np.inf), False),
+                ):
+                    w_star = w_D.copy()
+                    w_star[dim] += sign * r
+                    assert w_star[dim] - w_D[dim] == sign * r
+                    assert contains_world_weights(weights, e, w_star, tol) is inside
+                    assert looped_contains(weights, e, w_star, tol) is inside
+
+    def test_degenerate_dimensions_need_the_tolerance(self):
+        weights = manual_weights([1.0, 2.0], [[0.5, -1.0]], [0.0, 0.0], np.eye(2))
+        (s,) = weights.w_D_coeffs
+        center = weights.w_R + weights.w_D({s: 0.5})
+        assert contains_world_weights(weights, {s: 0.5}, center)
+        assert not contains_world_weights(weights, {s: 0.5}, center + [0.0, 1e-5])
+        assert not contains_world_weights(weights, {s: -0.5}, center)
+
+    def test_split_weights_without_data_part(self):
+        # One feature cell wide enough that beta exceeds lambda, so the fit splits.
+        ad = abstract_cells(make_dataset(5, 1, seed=41), [(2, 1)], [4.0])
+        weights, diag = fixed_point(ad, RidgeConfig(lam=0.05))
+        assert diag.splits_used > 1 and weights.w_D_coeffs == {}
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            e = {s: float(rng.uniform(-1, 1)) for s in ad.data_symbols()}
+            w_star = weights.w_R + weights.A_inv @ (weights.k * rng.uniform(-1.3, 1.3, weights.dim))
+            assert contains_world_weights(weights, e, w_star) == looped_contains(weights, e, w_star)
+            assert contains_world_weights(weights, {}, w_star) == looped_contains(weights, {}, w_star)
+
+
 class TestSerialization:
     def test_bit_exact_round_trip(self):
         ds = make_dataset(12, 2, seed=29)

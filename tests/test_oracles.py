@@ -1,10 +1,23 @@
+import tracemalloc
+from itertools import product as iter_product
+
 import numpy as np
 import pytest
 
-from zonoridge.dataset import LABEL_COL, AbstractDataset, Dataset, UncertaintySpec, inject_uncertainty
-from zonoridge.errors import BudgetExceededError
+from zonoridge import learning
+from zonoridge.dataset import (
+    LABEL_COL,
+    AbstractDataset,
+    Dataset,
+    UncertaintySpec,
+    abstract_missing,
+    inject_uncertainty,
+)
+from zonoridge.errors import BudgetExceededError, DataError
 from zonoridge.learning import ridge_closed_form_real
 from zonoridge.oracles import (
+    WorldAssignment,
+    _train_worlds,
     concrete_loss,
     enumerate_worlds,
     interval_ridge_labels,
@@ -12,6 +25,7 @@ from zonoridge.oracles import (
     ridge_concrete,
     sample_worlds,
 )
+from zonoridge.symbols import SymbolKind, SymbolRegistry
 
 
 def make_dataset(n, d_feat, seed):
@@ -149,3 +163,302 @@ class TestIntervalRidgeLabels:
             w = ridge_concrete(X, y, lam)
             assert np.all(w >= res.weight_lo - 1e-10)
             assert np.all(w <= res.weight_hi + 1e-10)
+
+
+# -- One world at a time: the reference the array oracle must equal bit for bit.
+
+
+def looped_materialize(ad, assignment):
+    X = ad.X_R.copy()
+    y = ad.y_R.copy()
+    for sid, (r, c) in ad.provenance.items():
+        delta = ad.coefficients.get(sid, 0.0) * assignment[sid]
+        if c == LABEL_COL:
+            y[r] += delta
+        else:
+            X[r, c] += delta
+    return X, y
+
+
+def looped_sample_worlds(ad, count, seed):
+    syms = ad.data_symbols()
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        e = {s: float(rng.uniform(-1.0, 1.0)) for s in syms}
+        out.append((WorldAssignment(e, "uniform"), *looped_materialize(ad, e)))
+    return out
+
+
+def looped_enumerate_worlds(ad, strategy="corner", levels=3):
+    """Every combination of points over the nonzero-coefficient symbols; the others at 0."""
+    points = (-1.0, 1.0) if strategy == "corner" else tuple(np.linspace(-1.0, 1.0, levels))
+    active = ad.split_symbols()
+    for combo in iter_product(points, repeat=len(active)):
+        e = {s: 0.0 for s in ad.data_symbols()}
+        e.update(zip(active, (float(v) for v in combo)))
+        yield (WorldAssignment(e, strategy), *looped_materialize(ad, e))
+
+
+def looped_ridge(X, y, lam):
+    n, d = X.shape
+    gram = X.T @ X + lam * n * np.eye(d)
+    if lam == 0.0 and np.linalg.cond(gram) > 1e13:
+        raise np.linalg.LinAlgError("X'X is singular at lambda = 0; need full column rank")
+    return np.linalg.solve(gram, X.T @ y)
+
+
+def looped_loss(X, y, w, lam, formula="ridge"):
+    resid = X @ w - y
+    mse = float(resid @ resid) / X.shape[0]
+    return mse + lam * float(w @ w) if formula == "ridge" else mse
+
+
+def looped_oracle_ranges(worlds, lam, test_X, test_y, formula="ridge"):
+    weights = [looped_ridge(X, y, lam) for _, X, y in worlds]
+    preds = np.array([test_X @ w for w in weights])
+    losses = [looped_loss(test_X, test_y, w, lam, formula) for w in weights]
+    return weights, preds.min(axis=0), preds.max(axis=0), min(losses), max(losses)
+
+
+def assert_same_worlds(worlds, reference):
+    assert len(worlds) == len(reference)
+    for (wa, X, y), (wa_ref, X_ref, y_ref) in zip(worlds, reference):
+        assert wa == wa_ref
+        assert X.tobytes() == X_ref.tobytes() and X.shape == X_ref.shape
+        assert y.tobytes() == y_ref.tobytes() and y.shape == y_ref.shape
+
+
+def world_case(kind, seed):
+    """A small abstract dataset of each kind the oracle sees: 6-9 rows, 2-3 columns.
+
+    ``zero`` makes every other symbol inert (a point interval), ``none``
+    has no symbols; every kind has at most 6 symbols.
+    """
+    rng = np.random.default_rng(seed)
+    n, d_feat = int(rng.integers(6, 10)), int(rng.integers(1, 3))
+    ds = make_dataset(n, d_feat, seed)
+    if kind == "missing":
+        X, y = ds.X.copy(), ds.y.copy()
+        X[rng.integers(0, n, 3), rng.integers(1, d_feat + 1, 3)] = np.nan
+        y[rng.integers(0, n)] = np.nan
+        ranges = {c: (-1.0, 2.0) for c in ds.columns[1:]}
+        ranges["label"] = (float(np.nanmin(y)), float(np.nanmax(y)))
+        return abstract_missing(Dataset(X=X, y=y, columns=ds.columns), ranges)
+    target = "both" if kind in ("zero", "none") else kind
+    share = 0.0 if kind == "none" else 0.2
+    ad = inject_uncertainty(ds, UncertaintySpec(target, share, 0.2, seed=seed))
+    if kind == "zero":
+        for sid in ad.data_symbols()[::2]:
+            ad.coefficients[sid] = 0.0
+    return ad
+
+
+WORLD_KINDS = ("labels", "features", "both", "missing", "zero", "none")
+
+
+class TestWorldsMatchTheLoop:
+    @pytest.mark.parametrize("kind", WORLD_KINDS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sample_worlds(self, kind, seed):
+        ad = world_case(kind, seed)
+        for count in (0, 1, 17):
+            assert_same_worlds(sample_worlds(ad, count, seed), looped_sample_worlds(ad, count, seed))
+
+    @pytest.mark.parametrize("kind", WORLD_KINDS)
+    @pytest.mark.parametrize("strategy,levels", [("corner", 3), ("grid", 3), ("grid", 4)])
+    def test_enumerate_worlds(self, kind, strategy, levels):
+        ad = world_case(kind, 0)
+        worlds = list(enumerate_worlds(ad, strategy, levels=levels, budget=4096))
+        assert_same_worlds(worlds, list(looped_enumerate_worlds(ad, strategy, levels)))
+
+    @pytest.mark.parametrize("kind", WORLD_KINDS)
+    def test_enumerate_worlds_in_small_blocks(self, kind, monkeypatch):
+        ad = world_case(kind, 1)
+        reference = list(enumerate_worlds(ad, budget=4096))
+        monkeypatch.setattr(learning, "CHUNK_ELEMENTS", 3 * ad.n * ad.d)
+        assert_same_worlds(list(enumerate_worlds(ad, budget=4096)), reference)
+
+    @pytest.mark.parametrize("kind", WORLD_KINDS)
+    def test_materialize(self, kind):
+        ad = world_case(kind, 2)
+        rng = np.random.default_rng(5)
+        e = {s: float(rng.uniform(-1.0, 1.0)) for s in ad.data_symbols()}
+        for got, want in zip(ad.materialize(e), looped_materialize(ad, e)):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+    def test_shared_cell_adds_symbols_in_provenance_order(self):
+        reg = SymbolRegistry()
+        a, b, c = reg.new_symbols(3, SymbolKind.DATA)
+        ad = AbstractDataset(
+            X_R=np.array([[1.0, 0.1], [1.0, -0.7]]), y_R=np.array([0.1, 0.2]),
+            registry=reg, provenance={c: (0, 1), a: (0, 1), b: (1, LABEL_COL)},
+            coefficients={a: 0.3, b: 0.7, c: 0.4},
+        )
+        e = {a: 0.5, b: -1.0, c: 0.5}
+        # The two orders of adding c's and a's deltas differ in the last bit.
+        X, _ = ad.materialize(e)
+        assert X[0, 1] == (0.1 + 0.4 * 0.5) + 0.3 * 0.5 != (0.1 + 0.3 * 0.5) + 0.4 * 0.5
+        for got, want in zip(ad.materialize(e), looped_materialize(ad, e)):
+            assert got.tobytes() == want.tobytes()
+        assert_same_worlds(sample_worlds(ad, 9, 3), looped_sample_worlds(ad, 9, 3))
+
+    def test_materialize_needs_every_symbol(self):
+        ad = world_case("labels", 0)
+        with pytest.raises(KeyError):
+            ad.materialize({})
+
+
+class TestZeroCoefficientSymbols:
+    def test_inert_symbols_held_at_zero_and_not_counted(self):
+        ds = make_dataset(40, 2, seed=20)
+        ad = inject_uncertainty(ds, UncertaintySpec("both", 0.5, 0.0, seed=21))
+        assert len(ad.data_symbols()) == 60 and ad.split_symbols() == []
+        worlds = list(enumerate_worlds(ad, budget=1))
+        assert len(worlds) == 1
+        wa, X, y = worlds[0]
+        assert set(wa.values.values()) == {0.0}
+        np.testing.assert_array_equal(X, ds.X)
+        np.testing.assert_array_equal(y, ds.y)
+
+    def test_same_distinct_worlds_as_every_symbol(self):
+        ad = world_case("zero", 3)
+        every = {
+            (X.tobytes(), y.tobytes())
+            for combo in iter_product((-1.0, 1.0), repeat=len(ad.data_symbols()))
+            for X, y in [looped_materialize(ad, dict(zip(ad.data_symbols(), combo)))]
+        }
+        active = list(enumerate_worlds(ad))
+        assert len(active) == 2 ** len(ad.split_symbols()) < 2 ** len(ad.data_symbols())
+        assert {(X.tobytes(), y.tobytes()) for _, X, y in active} == every
+
+    def test_budget_counts_only_active_symbols(self):
+        ad = world_case("zero", 3)
+        s = len(ad.split_symbols())
+        assert len(list(enumerate_worlds(ad, budget=2**s))) == 2**s
+        with pytest.raises(BudgetExceededError):
+            list(enumerate_worlds(ad, budget=2**s - 1))
+
+
+class TestStackedTraining:
+    @pytest.mark.parametrize("lam", [0.0, 0.01, 1.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stack_equals_each_world(self, lam, seed):
+        rng = np.random.default_rng(seed)
+        W, n, d = int(rng.integers(1, 20)), int(rng.integers(8, 600)), int(rng.integers(1, 9))
+        X = rng.standard_normal((W, n, d))
+        y = rng.standard_normal((W, n))
+        stacked = ridge_concrete(X, y, lam)
+        assert stacked.shape == (W, d)
+        for i in range(W):
+            Xi, yi = X[i].copy(), y[i].copy()
+            assert ridge_concrete(Xi, yi, lam).tobytes() == looped_ridge(Xi, yi, lam).tobytes()
+            assert stacked[i].tobytes() == looped_ridge(Xi, yi, lam).tobytes()
+
+    def test_rank_deficient_world_at_lambda_zero_raises(self):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((5, 30, 3))
+        y = rng.standard_normal((5, 30))
+        # Nearly, not exactly, collinear: only the rank check refuses it.
+        X[3, :, 2] = X[3, :, 1] + 1e-9 * rng.standard_normal(30)
+        assert np.isfinite(np.linalg.solve(X[3].T @ X[3], X[3].T @ y[3])).all()
+        with pytest.raises(np.linalg.LinAlgError):
+            ridge_concrete(X, y, 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            looped_ridge(X[3], y[3], 0.0)
+        ridge_concrete(X, y, 0.01)
+
+    @pytest.mark.parametrize("formula", ["ridge", "mse"])
+    def test_stacked_loss_equals_each_world(self, formula):
+        rng = np.random.default_rng(4)
+        X, y = rng.standard_normal((50, 4)), rng.standard_normal(50)
+        w = rng.standard_normal((9, 4))
+        losses = concrete_loss(X, y, w, 0.3, formula)
+        for i in range(len(w)):
+            one = concrete_loss(X, y, w[i], 0.3, formula)
+            assert isinstance(one, float)
+            assert one == losses[i] == looped_loss(X, y, w[i], 0.3, formula)
+        with pytest.raises(ValueError):
+            concrete_loss(X, y, w[0], 0.3, "huber")
+
+    @pytest.mark.parametrize("strategy", ["corner", "uniform"])
+    def test_train_worlds_blocks_follow_the_worlds(self, strategy, monkeypatch):
+        ad = world_case("both", 1)
+        monkeypatch.setattr(learning, "CHUNK_ELEMENTS", 5 * ad.n * ad.d)
+        if strategy == "uniform":
+            worlds = sample_worlds(ad, 23, 8)
+        else:
+            worlds = list(enumerate_worlds(ad))
+        blocks = list(_train_worlds(ad, 0.1, strategy, samples=23, seed=8))
+        assert max(len(w) for _, w in blocks) == 5
+        values = np.concatenate([v for v, _ in blocks])
+        weights = np.concatenate([w for _, w in blocks])
+        assert len(values) == len(worlds)
+        for row, w, (wa, X, y) in zip(values, weights, worlds):
+            assert dict(zip(ad.data_symbols(), row.tolist())) == wa.values
+            assert w.tobytes() == looped_ridge(X, y, 0.1).tobytes()
+
+    def test_train_worlds_refuses_the_budget_at_the_call(self):
+        ad = world_case("both", 1)
+        s = len(ad.split_symbols())
+        # No iteration: callers choose their worlds on this error.
+        with pytest.raises(BudgetExceededError):
+            _train_worlds(ad, 0.1, "corner", budget=2**s - 1)
+        assert sum(len(w) for _, w in _train_worlds(ad, 0.1, "corner", budget=2**s)) == 2**s
+
+
+class TestOracleRangesMatchTheLoop:
+    @pytest.mark.parametrize("kind", ["labels", "both", "missing", "zero"])
+    @pytest.mark.parametrize("strategy", ["corner", "grid", "uniform"])
+    def test_equals_the_loop(self, kind, strategy):
+        ad = world_case(kind, 0)
+        rng = np.random.default_rng(1)
+        test_X = np.column_stack([np.ones(7), rng.uniform(-1, 2, (7, ad.d - 1))])
+        test_y = rng.standard_normal(7)
+        if strategy == "uniform":
+            worlds = looped_sample_worlds(ad, 40, 6)
+        else:
+            worlds = list(looped_enumerate_worlds(ad, strategy))
+        res = oracle_ranges(ad, 0.05, test_X, test_y, strategy, samples=40, seed=6, budget=4096)
+        weights, pred_lo, pred_hi, loss_lo, loss_hi = looped_oracle_ranges(worlds, 0.05, test_X, test_y)
+        assert res.n_worlds == len(worlds)
+        assert np.array_equal(np.array(res.weights), np.array(weights))
+        assert res.pred_lo.tobytes() == pred_lo.tobytes()
+        assert res.pred_hi.tobytes() == pred_hi.tobytes()
+        assert (res.loss_lo, res.loss_hi) == (loss_lo, loss_hi)
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        ad = world_case("both", 2)
+        test_X, test_y = ad.X_R[:5], ad.y_R[:5]
+
+        def run():
+            res = oracle_ranges(ad, 0.02, test_X, test_y)
+            return (
+                np.array(res.weights).tobytes(), res.weight_lo.tobytes(), res.weight_hi.tobytes(),
+                res.pred_lo.tobytes(), res.pred_hi.tobytes(), res.loss_lo, res.loss_hi, res.n_worlds,
+            )
+
+        default = run()
+        for worlds in (1, 7):
+            monkeypatch.setattr(learning, "CHUNK_ELEMENTS", worlds * ad.n * ad.d)
+            assert run() == default
+
+    def test_no_worlds_is_an_error(self):
+        ad = world_case("labels", 0)
+        with pytest.raises(DataError):
+            oracle_ranges(ad, 0.1, ad.X_R[:2], ad.y_R[:2], strategy="uniform", samples=0)
+
+    def test_peak_memory_of_4096_corners_stays_blocked(self):
+        ds = make_dataset(1000, 2, seed=30)
+        ad = inject_uncertainty(ds, UncertaintySpec("labels", 0.012, 0.1, seed=31))
+        assert len(ad.split_symbols()) == 12
+        test_X, test_y = ds.X[:200], ds.y[:200]
+        tracemalloc.start()
+        try:
+            res = oracle_ranges(ad, 0.01, test_X, test_y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.n_worlds == 4096
+        # All 4096 worlds at once would take 4096 * 1000 * 3 * 8 B = 98 MB.
+        assert peak < 4 * 2**20
