@@ -2,10 +2,11 @@
 
 Subcommands: ``certify``, ``loss-range``, ``lambda-sweep``, ``oracle-check``,
 ``params``.  Configuration comes from an INI-style file of flat key/value
-sections; every key can be overridden by a command-line flag.  Experiments
-repeat over seeds, grid points and seeds run as independent tasks, and
-reports are written as plot-ready CSV or JSON.  Identical configurations
-produce byte-identical CSV output.
+sections and from command-line flags, which win; ``OPTIONS`` declares every
+setting once, with its key and its flag.  Experiments repeat over seeds,
+grid points and seeds run as independent tasks, and reports are written as
+plot-ready CSV or JSON.  Identical configurations produce byte-identical CSV
+output.
 
 Exit codes: 0 ok, 1 usage error, 2 data/config error, 3 soundness failure.
 """
@@ -19,7 +20,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -66,7 +67,6 @@ class ExperimentConfig:
     lam: float = 0.0
     transform: str = "svd"
     split_budget: int = 4096
-    tolerance: float = 1e-9
 
     threshold: float = 0.05  # fraction of the label domain range
 
@@ -99,118 +99,111 @@ class ExperimentConfig:
             lam=self.lam if lam is None else lam,
             transform=self.transform,
             split_budget=self.split_budget,
-            tolerance=self.tolerance,
         )
 
     def echo(self) -> dict:
-        out = dict(self.__dict__)
-        out["feature_columns"] = list(self.feature_columns) if self.feature_columns else None
-        out["uncertain_columns"] = list(self.uncertain_columns) if self.uncertain_columns else None
-        return out
+        return asdict(self)
 
 
-def _parse_list(text: str, cast) -> list:
-    return [cast(tok) for tok in text.replace(",", " ").split()]
+@dataclass(frozen=True)
+class Option:
+    """One setting: its ``ExperimentConfig`` attribute, INI ``[section] key`` and flag.
+
+    ``cast`` reads the text, item by item when ``many`` (items are separated
+    by commas or spaces).  A ``flag`` of ``None`` makes the setting INI-only,
+    and ``grid`` names the sweep list that the flag also replaces.
+    """
+
+    attr: str
+    section: str
+    key: str
+    cast: type = str
+    flag: str | None = None
+    many: bool = False
+    grid: str | None = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+OPTIONS = (
+    Option("dataset_path", "data", "path", flag="--dataset"),
+    Option("label_column", "data", "label", flag="--label"),
+    Option("feature_columns", "data", "features", flag="--features", many=True,
+           help="comma-separated feature columns"),
+    Option("split_ratio", "data", "split_ratio", float, "--split-ratio"),
+    Option("split_seed", "data", "split_seed", int),
+    Option("standardize", "data", "standardize", bool, "--standardize",
+           help="standardize non-bias features on the training split"),
+    Option("target", "uncertainty", "target", flag="--target",
+           choices=("labels", "features", "both")),
+    Option("uncertain_columns", "uncertainty", "columns", flag="--columns", many=True,
+           help="uncertain feature columns"),
+    Option("percentage", "uncertainty", "percentage", float, "--percentage",
+           grid="percentage_grid"),
+    Option("radius", "uncertainty", "radius", float, "--radius", grid="radius_grid"),
+    Option("lam", "ridge", "lambda", float, "--lambda", grid="lambda_grid"),
+    Option("transform", "ridge", "transform", flag="--transform", choices=("svd", "identity")),
+    Option("split_budget", "ridge", "split_budget", int, "--split-budget"),
+    Option("threshold", "certify", "threshold", float, "--threshold",
+           help="robustness threshold as a fraction of the label range"),
+    Option("radius_grid", "sweep", "radius_grid", float, many=True),
+    Option("percentage_grid", "sweep", "percentage_grid", float, many=True),
+    Option("lambda_grid", "sweep", "lambda_grid", float, many=True),
+    Option("seeds", "run", "seeds", int, "--seeds", many=True, help="comma-separated seed list"),
+    Option("out_dir", "run", "out_dir", flag="--out-dir"),
+    Option("fmt", "run", "format", flag="--format", choices=("csv", "json")),
+    Option("jobs", "run", "jobs", int, "--jobs"),
+    Option("oracle_budget", "oracle", "budget", int, "--oracle-budget"),
+    Option("oracle_samples", "oracle", "samples", int, "--oracle-samples"),
+)
+
+
+def _parse(opt: Option, text: str):
+    """The value ``text`` gives ``opt``; ``None`` (keep the default) for an empty list."""
+    if opt.cast is bool:
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if text.lower() not in states:
+            raise ValueError(f"not a boolean: {text!r}")
+        return states[text.lower()]
+    if opt.many:
+        return [opt.cast(tok) for tok in text.replace(",", " ").split()] or None
+    if opt.choices and text not in opt.choices:
+        raise ValueError(f"{text!r} is not one of {', '.join(opt.choices)}")
+    return opt.cast(text)
 
 
 def load_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise DataError(f"cannot read config file {path}")
+    options = {(opt.section, opt.key): opt for opt in OPTIONS}
     cfg = ExperimentConfig()
-
-    def get(section, key, cast=str, default=None):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes")
-            return cast(raw)
-        return default
-
-    cfg.dataset_path = get("data", "path", str, cfg.dataset_path)
-    cfg.label_column = get("data", "label", str, cfg.label_column)
-    feats = get("data", "features", str)
-    cfg.feature_columns = _parse_list(feats, str) if feats else None
-    cfg.split_ratio = get("data", "split_ratio", float, cfg.split_ratio)
-    cfg.split_seed = get("data", "split_seed", int, cfg.split_seed)
-    cfg.standardize = get("data", "standardize", bool, cfg.standardize)
-
-    cfg.target = get("uncertainty", "target", str, cfg.target)
-    cols = get("uncertainty", "columns", str)
-    cfg.uncertain_columns = _parse_list(cols, str) if cols else None
-    cfg.percentage = get("uncertainty", "percentage", float, cfg.percentage)
-    cfg.radius = get("uncertainty", "radius", float, cfg.radius)
-
-    cfg.lam = get("ridge", "lambda", float, cfg.lam)
-    cfg.transform = get("ridge", "transform", str, cfg.transform)
-    cfg.split_budget = get("ridge", "split_budget", int, cfg.split_budget)
-    cfg.tolerance = get("ridge", "tolerance", float, cfg.tolerance)
-
-    cfg.threshold = get("certify", "threshold", float, cfg.threshold)
-
-    for key, attr in (("radius_grid", "radius_grid"), ("percentage_grid", "percentage_grid"),
-                      ("lambda_grid", "lambda_grid")):
-        raw = get("sweep", key, str)
-        if raw:
-            setattr(cfg, attr, _parse_list(raw, float))
-
-    seeds = get("run", "seeds", str)
-    if seeds:
-        cfg.seeds = _parse_list(seeds, int)
-    cfg.out_dir = get("run", "out_dir", str, cfg.out_dir)
-    cfg.fmt = get("run", "format", str, cfg.fmt)
-    cfg.jobs = get("run", "jobs", int, cfg.jobs)
-
-    cfg.oracle_budget = get("oracle", "budget", int, cfg.oracle_budget)
-    cfg.oracle_samples = get("oracle", "samples", int, cfg.oracle_samples)
+    for section in parser.sections():
+        for key, text in parser.items(section):
+            opt = options.get((section, key))
+            if opt is None:
+                raise DataError(f"unknown config key [{section}] {key}")
+            try:
+                value = _parse(opt, text)
+            except ValueError as exc:
+                raise DataError(f"[{section}] {key}: {exc}") from exc
+            if value is not None:
+                setattr(cfg, opt.attr, value)
     return cfg
 
 
 def apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if args.dataset is not None:
-        cfg.dataset_path = args.dataset
-    if args.label is not None:
-        cfg.label_column = args.label
-    if args.features is not None:
-        cfg.feature_columns = _parse_list(args.features, str)
-    if args.split_ratio is not None:
-        cfg.split_ratio = args.split_ratio
-    if args.standardize:
-        cfg.standardize = True
-    if args.target is not None:
-        cfg.target = args.target
-    if args.columns is not None:
-        cfg.uncertain_columns = _parse_list(args.columns, str)
-    if args.percentage is not None:
-        cfg.percentage = args.percentage
-        cfg.percentage_grid = [args.percentage]
-    if args.radius is not None:
-        cfg.radius = args.radius
-        cfg.radius_grid = [args.radius]
-    if args.lam is not None:
-        cfg.lam = args.lam
-        cfg.lambda_grid = [args.lam]
-    if args.threshold is not None:
-        cfg.threshold = args.threshold
-    if args.transform is not None:
-        cfg.transform = args.transform
-    if args.split_budget is not None:
-        cfg.split_budget = args.split_budget
     if args.seed is not None:
-        cfg.seeds = [args.seed]
-    if args.seeds is not None:
-        cfg.seeds = _parse_list(args.seeds, int)
-    if args.out_dir is not None:
-        cfg.out_dir = args.out_dir
-    if args.format is not None:
-        cfg.fmt = args.format
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    if args.oracle_samples is not None:
-        cfg.oracle_samples = args.oracle_samples
-    if args.oracle_budget is not None:
-        cfg.oracle_budget = args.oracle_budget
+        cfg.seeds = [args.seed]  # --seeds, applied below, wins
+    for opt in OPTIONS:
+        value = getattr(args, opt.attr, None)
+        if opt.many and value is not None:
+            value = _parse(opt, value)
+        if value is None:
+            continue
+        setattr(cfg, opt.attr, value)
+        if opt.grid:
+            setattr(cfg, opt.grid, [value])
     return cfg
 
 
@@ -223,17 +216,7 @@ class RunReport:
     notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "config": self.config,
-                "rows": self.rows,
-                "summary": self.summary,
-                "notes": self.notes,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def write(self, out_dir: str, fmt: str) -> list[Path]:
         out = Path(out_dir)
@@ -545,29 +528,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("certify", "loss-range", "lambda-sweep", "oracle-check", "params"):
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--dataset", default=None)
-        p.add_argument("--label", default=None)
-        p.add_argument("--features", default=None, help="comma-separated feature columns")
-        p.add_argument("--split-ratio", type=float, default=None)
-        p.add_argument("--standardize", action="store_true", default=False,
-                       help="standardize non-bias features on the training split")
-        p.add_argument("--target", choices=["labels", "features", "both"], default=None)
-        p.add_argument("--columns", default=None, help="uncertain feature columns")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--seeds", default=None, help="comma-separated seed list")
-        p.add_argument("--radius", type=float, default=None)
-        p.add_argument("--percentage", type=float, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--threshold", type=float, default=None,
-                       help="robustness threshold as a fraction of the label range")
-        p.add_argument("--transform", choices=["svd", "identity"], default=None)
-        p.add_argument("--split-budget", type=int, default=None)
-        p.add_argument("--out-dir", default=None)
-        p.add_argument("--format", choices=["csv", "json"], default=None)
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--oracle-samples", type=int, default=None)
-        p.add_argument("--oracle-budget", type=int, default=None)
+        p.add_argument("--config")
+        p.add_argument("--seed", type=int)
+        for opt in (opt for opt in OPTIONS if opt.flag):
+            if opt.cast is bool:  # default None: without the flag the INI value stands
+                kind = {"action": "store_true", "default": None}
+            else:  # apply_overrides parses lists: a bad item is a config error
+                kind = {"type": str if opt.many else opt.cast, "choices": opt.choices}
+            p.add_argument(opt.flag, dest=opt.attr, help=opt.help, **kind)
     return parser
 
 

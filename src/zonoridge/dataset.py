@@ -141,11 +141,6 @@ class AbstractDataset:
     def label_symbols(self) -> list[int]:
         return sorted(s for s, (_, c) in self.provenance.items() if c == LABEL_COL)
 
-    def has_feature_uncertainty(self) -> bool:
-        return any(
-            abs(self.coefficients.get(s, 0.0)) > 0.0 for s in self.feature_symbols()
-        )
-
     def cell_interval(self, sid: int) -> tuple[float, float]:
         r, c = self.provenance[sid]
         center = self.y_R[r] if c == LABEL_COL else self.X_R[r, c]

@@ -103,9 +103,6 @@ class PolyForm:
         """Sum of absolute coefficient values over all monomials."""
         return sum(abs(c) for c in self.terms.values())
 
-    def coeff(self, mono: Monomial) -> float:
-        return self.terms.get(tuple(sorted(mono)), 0.0)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_registry(self, other: "PolyForm") -> None:

@@ -55,7 +55,7 @@ monomials whose symbols all share one row can collect more than one term
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 from collections.abc import Mapping
 
@@ -72,6 +72,8 @@ from .errors import (
 from .symbols import SymbolKind, SymbolRegistry
 
 _COND_BOUND = 1e12
+#: Slack of the feasibility test ``lam >= beta`` and of the clamp on negative diameters.
+TOLERANCE = 1e-9
 #: Elements of one temporary array in the chunked kernels (512 KB of float64).
 CHUNK_ELEMENTS = 1 << 16
 
@@ -88,7 +90,6 @@ class RidgeConfig:
     lam: float = 0.0
     transform: str | np.ndarray = "svd"
     split_budget: int = 4096
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.lam < 0:
@@ -222,15 +223,6 @@ class ResidualReport:
     box_residual: float
     box_residual_normalized: float
 
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "real_residual": self.real_residual,
-            "data_residual": self.data_residual,
-            "box_residual": self.box_residual,
-            "box_residual_normalized": self.box_residual_normalized,
-        }
-
 
 @dataclass
 class FixedPointDiagnostics:
@@ -243,15 +235,7 @@ class FixedPointDiagnostics:
     part_betas: list[float] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "lambda_used": self.lambda_used,
-            "splits_used": self.splits_used,
-            "m_matrix_margin": self.m_matrix_margin,
-            "residual": self.residual.to_dict() if self.residual else None,
-            "join_lost_correlation": self.join_lost_correlation,
-            "part_betas": self.part_betas,
-        }
+        return asdict(self)
 
 
 _RANK_DEFICIENT = "centers are rank-deficient at lambda = 0"
@@ -651,7 +635,7 @@ def _first_failure(checks: list) -> Exception | None:
     return None if first is None else first[1](first[0])
 
 
-def solve_non_data(sys: NonDataSystem, lam: float, tolerance: float = 1e-9) -> np.ndarray:
+def solve_non_data(sys: NonDataSystem, lam: float, tolerance: float = TOLERANCE) -> np.ndarray:
     """Solve the diameter system; requires ``lam >= beta`` up to tolerance.
 
     The homogeneous case (zero constant column, e.g. certain or label-only
@@ -712,7 +696,7 @@ def _assemble(
     A_inv: np.ndarray,
     sys: NonDataSystem,
 ) -> AbstractWeights:
-    k = solve_non_data(sys, cfg.lam, cfg.tolerance)
+    k = solve_non_data(sys, cfg.lam)
     fresh = ad.registry.new_symbols(ad.d, SymbolKind.FRESH)
     return AbstractWeights(
         w_R=w_R,
@@ -787,7 +771,7 @@ def _solve_parts(
     G = np.linalg.solve(reg, _data_rhs(cells, x, y, w_R)).swapaxes(1, 2)
     A, A_inv = _transform(gram, cfg)
     sys = _system(A @ gram @ A_inv, *_diameter_terms(cells, x, w_R, G, A, A_inv), n)
-    k, checks = _diameters(sys, cfg.lam, cfg.tolerance)
+    k, checks = _diameters(sys, cfg.lam, TOLERANCE)
     error = _first_failure(
         [(deficient, lambda p: np.linalg.LinAlgError(_RANK_DEFICIENT)), *checks]
     )

@@ -54,13 +54,6 @@ class SymbolRegistry:
     def kind(self, sid: int) -> SymbolKind:
         return self._kinds[sid]
 
-    def is_data(self, sid: int) -> bool:
-        return self._kinds[sid] is SymbolKind.DATA
-
-    def data_symbols(self) -> list[int]:
-        with self._lock:
-            return sorted(s for s, k in self._kinds.items() if k is SymbolKind.DATA)
-
     def __len__(self) -> int:
         return self._next
 

@@ -40,6 +40,7 @@ from zonoridge.learning import (
     AbstractWeights,
     NonDataSystem,
     ResidualReport,
+    TOLERANCE,
     RidgeConfig,
     build_transform,
     closed_form_symbolic_data,
@@ -305,7 +306,7 @@ def split_join(
         w_D = closed_form_symbolic_data(part, cfg.lam, w_R)
         A, A_inv = build_transform(part.X_R, cfg)
         part_sys = build_non_data_system(part, cfg.lam, w_R, w_D, A, A_inv)
-        k = solve_non_data(part_sys, cfg.lam, cfg.tolerance)
+        k = solve_non_data(part_sys, cfg.lam, TOLERANCE)
         fresh = part.registry.new_symbols(part.d, SymbolKind.FRESH)
         results.append(
             AbstractWeights(

@@ -23,6 +23,7 @@ from zonoridge.dataset import (
 )
 from zonoridge.inference import certify_robustness, loss_interval, predict_interval
 from zonoridge.learning import (
+    TOLERANCE,
     RidgeConfig,
     contains_world_weights,
     fixed_point,
@@ -280,7 +281,7 @@ class TestCriterion6SplittingPath:
         weights, diag = fixed_point(ad, cfg)
         assert diag.beta > lam, "instance must be infeasible without splitting"
         assert diag.splits_used > 1
-        assert diag.part_betas and max(diag.part_betas) <= lam + cfg.tolerance
+        assert diag.part_betas and max(diag.part_betas) <= lam + TOLERANCE
         failures = 0
         for wa, Xw, yw in sample_worlds(ad, 500, seed=8):
             w_star = ridge_concrete(Xw, yw, lam)

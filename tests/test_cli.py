@@ -1,10 +1,24 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zonoridge.cli import ExperimentConfig, cmd_certify, cmd_lambda_sweep, cmd_loss_range, cmd_oracle_check, cmd_params, load_config, main
+from zonoridge.cli import (
+    OPTIONS,
+    ExperimentConfig,
+    apply_overrides,
+    build_parser,
+    cmd_certify,
+    cmd_lambda_sweep,
+    cmd_loss_range,
+    cmd_oracle_check,
+    cmd_params,
+    load_config,
+    main,
+)
 
 
 def write_regression_csv(path, n=40, d_feat=2, seed=0, noise=0.05):
@@ -272,3 +286,85 @@ out_dir = {tmp_path / "cfg_out"}
         assert rc == 0
         rows = list(csv.DictReader(open(tmp_path / "o" / "params_results.csv")))
         assert rows[0]["seed"] == "9"
+
+
+def sample_values(opt):
+    """Two different ``(text, value)`` pairs for ``opt``; the first is not its default."""
+    if opt.choices:
+        return [(c, c) for c in (opt.choices[-1], opt.choices[0])]
+    if opt.cast is bool:
+        return [("on", True), ("off", False)]
+    items = {str: ["alpha", "beta"], int: [7, 9], float: [0.375, 0.625]}[opt.cast]
+    if opt.many:
+        return [(", ".join(map(str, items)), items), (str(items[1]), items[1:])]
+    return [(str(v), v) for v in items]
+
+
+def write_ini(tmp_path, text):
+    path = tmp_path / "exp.ini"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def types_of(value):
+    return [type(v) for v in value] if isinstance(value, list) else type(value)
+
+
+def option_id(opt):
+    return f"{opt.section}.{opt.key}"
+
+
+class TestOptions:
+    @pytest.mark.parametrize("opt", OPTIONS, ids=option_id)
+    def test_key_sets_only_its_field(self, opt, tmp_path):
+        text, value = sample_values(opt)[0]
+        cfg = load_config(write_ini(tmp_path, f"[{opt.section}]\n{opt.key} = {text}\n"))
+        expected = ExperimentConfig()
+        setattr(expected, opt.attr, value)
+        assert cfg == expected
+        assert types_of(getattr(cfg, opt.attr)) == types_of(value)
+
+    @pytest.mark.parametrize("opt", [o for o in OPTIONS if o.flag], ids=option_id)
+    def test_flag_overrides_key(self, opt, tmp_path):
+        (text, value), (ini_text, ini_value) = sample_values(opt)
+        parse = build_parser().parse_args
+        path = write_ini(tmp_path, f"[{opt.section}]\n{opt.key} = {text}\n")
+        assert apply_overrides(load_config(path), parse(["certify"])) == load_config(path)
+        ini = f"[{opt.section}]\n{opt.key} = {ini_text}\n"
+        if opt.grid:
+            ini += f"[sweep]\n{opt.grid} = 0.1, 0.2\n"
+        argv = ["certify", opt.flag] + ([] if opt.cast is bool else [text])
+        cfg = apply_overrides(load_config(write_ini(tmp_path, ini)), parse(argv))
+        assert getattr(cfg, opt.attr) == value != ini_value
+        assert types_of(getattr(cfg, opt.attr)) == types_of(value)
+        if opt.grid:
+            assert getattr(cfg, opt.grid) == [value]
+
+    def test_seeds_win_over_seed(self):
+        parse = build_parser().parse_args
+        assert apply_overrides(ExperimentConfig(), parse(["certify", "--seed", "9"])).seeds == [9]
+        both = parse(["certify", "--seeds", "3,4", "--seed", "9"])
+        assert apply_overrides(ExperimentConfig(), both).seeds == [3, 4]
+
+    @pytest.mark.parametrize("opt", [o for o in OPTIONS if o.many], ids=option_id)
+    def test_empty_list_keeps_default(self, opt, tmp_path):
+        cfg = load_config(write_ini(tmp_path, f"[{opt.section}]\n{opt.key} =\n"))
+        assert cfg == ExperimentConfig()
+
+    @pytest.mark.parametrize("extra, named", [
+        ("[ridge]\nlamda = 0.5\n", "[ridge] lamda"),
+        ("standardize = maybe\n", "'maybe'"),
+        ("[ridge]\ntransform = qr\n", "'qr'"),
+    ])
+    def test_unknown_key_or_bad_value_is_config_error(self, data_csv, tmp_path, capsys, extra, named):
+        path = write_ini(tmp_path, f"[data]\npath = {data_csv}\nlabel = target\n{extra}")
+        assert main(["certify", "--config", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        cfg = load_config(write_ini(tmp_path, block))
+        cfg.validate()
+        assert cfg.label_column == "mpg" and cfg.standardize

@@ -376,7 +376,7 @@ def looped_part(part, cfg):
     w_D = closed_form_symbolic_data(part, cfg.lam, w_R)
     A, A_inv = build_transform(part.X_R, cfg)
     sys = build_non_data_system(part, cfg.lam, w_R, w_D, A, A_inv)
-    k = solve_non_data(sys, cfg.lam, cfg.tolerance)
+    k = solve_non_data(sys, cfg.lam, learning.TOLERANCE)
     weights = AbstractWeights(w_R=w_R, w_D_coeffs=w_D, k=k, A=A, A_inv=A_inv, fresh_ids=[],
                               registry=part.registry, lam=cfg.lam)
     return w_R, np.abs(weights.generators()).sum(axis=1), sys.beta, sys.m_matrix_margin(cfg.lam)
