@@ -38,9 +38,8 @@ def main():
     # between 2 and 8, so that is the interval we declare.
     ad = abstract_missing(ds, {"a": (2.0, 8.0), "b": (2.0, 8.0)})
     print("abstracted cells (center +/- half-width):")
-    for sid in ad.data_symbols():
-        r, c = ad.provenance[sid]
-        print(f"  cell ({r}, {ds.columns[c]}): {ad.X_R[r, c]} +/- {ad.coefficients[sid]}")
+    for r, c, coef in zip(ad.cells.rows, ad.cells.cols, ad.cells.coef):
+        print(f"  cell ({r}, {ds.columns[c]}): {ad.X_R[r, c]} +/- {coef}")
 
     weights, diag = fixed_point(ad, RidgeConfig(lam=lam))
     print(f"\ncenter weights: {np.round(weights.w_R, 4)}")

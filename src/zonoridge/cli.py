@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise DataError(f"unknown format {self.fmt!r}")
         if self.threshold <= 0:
             raise DataError("threshold must be positive")
+        if min([self.lam, *self.lambda_grid]) < 0:
+            raise DataError("lambda must be >= 0")
 
     def ridge_config(self, lam: float | None = None) -> RidgeConfig:
         return RidgeConfig(
@@ -174,8 +176,11 @@ def _parse(opt: Option, text: str):
 
 def load_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise DataError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path):
+            raise DataError(f"cannot read config file {path}")
+    except configparser.Error as exc:
+        raise DataError(f"cannot parse config file {path}: {exc}") from exc
     options = {(opt.section, opt.key): opt for opt in OPTIONS}
     cfg = ExperimentConfig()
     for section in parser.sections():

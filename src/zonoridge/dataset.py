@@ -4,7 +4,9 @@ An uncertain training set is decomposed as ``X = X_R + X_S`` and
 ``y = y_R + y_S``: real centers plus purely symbolic parts in which every
 uncertain cell owns exactly one data symbol with a zero constant part.  The
 concretization of the decomposition ranges over exactly the declared
-per-cell intervals.
+per-cell intervals.  The symbolic parts are stored as one table of cells
+(:class:`Cells`), and its entry order is the symbol axis of every
+per-symbol array in the package.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import csv
 import math
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,25 +109,56 @@ class UncertaintySpec:
             raise DataError("the bias column cannot be uncertain")
 
 
+class Cells(NamedTuple):
+    """The cell table: one entry per data symbol, in ascending id order.
+
+    Entry j says that data symbol ``symbols[j]`` moves the cell in row
+    ``rows[j]`` and column ``cols[j]`` (``LABEL_COL`` for the label) by
+    ``coef[j]`` times its value.  Column j of a world assignment (see
+    ``AbstractDataset.materialize_batch``) is entry j, and the learner's
+    kernels take the entries with a nonzero coefficient, in the same order.
+    """
+
+    symbols: np.ndarray  # (S,) symbol ids, ascending
+    rows: np.ndarray  # (S,)
+    cols: np.ndarray  # (S,) feature column, or LABEL_COL
+    coef: np.ndarray  # (S,)
+
+    def select(self, keep: np.ndarray) -> "Cells":
+        """The entries marked (or indexed) by ``keep``."""
+        return Cells(*(a[keep] for a in self))
+
+
 @dataclass
 class AbstractDataset:
     """Decomposed uncertain training set over a shared symbol registry.
 
-    ``provenance`` maps each data symbol to the unique cell it perturbs:
-    ``(row, col)`` with ``col == LABEL_COL`` for label cells.
+    ``cells`` is the cell table: ``X_S`` and ``y_S`` are zero but at its
+    entries, where they are ``coef * e`` for the entry's symbol ``e``.  The
+    constructor takes any sequences and stores arrays; the symbols must be
+    strictly ascending.  ``provenance`` and the ``*_symbols`` lists are
+    views of the table for callers that work with symbol ids.
     """
 
     X_R: np.ndarray
     y_R: np.ndarray
     registry: SymbolRegistry
-    provenance: dict[int, tuple[int, int]]
-    coefficients: dict[int, float] = field(default_factory=dict)
+    cells: Cells
     columns: list[str] = field(default_factory=list)
     label_name: str = "label"
 
     def __post_init__(self):
         self.X_R = np.asarray(self.X_R, dtype=float)
         self.y_R = np.asarray(self.y_R, dtype=float)
+        symbols, rows, cols, coef = self.cells
+        self.cells = Cells(
+            np.asarray(symbols, dtype=np.int64).reshape(-1),
+            np.asarray(rows, dtype=np.intp).reshape(-1),
+            np.asarray(cols, dtype=np.intp).reshape(-1),
+            np.asarray(coef, dtype=float).reshape(-1),
+        )
+        if len({a.shape for a in self.cells}) != 1 or np.any(np.diff(self.cells.symbols) <= 0):
+            raise DataError("the cell table needs one entry per symbol, in ascending id order")
 
     @property
     def n(self) -> int:
@@ -132,27 +168,44 @@ class AbstractDataset:
     def d(self) -> int:
         return self.X_R.shape[1]
 
+    @cached_property
+    def provenance(self) -> Mapping[int, tuple[int, int]]:
+        """Read-only ``symbol -> (row, col)`` view of the table, built once."""
+        cells = zip(self.cells.rows.tolist(), self.cells.cols.tolist())
+        return MappingProxyType(dict(zip(self.cells.symbols.tolist(), cells)))
+
     def data_symbols(self) -> list[int]:
-        return sorted(self.provenance)
+        return self.cells.symbols.tolist()
 
     def feature_symbols(self) -> list[int]:
-        return sorted(s for s, (_, c) in self.provenance.items() if c != LABEL_COL)
+        return self.cells.symbols[self.cells.cols != LABEL_COL].tolist()
 
     def label_symbols(self) -> list[int]:
-        return sorted(s for s, (_, c) in self.provenance.items() if c == LABEL_COL)
+        return self.cells.symbols[self.cells.cols == LABEL_COL].tolist()
+
+    def nonzero_cells(self) -> Cells:
+        """The entries with a nonzero coefficient: the symbols that move a cell."""
+        return self.cells.select(self.cells.coef != 0.0)
+
+    def split_symbols(self) -> list[int]:
+        """Data symbols worth splitting: those with a nonzero coefficient."""
+        return self.nonzero_cells().symbols.tolist()
 
     def cell_interval(self, sid: int) -> tuple[float, float]:
-        r, c = self.provenance[sid]
+        j = int(np.searchsorted(self.cells.symbols, sid))
+        if j == len(self.cells.symbols) or self.cells.symbols[j] != sid:
+            raise KeyError(sid)
+        r, c, coef = self.cells.rows[j], self.cells.cols[j], abs(self.cells.coef[j])
         center = self.y_R[r] if c == LABEL_COL else self.X_R[r, c]
-        coef = abs(self.coefficients.get(sid, 0.0))
         return (center - coef, center + coef)
 
     def label_intervals(self) -> np.ndarray:
         """Per-row label intervals ``(n, 2)``: a label cell's ``cell_interval``,
         ``[y, y]`` for every other row."""
         intervals = np.column_stack([self.y_R, self.y_R])
-        for sid in self.label_symbols():
-            intervals[self.provenance[sid][0]] = self.cell_interval(sid)
+        labels = self.cells.select(self.cells.cols == LABEL_COL)
+        center, coef = self.y_R[labels.rows], np.abs(labels.coef)
+        intervals[labels.rows] = np.column_stack([center - coef, center + coef])
         return intervals
 
     def materialize(self, assignment: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -164,27 +217,18 @@ class AbstractDataset:
     def materialize_batch(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Possible worlds ``(W, n, d)`` and ``(W, n)``, one per row of ``values``.
 
-        ``values`` is ``(W, S)``: column j holds the values of
-        ``data_symbols()[j]``.  Every cell of world w gains its symbol's
-        ``coefficient * values[w, j]``; cells shared by several symbols add
-        them in ``provenance`` order.
+        ``values`` is ``(W, S)``: column j holds the values of the table's
+        entry j.  Every cell of world w gains ``coef[j] * values[w, j]``;
+        cells shared by several symbols add them in table order.
         """
-        values = np.asarray(values, dtype=float)
-        column = {s: j for j, s in enumerate(self.data_symbols())}
-        sids = list(self.provenance)
-        cells = np.array([self.provenance[s] for s in sids], dtype=np.intp).reshape(-1, 2)
-        coef = np.array([self.coefficients.get(s, 0.0) for s in sids], dtype=float)
-        delta = coef * values[:, [column[s] for s in sids]]
-        X = np.repeat(self.X_R[None], len(values), axis=0)
-        y = np.repeat(self.y_R[None], len(values), axis=0)
-        f = cells[:, 1] != LABEL_COL
-        np.add.at(X, (slice(None), cells[f, 0], cells[f, 1]), delta[:, f])
-        np.add.at(y, (slice(None), cells[~f, 0]), delta[:, ~f])
+        cells = self.cells
+        delta = cells.coef * np.asarray(values, dtype=float)
+        X = np.repeat(self.X_R[None], len(delta), axis=0)
+        y = np.repeat(self.y_R[None], len(delta), axis=0)
+        f = cells.cols != LABEL_COL
+        np.add.at(X, (slice(None), cells.rows[f], cells.cols[f]), delta[:, f])
+        np.add.at(y, (slice(None), cells.rows[~f]), delta[:, ~f])
         return X, y
-
-    def split_symbols(self) -> list[int]:
-        """Data symbols worth splitting: those with a nonzero coefficient."""
-        return [s for s in self.data_symbols() if self.coefficients.get(s, 0.0) != 0.0]
 
     def split_plan(self, m: int, budget: int = 65536) -> "SplitPlan":
         """Array form of ``split(m)``: which sub-cell every part takes.
@@ -193,18 +237,18 @@ class AbstractDataset:
         """
         if m < 1:
             raise ValueError("m must be >= 1")
-        syms = self.split_symbols()
-        n_parts = m ** len(syms)
+        cells = self.nonzero_cells()
+        s = len(cells.symbols)
+        n_parts = m**s
         if n_parts > budget:
             raise SplitBudgetError(f"{n_parts} parts exceed budget {budget}")
-        radii = np.array([self.coefficients[s] for s in syms], dtype=float)
-        combos = np.indices((m,) * len(syms)).reshape(len(syms), n_parts).T
+        combos = np.indices((m,) * s).reshape(s, n_parts).T
         return SplitPlan(
-            symbols=syms,
-            radii=radii,
+            symbols=cells.symbols.tolist(),
+            radii=cells.coef,
             combos=combos,
             shifts=(2 * np.arange(m) + 1 - m) / m,
-            coefficients=radii / m,
+            coefficients=cells.coef / m,
         )
 
     def split(self, m: int, budget: int = 65536) -> list["AbstractDataset"]:
@@ -219,25 +263,23 @@ class AbstractDataset:
         plan = self.split_plan(m, budget)
         if m == 1 or not plan.symbols:
             return [self]
+        moved = self.cells.coef != 0.0
+        cells = self.cells.select(moved)
+        coef = self.cells.coef.copy()
+        coef[moved] = plan.coefficients
+        f = cells.cols != LABEL_COL
         parts = []
         for offsets in plan.offsets():
             X = self.X_R.copy()
             y = self.y_R.copy()
-            coefs = dict(self.coefficients)
-            for sid, offset, coef in zip(plan.symbols, offsets, plan.coefficients):
-                r, c = self.provenance[sid]
-                if c == LABEL_COL:
-                    y[r] += offset
-                else:
-                    X[r, c] += offset
-                coefs[sid] = float(coef)
+            np.add.at(X, (cells.rows[f], cells.cols[f]), offsets[f])
+            np.add.at(y, cells.rows[~f], offsets[~f])
             parts.append(
                 AbstractDataset(
                     X_R=X,
                     y_R=y,
                     registry=self.registry,
-                    provenance=dict(self.provenance),
-                    coefficients=coefs,
+                    cells=self.cells._replace(coef=coef.copy()),
                     columns=list(self.columns),
                     label_name=self.label_name,
                 )
@@ -395,7 +437,8 @@ def inject_uncertainty(
     targeted cell keeps its observed center and gains one data symbol with
     coefficient ``radius * domain_range / 2``, so the cell interval width is
     ``radius * domain_range``.  Feature and label targets share the same row
-    choice when both are requested.
+    choice when both are requested.  The symbols run row by row, and within
+    a row over the uncertain columns, label last.
     """
     if d.has_missing():
         raise DataError("inject_uncertainty requires fully observed data; use abstract_missing")
@@ -405,30 +448,30 @@ def inject_uncertainty(
     n_unc = math.ceil(spec.percentage * d.n)
     rows = np.sort(rng.choice(d.n, size=n_unc, replace=False)) if n_unc else np.array([], dtype=int)
 
-    feature_cols: list[int] = []
+    names: list[str] = []
     if spec.target in ("features", "both"):
-        names = spec.columns if spec.columns is not None else [
+        names = list(spec.columns) if spec.columns is not None else [
             c for c in d.columns if c != BIAS_COLUMN
         ]
-        feature_cols = [d.columns.index(c) for c in names]
-
-    provenance: dict[int, tuple[int, int]] = {}
-    coefficients: dict[int, float] = {}
-    for r in rows:
-        for c in feature_cols:
-            sid = reg.new_symbol(SymbolKind.DATA)
-            provenance[sid] = (int(r), int(c))
-            coefficients[sid] = spec.radius * ranges.feature_width(d.columns[c]) / 2.0
-        if spec.target in ("labels", "both"):
-            sid = reg.new_symbol(SymbolKind.DATA)
-            provenance[sid] = (int(r), LABEL_COL)
-            coefficients[sid] = spec.radius * ranges.label_width() / 2.0
+        unknown = [c for c in names if c not in d.columns]
+        if unknown:
+            raise DataError(f"uncertain columns not in the dataset: {unknown}")
+    cols = [d.columns.index(c) for c in names]
+    coef = [spec.radius * ranges.feature_width(c) / 2.0 for c in names]
+    if spec.target in ("labels", "both"):
+        cols.append(LABEL_COL)
+        coef.append(spec.radius * ranges.label_width() / 2.0)
+    cells = Cells(
+        symbols=reg.new_symbols(len(rows) * len(cols), SymbolKind.DATA),
+        rows=np.repeat(rows, len(cols)),
+        cols=np.tile(np.array(cols, dtype=np.intp), len(rows)),
+        coef=np.tile(np.array(coef, dtype=float), len(rows)),
+    )
     return AbstractDataset(
         X_R=d.X.copy(),
         y_R=d.y.copy(),
         registry=reg,
-        provenance=provenance,
-        coefficients=coefficients,
+        cells=cells,
         columns=list(d.columns),
         label_name=d.label_name,
     )
@@ -444,42 +487,37 @@ def abstract_missing(
     A missing cell in column with range ``[l, u]`` becomes center
     ``l + (u - l)/2`` with one data symbol of coefficient ``(u - l)/2``.
     Supplying imputer-output ranges ``[min(a_i), max(a_i)]`` narrows the
-    interval to the span of the estimates.
+    interval to the span of the estimates.  The symbols run row by row, and
+    within a row over the columns, label last.
     """
     reg = registry or SymbolRegistry()
     X = d.X.copy()
     y = d.y.copy()
-    provenance: dict[int, tuple[int, int]] = {}
-    coefficients: dict[int, float] = {}
-
-    def declared(name: str) -> tuple[float, float]:
-        if name not in ranges:
-            raise DataError(f"missing cell in column {name!r} but no declared range")
-        lo, hi = ranges[name]
-        if hi < lo:
-            raise DataError(f"invalid range for {name!r}: [{lo}, {hi}]")
-        return lo, hi
-
-    for r in range(d.n):
-        for c in range(d.d):
-            if math.isnan(X[r, c]):
-                lo, hi = declared(d.columns[c])
-                sid = reg.new_symbol(SymbolKind.DATA)
-                X[r, c] = lo + (hi - lo) / 2.0
-                provenance[sid] = (r, c)
-                coefficients[sid] = (hi - lo) / 2.0
-        if math.isnan(y[r]):
-            lo, hi = declared(d.label_name)
-            sid = reg.new_symbol(SymbolKind.DATA)
-            y[r] = lo + (hi - lo) / 2.0
-            provenance[sid] = (r, LABEL_COL)
-            coefficients[sid] = (hi - lo) / 2.0
+    names = [*d.columns, d.label_name]  # column d stands for the label
+    rows, cols = np.nonzero(np.isnan(np.column_stack([X, y])))
+    lo, hi = np.zeros(len(names)), np.zeros(len(names))
+    for j in dict.fromkeys(cols.tolist()):  # in the order of the first missing cell
+        if names[j] not in ranges:
+            raise DataError(f"missing cell in column {names[j]!r} but no declared range")
+        lo[j], hi[j] = ranges[names[j]]
+        if hi[j] < lo[j]:
+            raise DataError(f"invalid range for {names[j]!r}: [{lo[j]}, {hi[j]}]")
+    coef = (hi[cols] - lo[cols]) / 2.0
+    center = lo[cols] + coef
+    f = cols < d.d
+    X[rows[f], cols[f]] = center[f]
+    y[rows[~f]] = center[~f]
+    cells = Cells(
+        symbols=reg.new_symbols(len(rows), SymbolKind.DATA),
+        rows=rows,
+        cols=np.where(f, cols, LABEL_COL),
+        coef=coef,
+    )
     return AbstractDataset(
         X_R=X,
         y_R=y,
         registry=reg,
-        provenance=provenance,
-        coefficients=coefficients,
+        cells=cells,
         columns=list(d.columns),
         label_name=d.label_name,
     )

@@ -143,7 +143,9 @@ def predict_interval_uncertain(
     if not x_abstract.is_affine():
         raise DegreeError("uncertain test points must be affine forms")
     W = weights.generators()
-    column = {sid: j for j, sid in enumerate([*weights.w_D_coeffs, *weights.fresh_ids])}
+    # The columns of W are the weights' symbols, data then fresh; the
+    # point's other symbols get zero columns after them, in id order.
+    column = dict(zip([*weights.data_ids.tolist(), *weights.fresh_ids], range(W.shape[1])))
     point_ids = sorted(x_abstract.symbols())
     for sid in point_ids:
         column.setdefault(sid, len(column))

@@ -54,14 +54,13 @@ monomials whose symbols all share one row can collect more than one term
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 from collections.abc import Mapping
 
 import numpy as np
 
-from .dataset import LABEL_COL, AbstractDataset
+from .dataset import LABEL_COL, AbstractDataset, Cells
 from .errors import (
     IllConditionedError,
     LambdaTooSmall,
@@ -100,22 +99,24 @@ class RidgeConfig:
 
 @dataclass
 class AbstractWeights:
-    """Weight zonotope ``w_R + w_D + A^-1 diag(k) eps'``.
+    """Weight zonotope ``w_R + G_D' e + A^-1 diag(k) eps'``.
 
-    ``w_D_coeffs`` maps each data symbol to its generator vector; only
-    nonzero generators are stored.  ``fresh_ids`` are the d fresh symbols
-    carrying the box part.
+    ``G_D`` ``(S, d)`` is the data part: row j is the generator of data
+    symbol ``data_ids[j]``.  A fit has one row per entry of the dataset's
+    cell table with a nonzero coefficient, in table order, and none after
+    the box join of a split.  ``fresh_ids`` are the d fresh symbols carrying
+    the box part; ``k`` is read whenever the generators are.
     """
 
     w_R: np.ndarray
-    w_D_coeffs: dict[int, np.ndarray]
+    G_D: np.ndarray
+    data_ids: np.ndarray
     k: np.ndarray
     A: np.ndarray
     A_inv: np.ndarray
     fresh_ids: list[int]
     registry: SymbolRegistry
     lam: float
-    provenance: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -123,63 +124,17 @@ class AbstractWeights:
 
     def w_D(self, assignment: Mapping[int, float]) -> np.ndarray:
         """Evaluate the data-symbol part at a concrete assignment: ``e @ G_D``."""
-        if not self.w_D_coeffs:
-            return np.zeros(self.dim)
-        e = np.array([assignment[sid] for sid in self.w_D_coeffs], dtype=float)
-        G_D = np.concatenate(list(self.w_D_coeffs.values())).reshape(len(e), self.dim)
-        return e @ G_D
+        e = np.array([assignment[sid] for sid in self.data_ids.tolist()], dtype=float)
+        return e @ self.G_D
 
     def generators(self) -> np.ndarray:
         """Generator matrix ``W = [G_D' | A^-1 diag(k)]`` of the weight zonotope.
 
         Row i is dimension i; column j multiplies one error symbol: first the
-        data symbols in ``w_D_coeffs`` order, then the d fresh symbols of the
-        box part.  The zonotope is ``{w_R + W e : e in [-1, 1]^m}``.
+        data symbols of ``data_ids``, then the d fresh symbols of the box
+        part.  The zonotope is ``{w_R + W e : e in [-1, 1]^m}``.
         """
-        return _generator_matrix(self.w_D_coeffs, self.A_inv, self.k)
-
-    def to_json(self, diagnostics: "FixedPointDiagnostics | None" = None) -> str:
-        payload = {
-            "w_R": self.w_R.tolist(),
-            "w_D": [
-                {
-                    "symbol": sid,
-                    "row": self.provenance.get(sid, (-1, -1))[0],
-                    "col": self.provenance.get(sid, (-1, -1))[1],
-                    "coeffs": self.w_D_coeffs[sid].tolist(),
-                }
-                for sid in sorted(self.w_D_coeffs)
-            ],
-            "k": self.k.tolist(),
-            "A": self.A.tolist(),
-            "A_inv": self.A_inv.tolist(),
-            "fresh_ids": list(self.fresh_ids),
-            "lam": self.lam,
-        }
-        if diagnostics is not None:
-            payload["diagnostics"] = diagnostics.to_dict()
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AbstractWeights":
-        data = json.loads(text)
-        reg = SymbolRegistry()
-        data_ids = {rec["symbol"] for rec in data["w_D"]}
-        max_id = max(list(data_ids) + data["fresh_ids"], default=-1)
-        # Rebuild the registry with the original ids.
-        for sid in range(max_id + 1):
-            reg.new_symbol(SymbolKind.DATA if sid in data_ids else SymbolKind.FRESH)
-        return cls(
-            w_R=np.array(data["w_R"]),
-            w_D_coeffs={rec["symbol"]: np.array(rec["coeffs"]) for rec in data["w_D"]},
-            k=np.array(data["k"]),
-            A=np.array(data["A"]),
-            A_inv=np.array(data["A_inv"]),
-            fresh_ids=list(data["fresh_ids"]),
-            registry=reg,
-            lam=float(data["lam"]),
-            provenance={rec["symbol"]: (rec["row"], rec["col"]) for rec in data["w_D"]},
-        )
+        return np.hstack([self.G_D.T, self.A_inv * self.k])
 
 
 @dataclass
@@ -234,9 +189,6 @@ class FixedPointDiagnostics:
     join_lost_correlation: bool = False
     part_betas: list[float] | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 _RANK_DEFICIENT = "centers are rank-deficient at lambda = 0"
 
@@ -270,49 +222,29 @@ def ridge_closed_form_real(X_R: np.ndarray, y_R: np.ndarray, lam: float) -> np.n
 
 def closed_form_symbolic_data(
     ad: AbstractDataset, lam: float, w_R: np.ndarray
-) -> dict[int, np.ndarray]:
-    """Generator vectors of the data-symbol weight part.
+) -> np.ndarray:
+    """Generators ``G_D`` ``(S, d)`` of the data-symbol weight part.
 
     Solves ``(X_R'X_R + lam n I) w_D = X_S'y_R + X_R'y_S
     - (X_R'X_S + X_S'X_R) w_R`` for all data symbols at once: each symbol
     lives in exactly one cell, so its column of the right-hand side is
-    assembled directly from that cell's row and coefficient.
+    assembled directly from that cell's row and coefficient.  Row j belongs
+    to entry j of ``ad.nonzero_cells()``.
     """
     X_R = ad.X_R
     n, d = X_R.shape
     gram = X_R.T @ X_R + lam * n * np.eye(d)
-    cells = _cells(ad)
-    gens = np.linalg.solve(gram, _data_rhs(cells, *_at_cells(ad, cells), w_R[None])[0]).T
-    return {sid: gen for sid, gen in zip(cells.sids, gens) if np.any(gen != 0.0)}
+    cells = ad.nonzero_cells()
+    rhs = _data_rhs(cells, *_at_cells(ad, cells), w_R[None])[0]
+    return np.ascontiguousarray(np.linalg.solve(gram, rhs).T)
 
 
-class _Cells(NamedTuple):
-    """The data symbols with a nonzero coefficient, in id order, as arrays.
-
-    Per symbol: the row and column of its cell (``LABEL_COL`` for a label
-    cell) and its coefficient.  The parts of a split share everything but
-    the coefficients, which the split scales.
-    """
-
-    sids: list[int]
-    rows: np.ndarray
-    cols: np.ndarray
-    coef: np.ndarray
-
-
-def _cells(ad: AbstractDataset) -> _Cells:
-    sids = ad.split_symbols()
-    cells = np.array([ad.provenance[s] for s in sids], dtype=np.intp).reshape(-1, 2)
-    coef = np.array([ad.coefficients[s] for s in sids], dtype=float)
-    return _Cells(sids, cells[:, 0], cells[:, 1], coef)
-
-
-def _at_cells(ad: AbstractDataset, cells: _Cells) -> tuple[np.ndarray, np.ndarray]:
+def _at_cells(ad: AbstractDataset, cells: Cells) -> tuple[np.ndarray, np.ndarray]:
     """The feature row ``(1, S, d)`` and label ``(1, S)`` at each cell, as a stack of one part."""
     return ad.X_R[cells.rows][None], ad.y_R[cells.rows][None]
 
 
-def _data_rhs(cells: _Cells, x: np.ndarray, y: np.ndarray, w_R: np.ndarray) -> np.ndarray:
+def _data_rhs(cells: Cells, x: np.ndarray, y: np.ndarray, w_R: np.ndarray) -> np.ndarray:
     """``X_S'y_R + X_R'y_S - (X_R'X_S + X_S'X_R) w_R``, one column per symbol.
 
     Part p has the feature row ``x[p, i]`` and label ``y[p, i]`` at cell i
@@ -325,19 +257,6 @@ def _data_rhs(cells: _Cells, x: np.ndarray, y: np.ndarray, w_R: np.ndarray) -> n
     rhs[:, f] = -(a * w_R[:, c])[..., None] * xf
     rhs[:, f, c] += a * (y[:, f] - (xf @ w_R[..., None])[..., 0])
     return rhs.swapaxes(1, 2)
-
-
-def _generator_rows(w_D: Mapping[int, np.ndarray], sids: list[int], d: int) -> np.ndarray:
-    """``w_D`` generators of ``sids`` as rows; a symbol without one gets zeros."""
-    zero = np.zeros(d)
-    return np.array([w_D.get(s, zero) for s in sids], dtype=float).reshape(len(sids), d)
-
-
-def _generator_matrix(
-    w_D: Mapping[int, np.ndarray], A_inv: np.ndarray, k: np.ndarray
-) -> np.ndarray:
-    data = _generator_rows(w_D, list(w_D), A_inv.shape[0])
-    return np.hstack([data.T, A_inv * k])
 
 
 def _matches(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +288,7 @@ def _abs_row_sums(parts: int, count: int, inner: int, d: int, block) -> np.ndarr
 
 
 def _diameter_terms(
-    cells: _Cells,
+    cells: Cells,
     x: np.ndarray,
     w_R: np.ndarray,
     G: np.ndarray,
@@ -537,7 +456,7 @@ def build_non_data_system(
     ad: AbstractDataset,
     lam: float,
     w_R: np.ndarray,
-    w_D: dict[int, np.ndarray],
+    G_D: np.ndarray,
     A: np.ndarray,
     A_inv: np.ndarray,
 ) -> NonDataSystem:
@@ -551,12 +470,14 @@ def build_non_data_system(
     cancellations between summands are honored exactly as a full
     polynomial expansion would, and every other product is summed as is
     (see ``_diameter_terms``).  This matches what linearization followed by
-    an interval hull produces and is never looser.
+    an interval hull produces and is never looser.  ``G_D`` has one row per
+    entry of ``ad.nonzero_cells()``, as ``closed_form_symbolic_data`` gives.
     """
-    cells = _cells(ad)
+    cells = ad.nonzero_cells()
+    if G_D.shape != (len(cells.symbols), ad.d):
+        raise ShapeMismatchError(f"G_D must be {(len(cells.symbols), ad.d)}, got {G_D.shape}")
     x, _ = _at_cells(ad, cells)
-    G = _generator_rows(w_D, cells.sids, ad.d)
-    cprime, h = _diameter_terms(cells, x, w_R[None], G[None], A[None], A_inv[None])
+    cprime, h = _diameter_terms(cells, x, w_R[None], G_D[None], A[None], A_inv[None])
     Q = A @ (ad.X_R.T @ ad.X_R) @ A_inv
     return _system(Q, cprime[0], h[0], ad.n)
 
@@ -679,19 +600,19 @@ def determine_num_splits(
 
 def _prepare(
     ad: AbstractDataset, cfg: RidgeConfig
-) -> tuple[np.ndarray, dict[int, np.ndarray], np.ndarray, np.ndarray, NonDataSystem]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, NonDataSystem]:
     w_R = ridge_closed_form_real(ad.X_R, ad.y_R, cfg.lam)
-    w_D = closed_form_symbolic_data(ad, cfg.lam, w_R)
+    G_D = closed_form_symbolic_data(ad, cfg.lam, w_R)
     A, A_inv = build_transform(ad.X_R, cfg)
-    sys = build_non_data_system(ad, cfg.lam, w_R, w_D, A, A_inv)
-    return w_R, w_D, A, A_inv, sys
+    sys = build_non_data_system(ad, cfg.lam, w_R, G_D, A, A_inv)
+    return w_R, G_D, A, A_inv, sys
 
 
 def _assemble(
     ad: AbstractDataset,
     cfg: RidgeConfig,
     w_R: np.ndarray,
-    w_D: dict[int, np.ndarray],
+    G_D: np.ndarray,
     A: np.ndarray,
     A_inv: np.ndarray,
     sys: NonDataSystem,
@@ -700,14 +621,14 @@ def _assemble(
     fresh = ad.registry.new_symbols(ad.d, SymbolKind.FRESH)
     return AbstractWeights(
         w_R=w_R,
-        w_D_coeffs=w_D,
+        G_D=G_D,
+        data_ids=ad.nonzero_cells().symbols,
         k=k,
         A=A,
         A_inv=A_inv,
         fresh_ids=fresh,
         registry=ad.registry,
         lam=cfg.lam,
-        provenance={sid: ad.provenance[sid] for sid in w_D},
     )
 
 
@@ -726,7 +647,7 @@ class _Touched(NamedTuple):
     pos: np.ndarray
 
 
-def _touched(ad: AbstractDataset, cells: _Cells) -> _Touched:
+def _touched(ad: AbstractDataset, cells: Cells) -> _Touched:
     touched, pos = np.unique(cells.rows, return_inverse=True)
     rest = np.ones(ad.n, dtype=bool)
     rest[touched] = False
@@ -749,7 +670,7 @@ def _part_block(base: _Touched, d: int) -> int:
 
 
 def _solve_parts(
-    base: _Touched, cells: _Cells, offsets: np.ndarray, n: int, cfg: RidgeConfig
+    base: _Touched, cells: Cells, offsets: np.ndarray, n: int, cfg: RidgeConfig
 ) -> tuple[np.ndarray, np.ndarray, NonDataSystem, Exception | None]:
     """Fixed points of the parts whose split cells moved by ``offsets`` ``(P, S)``.
 
@@ -790,7 +711,7 @@ def _join_split(
     ``None`` if the first part to fail is below its feasibility threshold.
     """
     plan = ad.split_plan(m, budget=cfg.split_budget)
-    cells = _cells(ad)._replace(coef=plan.coefficients)
+    cells = ad.nonzero_cells()._replace(coef=plan.coefficients)
     base = _touched(ad, cells)
     block = _part_block(base, ad.d)
     lo = np.full(ad.d, np.inf)
@@ -827,9 +748,9 @@ def fixed_point(
     the join drops data-symbol correlation, which is flagged in the
     diagnostics.
     """
-    w_R0, w_D0, A0, A0_inv, sys0 = _prepare(ad, cfg)
+    w_R0, G_D0, A0, A0_inv, sys0 = _prepare(ad, cfg)
     try:
-        weights = _assemble(ad, cfg, w_R0, w_D0, A0, A0_inv, sys0)
+        weights = _assemble(ad, cfg, w_R0, G_D0, A0, A0_inv, sys0)
     except LambdaTooSmall:
         pass
     else:
@@ -863,14 +784,14 @@ def fixed_point(
     d = ad.d
     weights = AbstractWeights(
         w_R=0.5 * (lo + hi),
-        w_D_coeffs={},
+        G_D=np.zeros((0, d)),
+        data_ids=np.zeros(0, dtype=np.int64),
         k=0.5 * (hi - lo),
         A=np.eye(d),
         A_inv=np.eye(d),
         fresh_ids=ad.registry.new_symbols(d, SymbolKind.FRESH),
         registry=ad.registry,
         lam=cfg.lam,
-        provenance={},
     )
     diag = FixedPointDiagnostics(
         beta=sys0.beta,
@@ -903,9 +824,7 @@ def verify_fixed_point_residual(
     ``k' = k``.  The normalized box residual divides out the ``2 eta / n``
     step factor, making it comparable to the system's scale.
     """
-    sys = build_non_data_system(
-        ad, weights.lam, weights.w_R, weights.w_D_coeffs, weights.A, weights.A_inv
-    )
+    sys = build_non_data_system(ad, weights.lam, weights.w_R, weights.G_D, weights.A, weights.A_inv)
     return _residual_report(ad, weights, sys)
 
 
@@ -925,10 +844,9 @@ def _residual_report(
     g_r = (2.0 / n) * (gram @ weights.w_R - X_R.T @ y_R) + 2.0 * lam * weights.w_R
     real_residual = float(np.max(np.abs(eta * g_r), initial=0.0))
 
-    cells = _cells(ad)
-    G = _generator_rows(weights.w_D_coeffs, cells.sids, d)
+    cells = ad.nonzero_cells()
     rhs = _data_rhs(cells, *_at_cells(ad, cells), weights.w_R[None])[0]
-    g_d = (gram + lam * n * np.eye(d)) @ G.T - rhs
+    g_d = (gram + lam * n * np.eye(d)) @ weights.G_D.T - rhs
     data_residual = eta * (2.0 / n) * float(np.max(np.abs(g_d), initial=0.0))
 
     step = weights.A @ (np.eye(d) - eta * (2.0 * lam * np.eye(d) + (2.0 / n) * gram)) @ weights.A_inv

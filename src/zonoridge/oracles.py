@@ -98,8 +98,8 @@ def _grid_values(
     """Every corner (or grid point) of the cube, in blocks of assignment rows.
 
     Only symbols with a nonzero coefficient vary, in ``itertools.product``
-    order over ``data_symbols()``; the others stay at 0, which gives the
-    same worlds.  Raises ``BudgetExceededError`` at the call, before any
+    order over the cell table; the others stay at 0, which gives the same
+    worlds.  Raises ``BudgetExceededError`` at the call, before any
     block exists.
     """
     if strategy == "corner":
@@ -108,9 +108,7 @@ def _grid_values(
         points = np.linspace(-1.0, 1.0, levels)
     else:
         raise ValueError(f"enumerate_worlds does not support strategy {strategy!r}")
-    syms = ad.data_symbols()
-    varied = set(ad.split_symbols())
-    active = [j for j, s in enumerate(syms) if s in varied]
+    active = np.flatnonzero(ad.cells.coef != 0.0)
     count = len(points) ** len(active)
     if count > budget:
         raise BudgetExceededError(f"{count} worlds exceed budget {budget}")
@@ -119,8 +117,8 @@ def _grid_values(
         block = _block(ad)
         for start in range(0, count, block):
             index = np.arange(start, min(count, start + block))
-            values = np.zeros((len(index), len(syms)))
-            for j in reversed(active):  # the last symbol varies fastest
+            values = np.zeros((len(index), len(ad.cells.symbols)))
+            for j in active[::-1]:  # the last symbol varies fastest
                 index, digit = np.divmod(index, len(points))
                 values[:, j] = points[digit]
             yield values
@@ -134,7 +132,7 @@ def _sampled_values(ad: AbstractDataset, count: int, seed: int) -> np.ndarray:
     One draw of the whole array gives the same stream as one scalar draw per
     symbol and world, world by world.
     """
-    shape = (max(count, 0), len(ad.data_symbols()))
+    shape = (max(count, 0), len(ad.cells.symbols))
     return np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
 
 

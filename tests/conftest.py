@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zonoridge.dataset import Cells
 from zonoridge.forms import PolyForm
 from zonoridge.symbols import SymbolKind, SymbolRegistry
 
@@ -8,6 +9,21 @@ from zonoridge.symbols import SymbolKind, SymbolRegistry
 @pytest.fixture
 def registry():
     return SymbolRegistry()
+
+
+def cell_table(provenance: dict, coefficients: dict) -> Cells:
+    """The cell table of ``symbol -> (row, col)`` and ``symbol -> coefficient``, in key order."""
+    return Cells(
+        symbols=list(provenance),
+        rows=[r for r, _ in provenance.values()],
+        cols=[c for _, c in provenance.values()],
+        coef=[coefficients.get(s, 0.0) for s in provenance],
+    )
+
+
+def cell_index(ad, sid: int) -> int:
+    """The entry of symbol ``sid`` in the cell table of ``ad``."""
+    return ad.data_symbols().index(sid)
 
 
 def make_symbols(reg: SymbolRegistry, n: int, kind=SymbolKind.DATA) -> list[int]:

@@ -271,10 +271,9 @@ def x_symbolic(ad: AbstractDataset) -> ZMatrix:
     """X_S as a zero-centered matrix of affine forms."""
     n, d = ad.X_R.shape
     rows = [[PolyForm(ad.registry, 0.0) for _ in range(d)] for _ in range(n)]
-    for sid, (r, c) in ad.provenance.items():
+    for sid, r, c, coef in zip(*(a.tolist() for a in ad.cells)):
         if c == LABEL_COL:
             continue
-        coef = ad.coefficients.get(sid, 0.0)
         rows[r][c] = PolyForm(ad.registry, 0.0, {(sid,): coef})
     return ZMatrix(ad.registry, rows)
 
@@ -282,10 +281,9 @@ def x_symbolic(ad: AbstractDataset) -> ZMatrix:
 def y_symbolic(ad: AbstractDataset) -> ZVector:
     """y_S as a zero-centered vector of affine forms."""
     entries = [PolyForm(ad.registry, 0.0) for _ in range(ad.n)]
-    for sid, (r, c) in ad.provenance.items():
+    for sid, r, c, coef in zip(*(a.tolist() for a in ad.cells)):
         if c != LABEL_COL:
             continue
-        coef = ad.coefficients.get(sid, 0.0)
         entries[r] = PolyForm(ad.registry, 0.0, {(sid,): coef})
     return ZVector(ad.registry, entries)
 
@@ -295,7 +293,7 @@ def weights_zvector(weights: AbstractWeights) -> ZVector:
     entries = []
     for i in range(weights.dim):
         terms = {}
-        for sid, gen in weights.w_D_coeffs.items():
+        for sid, gen in zip(weights.data_ids.tolist(), weights.G_D):
             if gen[i] != 0.0:
                 terms[(sid,)] = gen[i]
         for j, fid in enumerate(weights.fresh_ids):

@@ -50,10 +50,10 @@ from zonoridge.learning import (
 from zonoridge.symbols import SymbolKind
 
 
-def _w_d_zvector(ad: AbstractDataset, w_D: dict[int, np.ndarray], d: int) -> ZVector:
+def _w_d_zvector(ad: AbstractDataset, data_ids: np.ndarray, G_D: np.ndarray, d: int) -> ZVector:
     entries = []
     for i in range(d):
-        terms = {(sid,): gen[i] for sid, gen in w_D.items() if gen[i] != 0.0}
+        terms = {(int(sid),): gen[i] for sid, gen in zip(data_ids, G_D) if gen[i] != 0.0}
         entries.append(PolyForm(ad.registry, 0.0, terms))
     return ZVector(ad.registry, entries)
 
@@ -62,7 +62,7 @@ def build_non_data_system(
     ad: AbstractDataset,
     lam: float,
     w_R: np.ndarray,
-    w_D: dict[int, np.ndarray],
+    G_D: np.ndarray,
     A: np.ndarray,
     A_inv: np.ndarray,
 ) -> NonDataSystem:
@@ -89,7 +89,7 @@ def build_non_data_system(
         [[projected[i, j].coeff_abs_sum() for j in range(d)] for i in range(d)]
     )
 
-    w_d_vec = _w_d_zvector(ad, w_D, d)
+    w_d_vec = _w_d_zvector(ad, ad.nonzero_cells().symbols, G_D, d)
     w_r_vec = ZVector.from_real(ad.registry, w_R)
     const_part = (
         mat_vec(cross, w_d_vec)
@@ -136,7 +136,7 @@ def verify_fixed_point_residual(
     XS = x_symbolic(ad)
     yS = y_symbolic(ad)
     XSt = XS.transpose()
-    w_d_vec = _w_d_zvector(ad, weights.w_D_coeffs, d)
+    w_d_vec = _w_d_zvector(ad, weights.data_ids, weights.G_D, d)
     cross = real_mat_mat(X_R.T, XS) + mat_real(XSt, X_R)
     g_ld = (
         real_mat_vec(2.0 * lam * np.eye(d) + (2.0 / n) * gram, w_d_vec)
@@ -258,7 +258,7 @@ def predict_interval(x: np.ndarray, weights: AbstractWeights) -> PredictionInter
         raise ShapeMismatchError(f"test point must have dimension {weights.dim}")
     center = float(x @ weights.w_R)
     radius = 0.0
-    for gen in weights.w_D_coeffs.values():
+    for gen in weights.G_D:
         radius += abs(float(x @ gen))
     for i in range(weights.dim):
         radius += abs(float(x @ weights.A_inv[:, i])) * weights.k[i]
@@ -310,7 +310,8 @@ def split_join(
         fresh = part.registry.new_symbols(part.d, SymbolKind.FRESH)
         results.append(
             AbstractWeights(
-                w_R=w_R, w_D_coeffs=w_D, k=k, A=A, A_inv=A_inv, fresh_ids=fresh,
+                w_R=w_R, G_D=w_D, data_ids=part.nonzero_cells().symbols, k=k, A=A, A_inv=A_inv,
+                fresh_ids=fresh,
                 registry=part.registry, lam=cfg.lam,
             )
         )

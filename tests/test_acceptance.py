@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import cell_table
 
 from zonoridge.dataset import (
     AbstractDataset,
@@ -273,7 +274,7 @@ class TestCriterion6SplittingPath:
         sid = reg.new_symbol(SymbolKind.DATA)
         ad = AbstractDataset(
             X_R=ds.X.copy(), y_R=ds.y.copy(), registry=reg,
-            provenance={sid: (2, 1)}, coefficients={sid: 4.0},
+            cells=cell_table({sid: (2, 1)}, {sid: 4.0}),
             columns=list(ds.columns),
         )
         lam = 0.05
@@ -305,9 +306,9 @@ class TestCriterion6SplittingPath:
         if np.max(weights.k) == 0:
             pytest.skip("degenerate box; nothing to shrink")
         shrunk = AbstractWeights(
-            w_R=weights.w_R, w_D_coeffs=weights.w_D_coeffs, k=0.5 * weights.k,
+            w_R=weights.w_R, G_D=weights.G_D, data_ids=weights.data_ids, k=0.5 * weights.k,
             A=weights.A, A_inv=weights.A_inv, fresh_ids=weights.fresh_ids,
-            registry=weights.registry, lam=weights.lam, provenance=weights.provenance,
+            registry=weights.registry, lam=weights.lam,
         )
         failures = sum(
             not contains_world_weights(shrunk, wa.values, ridge_concrete(X, y, cfg.lam))

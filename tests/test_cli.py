@@ -362,6 +362,35 @@ class TestOptions:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, ini", [
+        (["--lambda", "-1"], ""),
+        ([], "[ridge]\nlambda = -1\n"),
+        ([], "[sweep]\nlambda_grid = 0.1, -0.5\n"),
+    ], ids=["flag", "key", "grid"])
+    def test_negative_lambda_is_config_error(self, data_csv, tmp_path, capsys, flag, ini):
+        path = write_ini(tmp_path, f"[data]\npath = {data_csv}\nlabel = target\n{ini}")
+        argv = ["lambda-sweep", "--config", path, "--out-dir", str(tmp_path / "out"), *flag]
+        assert main(argv) == 2
+        assert "config error: lambda must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [
+        "path = x\n",
+        "[data]\npath = a\npath = b\n",
+        "[data]\npath = a\n[data]\nlabel = b\n",
+    ], ids=["no-section-header", "duplicate-key", "duplicate-section"])
+    def test_unparsable_config_is_config_error(self, tmp_path, capsys, text):
+        path = write_ini(tmp_path, text)
+        assert main(["params", "--config", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"config error: cannot parse config file {path}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_uncertain_column_is_data_error(self, data_csv, tmp_path, capsys):
+        argv = ["params", "--dataset", data_csv, "--label", "target", "--target", "features",
+                "--columns", "nosuch", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "'nosuch'" in capsys.readouterr().err
+
     def test_readme_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)

@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from conftest import cell_index
 
 from form_algebra import x_symbolic, y_symbolic
 from zonoridge.dataset import (
@@ -177,7 +178,7 @@ class TestInjectUncertainty:
         a = inject_uncertainty(ds, spec)
         b = inject_uncertainty(ds, spec)
         assert list(a.provenance.values()) == list(b.provenance.values())
-        assert list(a.coefficients.values()) == list(b.coefficients.values())
+        assert list(a.cells.coef) == list(b.cells.coef)
 
     def test_both_targets_share_rows(self):
         ds = _toy(20, seed=8)
@@ -193,6 +194,11 @@ class TestInjectUncertainty:
         assert intervals.shape == (10, 2) and len(labelled) == 3
         for r in range(10):
             assert tuple(intervals[r]) == labelled.get(r, (ad.y_R[r], ad.y_R[r]))
+
+    def test_unknown_column_is_named(self):
+        spec = UncertaintySpec("both", 0.5, 0.1, seed=0, columns=("f0", "nosuch"))
+        with pytest.raises(DataError, match="'nosuch'"):
+            inject_uncertainty(_toy(6, seed=1), spec)
 
     def test_bias_never_targeted(self):
         ds = _toy(10, seed=10)
@@ -213,7 +219,7 @@ class TestAbstractMissing:
         for sid in ad.data_symbols():
             r, c = ad.provenance[sid]
             assert ad.X_R[r, c] == 5.0
-            assert ad.coefficients[sid] == 5.0
+            assert ad.cells.coef[cell_index(ad, sid)] == 5.0
 
     def test_no_missing_cells(self):
         ds = _toy(5)
@@ -268,7 +274,7 @@ class TestSplit:
         for target, pct, m, zero in cases:
             ad = inject_uncertainty(_toy(6, seed=12), UncertaintySpec(target, pct, 0.3, seed=13))
             if zero:
-                ad.coefficients[ad.feature_symbols()[0]] = 0.0
+                ad.cells.coef[cell_index(ad, ad.feature_symbols()[0])] = 0.0
             parts = ad.split(m)
             if m == 1:
                 assert len(parts) == 1 and parts[0] is ad
@@ -296,7 +302,7 @@ class TestSplit:
         # A feature and a label cell in one row, and a zero-coefficient
         # symbol that is not split.
         ad = inject_uncertainty(_toy(6, seed=12), UncertaintySpec("both", 0.1, 0.3, seed=13))
-        ad.coefficients[ad.feature_symbols()[0]] = 0.0
+        ad.cells.coef[cell_index(ad, ad.feature_symbols()[0])] = 0.0
         m = 3
         plan = ad.split_plan(m)
         syms = ad.split_symbols()
@@ -313,7 +319,7 @@ class TestSplit:
                     y[r] += offset
                 else:
                     X[r, c] += offset
-                assert part.coefficients[sid] == coef == ad.coefficients[sid] / m
+                assert part.cells.coef[cell_index(part, sid)] == coef == ad.cells.coef[cell_index(ad, sid)] / m
             np.testing.assert_array_equal(part.X_R, X)
             np.testing.assert_array_equal(part.y_R, y)
         with pytest.raises(SplitBudgetError):

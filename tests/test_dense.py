@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 import reference_forms as ref
 import zonoridge
+from conftest import cell_table
 from zonoridge import learning
-from zonoridge.dataset import LABEL_COL, AbstractDataset, Dataset, abstract_missing
+from zonoridge.dataset import LABEL_COL, AbstractDataset, Cells, Dataset, abstract_missing
 from zonoridge.errors import DegreeError, LambdaTooSmall, SplitBudgetError, ZonoError
 from zonoridge.forms import PolyForm, ZVector
 from zonoridge.inference import (
@@ -93,8 +94,8 @@ def make_problem(kind, d, n, seed, transform="svd", lam=0.5):
         provenance[sid] = cell
         coefficients[sid] = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.05, high))
     ad = AbstractDataset(
-        X_R=X, y_R=y, registry=reg, provenance=provenance,
-        coefficients=coefficients, columns=[f"f{j}" for j in range(d)],
+        X_R=X, y_R=y, registry=reg, cells=cell_table(provenance, coefficients),
+        columns=[f"f{j}" for j in range(d)],
     )
     if transform == "custom":
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -114,7 +115,7 @@ def perturbed_weights(ad, cfg, seed):
     rng = np.random.default_rng(seed)
     w_R, w_D, A, A_inv = prepared(ad, cfg)
     return AbstractWeights(
-        w_R=w_R, w_D_coeffs={s: 1.3 * g for s, g in w_D.items()},
+        w_R=w_R, G_D=1.3 * w_D, data_ids=ad.nonzero_cells().symbols,
         k=rng.uniform(0.01, 0.3, ad.d), A=A, A_inv=A_inv,
         fresh_ids=ad.registry.new_symbols(ad.d, SymbolKind.FRESH),
         registry=ad.registry, lam=cfg.lam,
@@ -218,7 +219,7 @@ def split_problem(seed):
     sid = reg.new_symbol(SymbolKind.DATA)
     ad = AbstractDataset(
         X_R=X, y_R=rng.uniform(-1.0, 1.0, 5), registry=reg,
-        provenance={sid: (2, 1)}, coefficients={sid: 4.0},
+        cells=cell_table({sid: (2, 1)}, {sid: 4.0}),
     )
     cfg = RidgeConfig(lam=0.05)
     weights, diag = fixed_point(ad, cfg)
@@ -273,7 +274,7 @@ def uncertain_point(weights, ad, rng, share):
 def test_uncertain_point_matches_reference(kind, d, n, seed, transform, share, split):
     if split:
         ad, _, weights, _ = split_problem(seed % 4)
-        assert weights.w_D_coeffs == {}
+        assert len(weights.data_ids) == 0
     else:
         ad, cfg = make_problem(kind, d, n, seed, transform)
         weights = perturbed_weights(ad, cfg, seed)
@@ -357,11 +358,11 @@ def split_case(kind, d, seed, transform="svd", share=0.7):
             sid = reg.new_symbol(SymbolKind.DATA)
             provenance[sid] = cell
             coefficients[sid] = float(rng.uniform(0.3, 1.0)) * wide
-        ad = AbstractDataset(X_R=X, y_R=y, registry=reg, provenance=provenance,
-                             coefficients=coefficients)
+        ad = AbstractDataset(X_R=X, y_R=y, registry=reg,
+                             cells=cell_table(provenance, coefficients))
     sid = ad.registry.new_symbol(SymbolKind.DATA)
-    ad.provenance[sid] = (r[2], d - 1)
-    ad.coefficients[sid] = 0.0
+    cells = Cells(*(np.append(a, v) for a, v in zip(ad.cells, (sid, r[2], d - 1, 0.0))))
+    ad = dataclasses.replace(ad, cells=cells)
     if transform == "custom":
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         transform = q @ np.diag(rng.uniform(0.5, 2.0, d))
@@ -377,8 +378,8 @@ def looped_part(part, cfg):
     A, A_inv = build_transform(part.X_R, cfg)
     sys = build_non_data_system(part, cfg.lam, w_R, w_D, A, A_inv)
     k = solve_non_data(sys, cfg.lam, learning.TOLERANCE)
-    weights = AbstractWeights(w_R=w_R, w_D_coeffs=w_D, k=k, A=A, A_inv=A_inv, fresh_ids=[],
-                              registry=part.registry, lam=cfg.lam)
+    weights = AbstractWeights(w_R=w_R, G_D=w_D, data_ids=part.nonzero_cells().symbols, k=k, A=A,
+                              A_inv=A_inv, fresh_ids=[], registry=part.registry, lam=cfg.lam)
     return w_R, np.abs(weights.generators()).sum(axis=1), sys.beta, sys.m_matrix_margin(cfg.lam)
 
 
@@ -477,8 +478,7 @@ def retry_case():
         sid = reg.new_symbol(SymbolKind.DATA)
         provenance[sid] = (int(row), 1)
         coefficients[sid] = float(rng.uniform(0.5, 3.0))
-    ad = AbstractDataset(X_R=X, y_R=y, registry=reg, provenance=provenance,
-                         coefficients=coefficients)
+    ad = AbstractDataset(X_R=X, y_R=y, registry=reg, cells=cell_table(provenance, coefficients))
     return ad, RidgeConfig(lam=0.02)
 
 
@@ -501,7 +501,7 @@ def test_rank_deficient_part_at_lambda_zero_raises(monkeypatch):
     sid = reg.new_symbol(SymbolKind.DATA)
     ad = AbstractDataset(
         X_R=np.column_stack([np.ones(4), [1.0, 1.0, 1.0, 1.25]]),
-        y_R=np.array([0.0, 1.0, 0.5, 2.0]), registry=reg, provenance={sid: (3, 1)}, coefficients={sid: 0.5},
+        y_R=np.array([0.0, 1.0, 0.5, 2.0]), registry=reg, cells=cell_table({sid: (3, 1)}, {sid: 0.5}),
     )
     cfg = RidgeConfig(lam=0.0, split_budget=16)
     monkeypatch.setattr(learning, "determine_num_splits", lambda sys, lam, ad: 2)

@@ -44,7 +44,7 @@ class TestPredictInterval:
         reg = SymbolRegistry()
         sid = reg.new_symbol(SymbolKind.DATA)
         weights = AbstractWeights(
-            w_R=np.zeros(1), w_D_coeffs={sid: np.array([1.0])}, k=np.zeros(1),
+            w_R=np.zeros(1), G_D=np.array([[1.0]]), data_ids=np.array([sid]), k=np.zeros(1),
             A=np.eye(1), A_inv=np.eye(1), fresh_ids=[reg.new_symbol(SymbolKind.FRESH)],
             registry=reg, lam=0.0,
         )
@@ -167,7 +167,7 @@ class TestLossInterval:
         reg = SymbolRegistry()
         sid = reg.new_symbol(SymbolKind.DATA)
         weights = AbstractWeights(
-            w_R=np.zeros(1), w_D_coeffs={sid: np.array([1.0])}, k=np.zeros(1),
+            w_R=np.zeros(1), G_D=np.array([[1.0]]), data_ids=np.array([sid]), k=np.zeros(1),
             A=np.eye(1), A_inv=np.eye(1), fresh_ids=[reg.new_symbol(SymbolKind.FRESH)],
             registry=reg, lam=0.0,
         )
@@ -255,7 +255,7 @@ class TestParameterIntervals:
         reg = SymbolRegistry()
         sid = reg.new_symbol(SymbolKind.DATA)
         weights = AbstractWeights(
-            w_R=np.array([0.1, 5.0]), w_D_coeffs={sid: np.array([1.0, 0.5])},
+            w_R=np.array([0.1, 5.0]), G_D=np.array([[1.0, 0.5]]), data_ids=np.array([sid]),
             k=np.zeros(2), A=np.eye(2), A_inv=np.eye(2),
             fresh_ids=reg.new_symbols(2, SymbolKind.FRESH), registry=reg, lam=0.0,
         )

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import cell_table
 
 from zonoridge.dataset import LABEL_COL, AbstractDataset, Dataset, UncertaintySpec, inject_uncertainty
 from zonoridge.errors import LambdaTooSmall, SplitBudgetError
@@ -39,7 +40,7 @@ def abstract_cells(ds, cells, half_widths):
         coeffs[sid] = hw
     return AbstractDataset(
         X_R=ds.X.copy(), y_R=ds.y.copy(), registry=reg,
-        provenance=prov, coefficients=coeffs,
+        cells=cell_table(prov, coeffs),
         columns=list(ds.columns), label_name=ds.label_name,
     )
 
@@ -89,7 +90,7 @@ class TestClosedFormSymbolicData:
         ds = make_dataset(8, 2, seed=1)
         ad = abstract_cells(ds, [], [])
         w_R = ridge_closed_form_real(ad.X_R, ad.y_R, 0.1)
-        assert closed_form_symbolic_data(ad, 0.1, w_R) == {}
+        assert len(closed_form_symbolic_data(ad, 0.1, w_R)) == 0
 
     def test_single_row_label_symbol(self):
         # n=1, d=1 (no bias), X=[1], y=0+eps, lam=0 -> w_D = eps
@@ -97,12 +98,12 @@ class TestClosedFormSymbolicData:
         sid = reg.new_symbol(SymbolKind.DATA)
         ad = AbstractDataset(
             X_R=np.array([[1.0]]), y_R=np.array([0.0]), registry=reg,
-            provenance={sid: (0, LABEL_COL)}, coefficients={sid: 1.0},
+            cells=cell_table({sid: (0, LABEL_COL)}, {sid: 1.0}),
             columns=["f0"],
         )
         w_R = ridge_closed_form_real(ad.X_R, ad.y_R, 0.0)
         w_D = closed_form_symbolic_data(ad, 0.0, w_R)
-        assert w_D[sid] == pytest.approx([1.0])
+        assert w_D[0] == pytest.approx([1.0])
 
     def test_label_only_coefficients_match_projection(self):
         ds = make_dataset(12, 2, seed=2)
@@ -113,8 +114,8 @@ class TestClosedFormSymbolicData:
         w_D = closed_form_symbolic_data(ad, lam, w_R)
         n, d = ds.X.shape
         M = np.linalg.solve(ds.X.T @ ds.X + lam * n * np.eye(d), ds.X.T)
-        for sid, (r, _) in ad.provenance.items():
-            np.testing.assert_allclose(w_D[sid], M[:, r] * ad.coefficients[sid], atol=1e-12)
+        for j, (r, coef) in enumerate(zip(ad.cells.rows, ad.cells.coef)):
+            np.testing.assert_allclose(w_D[j], M[:, r] * coef, atol=1e-12)
 
 
 class TestBuildTransform:
@@ -148,7 +149,7 @@ class TestBuildNonDataSystem:
         ad = abstract_cells(ds, [], [])
         w_R = ridge_closed_form_real(ad.X_R, ad.y_R, cfg.lam)
         A, A_inv = build_transform(ad.X_R, cfg)
-        sys = build_non_data_system(ad, cfg.lam, w_R, {}, A, A_inv)
+        sys = build_non_data_system(ad, cfg.lam, w_R, np.zeros((0, ad.d)), A, A_inv)
         assert np.all(sys.Cprime == 0.0) and np.all(sys.c0 == 0.0)
         assert sys.beta == pytest.approx(-np.min(np.diag(sys.Q)) / ds.n)
         assert sys.beta <= 0
@@ -167,7 +168,7 @@ class TestBuildNonDataSystem:
         row = 1
         ad = AbstractDataset(
             X_R=X, y_R=y, registry=reg,
-            provenance={sid: (row, 0)}, coefficients={sid: g},
+            cells=cell_table({sid: (row, 0)}, {sid: g}),
             columns=["f0"],
         )
         lam = 0.2
@@ -179,7 +180,7 @@ class TestBuildNonDataSystem:
         # Constant part (y_S = 0 here): (2 x g eps + g^2 eps^2) w_D + g^2 eps^2 w_R
         # with w_D = wd * eps, so monomials eps^2: 2 x g wd + g^2 w_R and
         # eps^3: g^2 wd; coefficient sums taken per distinct monomial.
-        wd = w_D[sid][0]
+        wd = w_D[0][0]
         mono_sq = abs(2 * x_cell * g * wd + g * g * w_R[0])
         mono_cube = abs(g * g * wd)
         n = X.shape[0]
@@ -207,7 +208,7 @@ class TestSolveNonData:
         ds = make_dataset(10, 2, seed=7)
         ad = abstract_cells(ds, [], [])
         w_R = ridge_closed_form_real(ds.X, ds.y, 0.1)
-        sys_zero = build_non_data_system(ad, 0.1, w_R, {}, np.eye(3), np.eye(3))
+        sys_zero = build_non_data_system(ad, 0.1, w_R, np.zeros((0, ad.d)), np.eye(3), np.eye(3))
         assert solve_non_data(sys_zero, 0.1) == pytest.approx(np.zeros(3))
 
     def test_feasible_residual_and_nonnegativity(self):
@@ -244,7 +245,7 @@ class TestFixedPoint:
         ad = abstract_cells(ds, [], [])
         weights, diag = fixed_point(ad, RidgeConfig(lam=0.1))
         np.testing.assert_allclose(weights.w_R, ridge_concrete(ds.X, ds.y, 0.1), atol=1e-12)
-        assert weights.w_D_coeffs == {}
+        assert len(weights.data_ids) == 0
         assert np.all(weights.k == 0.0)
         assert diag.splits_used == 1
 
@@ -281,7 +282,7 @@ class TestDetermineNumSplits:
         cfg = RidgeConfig(lam=0.1)
         w_R = ridge_closed_form_real(ad.X_R, ad.y_R, cfg.lam)
         A, A_inv = build_transform(ad.X_R, cfg)
-        sys = build_non_data_system(ad, cfg.lam, w_R, {}, A, A_inv)
+        sys = build_non_data_system(ad, cfg.lam, w_R, np.zeros((0, ad.d)), A, A_inv)
         assert determine_num_splits(sys, cfg.lam, ad) == 1
 
     def test_zero_cprime_returns_one(self):
@@ -346,9 +347,9 @@ class TestVerifyResidual:
         weights, _ = fixed_point(ad, cfg)
         assert np.max(weights.k) > 0
         broken = AbstractWeights(
-            w_R=weights.w_R, w_D_coeffs=weights.w_D_coeffs, k=weights.k * 0.5,
+            w_R=weights.w_R, G_D=weights.G_D, data_ids=weights.data_ids, k=weights.k * 0.5,
             A=weights.A, A_inv=weights.A_inv, fresh_ids=weights.fresh_ids,
-            registry=weights.registry, lam=weights.lam, provenance=weights.provenance,
+            registry=weights.registry, lam=weights.lam,
         )
         rep = verify_fixed_point_residual(ad, broken, cfg)
         assert rep.box_residual_normalized > 1e-6
@@ -380,7 +381,7 @@ def looped_contains(weights, e_data, w_star, tol=None):
     if tol is None:
         tol = 1e-7 * (1.0 + float(np.max(np.abs(w_star))))
     w_D = np.zeros(weights.dim)
-    for sid, gen in weights.w_D_coeffs.items():
+    for sid, gen in zip(weights.data_ids, weights.G_D):
         w_D += gen * e_data[sid]
     r = weights.A @ (w_star - weights.w_R - w_D)
     for i in range(weights.dim):
@@ -397,7 +398,7 @@ def manual_weights(w_R, gens, k, A):
     sids = reg.new_symbols(len(gens), SymbolKind.DATA)
     return AbstractWeights(
         w_R=np.asarray(w_R, dtype=float),
-        w_D_coeffs={s: np.asarray(g, dtype=float) for s, g in zip(sids, gens)},
+        G_D=np.asarray(gens, dtype=float).reshape(len(sids), len(w_R)), data_ids=np.array(sids, dtype=np.int64),
         k=np.asarray(k, dtype=float), A=np.asarray(A, dtype=float),
         A_inv=np.linalg.inv(A), fresh_ids=reg.new_symbols(len(w_R), SymbolKind.FRESH),
         registry=reg, lam=0.1,
@@ -415,9 +416,9 @@ class TestContainmentMatchesTheLoop:
                 rng.standard_normal(d), rng.standard_normal((S, d)), k,
                 np.eye(d) + 0.3 * rng.standard_normal((d, d)),
             )
-            e = {s: float(rng.uniform(-1, 1)) for s in weights.w_D_coeffs}
+            e = {s: float(rng.uniform(-1, 1)) for s in weights.data_ids.tolist()}
             # The product sums in another order than the loop: equal to S ulps.
-            terms = [g * e[s] for s, g in weights.w_D_coeffs.items()]
+            terms = [g * e[s] for s, g in zip(weights.data_ids.tolist(), weights.G_D)]
             looped = np.sum(terms, axis=0) if terms else np.zeros(d)
             bound = S * np.finfo(float).eps * np.abs(terms).sum(axis=0) if terms else 0.0
             assert np.all(np.abs(weights.w_D(e) - looped) <= bound)
@@ -435,7 +436,7 @@ class TestContainmentMatchesTheLoop:
         # A = I, w_R = 0 and a dyadic data part make r = w* - w_D exact, so
         # the test sits on the float boundary k (1 + 1e-12) + tol itself.
         weights = manual_weights([0.0, 0.0], [[0.5, 0.0], [0.25, 0.0]], [0.6, 0.0], np.eye(2))
-        s1, s2 = weights.w_D_coeffs
+        s1, s2 = weights.data_ids.tolist()
         e = {s1: 0.75, s2: -0.5}
         w_D = weights.w_D(e)
         assert w_D.tolist() == [0.25, 0.0]
@@ -455,7 +456,7 @@ class TestContainmentMatchesTheLoop:
 
     def test_degenerate_dimensions_need_the_tolerance(self):
         weights = manual_weights([1.0, 2.0], [[0.5, -1.0]], [0.0, 0.0], np.eye(2))
-        (s,) = weights.w_D_coeffs
+        (s,) = weights.data_ids.tolist()
         center = weights.w_R + weights.w_D({s: 0.5})
         assert contains_world_weights(weights, {s: 0.5}, center)
         assert not contains_world_weights(weights, {s: 0.5}, center + [0.0, 1e-5])
@@ -465,7 +466,7 @@ class TestContainmentMatchesTheLoop:
         # One feature cell wide enough that beta exceeds lambda, so the fit splits.
         ad = abstract_cells(make_dataset(5, 1, seed=41), [(2, 1)], [4.0])
         weights, diag = fixed_point(ad, RidgeConfig(lam=0.05))
-        assert diag.splits_used > 1 and weights.w_D_coeffs == {}
+        assert diag.splits_used > 1 and len(weights.data_ids) == 0
         rng = np.random.default_rng(42)
         for _ in range(50):
             e = {s: float(rng.uniform(-1, 1)) for s in ad.data_symbols()}
@@ -473,17 +474,3 @@ class TestContainmentMatchesTheLoop:
             assert contains_world_weights(weights, e, w_star) == looped_contains(weights, e, w_star)
             assert contains_world_weights(weights, {}, w_star) == looped_contains(weights, {}, w_star)
 
-
-class TestSerialization:
-    def test_bit_exact_round_trip(self):
-        ds = make_dataset(12, 2, seed=29)
-        spec = UncertaintySpec(target="both", percentage=0.25, radius=0.1, seed=30)
-        ad = inject_uncertainty(ds, spec)
-        weights, diag = fixed_point(ad, RidgeConfig(lam=0.03))
-        text = weights.to_json(diag)
-        restored = AbstractWeights.from_json(text)
-        assert restored.to_json(diag) == text
-        np.testing.assert_array_equal(restored.w_R, weights.w_R)
-        np.testing.assert_array_equal(restored.k, weights.k)
-        for sid, gen in weights.w_D_coeffs.items():
-            np.testing.assert_array_equal(restored.w_D_coeffs[sid], gen)

@@ -3,6 +3,7 @@ from itertools import product as iter_product
 
 import numpy as np
 import pytest
+from conftest import cell_index, cell_table
 
 from zonoridge import learning
 from zonoridge.dataset import (
@@ -172,7 +173,7 @@ def looped_materialize(ad, assignment):
     X = ad.X_R.copy()
     y = ad.y_R.copy()
     for sid, (r, c) in ad.provenance.items():
-        delta = ad.coefficients.get(sid, 0.0) * assignment[sid]
+        delta = ad.cells.coef[cell_index(ad, sid)] * assignment[sid]
         if c == LABEL_COL:
             y[r] += delta
         else:
@@ -250,7 +251,7 @@ def world_case(kind, seed):
     ad = inject_uncertainty(ds, UncertaintySpec(target, share, 0.2, seed=seed))
     if kind == "zero":
         for sid in ad.data_symbols()[::2]:
-            ad.coefficients[sid] = 0.0
+            ad.cells.coef[cell_index(ad, sid)] = 0.0
     return ad
 
 
@@ -289,11 +290,12 @@ class TestWorldsMatchTheLoop:
 
     def test_shared_cell_adds_symbols_in_provenance_order(self):
         reg = SymbolRegistry()
-        a, b, c = reg.new_symbols(3, SymbolKind.DATA)
+        c, a, b = reg.new_symbols(3, SymbolKind.DATA)
         ad = AbstractDataset(
             X_R=np.array([[1.0, 0.1], [1.0, -0.7]]), y_R=np.array([0.1, 0.2]),
-            registry=reg, provenance={c: (0, 1), a: (0, 1), b: (1, LABEL_COL)},
-            coefficients={a: 0.3, b: 0.7, c: 0.4},
+            registry=reg, cells=cell_table(
+                {c: (0, 1), a: (0, 1), b: (1, LABEL_COL)}, {a: 0.3, b: 0.7, c: 0.4}
+            ),
         )
         e = {a: 0.5, b: -1.0, c: 0.5}
         # The two orders of adding c's and a's deltas differ in the last bit.

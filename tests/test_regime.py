@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import cell_table
 
 from zonoridge.dataset import (
     AbstractDataset,
@@ -113,7 +114,7 @@ class TestBetaBoundary:
         sid = reg.new_symbol(SymbolKind.DATA)
         ad = AbstractDataset(
             X_R=X, y_R=y, registry=reg,
-            provenance={sid: (2, 1)}, coefficients={sid: half_width},
+            cells=cell_table({sid: (2, 1)}, {sid: half_width}),
             columns=["bias", "f0"],
         )
         lam_probe = 0.0
@@ -149,7 +150,7 @@ class TestBaselineDimensionOne:
             coeffs[sid] = 0.3
             intervals[r] = [y[r] - 0.3, y[r] + 0.3]
         ad = AbstractDataset(
-            X_R=X, y_R=y, registry=reg, provenance=prov, coefficients=coeffs,
+            X_R=X, y_R=y, registry=reg, cells=cell_table(prov, coeffs),
             columns=["f0"],
         )
         lam = 0.05
