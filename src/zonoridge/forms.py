@@ -2,7 +2,8 @@
 
 A caller describes an uncertain test point as a :class:`ZVector` of affine
 :class:`PolyForm` entries; :func:`zonoridge.inference.predict_interval_uncertain`
-reads it into a center and a generator matrix.
+reads each entry's center and terms once, into a center vector and a
+generator matrix over the point's own symbols.
 
 A :class:`PolyForm` is ``center + sum(coef * monomial)`` where each monomial
 is a product of error symbols, stored canonically as a sorted tuple of symbol

@@ -1,14 +1,15 @@
 """Prediction ranges, robustness certificates, loss intervals, parameter bounds.
 
 Everything here consumes the weight zonotope produced by learning, as its
-generator matrix ``W`` around ``w_R``.  A prediction for a concrete point is
-affine in the symbols, so its range is exact for the zonotope; losses are
-quadratic in the symbols and are linearized before concretizing, which stays
-sound but can widen.  An uncertain test point is a vector of affine forms
-(:class:`~zonoridge.forms.ZVector`), read into its own center and generator
-matrix; its prediction is quadratic in the symbols and is linearized the same
-way.  A point with a higher-degree entry is not a zonotope and raises
-:class:`~zonoridge.errors.DegreeError`.
+generator matrix ``W`` around ``w_R``; the weights build ``W`` once and keep
+it.  A prediction for a concrete point is affine in the symbols, so its range
+is exact for the zonotope; losses are quadratic in the symbols and are
+linearized before concretizing, which stays sound but can widen.  An
+uncertain test point is a vector of affine forms
+(:class:`~zonoridge.forms.ZVector`), read in one pass into its center and a
+generator matrix over its own symbols; its prediction is quadratic in the
+symbols and is linearized the same way.  A point with a higher-degree entry
+is not a zonotope and raises :class:`~zonoridge.errors.DegreeError`.
 """
 
 from __future__ import annotations
@@ -124,52 +125,55 @@ def predict_interval_uncertain(
     The point must be a vector of affine forms, ``x_c + P e``; an entry of
     degree 2 or more raises :class:`DegreeError`.  Sharing symbols with the
     training data (or with the weights' fresh symbols) expresses correlated
-    uncertainty; new symbols express independence.  Over the union of the
-    point's and the weights' symbols, with ``W`` the weights' generator
-    matrix, the product ``x . w`` has
+    uncertainty; new symbols express independence.  With ``W`` the weights'
+    generator matrix over their symbols and ``P`` the point's over its own,
+    the product ``x . w`` has
 
     * center ``x_c . w_R``,
-    * linear coefficients ``L = x_c'W + w_R'P``,
-    * degree-2 coefficients from ``C = P'W``: ``C[u,v] + C[v,u]`` for the
-      monomial ``e_u e_v`` with ``u < v`` and ``C[u,u]`` for ``e_u^2``.
+    * linear coefficients ``x_c'W`` and ``w_R'P``, added where a symbol is
+      in both,
+    * degree-2 coefficients ``C = P'W``: ``C[a,v]`` for the monomial
+      ``e_a e_v``, plus ``C[v,a]`` when both symbols are in both.
 
     Linearizing gives every monomial its own fresh symbol, so the radius is
-    ``sum |L| + sum |degree-2 coefficients|``: a sound superset.
+    the sum of the absolute values of all these coefficients: a sound
+    superset.
     """
     if len(x_abstract) != weights.dim:
         raise ShapeMismatchError(f"test point must have dimension {weights.dim}")
     if x_abstract.registry is not weights.registry:
         raise RegistryMismatchError("test point and weights belong to different registries")
-    if not x_abstract.is_affine():
-        raise DegreeError("uncertain test points must be affine forms")
-    W = weights.generators()
-    # The columns of W are the weights' symbols, data then fresh; the
-    # point's other symbols get zero columns after them, in id order.
-    column = dict(zip([*weights.data_ids.tolist(), *weights.fresh_ids], range(W.shape[1])))
-    point_ids = sorted(x_abstract.symbols())
-    for sid in point_ids:
-        column.setdefault(sid, len(column))
-    own = [column[sid] for sid in point_ids]  # the point's symbols among the columns
-    W = np.hstack([W, np.zeros((weights.dim, len(column) - W.shape[1]))])
-    P = np.zeros((weights.dim, len(point_ids)))
-    row = {sid: a for a, sid in enumerate(point_ids)}
+    # One pass over the forms: centers, and (symbol, row, coefficient) triples
+    # with the point's symbols numbered in order of first use.
+    centers, rows, cols, coefs = [], [], [], []
+    own: dict[int, int] = {}
     for i, f in enumerate(x_abstract):
-        for (sid,), coef in f.terms.items():
-            P[i, row[sid]] = coef
+        centers.append(f.center)
+        for mono, coef in f.terms.items():
+            if len(mono) != 1:
+                raise DegreeError("uncertain test points must be affine forms")
+            cols.append(own.setdefault(mono[0], len(own)))
+            rows.append(i)
+            coefs.append(coef)
+    x_c = np.array(centers)
+    Pt = np.zeros((len(own), weights.dim))  # P', row a: the point's symbol a
+    Pt[cols, rows] = coefs
 
-    x_c = x_abstract.centers()
+    W, column = weights._generator_columns()
     linear = x_c @ W
-    linear[own] += weights.w_R @ P
-    C = P.T @ W  # row a: the monomials e_a e_v, for every column v
-    shared = C[:, own]  # e_a e_b with both symbols in the point: merge both orders
-    C[:, own] = 0.0
-    quad = (
-        np.abs(C).sum()
-        + np.abs(np.diag(shared)).sum()
-        + np.abs(np.triu(shared + shared.T, 1)).sum()
-    )
+    own_linear = Pt @ weights.w_R
+    C = Pt @ W  # row a: the monomials e_a e_v, for every weight symbol v
+    merged = 0.0
+    both = [(a, column[sid]) for sid, a in own.items() if sid in column]
+    if both:
+        a, v = np.array(both).T
+        linear[v] += own_linear[a]
+        own_linear[a] = 0.0
+        block = C[a[:, None], v]  # e_a e_b with both symbols in both: merge both orders
+        C[a[:, None], v] = 0.0
+        merged = np.abs(np.diag(block)).sum() + np.abs(np.triu(block + block.T, 1)).sum()
     center = float(x_c @ weights.w_R)
-    radius = float(np.abs(linear).sum() + quad)
+    radius = float(np.abs(linear).sum() + np.abs(own_linear).sum() + np.abs(C).sum() + merged)
     return PredictionInterval(center - radius, center + radius)
 
 

@@ -105,7 +105,11 @@ class AbstractWeights:
     symbol ``data_ids[j]``.  A fit has one row per entry of the dataset's
     cell table with a nonzero coefficient, in table order, and none after
     the box join of a split.  ``fresh_ids`` are the d fresh symbols carrying
-    the box part; ``k`` is read whenever the generators are.
+    the box part.
+
+    The generator matrix and its symbol-to-column index are built on first
+    use and kept; reassigning any field (``weights.k = ...``) drops them.
+    Changing a field's array in place does not.
     """
 
     w_R: np.ndarray
@@ -118,23 +122,38 @@ class AbstractWeights:
     registry: SymbolRegistry
     lam: float
 
+    def __setattr__(self, name, value):
+        self.__dict__.pop("_zonotope", None)
+        super().__setattr__(name, value)
+
     @property
     def dim(self) -> int:
         return self.w_R.shape[0]
 
     def w_D(self, assignment: Mapping[int, float]) -> np.ndarray:
         """Evaluate the data-symbol part at a concrete assignment: ``e @ G_D``."""
-        e = np.array([assignment[sid] for sid in self.data_ids.tolist()], dtype=float)
-        return e @ self.G_D
+        ids = self.data_ids.tolist()
+        return np.fromiter(map(assignment.__getitem__, ids), float, len(ids)) @ self.G_D
+
+    def _generator_columns(self) -> tuple[np.ndarray, dict[int, int]]:
+        """The cached ``generators()`` and the column of each of its symbol ids."""
+        cached = self.__dict__.get("_zonotope")
+        if cached is None:
+            W = np.hstack([self.G_D.T, self.A_inv * self.k])
+            W.flags.writeable = False
+            ids = [*self.data_ids.tolist(), *self.fresh_ids]
+            cached = self.__dict__["_zonotope"] = (W, dict(zip(ids, range(len(ids)))))
+        return cached
 
     def generators(self) -> np.ndarray:
         """Generator matrix ``W = [G_D' | A^-1 diag(k)]`` of the weight zonotope.
 
         Row i is dimension i; column j multiplies one error symbol: first the
         data symbols of ``data_ids``, then the d fresh symbols of the box
-        part.  The zonotope is ``{w_R + W e : e in [-1, 1]^m}``.
+        part.  The zonotope is ``{w_R + W e : e in [-1, 1]^m}``.  The array
+        is read-only: it is the weights' cached copy.
         """
-        return np.hstack([self.G_D.T, self.A_inv * self.k])
+        return self._generator_columns()[0]
 
 
 @dataclass
@@ -872,17 +891,14 @@ def contains_world_weights(
     Checks ``A (w* - w_R - w_D(e))`` against the box diameters: dimensions
     with a positive diameter allow the full box plus tolerance, degenerate
     dimensions must match to tolerance.  Valid for the structured fixed
-    point shape (unsplit, or the box produced by a join).
+    point shape (unsplit, or the box produced by a join).  A ``w*`` with a
+    NaN or infinite entry is never inside: its ``r`` has one too, as ``A``
+    is invertible.
     """
     w_star = np.asarray(w_star, dtype=float)
     if tol is None:
-        tol = 1e-7 * (1.0 + float(np.max(np.abs(w_star))))
+        tol = 1e-7 * (1.0 + float(np.abs(w_star).max()))
     r = weights.A @ (w_star - weights.w_R - weights.w_D(e_data))
-    for i in range(weights.dim):
-        k_i = weights.k[i]
-        if k_i > 0.0:
-            if abs(r[i]) > k_i * (1.0 + 1e-12) + tol:
-                return False
-        elif abs(r[i]) > tol:
-            return False
-    return True
+    # k (1 + 1e-12) + tol where k > 0, else tol (fmax maps NaN to 0 too)
+    bound = np.fmax(weights.k, 0.0) * (1.0 + 1e-12) + tol
+    return bool(np.isfinite(r).all() and (np.abs(r) <= bound).all())

@@ -280,3 +280,35 @@ class TestParameterIntervals:
         pi = parameter_intervals(weights)
         assert np.all(weights.w_R >= pi.lo - 1e-12)
         assert np.all(weights.w_R <= pi.hi + 1e-12)
+
+
+class TestCachedGenerators:
+    """The weights keep their generator matrix; reassigning a field drops it."""
+
+    def answers(self, weights, x):
+        pi = parameter_intervals(weights)
+        p = predict_interval_uncertain(x, weights)
+        return weights.generators().copy(), pi.lo, pi.hi, np.array([p.lo, p.hi])
+
+    def test_reassigned_fields_reach_every_query(self):
+        import dataclasses
+
+        ds = make_dataset(12, 2, seed=30)
+        ad, weights, _ = trained(ds, UncertaintySpec("both", 0.3, 0.2, seed=31), 0.1)
+        assert np.max(weights.k) > 0 and len(weights.data_ids) > 0
+        reg = weights.registry
+        shared = [ad.data_symbols()[0], weights.fresh_ids[1], reg.new_symbol(SymbolKind.DATA)]
+        x = ZVector(reg, [PolyForm(reg, 1.0, {(sid,): 0.1}) for sid in shared])
+        before = self.answers(weights, x)
+        assert not weights.generators().flags.writeable
+        for name, value in (("k", np.zeros_like(weights.k)), ("G_D", 2.0 * weights.G_D)):
+            setattr(weights, name, value)
+            fresh = dataclasses.replace(weights)  # the same fields, nothing cached
+            after = self.answers(weights, x)
+            for got, want, old in zip(after, self.answers(fresh, x), before):
+                np.testing.assert_array_equal(got, want)
+                assert not np.array_equal(got, old)
+            before = after
+        np.testing.assert_array_equal(
+            weights.generators(), np.hstack([weights.G_D.T, np.zeros((weights.dim, weights.dim))])
+        )

@@ -462,6 +462,23 @@ class TestContainmentMatchesTheLoop:
         assert not contains_world_weights(weights, {s: 0.5}, center + [0.0, 1e-5])
         assert not contains_world_weights(weights, {s: -0.5}, center)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("A", [np.eye(2), [[1.0, 0.5], [0.5, 1.0]]])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_weights_never_inside(self, bad, A):
+        # With a dense A, w* = [inf, inf] gives r = [inf, inf] and tol = inf:
+        # every bound is infinite and only the finiteness check refuses it.
+        weights = manual_weights([1.0, 2.0], [[0.5, -1.0]], [0.3, 0.0], A)
+        (s,) = weights.data_ids.tolist()
+        e = {s: 0.5}
+        center = weights.w_R + weights.w_D(e)
+        assert contains_world_weights(weights, e, center)
+        for w_star in ([bad, bad], [bad, center[1]], [1e9, bad], [center[0], bad]):
+            assert not contains_world_weights(weights, e, w_star)
+            assert not contains_world_weights(weights, e, w_star, tol=1e-3)
+        # A non-finite assignment value leaves a non-finite residual.
+        assert not contains_world_weights(weights, {s: bad}, center)
+
     def test_split_weights_without_data_part(self):
         # One feature cell wide enough that beta exceeds lambda, so the fit splits.
         ad = abstract_cells(make_dataset(5, 1, seed=41), [(2, 1)], [4.0])

@@ -122,6 +122,17 @@ class TestSampleWorlds:
         assert np.all(sampled.pred_hi <= corners.pred_hi + 1e-9)
 
 
+class TestWorldAssignment:
+    def test_cube_values_accepted(self):
+        assert WorldAssignment({1: -1.0, 2: 0.25, 3: 1.0}, "corner").values[2] == 0.25
+        assert WorldAssignment({}, "uniform").values == {}
+
+    @pytest.mark.parametrize("bad", [1.0 + 1e-12, -1.5, np.inf, -np.inf, np.nan])
+    def test_values_outside_the_cube_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            WorldAssignment({1: 0.5, 2: bad, 3: -0.5}, "uniform")
+
+
 class TestOracleRanges:
     def test_certain_data_degenerate(self):
         ds = make_dataset(10, 2, seed=10)
