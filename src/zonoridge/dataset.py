@@ -128,6 +128,23 @@ class Cells(NamedTuple):
         """The entries marked (or indexed) by ``keep``."""
         return Cells(*(a[keep] for a in self))
 
+    def move(
+        self, X: np.ndarray, y: np.ndarray, delta: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Copies ``(P, n, d)`` and ``(P, n)`` of ``X`` and ``y``, one per row of ``delta``.
+
+        ``delta`` is ``(P, S)``: in copy p the cell of entry j gains
+        ``delta[p, j]``; cells shared by several entries add them in table
+        order.  This builds possible worlds, split parts and the touched
+        rows of the batched part solve.
+        """
+        X = np.repeat(X[None], len(delta), axis=0)
+        y = np.repeat(y[None], len(delta), axis=0)
+        f = self.cols != LABEL_COL
+        np.add.at(X, (slice(None), self.rows[f], self.cols[f]), delta[:, f])
+        np.add.at(y, (slice(None), self.rows[~f]), delta[:, ~f])
+        return X, y
+
 
 @dataclass
 class AbstractDataset:
@@ -221,14 +238,8 @@ class AbstractDataset:
         entry j.  Every cell of world w gains ``coef[j] * values[w, j]``;
         cells shared by several symbols add them in table order.
         """
-        cells = self.cells
-        delta = cells.coef * np.asarray(values, dtype=float)
-        X = np.repeat(self.X_R[None], len(delta), axis=0)
-        y = np.repeat(self.y_R[None], len(delta), axis=0)
-        f = cells.cols != LABEL_COL
-        np.add.at(X, (slice(None), cells.rows[f], cells.cols[f]), delta[:, f])
-        np.add.at(y, (slice(None), cells.rows[~f]), delta[:, ~f])
-        return X, y
+        delta = self.cells.coef * np.asarray(values, dtype=float)
+        return self.cells.move(self.X_R, self.y_R, delta)
 
     def split_plan(self, m: int, budget: int = 65536) -> "SplitPlan":
         """Array form of ``split(m)``: which sub-cell every part takes.
@@ -264,27 +275,20 @@ class AbstractDataset:
         if m == 1 or not plan.symbols:
             return [self]
         moved = self.cells.coef != 0.0
-        cells = self.cells.select(moved)
         coef = self.cells.coef.copy()
         coef[moved] = plan.coefficients
-        f = cells.cols != LABEL_COL
-        parts = []
-        for offsets in plan.offsets():
-            X = self.X_R.copy()
-            y = self.y_R.copy()
-            np.add.at(X, (cells.rows[f], cells.cols[f]), offsets[f])
-            np.add.at(y, cells.rows[~f], offsets[~f])
-            parts.append(
-                AbstractDataset(
-                    X_R=X,
-                    y_R=y,
-                    registry=self.registry,
-                    cells=self.cells._replace(coef=coef.copy()),
-                    columns=list(self.columns),
-                    label_name=self.label_name,
-                )
+        X, y = self.cells.select(moved).move(self.X_R, self.y_R, plan.offsets())
+        return [
+            AbstractDataset(
+                X_R=X_p,
+                y_R=y_p,
+                registry=self.registry,
+                cells=self.cells._replace(coef=coef.copy()),
+                columns=list(self.columns),
+                label_name=self.label_name,
             )
-        return parts
+            for X_p, y_p in zip(X, y)
+        ]
 
 
 @dataclass(frozen=True)

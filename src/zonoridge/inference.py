@@ -49,18 +49,6 @@ class RobustnessReport:
     per_point: list[tuple[PredictionInterval, bool]]
     ratio: float
 
-    def to_csv_rows(self) -> list[dict]:
-        return [
-            {
-                "point": i,
-                "lo": interval.lo,
-                "hi": interval.hi,
-                "width": interval.width,
-                "robust": int(robust),
-            }
-            for i, (interval, robust) in enumerate(self.per_point)
-        ]
-
 
 @dataclass(frozen=True)
 class LossInterval:

@@ -39,9 +39,16 @@ The constant column is stored as ``c0 = (2/n) h`` so the scalar case reads
     beta = (1/n) max_i ( sum_{j!=i} (|q_ij| + c'_ij) + c'_ii - q_ii ).
 
 Below that threshold the dataset is mu-split until every part satisfies the
-bound, the fixed points of all parts are computed in one batched pass (the
-part index is a leading axis of the kernels' arrays), and the results are
-box-joined.
+bound, the fixed points of all parts are computed in one batched pass, and
+the results are box-joined.
+
+One kernel (``_fit_stack``) computes these fixed points for a stack of parts:
+the part index is a leading axis of its arrays, and it reads each part only
+through its sums ``X'X`` and ``X'y`` and its rows at the uncertain cells.  The
+unsplit fit is the stack of one part, the dataset itself; a split builds the
+rows of its parts and passes them all.  The public one-part functions
+(``ridge_closed_form_real`` ... ``solve_non_data``) run the same stages on
+one part and serve as the stepwise reference and the residual check.
 
 Everything here works on arrays, not on polynomial forms.  Each data symbol
 lives in exactly one cell (a row, a column or the label, and a coefficient),
@@ -201,11 +208,9 @@ class ResidualReport:
 @dataclass
 class FixedPointDiagnostics:
     beta: float
-    lambda_used: float
     splits_used: int
     m_matrix_margin: float
     residual: ResidualReport | None = None
-    join_lost_correlation: bool = False
     part_betas: list[float] | None = None
 
 
@@ -617,38 +622,34 @@ def determine_num_splits(
     return max(2, int(np.ceil(d * cmax / denom)))
 
 
-def _prepare(
-    ad: AbstractDataset, cfg: RidgeConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, NonDataSystem]:
-    w_R = ridge_closed_form_real(ad.X_R, ad.y_R, cfg.lam)
-    G_D = closed_form_symbolic_data(ad, cfg.lam, w_R)
-    A, A_inv = build_transform(ad.X_R, cfg)
-    sys = build_non_data_system(ad, cfg.lam, w_R, G_D, A, A_inv)
-    return w_R, G_D, A, A_inv, sys
-
-
-def _assemble(
-    ad: AbstractDataset,
+def _fit_stack(
+    gram: np.ndarray, xty: np.ndarray, cells: Cells, x: np.ndarray, y: np.ndarray, n: int,
     cfg: RidgeConfig,
-    w_R: np.ndarray,
-    G_D: np.ndarray,
-    A: np.ndarray,
-    A_inv: np.ndarray,
-    sys: NonDataSystem,
-) -> AbstractWeights:
-    k = solve_non_data(sys, cfg.lam)
-    fresh = ad.registry.new_symbols(ad.d, SymbolKind.FRESH)
-    return AbstractWeights(
-        w_R=w_R,
-        G_D=G_D,
-        data_ids=ad.nonzero_cells().symbols,
-        k=k,
-        A=A,
-        A_inv=A_inv,
-        fresh_ids=fresh,
-        registry=ad.registry,
-        lam=cfg.lam,
+) -> tuple[
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, NonDataSystem, Exception | None
+]:
+    """Fixed points of P parts that share ``cells``, every stage one call over all parts.
+
+    Part p has ``n`` rows, the sums ``gram[p] = X'X`` and ``xty[p] = X'y``,
+    and the feature row ``x[p, i]`` and label ``y[p, i]`` at cell i.
+    Returns ``w_R``, the ``w_D`` generators ``G`` ``(P, S, d)``, ``A``,
+    ``A_inv``, ``k`` and the diameter systems, all with a leading part axis,
+    and the error that solving the parts one by one, in order, raises first
+    (``None`` if every part is solved).  Each part gets the rank check of
+    ``ridge_closed_form_real``, then those of ``solve_non_data``; a
+    rank-deficient first part raises at once, as nothing can precede it.
+    """
+    w_R, reg, deficient = _ridge(gram, xty, cfg.lam, n)
+    if deficient[0]:
+        raise np.linalg.LinAlgError(_RANK_DEFICIENT)
+    G = np.linalg.solve(reg, _data_rhs(cells, x, y, w_R)).swapaxes(1, 2)
+    A, A_inv = _transform(gram, cfg)
+    sys = _system(A @ gram @ A_inv, *_diameter_terms(cells, x, w_R, G, A, A_inv), n)
+    k, checks = _diameters(sys, cfg.lam, TOLERANCE)
+    error = _first_failure(
+        [(deficient, lambda p: np.linalg.LinAlgError(_RANK_DEFICIENT)), *checks]
     )
+    return w_R, G, A, A_inv, k, sys, error
 
 
 class _Touched(NamedTuple):
@@ -693,27 +694,16 @@ def _solve_parts(
 ) -> tuple[np.ndarray, np.ndarray, NonDataSystem, Exception | None]:
     """Fixed points of the parts whose split cells moved by ``offsets`` ``(P, S)``.
 
-    Only the touched rows are copied per part, and every stage is one call
-    over all parts.  Returns each part's interval hull ``w_R +- radius``,
-    its diameter system and the error that solving the parts one by one, in
-    order, would raise first (``None`` if every part is solved).
+    Only the touched rows are copied per part; ``_fit_stack`` solves them
+    all.  Returns each part's interval hull ``w_R +- radius``, its diameter
+    system and the error that solving the parts one by one, in order, would
+    raise first (``None`` if every part is solved).
     """
-    X = np.repeat(base.X[None], len(offsets), axis=0)
-    y = np.repeat(base.y[None], len(offsets), axis=0)
-    f = cells.cols != LABEL_COL
-    np.add.at(X, (slice(None), base.pos[f], cells.cols[f]), offsets[:, f])
-    np.add.at(y, (slice(None), base.pos[~f]), offsets[:, ~f])
+    X, y = cells._replace(rows=base.pos).move(base.X, base.y, offsets)
     gram = base.gram + X.swapaxes(1, 2) @ X
     xty = base.xty + (X.swapaxes(1, 2) @ y[..., None])[..., 0]
-    x, y = X[:, base.pos], y[:, base.pos]  # feature row and label at each cell
-
-    w_R, reg, deficient = _ridge(gram, xty, cfg.lam, n)
-    G = np.linalg.solve(reg, _data_rhs(cells, x, y, w_R)).swapaxes(1, 2)
-    A, A_inv = _transform(gram, cfg)
-    sys = _system(A @ gram @ A_inv, *_diameter_terms(cells, x, w_R, G, A, A_inv), n)
-    k, checks = _diameters(sys, cfg.lam, TOLERANCE)
-    error = _first_failure(
-        [(deficient, lambda p: np.linalg.LinAlgError(_RANK_DEFICIENT)), *checks]
+    w_R, G, _, A_inv, k, sys, error = _fit_stack(
+        gram, xty, cells, X[:, base.pos], y[:, base.pos], n, cfg
     )
     # Interval hull of [G_D' | A^-1 diag(k)] around w_R.
     radius = np.abs(np.concatenate([G.swapaxes(1, 2), A_inv * k[:, None, :]], axis=2)).sum(axis=2)
@@ -755,27 +745,44 @@ def fixed_point(
 ) -> tuple[AbstractWeights, FixedPointDiagnostics]:
     """Compute the abstract fixed point, mu-splitting when beta exceeds lam.
 
-    On the direct path the result shares data symbols with the dataset and
-    carries the solved box diameters; its diagnostics carry the residual of
-    one gradient step (``verify_fixed_point_residual``), taken on the
-    diameter system just assembled.  On the splitting path the ``m**s``
-    parts are solved as one batch, in blocks that bound memory: every
-    stage is one call over a leading part axis, and the sums over the rows
-    without a split cell are taken once for all parts.  Each part gets the
-    checks of the direct path, and the first failing part decides, as if
-    the parts were solved in order.  The part zonotopes are box-joined;
-    the join drops data-symbol correlation, which is flagged in the
-    diagnostics.
+    Both paths run one kernel, ``_fit_stack``, over a stack of parts.  The
+    direct path is the stack of one part, the dataset itself: the result
+    shares data symbols with the dataset and carries the solved box
+    diameters, and its diagnostics carry the residual of one gradient step
+    (``verify_fixed_point_residual``), taken on the diameter system just
+    assembled.  If that part is below its feasibility threshold, the
+    ``m**s`` parts of a split are solved in blocks that bound memory, and
+    the sums over the rows without a split cell are taken once for all
+    parts.  Each part gets the checks of the direct path, and the first
+    failing part decides, as if the parts were solved in order.  The part
+    zonotopes are box-joined, which drops the data-symbol correlation: the
+    joined weights have no data part, and ``splits_used > 1`` tells them
+    apart.
     """
-    w_R0, G_D0, A0, A0_inv, sys0 = _prepare(ad, cfg)
-    try:
-        weights = _assemble(ad, cfg, w_R0, G_D0, A0, A0_inv, sys0)
-    except LambdaTooSmall:
-        pass
-    else:
+    X_R, y_R = ad.X_R, ad.y_R
+    cells = ad.nonzero_cells()
+    w_R, G, A, A_inv, k, sys, error = _fit_stack(
+        (X_R.T @ X_R)[None], (X_R.T @ y_R)[None], cells, *_at_cells(ad, cells), ad.n, cfg
+    )
+    sys0 = NonDataSystem(
+        Q=sys.Q[0], Cprime=sys.Cprime[0], c0=sys.c0[0], beta=float(sys.beta[0]), n=ad.n
+    )
+    if not isinstance(error, LambdaTooSmall):
+        if error is not None:
+            raise error
+        weights = AbstractWeights(
+            w_R=w_R[0],
+            G_D=np.ascontiguousarray(G[0]),  # C order: a view can round later products differently
+            data_ids=cells.symbols,
+            k=k[0],
+            A=A[0],
+            A_inv=A_inv[0],
+            fresh_ids=ad.registry.new_symbols(ad.d, SymbolKind.FRESH),
+            registry=ad.registry,
+            lam=cfg.lam,
+        )
         diag = FixedPointDiagnostics(
             beta=sys0.beta,
-            lambda_used=cfg.lam,
             splits_used=1,
             m_matrix_margin=sys0.m_matrix_margin(cfg.lam),
             residual=_residual_report(ad, weights, sys0),
@@ -814,11 +821,9 @@ def fixed_point(
     )
     diag = FixedPointDiagnostics(
         beta=sys0.beta,
-        lambda_used=cfg.lam,
         splits_used=len(part_betas),
         m_matrix_margin=margin,
         residual=None,
-        join_lost_correlation=True,
         part_betas=part_betas,
     )
     return weights, diag

@@ -5,7 +5,8 @@ The fixed-point residuals are rounding noise at a true fixed point, which
 the reference additionally truncates at ``COEF_EPS``; the residual checks
 therefore run on perturbed weights, where every residual is macroscopic.
 The batched split fit is compared the same way with a loop of the public
-one-part functions over ``AbstractDataset.split``.
+one-part functions over ``AbstractDataset.split``, and the unsplit fit
+bit for bit with one run of them.
 """
 
 import dataclasses
@@ -24,7 +25,14 @@ import zonoridge
 from conftest import cell_table
 from zonoridge import learning
 from zonoridge.dataset import LABEL_COL, AbstractDataset, Cells, Dataset, abstract_missing
-from zonoridge.errors import DegreeError, LambdaTooSmall, SplitBudgetError, ZonoError
+from zonoridge.errors import (
+    DegreeError,
+    IllConditionedError,
+    LambdaTooSmall,
+    ShapeMismatchError,
+    SplitBudgetError,
+    ZonoError,
+)
 from zonoridge.forms import PolyForm, ZVector
 from zonoridge.inference import (
     certify_robustness,
@@ -571,3 +579,51 @@ def test_split_budget_refused_before_any_part(monkeypatch):
     with pytest.raises(SplitBudgetError):
         fixed_point(ad, dataclasses.replace(cfg, split_budget=2))
     assert called == []
+
+
+def bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+@pytest.mark.parametrize("transform", ["svd", "identity", "custom"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_unsplit_fit_is_the_one_part_chain(kind, transform):
+    """The unsplit fit equals, bit for bit, the public one-part stage functions in a row."""
+    for seed in range(4):
+        ad, cfg = make_problem(kind, 3, 7, seed, transform, lam=5.0)
+        w_R = ridge_closed_form_real(ad.X_R, ad.y_R, cfg.lam)
+        G_D = closed_form_symbolic_data(ad, cfg.lam, w_R)
+        A, A_inv = build_transform(ad.X_R, cfg)
+        sys = build_non_data_system(ad, cfg.lam, w_R, G_D, A, A_inv)
+        k = solve_non_data(sys, cfg.lam)
+        weights, diag = fixed_point(ad, cfg)
+        assert diag.splits_used == 1
+        for got, want in zip((weights.w_R, weights.G_D, weights.k, weights.A, weights.A_inv),
+                             (w_R, G_D, k, A, A_inv)):
+            assert bits(got) == bits(want)
+        assert weights.G_D.flags.c_contiguous
+        assert diag.beta == sys.beta
+        assert diag.m_matrix_margin == sys.m_matrix_margin(cfg.lam)
+        chain = dataclasses.replace(weights, w_R=w_R, G_D=G_D, k=k, A=A, A_inv=A_inv)
+        assert diag.residual == verify_fixed_point_residual(ad, chain, cfg)
+
+
+@pytest.mark.parametrize(
+    "transform, error",
+    [(np.eye(3), ShapeMismatchError), (np.diag([1.0, 1e-14]), IllConditionedError)],
+)
+def test_unsplit_fit_refuses_rank_deficient_centers_first(transform, error):
+    """At lam = 0 rank-deficient centers are refused before a bad custom transform."""
+
+    def toy(X):
+        reg = SymbolRegistry()
+        sid = reg.new_symbol(SymbolKind.DATA)
+        return AbstractDataset(X_R=np.array(X), y_R=np.array([1.0, 2.0, 3.0]), registry=reg,
+                               cells=cell_table({sid: (0, LABEL_COL)}, {sid: 0.1}))
+
+    cfg = RidgeConfig(lam=0.0, transform=transform)
+    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+        fixed_point(toy([[1.0, 2.0]] * 3), cfg)
+    with pytest.raises(error):
+        fixed_point(toy([[1.0, 2.0], [1.0, 3.0], [1.0, 5.0]]), cfg)
