@@ -93,8 +93,8 @@ class ExperimentConfig:
             raise DataError(f"unknown format {self.fmt!r}")
         if self.threshold <= 0:
             raise DataError("threshold must be positive")
-        if min([self.lam, *self.lambda_grid]) < 0:
-            raise DataError("lambda must be >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in [self.lam, *self.lambda_grid]):
+            raise DataError("lambda must be >= 0 and finite")
 
     def ridge_config(self, lam: float | None = None) -> RidgeConfig:
         return RidgeConfig(

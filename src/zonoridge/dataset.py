@@ -174,8 +174,13 @@ class AbstractDataset:
             np.asarray(cols, dtype=np.intp).reshape(-1),
             np.asarray(coef, dtype=float).reshape(-1),
         )
+        if self.X_R.ndim != 2 or self.y_R.shape != self.X_R.shape[:1]:
+            raise DataError("X_R must be 2-d, with one label in y_R per row")
         if len({a.shape for a in self.cells}) != 1 or np.any(np.diff(self.cells.symbols) <= 0):
             raise DataError("the cell table needs one entry per symbol, in ascending id order")
+        rows, cols = self.cells.rows, self.cells.cols
+        if np.any((rows < 0) | (rows >= self.n) | (cols >= self.d) | ((cols < 0) & (cols != LABEL_COL))):
+            raise DataError("every cell table entry needs a row of X_R and a column of it or the label")
 
     @property
     def n(self) -> int:

@@ -15,7 +15,6 @@ is not a zonotope and raises :class:`~zonoridge.errors.DegreeError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -23,14 +22,11 @@ from .errors import DegreeError, RegistryMismatchError, ShapeMismatchError
 from .forms import ZVector
 from .learning import AbstractWeights
 
-Method = Literal["zonotope", "interval_baseline", "oracle_under"]
-
 
 @dataclass(frozen=True)
 class PredictionInterval:
     lo: float
     hi: float
-    method: Method = "zonotope"
 
     def __post_init__(self):
         if self.lo > self.hi:

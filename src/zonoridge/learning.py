@@ -62,7 +62,6 @@ monomials whose symbols all share one row can collect more than one term
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 from collections.abc import Mapping
 
 import numpy as np
@@ -98,8 +97,8 @@ class RidgeConfig:
     split_budget: int = 4096
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lam must be >= 0 and finite")
         if isinstance(self.transform, str) and self.transform not in ("svd", "identity"):
             raise ValueError(f"unknown transform {self.transform!r}")
 
@@ -652,92 +651,67 @@ def _fit_stack(
     return w_R, G, A, A_inv, k, sys, error
 
 
-class _Touched(NamedTuple):
-    """A dataset cut into the rows that hold a split cell and the rest.
-
-    Every part of a split shares the rest, so its sums ``gram = X_U'X_U``
-    and ``xty = X_U'y_U`` are taken once; ``X`` and ``y`` are the touched
-    rows and ``pos`` the index of each cell's row among them.
-    """
-
-    gram: np.ndarray
-    xty: np.ndarray
-    X: np.ndarray
-    y: np.ndarray
-    pos: np.ndarray
-
-
-def _touched(ad: AbstractDataset, cells: Cells) -> _Touched:
-    touched, pos = np.unique(cells.rows, return_inverse=True)
-    rest = np.ones(ad.n, dtype=bool)
-    rest[touched] = False
-    X_U, y_U = ad.X_R[rest], ad.y_R[rest]
-    return _Touched(X_U.T @ X_U, X_U.T @ y_U, ad.X_R[touched], ad.y_R[touched], pos)
-
-
-def _part_block(base: _Touched, d: int) -> int:
+def _part_block(pos: np.ndarray, touched: int, d: int) -> int:
     """Parts solved together: a block's largest temporary stays near ``CHUNK_ELEMENTS``.
 
-    The largest per-part temporaries are the ``(terms, d, d)`` products of
-    ``c'`` (one per feature cell and same-row pair), the same-row triples of
-    ``h``, one row of the degree-2 block and the touched rows.
+    ``pos`` is the index of each cell's row among the ``touched`` rows that
+    hold a split cell.  The largest per-part temporaries are the ``(terms,
+    d, d)`` products of ``c'`` (one per feature cell and same-row pair), the
+    same-row triples of ``h``, one row of the degree-2 block and the touched
+    rows.
     """
-    per_row = np.bincount(base.pos).astype(np.int64)
-    S = len(base.pos)
+    per_row = np.bincount(pos).astype(np.int64)
+    S = len(pos)
     pairs, triples = int(per_row @ per_row), int(per_row @ per_row**2)
-    largest = d * max(d * (S + pairs), triples, S * S, len(base.X))
+    largest = d * max(d * (S + pairs), triples, S * S, touched)
     return max(1, CHUNK_ELEMENTS // max(1, largest))
-
-
-def _solve_parts(
-    base: _Touched, cells: Cells, offsets: np.ndarray, n: int, cfg: RidgeConfig
-) -> tuple[np.ndarray, np.ndarray, NonDataSystem, Exception | None]:
-    """Fixed points of the parts whose split cells moved by ``offsets`` ``(P, S)``.
-
-    Only the touched rows are copied per part; ``_fit_stack`` solves them
-    all.  Returns each part's interval hull ``w_R +- radius``, its diameter
-    system and the error that solving the parts one by one, in order, would
-    raise first (``None`` if every part is solved).
-    """
-    X, y = cells._replace(rows=base.pos).move(base.X, base.y, offsets)
-    gram = base.gram + X.swapaxes(1, 2) @ X
-    xty = base.xty + (X.swapaxes(1, 2) @ y[..., None])[..., 0]
-    w_R, G, _, A_inv, k, sys, error = _fit_stack(
-        gram, xty, cells, X[:, base.pos], y[:, base.pos], n, cfg
-    )
-    # Interval hull of [G_D' | A^-1 diag(k)] around w_R.
-    radius = np.abs(np.concatenate([G.swapaxes(1, 2), A_inv * k[:, None, :]], axis=2)).sum(axis=2)
-    return w_R, radius, sys, error
 
 
 def _join_split(
     ad: AbstractDataset, m: int, cfg: RidgeConfig
-) -> tuple[np.ndarray, np.ndarray, list[float], float] | None:
+) -> tuple[tuple, list[float], float] | None:
     """Box join of the fixed points of all parts of an ``m``-way split.
 
-    The parts are solved in blocks, in ``AbstractDataset.split`` order.
-    Returns the box's bounds, the part betas and the least M-matrix margin;
-    ``None`` if the first part to fail is below its feasibility threshold.
+    Every part shares the rows without a split cell, so their sums ``X_U'X_U``
+    and ``X_U'y_U`` are taken once; only the touched rows are built per part,
+    with ``Cells.move``, and ``_fit_stack`` solves the parts in blocks that
+    bound memory, in ``AbstractDataset.split`` order.  The join is the
+    smallest box holding every part's interval hull ``w_R +- radius``.
+    Returns the fit ``(w_R, G_D, data_ids, k, A, A_inv)`` of that box, the
+    part betas and the least M-matrix margin; ``None`` if the first part to
+    fail is below its feasibility threshold.
     """
     plan = ad.split_plan(m, budget=cfg.split_budget)
     cells = ad.nonzero_cells()._replace(coef=plan.coefficients)
-    base = _touched(ad, cells)
-    block = _part_block(base, ad.d)
+    touched, pos = np.unique(cells.rows, return_inverse=True)
+    X_U, y_U = np.delete(ad.X_R, touched, axis=0), np.delete(ad.y_R, touched)
+    gram_U, xty_U = X_U.T @ X_U, X_U.T @ y_U
+    X_T, y_T = ad.X_R[touched], ad.y_R[touched]
+    block = _part_block(pos, len(touched), ad.d)
     lo = np.full(ad.d, np.inf)
     hi = np.full(ad.d, -np.inf)
     betas, margin = [], np.inf
     for start in range(0, len(plan.combos), block):
-        offsets = plan.offsets(slice(start, start + block))
-        w_R, radius, sys, error = _solve_parts(base, cells, offsets, ad.n, cfg)
+        X, y = cells._replace(rows=pos).move(X_T, y_T, plan.offsets(slice(start, start + block)))
+        gram = gram_U + X.swapaxes(1, 2) @ X
+        xty = xty_U + (X.swapaxes(1, 2) @ y[..., None])[..., 0]
+        w_R, G, _, A_inv, k, sys, error = _fit_stack(
+            gram, xty, cells, X[:, pos], y[:, pos], ad.n, cfg
+        )
         if isinstance(error, LambdaTooSmall):
             return None
         if error is not None:
             raise error
+        # Interval hull of [G_D' | A^-1 diag(k)] around w_R.
+        radius = np.abs(np.concatenate([G.swapaxes(1, 2), A_inv * k[:, None, :]], axis=2)).sum(axis=2)
         lo = np.minimum(lo, (w_R - radius).min(axis=0))
         hi = np.maximum(hi, (w_R + radius).max(axis=0))
         betas.extend(sys.beta.tolist())
         margin = min(margin, float(sys.m_matrix_margin(cfg.lam).min()))
-    return lo, hi, betas, margin
+    d = ad.d
+    box = (0.5 * (lo + hi), np.zeros((0, d)), np.zeros(0, dtype=np.int64), 0.5 * (hi - lo),
+           np.eye(d), np.eye(d))
+    return box, betas, margin
 
 
 def fixed_point(
@@ -745,19 +719,19 @@ def fixed_point(
 ) -> tuple[AbstractWeights, FixedPointDiagnostics]:
     """Compute the abstract fixed point, mu-splitting when beta exceeds lam.
 
-    Both paths run one kernel, ``_fit_stack``, over a stack of parts.  The
-    direct path is the stack of one part, the dataset itself: the result
-    shares data symbols with the dataset and carries the solved box
-    diameters, and its diagnostics carry the residual of one gradient step
-    (``verify_fixed_point_residual``), taken on the diameter system just
-    assembled.  If that part is below its feasibility threshold, the
-    ``m**s`` parts of a split are solved in blocks that bound memory, and
-    the sums over the rows without a split cell are taken once for all
-    parts.  Each part gets the checks of the direct path, and the first
-    failing part decides, as if the parts were solved in order.  The part
-    zonotopes are box-joined, which drops the data-symbol correlation: the
-    joined weights have no data part, and ``splits_used > 1`` tells them
-    apart.
+    Both paths run one kernel, ``_fit_stack``, over a stack of parts, and
+    yield the fit ``(w_R, G_D, data_ids, k, A, A_inv)``, the part betas and
+    the least M-matrix margin, from which the weights and diagnostics are
+    built in one place.  The direct path is the stack of one part, the
+    dataset itself: the result shares data symbols with the dataset and
+    carries the solved box diameters, and only its diagnostics carry the
+    residual of one gradient step (``verify_fixed_point_residual``), taken
+    on the diameter system just assembled.  If that part is below its
+    feasibility threshold, the ``m**s`` parts of a split are solved and
+    box-joined by ``_join_split``.  Each part gets the checks of the direct
+    path, and the first failing part decides, as if the parts were solved
+    in order.  The join drops the data-symbol correlation: the joined
+    weights have no data part, and ``splits_used > 1`` tells them apart.
     """
     X_R, y_R = ad.X_R, ad.y_R
     cells = ad.nonzero_cells()
@@ -770,60 +744,35 @@ def fixed_point(
     if not isinstance(error, LambdaTooSmall):
         if error is not None:
             raise error
-        weights = AbstractWeights(
-            w_R=w_R[0],
-            G_D=np.ascontiguousarray(G[0]),  # C order: a view can round later products differently
-            data_ids=cells.symbols,
-            k=k[0],
-            A=A[0],
-            A_inv=A_inv[0],
-            fresh_ids=ad.registry.new_symbols(ad.d, SymbolKind.FRESH),
-            registry=ad.registry,
-            lam=cfg.lam,
-        )
-        diag = FixedPointDiagnostics(
-            beta=sys0.beta,
-            splits_used=1,
-            m_matrix_margin=sys0.m_matrix_margin(cfg.lam),
-            residual=_residual_report(ad, weights, sys0),
-        )
-        return weights, diag
-
-    # Splitting path: grow m until every part is feasible (centers shift per
-    # part, so the prediction must be re-checked).  An infeasible system has
-    # a nonzero constant column, which requires at least one feature symbol
-    # with a nonzero coefficient, so splitting makes progress.
-    s = len(ad.split_symbols())
-    m = determine_num_splits(sys0, cfg.lam, ad)
-    while True:
-        if m**s > cfg.split_budget:
-            raise SplitBudgetError(
-                f"{m}**{s} parts exceed split budget {cfg.split_budget}"
-            )
-        joined = _join_split(ad, m, cfg)
-        if joined is not None:
-            break
-        m += 1
-
-    # Box join: the smallest box holding every part's interval hull.
-    lo, hi, part_betas, margin = joined
-    d = ad.d
+        # G_D in C order: a view can round later products differently.
+        fit = (w_R[0], np.ascontiguousarray(G[0]), cells.symbols, k[0], A[0], A_inv[0])
+        part_betas, margin = None, sys0.m_matrix_margin(cfg.lam)
+    else:
+        # Grow m until every part is feasible (centers shift per part, so
+        # the prediction must be re-checked).  An infeasible system has a
+        # nonzero constant column, which requires at least one feature
+        # symbol with a nonzero coefficient, so splitting makes progress.
+        s = len(cells.symbols)
+        m = determine_num_splits(sys0, cfg.lam, ad)
+        while True:
+            if m**s > cfg.split_budget:
+                raise SplitBudgetError(f"{m}**{s} parts exceed split budget {cfg.split_budget}")
+            joined = _join_split(ad, m, cfg)
+            if joined is not None:
+                break
+            m += 1
+        fit, part_betas, margin = joined
     weights = AbstractWeights(
-        w_R=0.5 * (lo + hi),
-        G_D=np.zeros((0, d)),
-        data_ids=np.zeros(0, dtype=np.int64),
-        k=0.5 * (hi - lo),
-        A=np.eye(d),
-        A_inv=np.eye(d),
-        fresh_ids=ad.registry.new_symbols(d, SymbolKind.FRESH),
+        *fit,
+        fresh_ids=ad.registry.new_symbols(ad.d, SymbolKind.FRESH),
         registry=ad.registry,
         lam=cfg.lam,
     )
     diag = FixedPointDiagnostics(
         beta=sys0.beta,
-        splits_used=len(part_betas),
+        splits_used=1 if part_betas is None else len(part_betas),
         m_matrix_margin=margin,
-        residual=None,
+        residual=_residual_report(ad, weights, sys0) if part_betas is None else None,
         part_betas=part_betas,
     )
     return weights, diag

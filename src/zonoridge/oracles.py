@@ -208,7 +208,6 @@ class WorldOracleResult:
     loss_lo: float
     loss_hi: float
     n_worlds: int
-    strategy: str
 
 
 def oracle_ranges(
@@ -249,7 +248,6 @@ def oracle_ranges(
         loss_lo=loss_lo,
         loss_hi=loss_hi,
         n_worlds=len(weights),
-        strategy=strategy,
     )
 
 

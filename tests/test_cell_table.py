@@ -153,3 +153,17 @@ def test_seeded_worlds_match_the_dictionaries(kind, seed):
 def test_constructor_refuses_a_malformed_table(cells):
     with pytest.raises(DataError, match="cell table"):
         AbstractDataset(X_R=np.ones((2, 1)), y_R=np.zeros(2), registry=SymbolRegistry(), cells=cells)
+
+
+@pytest.mark.parametrize("shape, labels, rows, cols, match", [
+    ((5, 3), 5, [-1], [0], "cell table entry"),
+    ((5, 3), 5, [5], [0], "cell table entry"),
+    ((5, 3), 5, [0], [-2], "cell table entry"),
+    ((5, 3), 5, [0], [3], "cell table entry"),
+    ((5, 3), 4, [0], [LABEL_COL], "one label in y_R per row"),
+    ((5,), 5, [0], [LABEL_COL], "X_R must be 2-d"),
+], ids=["row-below", "row-above", "col-below", "col-above", "short-labels", "flat-features"])
+def test_constructor_checks_the_shapes_and_table_indices(shape, labels, rows, cols, match):
+    with pytest.raises(DataError, match=match):
+        AbstractDataset(X_R=np.ones(shape), y_R=np.zeros(labels), registry=SymbolRegistry(),
+                        cells=Cells([0], rows, cols, [0.1]))

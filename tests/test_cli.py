@@ -366,7 +366,11 @@ class TestOptions:
         (["--lambda", "-1"], ""),
         ([], "[ridge]\nlambda = -1\n"),
         ([], "[sweep]\nlambda_grid = 0.1, -0.5\n"),
-    ], ids=["flag", "key", "grid"])
+        (["--lambda", "nan"], ""),
+        (["--lambda", "inf"], ""),
+        ([], "[ridge]\nlambda = nan\n"),
+        ([], "[sweep]\nlambda_grid = 0.1, inf\n"),
+    ], ids=["flag", "key", "grid", "flag-nan", "flag-inf", "key-nan", "grid-inf"])
     def test_negative_lambda_is_config_error(self, data_csv, tmp_path, capsys, flag, ini):
         path = write_ini(tmp_path, f"[data]\npath = {data_csv}\nlabel = target\n{ini}")
         argv = ["lambda-sweep", "--config", path, "--out-dir", str(tmp_path / "out"), *flag]

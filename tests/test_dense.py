@@ -574,11 +574,34 @@ def test_singular_part_fails_in_part_order():
 def test_split_budget_refused_before_any_part(monkeypatch):
     ad, cfg = split_case("both", 3, 3, "svd", 0.5)
     called = []
-    monkeypatch.setattr(learning, "_solve_parts", lambda *args: called.append(args))
+    monkeypatch.setattr(Cells, "move", lambda *args: called.append(args))
     monkeypatch.setattr(AbstractDataset, "split_plan", lambda *args: called.append(args))
     with pytest.raises(SplitBudgetError):
         fixed_point(ad, dataclasses.replace(cfg, split_budget=2))
     assert called == []
+
+
+@pytest.mark.parametrize(
+    "case", [("missing", 3, 1, "svd", 0.7), ("both", 3, 3, "custom", 0.7), ("features", 1, 4, "svd", 0.5)]
+)
+def test_fit_result_contract_on_both_paths(case):
+    """What the unsplit fit and the box join of a split each return."""
+    ad, cfg = split_case(*case)
+    cells = ad.nonzero_cells()
+    weights, diag = fixed_point(ad, dataclasses.replace(cfg, lam=1e3))
+    np.testing.assert_array_equal(weights.data_ids, cells.symbols)
+    assert weights.G_D.shape == (len(cells.symbols), ad.d) and weights.G_D.flags.c_contiguous
+    assert diag.residual is not None and diag.part_betas is None and diag.splits_used == 1
+
+    weights, diag = fixed_point(ad, cfg)
+    assert weights.G_D.shape == (0, ad.d)
+    assert weights.data_ids.dtype == np.int64 and weights.data_ids.shape == (0,)
+    np.testing.assert_array_equal(weights.A, np.eye(ad.d))
+    np.testing.assert_array_equal(weights.A_inv, np.eye(ad.d))
+    assert (weights.k >= 0).all() and diag.residual is None
+    s = len(cells.symbols)
+    m = round(diag.splits_used ** (1 / s))
+    assert diag.splits_used == len(diag.part_betas) == m**s and m > 1
 
 
 def bits(a):

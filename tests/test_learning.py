@@ -60,6 +60,12 @@ def gradient_descent_ridge(X, y, lam, steps=200_000, eta=None):
     return w
 
 
+@pytest.mark.parametrize("lam", [-0.1, float("nan"), float("inf"), float("-inf")])
+def test_ridge_config_refuses_a_negative_or_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lam must be >= 0 and finite"):
+        RidgeConfig(lam=lam)
+
+
 class TestRidgeClosedFormReal:
     def test_exact_fit(self):
         w = ridge_closed_form_real(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), 0.0)
