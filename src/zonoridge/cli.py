@@ -1,10 +1,13 @@
 """Reproducible experiment driver.
 
-Subcommands: ``certify``, ``loss-range``, ``lambda-sweep``, ``oracle-check``,
-``params``.  Configuration comes from an INI-style file of flat key/value
-sections and from command-line flags, which win; ``OPTIONS`` declares every
-setting once, with its key and its flag.  Experiments repeat over seeds,
-grid points and seeds run as independent tasks, and reports are written as
+Subcommands, listed once in ``COMMANDS``: ``certify``, ``loss-range``,
+``lambda-sweep``, ``oracle-check``, ``params``.  Configuration comes from an
+INI-style file of flat key/value sections and from command-line flags, which
+win; ``OPTIONS`` declares every setting once, with its key and its flag.
+Each subcommand runs tasks ``(seed, percentage, radius, lambda)`` over its
+seeds and grids through one runner that splits, abstracts and fits the data
+and appends the fit's diagnostics to the subcommand's rows.  Tasks run
+independently, in parallel, and keep their order; reports are written as
 plot-ready CSV or JSON.  Identical configurations produce byte-identical CSV
 output.
 
@@ -21,7 +24,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -282,120 +285,105 @@ def _prepare(cfg: ExperimentConfig) -> tuple[Dataset, float]:
     return data, threshold_abs
 
 
-def _spec(cfg: ExperimentConfig, percentage: float, radius: float, seed: int) -> UncertaintySpec:
-    return UncertaintySpec(
-        target=cfg.target,
-        percentage=percentage,
-        radius=radius,
-        seed=seed,
-        columns=tuple(cfg.uncertain_columns) if cfg.uncertain_columns else None,
-    )
+def _run(cfg: ExperimentConfig, data: Dataset, task_rows, *, seeds=None, percentages=None,
+         radii=None, lambdas=None) -> list[dict]:
+    """The rows of every task ``(seed, percentage, radius, lambda)``, in task order.
+
+    The tasks are the product of the seeds and the grids (each defaults to
+    its one configured value) and run on ``cfg.jobs`` threads.  A task
+    splits ``data`` for its seed, abstracts the training part, fits it at
+    its lambda and passes ``(task, train, test, ad, weights)`` to
+    ``task_rows``; every row it returns gains the fit's diagnostics columns.
+    """
+    tasks = list(product(seeds or cfg.seeds, percentages or [cfg.percentage],
+                         radii or [cfg.radius], lambdas or [cfg.lam]))
+    columns = tuple(cfg.uncertain_columns) if cfg.uncertain_columns else None
+
+    def run(task):
+        seed, pct, rad, lam = task
+        train, test = train_test_split(data, cfg.split_ratio, cfg.split_seed + seed)
+        if cfg.standardize:
+            scaler = FeatureScaler.fit(train)
+            train, test = scaler.transform(train), scaler.transform(test)
+        ad = inject_uncertainty(train, UncertaintySpec(cfg.target, pct, rad, seed, columns))
+        weights, diag = fixed_point(ad, cfg.ridge_config(lam))
+        res = diag.residual
+        diagnostics = {
+            "beta": diag.beta,
+            "splits": diag.splits_used,
+            "m_matrix_margin": diag.m_matrix_margin,
+            "residual_real": res.real_residual if res else math.nan,
+            "residual_data": res.data_residual if res else math.nan,
+            "residual_box": res.box_residual if res else math.nan,
+        }
+        return [{**row, **diagnostics} for row in task_rows(task, train, test, ad, weights)]
+
+    if cfg.jobs <= 1 or len(tasks) <= 1:
+        results = [run(t) for t in tasks]
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+            results = list(pool.map(run, tasks))
+    return list(chain.from_iterable(results))
 
 
-def _split(cfg: ExperimentConfig, data: Dataset, seed: int) -> tuple[Dataset, Dataset]:
-    train, test = train_test_split(data, cfg.split_ratio, cfg.split_seed + seed)
-    if cfg.standardize:
-        scaler = FeatureScaler.fit(train)
-        train, test = scaler.transform(train), scaler.transform(test)
-    return train, test
-
-
-def _run_tasks(tasks, fn, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def _diag_columns(diag) -> dict:
-    res = diag.residual
-    return {
-        "beta": diag.beta,
-        "splits": diag.splits_used,
-        "m_matrix_margin": diag.m_matrix_margin,
-        "residual_real": res.real_residual if res else math.nan,
-        "residual_data": res.data_residual if res else math.nan,
-        "residual_box": res.box_residual if res else math.nan,
-    }
-
-
-def cmd_certify(cfg: ExperimentConfig) -> RunReport:
+def cmd_certify(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
     """Robustness ratios per seed and grid point, with the label-interval
     baseline alongside whenever uncertainty is label-only."""
     data, threshold_abs = _prepare(cfg)
-    radii = cfg.radius_grid or [cfg.radius]
-    percentages = cfg.percentage_grid or [cfg.percentage]
-    tasks = [
-        (seed, pct, rad)
-        for seed in cfg.seeds
-        for pct in percentages
-        for rad in radii
-    ]
 
-    def run(task):
-        seed, pct, rad = task
-        train, test = _split(cfg, data, seed)
-        ad = inject_uncertainty(train, _spec(cfg, pct, rad, seed))
-        weights, diag = fixed_point(ad, cfg.ridge_config())
-        report = certify_robustness(test.X, weights, threshold_abs)
+    def task_rows(task, train, test, ad, weights):
+        seed, pct, rad, lam = task
         row = {
             "seed": seed,
             "percentage": pct,
             "radius": rad,
-            "lambda": cfg.lam,
+            "lambda": lam,
             "threshold_abs": threshold_abs,
             "n_train": train.n,
             "n_test": test.n,
-            "ratio": report.ratio,
+            "ratio": certify_robustness(test.X, weights, threshold_abs).ratio,
             "baseline_ratio": math.nan,
         }
         if cfg.target == "labels":
-            baseline = interval_ridge_labels(train.X, ad.label_intervals(), cfg.lam)
+            baseline = interval_ridge_labels(train.X, ad.label_intervals(), lam)
             robust = sum(
                 (lambda lh: lh[1] - lh[0] < threshold_abs)(baseline.predict_interval(x))
                 for x in test.X
             )
             row["baseline_ratio"] = robust / test.n
-        row.update(_diag_columns(diag))
-        return row
+        return [row]
 
-    rows = _run_tasks(tasks, run, cfg.jobs)
+    rows = _run(cfg, data, task_rows, percentages=cfg.percentage_grid, radii=cfg.radius_grid)
     value_keys = ["ratio"] + (["baseline_ratio"] if cfg.target == "labels" else [])
     summary = _summarize(rows, ["percentage", "radius"], value_keys)
-    return RunReport("certify", cfg.echo(), rows, summary)
+    return RunReport("certify", cfg.echo(), rows, summary), True
 
 
-def cmd_loss_range(cfg: ExperimentConfig) -> RunReport:
+def cmd_loss_range(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
     """Zonotope loss interval vs enumerated ground truth (sampling fallback
-    when enumeration exceeds the budget) across the radius grid."""
+    when enumeration exceeds the budget) across the radius grid; ok when
+    every interval contains its ground truth."""
     data, _ = _prepare(cfg)
-    radii = cfg.radius_grid or [cfg.radius]
-    tasks = [(seed, rad) for seed in cfg.seeds for rad in radii]
-    notes: list[str] = []
 
-    def run(task):
-        seed, rad = task
-        train, test = _split(cfg, data, seed)
-        ad = inject_uncertainty(train, _spec(cfg, cfg.percentage, rad, seed))
-        weights, diag = fixed_point(ad, cfg.ridge_config())
-        li = loss_interval(test.X, test.y, weights, cfg.lam)
-        n_syms = len(ad.split_symbols())
+    def task_rows(task, train, test, ad, weights):
+        seed, pct, rad, lam = task
+        li = loss_interval(test.X, test.y, weights, lam)
         gt_mode = "corner"
         try:
-            gt = oracle_ranges(ad, cfg.lam, test.X, test.y, strategy="corner",
+            gt = oracle_ranges(ad, lam, test.X, test.y, strategy="corner",
                                budget=cfg.oracle_budget)
         except BudgetExceededError:
             gt_mode = "sampling_fallback"
-            gt = oracle_ranges(ad, cfg.lam, test.X, test.y, strategy="uniform",
+            gt = oracle_ranges(ad, lam, test.X, test.y, strategy="uniform",
                                samples=cfg.oracle_samples, seed=seed)
-        sampled = oracle_ranges(ad, cfg.lam, test.X, test.y, strategy="uniform",
+        sampled = oracle_ranges(ad, lam, test.X, test.y, strategy="uniform",
                                 samples=cfg.oracle_samples, seed=seed + 1)
-        row = {
+        return [{
             "seed": seed,
             "radius": rad,
-            "percentage": cfg.percentage,
-            "lambda": cfg.lam,
-            "n_symbols": n_syms,
+            "percentage": pct,
+            "lambda": lam,
+            "n_symbols": len(ad.split_symbols()),
             "zono_lo": li.lo,
             "zono_hi": li.hi,
             "gt_mode": gt_mode,
@@ -405,69 +393,59 @@ def cmd_loss_range(cfg: ExperimentConfig) -> RunReport:
             "sample_hi": sampled.loss_hi,
             "contained": int(li.lo <= gt.loss_lo + 1e-9 and gt.loss_hi <= li.hi + 1e-9),
             "gap": (li.hi - li.lo) - (gt.loss_hi - gt.loss_lo),
-        }
-        row.update(_diag_columns(diag))
-        if gt_mode != "corner":
-            notes.append(f"seed={seed} radius={rad}: enumeration over budget, sampled instead")
-        return row
+        }]
 
-    rows = _run_tasks(tasks, run, cfg.jobs)
+    rows = _run(cfg, data, task_rows, radii=cfg.radius_grid)
     summary = _summarize(rows, ["radius"], ["zono_lo", "zono_hi", "gt_lo", "gt_hi", "gap"])
-    return RunReport("loss-range", cfg.echo(), rows, summary, notes=sorted(set(notes)))
+    notes = sorted({
+        f"seed={r['seed']} radius={r['radius']}: enumeration over budget, sampled instead"
+        for r in rows if r["gt_mode"] != "corner"
+    })
+    ok = all(r["contained"] for r in rows)
+    return RunReport("loss-range", cfg.echo(), rows, summary, notes=notes), ok
 
 
-def cmd_lambda_sweep(cfg: ExperimentConfig) -> RunReport:
+def cmd_lambda_sweep(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
     """Robustness ratio and worst-case test loss across the lambda grid."""
     data, threshold_abs = _prepare(cfg)
-    lambdas = cfg.lambda_grid or [cfg.lam]
-    tasks = [(seed, lam) for seed in cfg.seeds for lam in lambdas]
 
-    def run(task):
-        seed, lam = task
-        train, test = _split(cfg, data, seed)
-        ad = inject_uncertainty(train, _spec(cfg, cfg.percentage, cfg.radius, seed))
-        weights, diag = fixed_point(ad, cfg.ridge_config(lam))
-        report = certify_robustness(test.X, weights, threshold_abs)
+    def task_rows(task, train, test, ad, weights):
+        seed, pct, rad, lam = task
         li = loss_interval(test.X, test.y, weights, lam)
-        row = {
+        return [{
             "seed": seed,
             "lambda": lam,
-            "percentage": cfg.percentage,
-            "radius": cfg.radius,
+            "percentage": pct,
+            "radius": rad,
             "threshold_abs": threshold_abs,
-            "ratio": report.ratio,
+            "ratio": certify_robustness(test.X, weights, threshold_abs).ratio,
             "loss_lo": li.lo,
             "loss_hi": li.hi,
-        }
-        row.update(_diag_columns(diag))
-        return row
+        }]
 
-    rows = _run_tasks(tasks, run, cfg.jobs)
+    rows = _run(cfg, data, task_rows, lambdas=cfg.lambda_grid)
     summary = _summarize(rows, ["lambda"], ["ratio", "loss_hi"])
     if summary:
         best = min(summary, key=lambda s: s["loss_hi_mean"])
         for entry in summary:
             entry["best_worst_case_loss"] = int(entry is best)
-    return RunReport("lambda-sweep", cfg.echo(), rows, summary)
+    return RunReport("lambda-sweep", cfg.echo(), rows, summary), True
 
 
 def cmd_oracle_check(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
     """End-to-end soundness sweep: every sampled/enumerated world's trained
     weights, predictions and loss must fall inside the abstract results."""
     data, _ = _prepare(cfg)
-    tasks = list(cfg.seeds)
 
-    def run(seed):
-        train, test = _split(cfg, data, seed)
-        ad = inject_uncertainty(train, _spec(cfg, cfg.percentage, cfg.radius, seed))
-        weights, diag = fixed_point(ad, cfg.ridge_config())
-        li = loss_interval(test.X, test.y, weights, cfg.lam)
+    def task_rows(task, train, test, ad, weights):
+        seed, pct, rad, lam = task
+        li = loss_interval(test.X, test.y, weights, lam)
         intervals = [predict_interval(x, weights) for x in test.X]
         pred_lo = np.array([interval.lo for interval in intervals]) - 1e-7
         pred_hi = np.array([interval.hi for interval in intervals]) + 1e-7
-        worlds = [_train_worlds(ad, cfg.lam, "uniform", samples=cfg.oracle_samples, seed=seed)]
+        worlds = [_train_worlds(ad, lam, "uniform", samples=cfg.oracle_samples, seed=seed)]
         try:
-            worlds.append(_train_worlds(ad, cfg.lam, "corner", budget=cfg.oracle_budget))
+            worlds.append(_train_worlds(ad, lam, "corner", budget=cfg.oracle_budget))
         except BudgetExceededError:
             pass  # more corners than the budget: the sampled worlds alone
         syms = ad.data_symbols()
@@ -478,49 +456,48 @@ def cmd_oracle_check(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
                 weight_fail += not contains_world_weights(weights, dict(zip(syms, e)), w_star)
             preds = (test.X @ w_stars[..., None])[..., 0]
             pred_fail += int(np.sum(~((pred_lo <= preds) & (preds <= pred_hi)).all(axis=1)))
-            loss = concrete_loss(test.X, test.y, w_stars, cfg.lam)
+            loss = concrete_loss(test.X, test.y, w_stars, lam)
             loss_fail += int(np.sum(~((li.lo - 1e-7 <= loss) & (loss <= li.hi + 1e-7))))
-        row = {
+        return [{
             "seed": seed,
-            "percentage": cfg.percentage,
-            "radius": cfg.radius,
-            "lambda": cfg.lam,
+            "percentage": pct,
+            "radius": rad,
+            "lambda": lam,
             "worlds": count,
             "weight_failures": weight_fail,
             "prediction_failures": pred_fail,
             "loss_failures": loss_fail,
-        }
-        row.update(_diag_columns(diag))
-        return row
+        }]
 
-    rows = _run_tasks(tasks, run, cfg.jobs)
-    total_fail = sum(r["weight_failures"] + r["prediction_failures"] + r["loss_failures"] for r in rows)
-    summary = [
-        {
-            "worlds_total": sum(r["worlds"] for r in rows),
-            "weight_failures": sum(r["weight_failures"] for r in rows),
-            "prediction_failures": sum(r["prediction_failures"] for r in rows),
-            "loss_failures": sum(r["loss_failures"] for r in rows),
-            "passed": int(total_fail == 0),
-        }
-    ]
-    return RunReport("oracle-check", cfg.echo(), rows, summary), total_fail == 0
+    rows = _run(cfg, data, task_rows)
+    failures = ("weight_failures", "prediction_failures", "loss_failures")
+    summary = {"worlds_total": sum(r["worlds"] for r in rows)}
+    summary.update({key: sum(r[key] for r in rows) for key in failures})
+    ok = not any(summary[key] for key in failures)
+    summary["passed"] = int(ok)
+    return RunReport("oracle-check", cfg.echo(), rows, [summary]), ok
 
 
-def cmd_params(cfg: ExperimentConfig) -> RunReport:
+def cmd_params(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
     """Per-coefficient intervals with direction-conclusiveness flags."""
     data, _ = _prepare(cfg)
-    seed = cfg.seeds[0]
-    train, _ = _split(cfg, data, seed)
-    ad = inject_uncertainty(train, _spec(cfg, cfg.percentage, cfg.radius, seed))
-    weights, diag = fixed_point(ad, cfg.ridge_config())
-    pi = parameter_intervals(weights, names=list(train.columns))
-    rows = []
-    for rec in pi.to_csv_rows():
-        rec["seed"] = seed
-        rec.update(_diag_columns(diag))
-        rows.append(rec)
-    return RunReport("params", cfg.echo(), rows, rows)
+
+    def task_rows(task, train, test, ad, weights):
+        pi = parameter_intervals(weights, names=list(train.columns))
+        return [{**rec, "seed": task[0]} for rec in pi.to_csv_rows()]
+
+    rows = _run(cfg, data, task_rows, seeds=[cfg.seeds[0]])
+    return RunReport("params", cfg.echo(), rows, rows), True
+
+
+#: Each subcommand's function: it returns the report and whether every containment held.
+COMMANDS = {
+    "certify": cmd_certify,
+    "loss-range": cmd_loss_range,
+    "lambda-sweep": cmd_lambda_sweep,
+    "oracle-check": cmd_oracle_check,
+    "params": cmd_params,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -531,7 +508,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="zonoridge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("certify", "loss-range", "lambda-sweep", "oracle-check", "params"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config")
         p.add_argument("--seed", type=int)
@@ -560,20 +537,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
 
     try:
-        if args.command == "certify":
-            report = cmd_certify(cfg)
-            ok = True
-        elif args.command == "loss-range":
-            report = cmd_loss_range(cfg)
-            ok = all(r["contained"] for r in report.rows)
-        elif args.command == "lambda-sweep":
-            report = cmd_lambda_sweep(cfg)
-            ok = True
-        elif args.command == "oracle-check":
-            report, ok = cmd_oracle_check(cfg)
-        else:
-            report = cmd_params(cfg)
-            ok = True
+        report, ok = COMMANDS[args.command](cfg)
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -587,13 +551,10 @@ def main(argv: list[str] | None = None) -> int:
     for note in report.notes:
         print(f"note: {note}")
     if args.command == "oracle-check":
-        status = "PASS" if ok else "FAIL"
-        print(f"oracle-check: {status} ({report.summary[0]['worlds_total']} worlds)")
-        return EXIT_OK if ok else EXIT_SOUNDNESS
-    if args.command == "loss-range" and not ok:
-        print("loss-range: containment violated", file=sys.stderr)
-        return EXIT_SOUNDNESS
-    return EXIT_OK
+        print(f"oracle-check: {'PASS' if ok else 'FAIL'} ({report.summary[0]['worlds_total']} worlds)")
+    elif not ok:
+        print(f"{args.command}: containment violated", file=sys.stderr)
+    return EXIT_OK if ok else EXIT_SOUNDNESS
 
 
 if __name__ == "__main__":

@@ -107,11 +107,11 @@ def predict_interval_uncertain(
     """Prediction range for an uncertain test point.
 
     The point must be a vector of affine forms, ``x_c + P e``; an entry of
-    degree 2 or more raises :class:`DegreeError`.  Sharing symbols with the
-    training data (or with the weights' fresh symbols) expresses correlated
-    uncertainty; new symbols express independence.  With ``W`` the weights'
-    generator matrix over their symbols and ``P`` the point's over its own,
-    the product ``x . w`` has
+    degree 2 or more raises :class:`DegreeError`.  Sharing data symbols with
+    the training data expresses correlated uncertainty; new symbols express
+    independence, and no point shares the box part's symbols.  With ``W``
+    the weights' generator matrix over their symbols and ``P`` the point's
+    over its own, the product ``x . w`` has
 
     * center ``x_c . w_R``,
     * linear coefficients ``x_c'W`` and ``w_R'P``, added where a symbol is

@@ -1,8 +1,8 @@
 """Closed-form fixed point of abstract gradient descent for ridge regression.
 
 The abstract weights decompose as ``w = w_R + w_D + w_ND``: a real center, an
-affine part over the data symbols, and a box over fresh symbols mapped
-through an invertible transform,
+affine part over the data symbols, and a box over the weights' own symbols
+mapped through an invertible transform,
 
     w_ND = A^-1 diag(k) [eps'_1 ... eps'_d]^T,   k >= 0 componentwise.
 
@@ -74,7 +74,7 @@ from .errors import (
     SplitBudgetError,
     ZonoError,
 )
-from .symbols import SymbolKind, SymbolRegistry
+from .symbols import SymbolRegistry
 
 _COND_BOUND = 1e12
 #: Slack of the feasibility test ``lam >= beta`` and of the clamp on negative diameters.
@@ -110,12 +110,13 @@ class AbstractWeights:
     ``G_D`` ``(S, d)`` is the data part: row j is the generator of data
     symbol ``data_ids[j]``.  A fit has one row per entry of the dataset's
     cell table with a nonzero coefficient, in table order, and none after
-    the box join of a split.  ``fresh_ids`` are the d fresh symbols carrying
-    the box part.
+    the box join of a split.  The box part ``A^-1 diag(k) eps'`` has no
+    symbol ids: its d symbols are the weights' own and appear in no dataset
+    or test point.
 
-    The generator matrix and its symbol-to-column index are built on first
-    use and kept; reassigning any field (``weights.k = ...``) drops them.
-    Changing a field's array in place does not.
+    The generator matrix and its data-symbol-to-column index are built on
+    first use and kept; reassigning any field (``weights.k = ...``) drops
+    them.  Changing a field's array in place does not.
     """
 
     w_R: np.ndarray
@@ -124,9 +125,7 @@ class AbstractWeights:
     k: np.ndarray
     A: np.ndarray
     A_inv: np.ndarray
-    fresh_ids: list[int]
     registry: SymbolRegistry
-    lam: float
 
     def __setattr__(self, name, value):
         self.__dict__.pop("_zonotope", None)
@@ -142,12 +141,12 @@ class AbstractWeights:
         return np.fromiter(map(assignment.__getitem__, ids), float, len(ids)) @ self.G_D
 
     def _generator_columns(self) -> tuple[np.ndarray, dict[int, int]]:
-        """The cached ``generators()`` and the column of each of its symbol ids."""
+        """The cached ``generators()`` and the column of each data symbol id."""
         cached = self.__dict__.get("_zonotope")
         if cached is None:
             W = np.hstack([self.G_D.T, self.A_inv * self.k])
             W.flags.writeable = False
-            ids = [*self.data_ids.tolist(), *self.fresh_ids]
+            ids = self.data_ids.tolist()
             cached = self.__dict__["_zonotope"] = (W, dict(zip(ids, range(len(ids)))))
         return cached
 
@@ -155,7 +154,7 @@ class AbstractWeights:
         """Generator matrix ``W = [G_D' | A^-1 diag(k)]`` of the weight zonotope.
 
         Row i is dimension i; column j multiplies one error symbol: first the
-        data symbols of ``data_ids``, then the d fresh symbols of the box
+        data symbols of ``data_ids``, then the last d columns, the box
         part.  The zonotope is ``{w_R + W e : e in [-1, 1]^m}``.  The array
         is read-only: it is the weights' cached copy.
         """
@@ -599,9 +598,7 @@ def solve_non_data(sys: NonDataSystem, lam: float, tolerance: float = TOLERANCE)
     return k[0]
 
 
-def determine_num_splits(
-    sys: NonDataSystem, lam: float, ad: AbstractDataset
-) -> int:
+def determine_num_splits(sys: NonDataSystem, lam: float) -> int:
     """Smallest per-symbol split count predicted to bring beta under lam.
 
     Uses the bound ``beta(m) <= (d * c'_max / m - min_i q_ii) / n`` obtained
@@ -753,7 +750,7 @@ def fixed_point(
         # nonzero constant column, which requires at least one feature
         # symbol with a nonzero coefficient, so splitting makes progress.
         s = len(cells.symbols)
-        m = determine_num_splits(sys0, cfg.lam, ad)
+        m = determine_num_splits(sys0, cfg.lam)
         while True:
             if m**s > cfg.split_budget:
                 raise SplitBudgetError(f"{m}**{s} parts exceed split budget {cfg.split_budget}")
@@ -762,17 +759,12 @@ def fixed_point(
                 break
             m += 1
         fit, part_betas, margin = joined
-    weights = AbstractWeights(
-        *fit,
-        fresh_ids=ad.registry.new_symbols(ad.d, SymbolKind.FRESH),
-        registry=ad.registry,
-        lam=cfg.lam,
-    )
+    weights = AbstractWeights(*fit, registry=ad.registry)
     diag = FixedPointDiagnostics(
         beta=sys0.beta,
         splits_used=1 if part_betas is None else len(part_betas),
         m_matrix_margin=margin,
-        residual=_residual_report(ad, weights, sys0) if part_betas is None else None,
+        residual=_residual_report(ad, weights, sys0, cfg.lam) if part_betas is None else None,
         part_betas=part_betas,
     )
     return weights, diag
@@ -781,7 +773,7 @@ def fixed_point(
 def verify_fixed_point_residual(
     ad: AbstractDataset, weights: AbstractWeights, cfg: RidgeConfig
 ) -> ResidualReport:
-    """Apply one symbolic gradient step and measure how far it moves.
+    """Apply one symbolic gradient step at ``cfg.lam`` and measure how far it moves.
 
     The step is taken on the dense terms of the diameter system.  With
     ``H = 2 lam I + (2/n) X_R'X_R``, the data-symbol part of the gradient is
@@ -797,17 +789,16 @@ def verify_fixed_point_residual(
     ``k' = k``.  The normalized box residual divides out the ``2 eta / n``
     step factor, making it comparable to the system's scale.
     """
-    sys = build_non_data_system(ad, weights.lam, weights.w_R, weights.G_D, weights.A, weights.A_inv)
-    return _residual_report(ad, weights, sys)
+    sys = build_non_data_system(ad, cfg.lam, weights.w_R, weights.G_D, weights.A, weights.A_inv)
+    return _residual_report(ad, weights, sys, cfg.lam)
 
 
 def _residual_report(
-    ad: AbstractDataset, weights: AbstractWeights, sys: NonDataSystem
+    ad: AbstractDataset, weights: AbstractWeights, sys: NonDataSystem, lam: float
 ) -> ResidualReport:
-    """``verify_fixed_point_residual`` on ``sys``, the weights' assembled system."""
+    """``verify_fixed_point_residual`` at ``lam`` on ``sys``, the weights' assembled system."""
     X_R, y_R = ad.X_R, ad.y_R
     n, d = X_R.shape
-    lam = weights.lam
     gram = X_R.T @ X_R
     qmax = float(np.max(np.diag(sys.Q), initial=0.0))
     denom = 2.0 * lam + (2.0 / n) * max(qmax, 0.0)

@@ -79,7 +79,6 @@ class WorldAssignment:
     """One point of the symbol cube: value in [-1, 1] per data symbol."""
 
     values: dict[int, float]
-    strategy: str
 
     def __post_init__(self):
         for v in self.values.values():
@@ -137,13 +136,13 @@ def _sampled_values(ad: AbstractDataset, count: int, seed: int) -> np.ndarray:
 
 
 def _worlds(
-    ad: AbstractDataset, strategy: str, values: np.ndarray
+    ad: AbstractDataset, values: np.ndarray
 ) -> list[tuple[WorldAssignment, np.ndarray, np.ndarray]]:
     """``(assignment, X, y)`` of every row of ``values``, built as one block."""
     syms = ad.data_symbols()
     X, y = ad.materialize_batch(values)
     return [
-        (WorldAssignment(dict(zip(syms, row)), strategy), Xw, yw)
+        (WorldAssignment(dict(zip(syms, row))), Xw, yw)
         for row, Xw, yw in zip(values.tolist(), X, y)
     ]
 
@@ -160,14 +159,14 @@ def enumerate_worlds(
     the budget counts only the others.  Worlds are built in blocks.
     """
     for values in _grid_values(ad, strategy, levels, budget):
-        yield from _worlds(ad, strategy, values)
+        yield from _worlds(ad, values)
 
 
 def sample_worlds(
     ad: AbstractDataset, count: int, seed: int
 ) -> list[tuple[WorldAssignment, np.ndarray, np.ndarray]]:
     """Seeded uniform samples from the uncertainty cube, built as one block."""
-    return _worlds(ad, "uniform", _sampled_values(ad, count, seed))
+    return _worlds(ad, _sampled_values(ad, count, seed))
 
 
 def _train_worlds(

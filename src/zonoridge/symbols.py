@@ -5,9 +5,12 @@ variables that range over [-1, 1].  Symbols are plain integer ids handed out
 by a registry; each id carries a kind:
 
 * ``DATA`` symbols are created while abstracting an uncertain dataset and tie
-  model weights back to the dataset cells they came from.
-* ``FRESH`` symbols carry the box part of a weight zonotope, one per
-  dimension (also after a join); they never appear in the abstract dataset.
+  model weights back to the dataset cells they came from; a caller also
+  takes new ones for the independent uncertainty of a test point.
+* ``FRESH`` symbols stand for a quantity that is tied to no dataset cell,
+  such as a linearized monomial.  The library takes none: a fit leaves the
+  registry as it found it, and the box part of a weight zonotope is the
+  last d columns of its generator matrix, with no symbol ids.
 
 A registry is shared by all forms participating in one computation; mixing
 forms from different registries is an error.
@@ -27,7 +30,7 @@ class SymbolKind(Enum):
 class SymbolRegistry:
     """Allocates unique error-symbol ids.
 
-    Allocation is guarded by a lock so parallel tasks may request fresh
+    Allocation is guarded by a lock so parallel tasks may request new
     symbols concurrently.  Kinds are immutable once assigned.
     """
 

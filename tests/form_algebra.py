@@ -289,16 +289,20 @@ def y_symbolic(ad: AbstractDataset) -> ZVector:
 
 
 def weights_zvector(weights: AbstractWeights) -> ZVector:
-    """The weight zonotope as a vector of affine forms."""
+    """The weight zonotope as a vector of affine forms.
+
+    The box part gets d new fresh symbols, one per column of ``A^-1 diag(k)``.
+    """
+    fresh = weights.registry.new_symbols(weights.dim, SymbolKind.FRESH)
     entries = []
     for i in range(weights.dim):
         terms = {}
         for sid, gen in zip(weights.data_ids.tolist(), weights.G_D):
             if gen[i] != 0.0:
                 terms[(sid,)] = gen[i]
-        for j, fid in enumerate(weights.fresh_ids):
+        for j, fid in enumerate(fresh):
             coef = weights.A_inv[i, j] * weights.k[j]
             if coef != 0.0:
-                terms[(fid,)] = terms.get((fid,), 0.0) + coef
+                terms[(fid,)] = coef
         entries.append(PolyForm(weights.registry, weights.w_R[i], terms))
     return ZVector(weights.registry, entries)

@@ -120,7 +120,7 @@ def verify_fixed_point_residual(
     """
     X_R, y_R = ad.X_R, ad.y_R
     n, d = X_R.shape
-    lam = weights.lam
+    lam = cfg.lam
     reg = ad.registry
     gram = X_R.T @ X_R
     Q = weights.A @ gram @ weights.A_inv
@@ -152,11 +152,12 @@ def verify_fixed_point_residual(
             data_residual = max(data_residual, abs(coef))
     data_residual *= eta
 
-    # Box part: w_ND as affine forms over the stored fresh symbols.
+    # Box part: w_ND as affine forms over d new fresh symbols.
     w_nd_entries = []
+    box_ids = reg.new_symbols(d, SymbolKind.FRESH)
     for i in range(d):
         terms = {}
-        for j, fid in enumerate(weights.fresh_ids):
+        for j, fid in enumerate(box_ids):
             coef = weights.A_inv[i, j] * weights.k[j]
             if coef != 0.0:
                 terms[(fid,)] = coef
@@ -307,12 +308,10 @@ def split_join(
         A, A_inv = build_transform(part.X_R, cfg)
         part_sys = build_non_data_system(part, cfg.lam, w_R, w_D, A, A_inv)
         k = solve_non_data(part_sys, cfg.lam, TOLERANCE)
-        fresh = part.registry.new_symbols(part.d, SymbolKind.FRESH)
         results.append(
             AbstractWeights(
                 w_R=w_R, G_D=w_D, data_ids=part.nonzero_cells().symbols, k=k, A=A, A_inv=A_inv,
-                fresh_ids=fresh,
-                registry=part.registry, lam=cfg.lam,
+                registry=part.registry,
             )
         )
     joined_vec = box_join([weights_zvector(w) for w in results])

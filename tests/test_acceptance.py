@@ -307,8 +307,7 @@ class TestCriterion6SplittingPath:
             pytest.skip("degenerate box; nothing to shrink")
         shrunk = AbstractWeights(
             w_R=weights.w_R, G_D=weights.G_D, data_ids=weights.data_ids, k=0.5 * weights.k,
-            A=weights.A, A_inv=weights.A_inv, fresh_ids=weights.fresh_ids,
-            registry=weights.registry, lam=weights.lam,
+            A=weights.A, A_inv=weights.A_inv, registry=weights.registry,
         )
         failures = sum(
             not contains_world_weights(shrunk, wa.values, ridge_concrete(X, y, cfg.lam))

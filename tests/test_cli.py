@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zonoridge import cli
 from zonoridge.cli import (
     OPTIONS,
     ExperimentConfig,
@@ -19,6 +20,7 @@ from zonoridge.cli import (
     load_config,
     main,
 )
+from zonoridge.inference import LossInterval
 
 
 def write_regression_csv(path, n=40, d_feat=2, seed=0, noise=0.05):
@@ -60,7 +62,7 @@ def base_config(data_csv, out_dir, **kw):
 class TestCertify:
     def test_zero_radius_fully_robust(self, data_csv, tmp_path):
         cfg = base_config(data_csv, tmp_path / "out", radius=0.0)
-        report = cmd_certify(cfg)
+        report, _ = cmd_certify(cfg)
         for row in report.rows:
             assert row["ratio"] == 1.0
             assert row["baseline_ratio"] == 1.0
@@ -70,14 +72,14 @@ class TestCertify:
             data_csv, tmp_path / "out",
             radius_grid=[0.02, 0.05, 0.1, 0.2], threshold=0.02,
         )
-        report = cmd_certify(cfg)
+        report, _ = cmd_certify(cfg)
         assert len(report.rows) == 2 * 4
         for row in report.rows:
             assert row["ratio"] >= row["baseline_ratio"] - 1e-12
 
     def test_summary_stats_recomputable(self, data_csv, tmp_path):
         cfg = base_config(data_csv, tmp_path / "out", radius_grid=[0.05])
-        report = cmd_certify(cfg)
+        report, _ = cmd_certify(cfg)
         ratios = [r["ratio"] for r in report.rows]
         entry = report.summary[0]
         assert entry["ratio_mean"] == pytest.approx(np.mean(ratios))
@@ -100,22 +102,25 @@ class TestDeterminism:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b and len(a) > 0
 
-    def test_parallel_matches_serial(self, data_csv, tmp_path):
+    @pytest.mark.parametrize("command", ["certify", "loss-range", "lambda-sweep", "oracle-check"])
+    def test_parallel_matches_serial(self, data_csv, tmp_path, command):
         common = [
-            "certify", "--dataset", data_csv, "--label", "target",
-            "--seeds", "1,2,3", "--radius", "0.05", "--percentage", "0.2",
-            "--lambda", "0.02",
+            command, "--dataset", data_csv, "--label", "target", "--target", "both",
+            "--seeds", "1,2,3", "--radius", "0.05", "--percentage", "0.1",
+            "--lambda", "0.02", "--oracle-samples", "30",
         ]
         assert main(common + ["--jobs", "1", "--out-dir", str(tmp_path / "ser")]) == 0
         assert main(common + ["--jobs", "4", "--out-dir", str(tmp_path / "par")]) == 0
-        assert (tmp_path / "ser" / "certify_results.csv").read_bytes() == \
-            (tmp_path / "par" / "certify_results.csv").read_bytes()
+        for name in ("results", "summary"):
+            serial = (tmp_path / "ser" / f"{command}_{name}.csv").read_bytes()
+            assert serial == (tmp_path / "par" / f"{command}_{name}.csv").read_bytes()
+            assert serial
 
 
 class TestLossRange:
     def test_certain_data_collapses(self, data_csv, tmp_path):
         cfg = base_config(data_csv, tmp_path / "out", radius=0.0, percentage=0.0)
-        report = cmd_loss_range(cfg)
+        report, _ = cmd_loss_range(cfg)
         for row in report.rows:
             assert row["zono_lo"] == pytest.approx(row["zono_hi"], rel=1e-9)
             assert row["gt_lo"] == pytest.approx(row["zono_lo"], rel=1e-9)
@@ -126,7 +131,7 @@ class TestLossRange:
             data_csv, tmp_path / "out", target="both", percentage=0.08,
             radius_grid=[0.02, 0.05, 0.08], oracle_budget=4096,
         )
-        report = cmd_loss_range(cfg)
+        report, _ = cmd_loss_range(cfg)
         for row in report.rows:
             assert row["contained"] == 1
 
@@ -135,7 +140,7 @@ class TestLossRange:
             data_csv, tmp_path / "out", percentage=0.3, oracle_budget=16,
             seeds=[1], oracle_samples=50,
         )
-        report = cmd_loss_range(cfg)
+        report, _ = cmd_loss_range(cfg)
         assert all(r["gt_mode"] == "sampling_fallback" for r in report.rows)
         assert report.notes
         assert all(r["contained"] == 1 for r in report.rows)
@@ -144,7 +149,7 @@ class TestLossRange:
 class TestLambdaSweep:
     def test_single_lambda_single_row_per_seed(self, data_csv, tmp_path):
         cfg = base_config(data_csv, tmp_path / "out", lambda_grid=[0.1], seeds=[3])
-        report = cmd_lambda_sweep(cfg)
+        report, _ = cmd_lambda_sweep(cfg)
         assert len(report.rows) == 1
         assert report.rows[0]["lambda"] == 0.1
 
@@ -153,7 +158,7 @@ class TestLambdaSweep:
             data_csv, tmp_path / "out",
             lambda_grid=[0.0, 0.01, 0.05, 0.2], seeds=[1, 2],
         )
-        report = cmd_lambda_sweep(cfg)
+        report, _ = cmd_lambda_sweep(cfg)
         assert sum(e["best_worst_case_loss"] for e in report.summary) == 1
 
 
@@ -190,6 +195,30 @@ class TestOracleCheck:
         assert rc == 0
 
 
+class TestSoundnessFailures:
+    """A containment failure writes the report and exits 3."""
+
+    def args(self, command, data_csv, tmp_path):
+        return [command, "--dataset", data_csv, "--label", "target", "--seeds", "1,2",
+                "--percentage", "0.2", "--lambda", "0.02", "--oracle-samples", "20",
+                "--out-dir", str(tmp_path / "out")]
+
+    def test_oracle_check_reports_failed_worlds(self, data_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "contains_world_weights", lambda *args, **kwargs: False)
+        assert main(self.args("oracle-check", data_csv, tmp_path)) == 3
+        summary = next(csv.DictReader(open(tmp_path / "out" / "oracle-check_summary.csv")))
+        worlds = summary["worlds_total"]
+        assert int(worlds) > 0 and summary["weight_failures"] == worlds and summary["passed"] == "0"
+        assert capsys.readouterr().out.splitlines()[-1] == f"oracle-check: FAIL ({worlds} worlds)"
+
+    def test_loss_range_reports_violated_containment(self, data_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "loss_interval", lambda *args: LossInterval(0.0, 0.0, "ridge"))
+        assert main(self.args("loss-range", data_csv, tmp_path)) == 3
+        rows = list(csv.DictReader(open(tmp_path / "out" / "loss-range_results.csv")))
+        assert [row["contained"] for row in rows] == ["0", "0"]
+        assert capsys.readouterr().err == "loss-range: containment violated\n"
+
+
 class TestStandardize:
     def test_flag_enables_feature_uncertain_runs(self, tmp_path):
         # Large-scale features need standardization to stay in the
@@ -218,7 +247,7 @@ class TestStandardize:
 class TestParams:
     def test_rows_per_coefficient(self, data_csv, tmp_path):
         cfg = base_config(data_csv, tmp_path / "out")
-        report = cmd_params(cfg)
+        report, _ = cmd_params(cfg)
         names = [r["coefficient"] for r in report.rows]
         assert names == ["bias", "f0", "f1"]
         for row in report.rows:

@@ -124,9 +124,7 @@ def perturbed_weights(ad, cfg, seed):
     w_R, w_D, A, A_inv = prepared(ad, cfg)
     return AbstractWeights(
         w_R=w_R, G_D=1.3 * w_D, data_ids=ad.nonzero_cells().symbols,
-        k=rng.uniform(0.01, 0.3, ad.d), A=A, A_inv=A_inv,
-        fresh_ids=ad.registry.new_symbols(ad.d, SymbolKind.FRESH),
-        registry=ad.registry, lam=cfg.lam,
+        k=rng.uniform(0.01, 0.3, ad.d), A=A, A_inv=A_inv, registry=ad.registry,
     )
 
 
@@ -246,16 +244,12 @@ def test_split_join_matches_reference(seed):
 def uncertain_point(weights, ad, rng, share):
     """Affine test point over symbols drawn from ``share``.
 
-    ``new`` symbols are the point's own, ``data`` are the training cells' and
-    ``fresh`` the weights' box symbols; ``real`` gives a point without
-    symbols.  About a quarter of the coefficients are exactly zero.
+    ``new`` symbols are the point's own and ``data`` are the training
+    cells'; ``real`` gives a point without symbols.  About a quarter of the
+    coefficients are exactly zero.
     """
     reg = weights.registry
-    pools = {
-        "new": reg.new_symbols(3, SymbolKind.DATA),
-        "data": ad.data_symbols(),
-        "fresh": list(weights.fresh_ids),
-    }
+    pools = {"new": reg.new_symbols(3, SymbolKind.DATA), "data": ad.data_symbols()}
     if share == "real":
         return ZVector.from_real(reg, rng.uniform(-2.0, 2.0, weights.dim))
     pool = sum(pools.values(), []) if share == "all" else pools[share]
@@ -273,12 +267,12 @@ def uncertain_point(weights, ad, rng, share):
 @SETTINGS
 @given(
     **problem_args,
-    share=st.sampled_from(["new", "data", "fresh", "all", "real"]),
+    share=st.sampled_from(["new", "data", "all", "real"]),
     split=st.booleans(),
 )
 @example(kind="both", d=1, n=5, seed=9, transform="svd", share="all", split=False)
 @example(kind="features", d=3, n=6, seed=10, transform="svd", share="data", split=False)
-@example(kind="labels", d=2, n=6, seed=11, transform="identity", share="fresh", split=True)
+@example(kind="labels", d=2, n=6, seed=11, transform="identity", share="data", split=True)
 def test_uncertain_point_matches_reference(kind, d, n, seed, transform, share, split):
     if split:
         ad, _, weights, _ = split_problem(seed % 4)
@@ -387,7 +381,7 @@ def looped_part(part, cfg):
     sys = build_non_data_system(part, cfg.lam, w_R, w_D, A, A_inv)
     k = solve_non_data(sys, cfg.lam, learning.TOLERANCE)
     weights = AbstractWeights(w_R=w_R, G_D=w_D, data_ids=part.nonzero_cells().symbols, k=k, A=A,
-                              A_inv=A_inv, fresh_ids=[], registry=part.registry, lam=cfg.lam)
+                              A_inv=A_inv, registry=part.registry)
     return w_R, np.abs(weights.generators()).sum(axis=1), sys.beta, sys.m_matrix_margin(cfg.lam)
 
 
@@ -403,7 +397,7 @@ def looped_split_fit(ad, cfg):
     w_R, w_D, A, A_inv = prepared(ad, cfg)
     sys = build_non_data_system(ad, cfg.lam, w_R, w_D, A, A_inv)
     s = len(ad.split_symbols())
-    m = determine_num_splits(sys, cfg.lam, ad)
+    m = determine_num_splits(sys, cfg.lam)
     if m == 1:
         return None, 1
     while True:
@@ -494,7 +488,7 @@ def test_split_retry_grows_m_past_the_prediction():
     ad, cfg = retry_case()
     w_R, w_D, A, A_inv = prepared(ad, cfg)
     assert determine_num_splits(build_non_data_system(ad, cfg.lam, w_R, w_D, A, A_inv),
-                                cfg.lam, ad) == 12
+                                cfg.lam) == 12
     batched, splits_used = batched_split_fit(ad, cfg)
     assert splits_used == 34**2  # as the one-part-at-a-time loop found
     assert_join_close(batched, looped_join(ad.split(34), cfg))
@@ -512,7 +506,7 @@ def test_rank_deficient_part_at_lambda_zero_raises(monkeypatch):
         y_R=np.array([0.0, 1.0, 0.5, 2.0]), registry=reg, cells=cell_table({sid: (3, 1)}, {sid: 0.5}),
     )
     cfg = RidgeConfig(lam=0.0, split_budget=16)
-    monkeypatch.setattr(learning, "determine_num_splits", lambda sys, lam, ad: 2)
+    monkeypatch.setattr(learning, "determine_num_splits", lambda sys, lam: 2)
     np.testing.assert_array_equal(ad.split(2)[0].X_R[:, 1], 1.0)
     with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
         looped_join(ad.split(2), cfg)

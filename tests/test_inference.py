@@ -45,8 +45,7 @@ class TestPredictInterval:
         sid = reg.new_symbol(SymbolKind.DATA)
         weights = AbstractWeights(
             w_R=np.zeros(1), G_D=np.array([[1.0]]), data_ids=np.array([sid]), k=np.zeros(1),
-            A=np.eye(1), A_inv=np.eye(1), fresh_ids=[reg.new_symbol(SymbolKind.FRESH)],
-            registry=reg, lam=0.0,
+            A=np.eye(1), A_inv=np.eye(1), registry=reg,
         )
         p = predict_interval(np.array([1.0]), weights)
         assert (p.lo, p.hi) == (-1.0, 1.0)
@@ -168,8 +167,7 @@ class TestLossInterval:
         sid = reg.new_symbol(SymbolKind.DATA)
         weights = AbstractWeights(
             w_R=np.zeros(1), G_D=np.array([[1.0]]), data_ids=np.array([sid]), k=np.zeros(1),
-            A=np.eye(1), A_inv=np.eye(1), fresh_ids=[reg.new_symbol(SymbolKind.FRESH)],
-            registry=reg, lam=0.0,
+            A=np.eye(1), A_inv=np.eye(1), registry=reg,
         )
         li = loss_interval(np.array([[1.0]]), np.array([0.0]), weights, 0.0)
         assert (li.lo, li.hi) == (0.0, 1.0)
@@ -256,8 +254,7 @@ class TestParameterIntervals:
         sid = reg.new_symbol(SymbolKind.DATA)
         weights = AbstractWeights(
             w_R=np.array([0.1, 5.0]), G_D=np.array([[1.0, 0.5]]), data_ids=np.array([sid]),
-            k=np.zeros(2), A=np.eye(2), A_inv=np.eye(2),
-            fresh_ids=reg.new_symbols(2, SymbolKind.FRESH), registry=reg, lam=0.0,
+            k=np.zeros(2), A=np.eye(2), A_inv=np.eye(2), registry=reg,
         )
         pi = parameter_intervals(weights)
         assert pi.inconclusive_direction(0)
@@ -297,7 +294,7 @@ class TestCachedGenerators:
         ad, weights, _ = trained(ds, UncertaintySpec("both", 0.3, 0.2, seed=31), 0.1)
         assert np.max(weights.k) > 0 and len(weights.data_ids) > 0
         reg = weights.registry
-        shared = [ad.data_symbols()[0], weights.fresh_ids[1], reg.new_symbol(SymbolKind.DATA)]
+        shared = [*ad.data_symbols()[:2], reg.new_symbol(SymbolKind.DATA)]
         x = ZVector(reg, [PolyForm(reg, 1.0, {(sid,): 0.1}) for sid in shared])
         before = self.answers(weights, x)
         assert not weights.generators().flags.writeable

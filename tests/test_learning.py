@@ -280,6 +280,19 @@ class TestFixedPoint:
         with pytest.raises(SplitBudgetError):
             fixed_point(ad, RidgeConfig(lam=0.0, split_budget=8))
 
+    @pytest.mark.parametrize("split", [False, True], ids=["unsplit", "split"])
+    def test_fit_takes_no_symbols_from_the_registry(self, split):
+        if split:
+            ad, lam = abstract_cells(make_dataset(4, 1, seed=19), [(1, 1)], [6.0]), 0.05
+        else:
+            spec = UncertaintySpec(target="both", percentage=0.25, radius=0.1, seed=23)
+            ad, lam = inject_uncertainty(make_dataset(14, 3, seed=22), spec), 0.05
+        before = len(ad.registry)
+        weights, diag = fixed_point(ad, RidgeConfig(lam=lam))
+        assert (diag.splits_used > 1) == split
+        assert len(ad.registry) == before
+        assert weights.generators().shape == (ad.d, len(weights.data_ids) + ad.d)
+
 
 class TestDetermineNumSplits:
     def test_feasible_returns_one(self):
@@ -289,7 +302,7 @@ class TestDetermineNumSplits:
         w_R = ridge_closed_form_real(ad.X_R, ad.y_R, cfg.lam)
         A, A_inv = build_transform(ad.X_R, cfg)
         sys = build_non_data_system(ad, cfg.lam, w_R, np.zeros((0, ad.d)), A, A_inv)
-        assert determine_num_splits(sys, cfg.lam, ad) == 1
+        assert determine_num_splits(sys, cfg.lam) == 1
 
     def test_zero_cprime_returns_one(self):
         from zonoridge.learning import NonDataSystem
@@ -298,7 +311,7 @@ class TestDetermineNumSplits:
             Q=np.diag([0.5, 2.0]), Cprime=np.zeros((2, 2)),
             c0=np.zeros(2), beta=0.2, n=4,
         )
-        assert determine_num_splits(sys, 0.1, None) == 1
+        assert determine_num_splits(sys, 0.1) == 1
 
     def test_split_instance_reaches_feasibility(self):
         ds = make_dataset(4, 1, seed=19)
@@ -309,7 +322,7 @@ class TestDetermineNumSplits:
         A, A_inv = build_transform(ad.X_R, cfg)
         sys = build_non_data_system(ad, cfg.lam, w_R, w_D, A, A_inv)
         assert sys.beta > cfg.lam
-        m = determine_num_splits(sys, cfg.lam, ad)
+        m = determine_num_splits(sys, cfg.lam)
         assert m >= 2
         weights, diag = fixed_point(ad, cfg)
         assert diag.splits_used > 1
@@ -344,6 +357,9 @@ class TestVerifyResidual:
         assert rep.box_residual_normalized < 1e-8 * (1 + np.max(weights.k))
         # fixed_point reuses the system it assembled; rebuilding it gives the same report.
         assert rep == verify_fixed_point_residual(ad, weights, cfg)
+        # The step is taken at the lambda of the given config, not the fit's.
+        other = verify_fixed_point_residual(ad, weights, RidgeConfig(lam=10 * cfg.lam))
+        assert other.real_residual > 1e-6 and other.box_residual > 1e-6
 
     def test_detects_broken_k(self):
         ds = make_dataset(14, 2, seed=24)
@@ -354,8 +370,7 @@ class TestVerifyResidual:
         assert np.max(weights.k) > 0
         broken = AbstractWeights(
             w_R=weights.w_R, G_D=weights.G_D, data_ids=weights.data_ids, k=weights.k * 0.5,
-            A=weights.A, A_inv=weights.A_inv, fresh_ids=weights.fresh_ids,
-            registry=weights.registry, lam=weights.lam,
+            A=weights.A, A_inv=weights.A_inv, registry=weights.registry,
         )
         rep = verify_fixed_point_residual(ad, broken, cfg)
         assert rep.box_residual_normalized > 1e-6
@@ -406,8 +421,7 @@ def manual_weights(w_R, gens, k, A):
         w_R=np.asarray(w_R, dtype=float),
         G_D=np.asarray(gens, dtype=float).reshape(len(sids), len(w_R)), data_ids=np.array(sids, dtype=np.int64),
         k=np.asarray(k, dtype=float), A=np.asarray(A, dtype=float),
-        A_inv=np.linalg.inv(A), fresh_ids=reg.new_symbols(len(w_R), SymbolKind.FRESH),
-        registry=reg, lam=0.1,
+        A_inv=np.linalg.inv(A), registry=reg,
     )
 
 

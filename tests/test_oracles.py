@@ -124,13 +124,13 @@ class TestSampleWorlds:
 
 class TestWorldAssignment:
     def test_cube_values_accepted(self):
-        assert WorldAssignment({1: -1.0, 2: 0.25, 3: 1.0}, "corner").values[2] == 0.25
-        assert WorldAssignment({}, "uniform").values == {}
+        assert WorldAssignment({1: -1.0, 2: 0.25, 3: 1.0}).values[2] == 0.25
+        assert WorldAssignment({}).values == {}
 
     @pytest.mark.parametrize("bad", [1.0 + 1e-12, -1.5, np.inf, -np.inf, np.nan])
     def test_values_outside_the_cube_rejected(self, bad):
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            WorldAssignment({1: 0.5, 2: bad, 3: -0.5}, "uniform")
+            WorldAssignment({1: 0.5, 2: bad, 3: -0.5})
 
 
 class TestOracleRanges:
@@ -198,7 +198,7 @@ def looped_sample_worlds(ad, count, seed):
     out = []
     for _ in range(count):
         e = {s: float(rng.uniform(-1.0, 1.0)) for s in syms}
-        out.append((WorldAssignment(e, "uniform"), *looped_materialize(ad, e)))
+        out.append((WorldAssignment(e), *looped_materialize(ad, e)))
     return out
 
 
@@ -209,7 +209,7 @@ def looped_enumerate_worlds(ad, strategy="corner", levels=3):
     for combo in iter_product(points, repeat=len(active)):
         e = {s: 0.0 for s in ad.data_symbols()}
         e.update(zip(active, (float(v) for v in combo)))
-        yield (WorldAssignment(e, strategy), *looped_materialize(ad, e))
+        yield (WorldAssignment(e), *looped_materialize(ad, e))
 
 
 def looped_ridge(X, y, lam):
