@@ -46,9 +46,12 @@ One kernel (``_fit_stack``) computes these fixed points for a stack of parts:
 the part index is a leading axis of its arrays, and it reads each part only
 through its sums ``X'X`` and ``X'y`` and its rows at the uncertain cells.  The
 unsplit fit is the stack of one part, the dataset itself; a split builds the
-rows of its parts and passes them all.  The public one-part functions
-(``ridge_closed_form_real`` ... ``solve_non_data``) run the same stages on
-one part and serve as the stepwise reference and the residual check.
+rows of its parts and passes them all.  Inside ``_diameter_terms`` the part
+axis is the innermost one instead, so that its numpy loops run over the
+parts, not over the d coefficients of a row; its results are part-first.
+The public one-part functions (``ridge_closed_form_real`` ...
+``solve_non_data``) run the same stages on one part and serve as the
+stepwise reference and the residual check.
 
 Everything here works on arrays, not on polynomial forms.  Each data symbol
 lives in exactly one cell (a row, a column or the label, and a coefficient),
@@ -282,30 +285,30 @@ def _data_rhs(cells: Cells, x: np.ndarray, y: np.ndarray, w_R: np.ndarray) -> np
 
 
 def _matches(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs ``(i, j)`` with ``a[i] == b[j]``."""
-    order = np.argsort(a, kind="stable")
-    first = np.searchsorted(a[order], b, side="left")
-    counts = np.searchsorted(a[order], b, side="right") - first
-    ends = np.cumsum(counts)
-    j = np.repeat(np.arange(len(b)), counts)
-    pos = np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts - first, counts)
+    """All index pairs ``(i, j)`` with ``a[i] == b[j]``, by ``j``, then ``i``."""
+    order = a.argsort(kind="stable")
+    first = a[order].searchsorted(b, side="left")
+    counts = a[order].searchsorted(b, side="right") - first
+    ends = counts.cumsum()
+    j = np.arange(len(b)).repeat(counts)
+    pos = np.arange(ends[-1] if len(ends) else 0) - (ends - counts - first).repeat(counts)
     return order[pos], j
 
 
 def _abs_row_sums(parts: int, count: int, inner: int, d: int, block) -> np.ndarray:
-    """Per-part, per-row sums of ``|block(lo, hi)|`` over its inner axis, in chunks.
+    """Per-row sums of ``|block(lo, hi)|`` over its inner axis, in chunks: ``(count, d, parts)``.
 
-    ``block(lo, hi)`` returns the ``(parts, hi - lo, inner, d)`` coefficients
+    ``block(lo, hi)`` returns the ``(hi - lo, inner, d, parts)`` coefficients
     of rows ``lo..hi-1``.  Each row of each part is reduced on its own and
     the caller sums the rows afterwards, so the result does not depend on
     the chunk size.
     """
-    out = np.zeros((parts, count, d))
+    out = np.zeros((count, d, parts))
     step = max(1, CHUNK_ELEMENTS // max(1, parts * inner * d))
     for lo in range(0, count, step):
         hi = min(count, lo + step)
         coefs = block(lo, hi)
-        out[:, lo:hi] = np.abs(coefs, out=coefs).sum(axis=2)
+        out[lo:hi] = np.abs(coefs, out=coefs).sum(axis=1)
     return out
 
 
@@ -322,7 +325,7 @@ def _diameter_terms(
     The parts share ``cells``; part p has the feature row ``x[p, i]`` at
     cell i, the ridge solution ``w_R[p]``, one ``w_D`` generator per cell in
     ``G[p]`` and the transform ``A[p]``, ``A_inv[p]``.  Returns ``c'`` as
-    ``(P, d, d)`` and ``h`` as ``(P, d)``.
+    ``(P, d, d)`` and ``h`` as ``(P, d)``, both C-contiguous.
 
     Feature symbol s sits in row r, column c with coefficient a; g_s is its
     ``w_D`` generator (label symbols have generators but no M or N terms).
@@ -336,99 +339,104 @@ def _diameter_terms(
       and ``-a_s b_t A e_{c_s}`` for a same-row feature/label pair;
     * ``h``, degree 3: ``e_s e_t e_u -> A N_st g_u``.
 
+    Every monomial has a feature symbol, so without one both are zero.
     A monomial is reached from more than one source only when all its
     symbols lie in one row, so only same-row triples are merged before
     taking absolute values; every other product is its own monomial and is
     abs-summed in chunks of ``CHUNK_ELEMENTS``.
+
+    The part axis is the last axis of every broadcast and sum, so numpy's
+    inner loops run over the P parts, not over the d (3 on a typical split)
+    coefficients of a row.  The products with ``x`` are taken part-first,
+    one matrix per part, then transposed; so each part's terms equal, bit
+    for bit, its own one-part call's (but for d = 1, where numpy sums 8 or
+    more terms of one part pairwise and those of a stack in order).
     """
     P, d = w_R.shape
     feat = cells.cols != LABEL_COL
-    order = np.concatenate([np.flatnonzero(feat), np.flatnonzero(~feat)])  # features first
+    nf, ns = np.count_nonzero(feat), len(feat)
+    if nf == 0:
+        return np.zeros((P, d, d)), np.zeros((P, d))
+    order = (~feat).argsort(kind="stable")  # features first
     rows, cols, coef = cells.rows[order], cells.cols[order], cells.coef[order]
-    nf, ns = int(feat.sum()), len(order)
-    G = G[:, order]
-
     fr, fc, fa = rows[:nf], cols[:nf], coef[:nf]
-    x = x[:, order[:nf]]
-    A_t = A.swapaxes(1, 2)
-    Ax = x @ A_t  # A x_r
-    Ac = A_t[:, fc]  # A e_c
-    Ai = A_inv[:, fc]  # e_c' A^-1
-    cprime = np.abs(
-        fa[:, None, None]
-        * (Ax[..., :, None] * Ai[..., None, :] + Ac[..., :, None] * (x @ A_inv)[..., None, :])
-    ).sum(axis=1)
-
-    i, j = _matches(fr, fr)
-    ps, pt = i[i <= j], j[i <= j]  # same-row feature pairs s <= t
+    # Same-row (feature s, symbol t) with s <= t, by t: the feature pairs
+    # (t < nf), then the feature/label pairs.
+    i, j = _matches(fr, rows)
+    ex_s, ex_t = i[i <= j], j[i <= j]
+    npairs = ex_t.searchsorted(nf)
+    ps, pt = ex_s[:npairs], ex_t[:npairs]
+    fl, fb = ex_s[npairs:], coef[ex_t[npairs:]]
     # N_st = fp (E_{c_s c_t} + E_{c_t c_s}); halving fp for s = t gives N_ss = a_s^2 E_cc.
     fp = fa[ps] * fa[pt] * np.where(ps == pt, 0.5, 1.0)
-    cprime += np.abs(
-        fp[:, None, None]
-        * (
-            Ac[:, ps, :, None] * Ai[:, pt, None, :]
-            + Ac[:, pt, :, None] * Ai[:, ps, None, :]
-        )
-    ).sum(axis=1)
+    prow = fr[ps]
+    # Pair q times a symbol u of its row, by sorted triple: each run of equal
+    # keys is one monomial, and ``rank`` is the place of a source in its run.
+    u, q = _matches(rows, prow)
+    keys = np.array([ns * ns, ns, 1]) @ np.sort(np.array([ps[q], pt[q], u]), axis=0)
+    srt = keys.argsort(kind="stable")
+    u, q, keys = u[srt], q[srt], keys[srt]
+    first = np.concatenate([[True], keys[1:] != keys[:-1]])
+    run = first.cumsum() - 1
+    rank = np.arange(len(keys)) - np.flatnonzero(first)[run]
+
+    G, x = G[:, order], x[:, order[:nf]]
+    # A x_r, x_r' A^-1, x_r . g_t, A e_c, e_c' A^-1, g_t[c], part last (a view if P = 1)
+    A_t, G_t = A.swapaxes(1, 2), G.swapaxes(1, 2)
+    Ax, xAi, xG, Ac, Ai, Gc = (np.ascontiguousarray(a.transpose(1, 2, 0))
+                               for a in (x @ A_t, x @ A_inv, x @ G_t, A_t, A_inv, G_t))
+    Ac, Ai = Ac[fc], Ai[fc]
+
+    cprime = 0.0  # sum |a (A x_r e_c' A^-1 + A e_c x_r' A^-1)|, then the same-row pairs
+    for k, a, b, c, e in ((fa, Ax, Ai, Ac, xAi), (fp, Ac[ps], Ai[pt], Ac[pt], Ai[ps])):
+        t = a[:, :, None] * b[:, None]
+        t += c[:, :, None] * e[:, None]
+        t *= k[:, None, None, None]
+        cprime = cprime + np.abs(t, out=t).sum(axis=0)
 
     # Degree 2: row s of a block holds the monomials e_s e_t with s < t
     # among features, s = t, and every label t.
-    aY = fa[:, None] * G[:, :, fc].swapaxes(1, 2)  # a_s g_t[c_s]
-    aZ = fa[:, None] * (x @ G.swapaxes(1, 2))  # a_s (x_r . g_t)
-    fl, tl = _matches(fr, rows[nf:])  # same-row feature/label pairs
-    ex_s = np.concatenate([ps, fl])
-    ex_t = np.concatenate([pt, nf + tl])
-    ex_v = np.concatenate(
-        [
-            fp[:, None] * (Ac[:, ps] * w_R[:, fc[pt], None] + Ac[:, pt] * w_R[:, fc[ps], None]),
-            -(fa[fl] * coef[nf + tl])[:, None] * Ac[:, fl],
-        ],
-        axis=1,
-    )
+    aY = fa[:, None, None] * Gc[fc]  # a_s g_t[c_s]
+    aZ = fa[:, None, None] * xG  # a_s (x_r . g_t)
+    ex_v = np.concatenate([
+        fp[:, None, None] * (Ac[ps] * w_R.T[fc[pt], None] + Ac[pt] * w_R.T[fc[ps], None]),
+        -(fa[fl] * fb)[:, None, None] * Ac[fl],
+    ])
     findex = np.arange(nf)
+    own = (np.arange(ns) >= findex[:, None])[..., None]  # t >= s, so every label t
+    later = (findex > findex[:, None])[..., None]  # t > s among features
 
     def pairs(lo: int, hi: int) -> np.ndarray:
         b = slice(lo, hi)
-        s = findex[b, None]
-        own = np.ones((hi - lo, ns), dtype=bool)
-        own[:, :nf] = findex >= s
-        y, z = aY[:, b] * own, aZ[:, b] * own  # M_s g_t
-        out = y[..., None] * Ax[:, b, None, :]
-        out += z[..., None] * Ac[:, b, None, :]
-        later = findex > s
-        y, z = aY[:, :, b].swapaxes(1, 2) * later, aZ[:, :, b].swapaxes(1, 2) * later  # M_t g_s
-        back = y[..., None] * Ax[:, None]
-        back += z[..., None] * Ac[:, None]
-        out[:, :, :nf] += back
+        out = (aY[b] * own[b])[:, :, None] * Ax[b, None]  # M_s g_t
+        out += (aZ[b] * own[b])[:, :, None] * Ac[b, None]
+        back = (aY[:, b].swapaxes(0, 1) * later[b])[:, :, None] * Ax  # M_t g_s
+        back += (aZ[:, b].swapaxes(0, 1) * later[b])[:, :, None] * Ac
+        out[:, :nf] += back
         sel = (ex_s >= lo) & (ex_s < hi)
-        out[:, ex_s[sel] - lo, ex_t[sel]] += ex_v[:, sel]
+        out[ex_s[sel] - lo, ex_t[sel]] += ex_v[sel]
         return out
 
-    # Degree 3 across rows: pair p times a symbol u outside the pair's row.
-    prow = fr[ps]
-    v_s, v_t = fp[:, None] * Ac[:, ps], fp[:, None] * Ac[:, pt]
+    # Degree 3 across rows: pair q times a symbol outside the pair's row.
+    v_s, v_t = fp[:, None, None] * Ac[ps], fp[:, None, None] * Ac[pt]
 
     def triples(lo: int, hi: int) -> np.ndarray:
         b = slice(lo, hi)
-        other = rows != prow[b, None]
-        out = (G[:, :, fc[pt[b]]].swapaxes(1, 2) * other)[..., None] * v_s[:, b, None, :]
-        out += (G[:, :, fc[ps[b]]].swapaxes(1, 2) * other)[..., None] * v_t[:, b, None, :]
+        other = (rows != prow[b, None])[..., None]
+        out = (Gc[fc[pt[b]]] * other)[:, :, None] * v_s[b, None]
+        out += (Gc[fc[ps[b]]] * other)[:, :, None] * v_t[b, None]
         return out
 
-    h = (
-        _abs_row_sums(P, nf, ns, d, pairs).sum(axis=1)
-        + _abs_row_sums(P, len(ps), ns, d, triples).sum(axis=1)
-    )
+    h = _abs_row_sums(P, nf, ns, d, pairs).sum(axis=0)
+    h += _abs_row_sums(P, len(ps), ns, d, triples).sum(axis=0)
 
     # Degree 3 within a row: merge the sources of each sorted triple.
-    u, p = _matches(rows, prow)
-    vals = G[:, u, fc[pt[p]]][..., None] * v_s[:, p] + G[:, u, fc[ps[p]]][..., None] * v_t[:, p]
-    keys = np.sort(np.stack([ps[p], pt[p], u], axis=1), axis=1) @ np.array([ns * ns, ns, 1])
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    merged = np.zeros((P, len(uniq), d))
-    np.add.at(merged, (slice(None), inverse), vals)
-    h += np.abs(merged).sum(axis=1)
-    return cprime, h
+    vals = Gc[fc[pt[q]], u][:, None] * v_s[q] + Gc[fc[ps[q]], u][:, None] * v_t[q]
+    merged = np.zeros((run[-1] + 1, d, P))
+    for r in range(rank.max() + 1):  # at most 3 sources each, added in pair order
+        merged[run[rank == r]] += vals[rank == r]
+    h += np.abs(merged).sum(axis=0)
+    return np.ascontiguousarray(cprime.transpose(2, 0, 1)), np.ascontiguousarray(h.T)
 
 
 def _transform(gram: np.ndarray, cfg: RidgeConfig) -> tuple[np.ndarray, np.ndarray]:

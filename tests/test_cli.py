@@ -300,6 +300,19 @@ out_dir = {tmp_path / "cfg_out"}
         ])
         assert rc == 2
 
+    def test_singular_fit_is_data_error(self, tmp_path, capsys):
+        """Equal feature columns at lambda = 0 make the centers rank-deficient."""
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1.0, 2.0, 40)
+        path = tmp_path / "dup.csv"
+        rows = [f"{a!r},{a!r},{b!r}" for a, b in zip(x.tolist(), (1.0 + 2.0 * x).tolist())]
+        path.write_text("\n".join(["a,b,y", *rows]) + "\n", encoding="utf-8")
+        argv = ["certify", "--dataset", str(path), "--label", "y", "--lambda", "0",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "error: centers are rank-deficient" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_flag_overrides_config(self, data_csv, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text(

@@ -317,6 +317,42 @@ def test_chunk_size_does_not_change_results(monkeypatch):
     assert chunked[1] == default[1]
 
 
+# Row 3 holds three feature cells and a label, rows 0 and 5 a feature and a
+# label, row 1 a lone feature: same-row feature pairs, feature/label pairs,
+# triples with one to three sources and triples across rows all occur.
+MIXED_CELLS = Cells(
+    symbols=np.arange(9),
+    rows=np.array([3, 0, 3, 3, 5, 3, 5, 1, 0]),
+    cols=np.array([0, 2, 1, LABEL_COL, 2, 2, LABEL_COL, 1, LABEL_COL]),
+    coef=np.array([0.7, -1.3, 0.4, 0.9, 2.1, -0.6, 0.3, 1.1, -0.8]),
+)
+LABEL_CELLS = Cells(
+    symbols=np.arange(3), rows=np.array([4, 1, 4]), cols=np.full(3, LABEL_COL),
+    coef=np.array([0.5, -0.2, 1.5]),
+)
+
+
+@pytest.mark.parametrize("chunk", [learning.CHUNK_ELEMENTS, 1])
+@pytest.mark.parametrize("cells", [MIXED_CELLS, LABEL_CELLS], ids=["mixed", "labels"])
+def test_stacked_diameter_terms_equal_one_part_calls(cells, chunk, monkeypatch):
+    """Each part of one batched call is, bit for bit, its own one-part call."""
+    monkeypatch.setattr(learning, "CHUNK_ELEMENTS", chunk)
+    rng = np.random.default_rng(5)
+    parts, S, d = 64, len(cells.symbols), 3
+    args = [
+        rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        for shape in ((parts, S, d), (parts, d), (parts, S, d), (parts, d, d), (parts, d, d))
+    ]
+    cprime, h = learning._diameter_terms(cells, *args)
+    assert cprime.shape == (parts, d, d) and h.shape == (parts, d)
+    assert cprime.flags.c_contiguous and h.flags.c_contiguous
+    assert np.any(h) == (cells is MIXED_CELLS)
+    for p in range(parts):
+        one = learning._diameter_terms(cells, *(a[p : p + 1] for a in args))
+        assert bits(cprime[p : p + 1]) == bits(one[0])
+        assert bits(h[p : p + 1]) == bits(one[1])
+
+
 def test_import_does_not_load_scipy():
     src = str(Path(zonoridge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
