@@ -222,12 +222,15 @@ class AbstractDataset:
         return (center - coef, center + coef)
 
     def label_intervals(self) -> np.ndarray:
-        """Per-row label intervals ``(n, 2)``: a label cell's ``cell_interval``,
+        """Per-row label intervals ``(n, 2)``: ``y`` plus or minus the summed
+        ``|coef|`` of the row's label cells (a lone cell's ``cell_interval``),
         ``[y, y]`` for every other row."""
         intervals = np.column_stack([self.y_R, self.y_R])
         labels = self.cells.select(self.cells.cols == LABEL_COL)
-        center, coef = self.y_R[labels.rows], np.abs(labels.coef)
-        intervals[labels.rows] = np.column_stack([center - coef, center + coef])
+        radius = np.zeros(self.n)
+        np.add.at(radius, labels.rows, np.abs(labels.coef))
+        center, radius = self.y_R[labels.rows], radius[labels.rows]
+        intervals[labels.rows] = np.column_stack([center - radius, center + radius])
         return intervals
 
     def materialize(self, assignment: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:

@@ -51,7 +51,10 @@ axis is the innermost one instead, so that its numpy loops run over the
 parts, not over the d coefficients of a row; its results are part-first.
 The public one-part functions (``ridge_closed_form_real`` ...
 ``solve_non_data``) run the same stages on one part and serve as the
-stepwise reference and the residual check.
+stepwise reference.  A fit computes each intermediate once: its residual
+and M-matrix margin come from the sums, right-hand sides and coefficient
+matrices the kernel already built, while ``verify_fixed_point_residual``
+rebuilds them from the dataset and runs the same arithmetic.
 
 Everything here works on arrays, not on polynomial forms.  Each data symbol
 lives in exactly one cell (a row, a column or the label, and a coefficient),
@@ -66,6 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Mapping
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,11 +192,15 @@ class NonDataSystem:
 
     def m_matrix_margin(self, lam: float) -> float | np.ndarray:
         """Least diagonal dominance ``min_i (m_ii - sum_{j!=i} |m_ij|)``."""
-        m = self.coefficient_matrix(lam)
-        diag = np.diagonal(m, axis1=-2, axis2=-1)
-        off = np.abs(m).sum(axis=-1) - np.abs(diag)
-        margin = np.min(diag - off, axis=-1)
+        margin = _margin(self.coefficient_matrix(lam))
         return margin if margin.ndim else float(margin)
+
+
+def _margin(m: np.ndarray) -> np.ndarray:
+    """``m_matrix_margin`` of a coefficient matrix, or of each one of a stack."""
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    off = np.abs(m).sum(axis=-1) - np.abs(diag)
+    return np.min(diag - off, axis=-1)
 
 
 @dataclass
@@ -277,6 +285,8 @@ def _data_rhs(cells: Cells, x: np.ndarray, y: np.ndarray, w_R: np.ndarray) -> np
     """
     rhs = cells.coef[:, None] * x  # a label cell contributes coef * x_r
     f = np.flatnonzero(cells.cols != LABEL_COL)
+    if len(f) == 0:
+        return rhs.swapaxes(1, 2)
     c, a = cells.cols[f], cells.coef[f]
     xf = x[:, f]
     rhs[:, f] = -(a * w_R[:, c])[..., None] * xf
@@ -533,20 +543,25 @@ def _solve_each(m: np.ndarray, rhs: np.ndarray, solve: np.ndarray) -> tuple[np.n
     return k, singular
 
 
-def _diameters(sys: NonDataSystem, lam: float, tolerance: float) -> tuple[np.ndarray, list]:
+def _diameters(
+    sys: NonDataSystem, lam: float, tolerance: float
+) -> tuple[np.ndarray, list, np.ndarray]:
     """``solve_non_data`` on a stack of systems.
 
-    Returns the diameters ``(P, d)`` and the checks, in the order
+    Returns the diameters ``(P, d)``, the checks, in the order
     ``solve_non_data`` makes them, as ``(failed parts, error of part p)``
-    pairs (see ``_first_failure``).  A homogeneous part gets ``k = 0`` and
-    no check.
+    pairs (see ``_first_failure``), and the coefficient matrices, built
+    once for the solve and the margins.  A homogeneous part gets ``k = 0``
+    and passes every check; with no part left to solve, the feasibility
+    check is the only one.
     """
-    homogeneous = ~sys.c0.any(axis=-1)
-    if homogeneous.all():
-        return np.zeros_like(sys.c0), []
-    infeasible = ~homogeneous & (lam < sys.beta - tolerance)
-    solved = ~(homogeneous | infeasible)
     m = sys.coefficient_matrix(lam)
+    homogeneous = ~sys.c0.any(axis=-1)
+    infeasible = ~homogeneous & (lam < sys.beta - tolerance)
+    checks = [(infeasible, lambda p: LambdaTooSmall(float(sys.beta[p])))]
+    solved = ~(homogeneous | infeasible)
+    if not solved.any():
+        return np.zeros_like(sys.c0), checks, m
     rhs = (sys.n / 2.0) * sys.c0
     k, singular = _solve_each(m, rhs, solved)
     # An unsolved part has k = 0: a homogeneous one passes the last two
@@ -554,8 +569,7 @@ def _diameters(sys: NonDataSystem, lam: float, tolerance: float) -> tuple[np.nda
     resid = np.abs(np.einsum("pij,pj->pi", m, k) - rhs).max(axis=-1, initial=0.0)
     scale = 1.0 + np.abs(rhs).max(axis=-1, initial=0.0)
     clamp = tolerance * (1.0 + np.abs(k).max(axis=-1, initial=0.0))
-    checks = [
-        (infeasible, lambda p: LambdaTooSmall(float(sys.beta[p]))),
+    checks += [
         (singular, lambda p: np.linalg.LinAlgError("Singular matrix")),
         (
             resid > 1e-8 * scale,
@@ -566,7 +580,7 @@ def _diameters(sys: NonDataSystem, lam: float, tolerance: float) -> tuple[np.nda
             lambda p: ZonoError(f"negative box diameter {k[p].min():.3e} beyond tolerance"),
         ),
     ]
-    return np.maximum(k, 0.0), checks
+    return np.maximum(k, 0.0), checks, m
 
 
 def _first_failure(checks: list) -> Exception | None:
@@ -599,7 +613,7 @@ def solve_non_data(sys: NonDataSystem, lam: float, tolerance: float = TOLERANCE)
     stack = NonDataSystem(
         Q=sys.Q[None], Cprime=sys.Cprime[None], c0=sys.c0[None], beta=np.array([sys.beta]), n=sys.n
     )
-    k, checks = _diameters(stack, lam, tolerance)
+    k, checks, _ = _diameters(stack, lam, tolerance)
     error = _first_failure(checks)
     if error is not None:
         raise error
@@ -626,34 +640,48 @@ def determine_num_splits(sys: NonDataSystem, lam: float) -> int:
     return max(2, int(np.ceil(d * cmax / denom)))
 
 
+class _Fit(NamedTuple):
+    """What ``_fit_stack`` computes, each with a leading part axis."""
+
+    w_R: np.ndarray
+    G: np.ndarray  # the w_D generators, (P, S, d)
+    A: np.ndarray
+    A_inv: np.ndarray
+    k: np.ndarray
+    sys: NonDataSystem
+    margin: np.ndarray  # m_matrix_margin of each part
+    reg: np.ndarray  # X'X + lam n I
+    rhs: np.ndarray  # the data right-hand side, (P, d, S)
+    error: Exception | None
+
+
 def _fit_stack(
     gram: np.ndarray, xty: np.ndarray, cells: Cells, x: np.ndarray, y: np.ndarray, n: int,
     cfg: RidgeConfig,
-) -> tuple[
-    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, NonDataSystem, Exception | None
-]:
+) -> _Fit:
     """Fixed points of P parts that share ``cells``, every stage one call over all parts.
 
     Part p has ``n`` rows, the sums ``gram[p] = X'X`` and ``xty[p] = X'y``,
     and the feature row ``x[p, i]`` and label ``y[p, i]`` at cell i.
-    Returns ``w_R``, the ``w_D`` generators ``G`` ``(P, S, d)``, ``A``,
-    ``A_inv``, ``k`` and the diameter systems, all with a leading part axis,
-    and the error that solving the parts one by one, in order, raises first
-    (``None`` if every part is solved).  Each part gets the rank check of
+    Returns the fits of the parts and the error that solving them one by
+    one, in order, raises first (``None`` if every part is solved), with
+    the regularized Gram matrices and the data right-hand sides they were
+    solved from.  Each part gets the rank check of
     ``ridge_closed_form_real``, then those of ``solve_non_data``; a
     rank-deficient first part raises at once, as nothing can precede it.
     """
     w_R, reg, deficient = _ridge(gram, xty, cfg.lam, n)
     if deficient[0]:
         raise np.linalg.LinAlgError(_RANK_DEFICIENT)
-    G = np.linalg.solve(reg, _data_rhs(cells, x, y, w_R)).swapaxes(1, 2)
+    rhs = _data_rhs(cells, x, y, w_R)
+    G = np.linalg.solve(reg, rhs).swapaxes(1, 2)
     A, A_inv = _transform(gram, cfg)
     sys = _system(A @ gram @ A_inv, *_diameter_terms(cells, x, w_R, G, A, A_inv), n)
-    k, checks = _diameters(sys, cfg.lam, TOLERANCE)
+    k, checks, m = _diameters(sys, cfg.lam, TOLERANCE)
     error = _first_failure(
         [(deficient, lambda p: np.linalg.LinAlgError(_RANK_DEFICIENT)), *checks]
     )
-    return w_R, G, A, A_inv, k, sys, error
+    return _Fit(w_R, G, A, A_inv, k, sys, _margin(m), reg, rhs, error)
 
 
 def _part_block(pos: np.ndarray, touched: int, d: int) -> int:
@@ -700,19 +728,18 @@ def _join_split(
         X, y = cells._replace(rows=pos).move(X_T, y_T, plan.offsets(slice(start, start + block)))
         gram = gram_U + X.swapaxes(1, 2) @ X
         xty = xty_U + (X.swapaxes(1, 2) @ y[..., None])[..., 0]
-        w_R, G, _, A_inv, k, sys, error = _fit_stack(
-            gram, xty, cells, X[:, pos], y[:, pos], ad.n, cfg
-        )
-        if isinstance(error, LambdaTooSmall):
+        fit = _fit_stack(gram, xty, cells, X[:, pos], y[:, pos], ad.n, cfg)
+        if isinstance(fit.error, LambdaTooSmall):
             return None
-        if error is not None:
-            raise error
+        if fit.error is not None:
+            raise fit.error
         # Interval hull of [G_D' | A^-1 diag(k)] around w_R.
-        radius = np.abs(np.concatenate([G.swapaxes(1, 2), A_inv * k[:, None, :]], axis=2)).sum(axis=2)
-        lo = np.minimum(lo, (w_R - radius).min(axis=0))
-        hi = np.maximum(hi, (w_R + radius).max(axis=0))
-        betas.extend(sys.beta.tolist())
-        margin = min(margin, float(sys.m_matrix_margin(cfg.lam).min()))
+        generators = [fit.G.swapaxes(1, 2), fit.A_inv * fit.k[:, None, :]]
+        radius = np.abs(np.concatenate(generators, axis=2)).sum(axis=2)
+        lo = np.minimum(lo, (fit.w_R - radius).min(axis=0))
+        hi = np.maximum(hi, (fit.w_R + radius).max(axis=0))
+        betas.extend(fit.sys.beta.tolist())
+        margin = min(margin, float(fit.margin.min()))
     d = ad.d
     box = (0.5 * (lo + hi), np.zeros((0, d)), np.zeros(0, dtype=np.int64), 0.5 * (hi - lo),
            np.eye(d), np.eye(d))
@@ -730,8 +757,12 @@ def fixed_point(
     built in one place.  The direct path is the stack of one part, the
     dataset itself: the result shares data symbols with the dataset and
     carries the solved box diameters, and only its diagnostics carry the
-    residual of one gradient step (``verify_fixed_point_residual``), taken
-    on the diameter system just assembled.  If that part is below its
+    residual of one gradient step (``verify_fixed_point_residual``).  The
+    residual is taken from what the fit already holds: the diameter system
+    just assembled, the sums ``X_R'X_R`` and ``X_R'y_R`` passed to the
+    kernel, and the regularized Gram matrix and data right-hand side that
+    ``w_D`` was solved from; the margin comes from the coefficient matrix
+    of the diameter solve.  If that part is below its
     feasibility threshold, the ``m**s`` parts of a split are solved and
     box-joined by ``_join_split``.  Each part gets the checks of the direct
     path, and the first failing part decides, as if the parts were solved
@@ -740,18 +771,19 @@ def fixed_point(
     """
     X_R, y_R = ad.X_R, ad.y_R
     cells = ad.nonzero_cells()
-    w_R, G, A, A_inv, k, sys, error = _fit_stack(
-        (X_R.T @ X_R)[None], (X_R.T @ y_R)[None], cells, *_at_cells(ad, cells), ad.n, cfg
-    )
+    gram, xty = X_R.T @ X_R, X_R.T @ y_R
+    one = _fit_stack(gram[None], xty[None], cells, *_at_cells(ad, cells), ad.n, cfg)
+    sys = one.sys
     sys0 = NonDataSystem(
         Q=sys.Q[0], Cprime=sys.Cprime[0], c0=sys.c0[0], beta=float(sys.beta[0]), n=ad.n
     )
-    if not isinstance(error, LambdaTooSmall):
-        if error is not None:
-            raise error
+    if not isinstance(one.error, LambdaTooSmall):
+        if one.error is not None:
+            raise one.error
         # G_D in C order: a view can round later products differently.
-        fit = (w_R[0], np.ascontiguousarray(G[0]), cells.symbols, k[0], A[0], A_inv[0])
-        part_betas, margin = None, sys0.m_matrix_margin(cfg.lam)
+        fit = (one.w_R[0], np.ascontiguousarray(one.G[0]), cells.symbols, one.k[0], one.A[0],
+               one.A_inv[0])
+        part_betas, margin = None, float(one.margin[0])
     else:
         # Grow m until every part is feasible (centers shift per part, so
         # the prediction must be re-checked).  An infeasible system has a
@@ -772,7 +804,9 @@ def fixed_point(
         beta=sys0.beta,
         splits_used=1 if part_betas is None else len(part_betas),
         m_matrix_margin=margin,
-        residual=_residual_report(ad, weights, sys0, cfg.lam) if part_betas is None else None,
+        residual=None if part_betas is not None else _residual_report(
+            weights, sys0, cfg.lam, gram, xty, one.reg[0], one.rhs[0]
+        ),
         part_betas=part_betas,
     )
     return weights, diag
@@ -795,30 +829,40 @@ def verify_fixed_point_residual(
     :func:`build_non_data_system` from the weights' own ``w_D``.  At a true
     fixed point the real and data-symbol parts are unchanged and
     ``k' = k``.  The normalized box residual divides out the ``2 eta / n``
-    step factor, making it comparable to the system's scale.
+    step factor, making it comparable to the system's scale.  The sums and
+    ``RHS`` are taken from ``ad`` here; the residual in a fit's diagnostics
+    takes them from the fit and is, for the fit's weights, this report.
     """
+    X_R = ad.X_R
+    gram = X_R.T @ X_R
+    cells = ad.nonzero_cells()
+    rhs = _data_rhs(cells, *_at_cells(ad, cells), weights.w_R[None])[0]
     sys = build_non_data_system(ad, cfg.lam, weights.w_R, weights.G_D, weights.A, weights.A_inv)
-    return _residual_report(ad, weights, sys, cfg.lam)
+    reg = gram + cfg.lam * ad.n * np.eye(ad.d)
+    return _residual_report(weights, sys, cfg.lam, gram, X_R.T @ ad.y_R, reg, rhs)
 
 
 def _residual_report(
-    ad: AbstractDataset, weights: AbstractWeights, sys: NonDataSystem, lam: float
+    weights: AbstractWeights, sys: NonDataSystem, lam: float, gram: np.ndarray, xty: np.ndarray,
+    reg: np.ndarray, rhs: np.ndarray,
 ) -> ResidualReport:
-    """``verify_fixed_point_residual`` at ``lam`` on ``sys``, the weights' assembled system."""
-    X_R, y_R = ad.X_R, ad.y_R
-    n, d = X_R.shape
-    gram = X_R.T @ X_R
+    """``verify_fixed_point_residual`` at ``lam`` on ``sys``, the weights' assembled system.
+
+    The centers enter only through their sums ``gram = X_R'X_R`` and
+    ``xty = X_R'y_R``, the regularized ``reg = gram + lam n I`` and the data
+    right-hand side ``rhs`` ``(d, S)``; ``fixed_point`` passes the arrays its
+    fit was solved from, so nothing is computed twice.
+    """
+    n, d = sys.n, len(gram)
     qmax = float(np.max(np.diag(sys.Q), initial=0.0))
     denom = 2.0 * lam + (2.0 / n) * max(qmax, 0.0)
     eta = 0.5 / denom if denom > 0 else 0.1
 
     # Real part: one concrete gradient step.
-    g_r = (2.0 / n) * (gram @ weights.w_R - X_R.T @ y_R) + 2.0 * lam * weights.w_R
+    g_r = (2.0 / n) * (gram @ weights.w_R - xty) + 2.0 * lam * weights.w_R
     real_residual = float(np.max(np.abs(eta * g_r), initial=0.0))
 
-    cells = ad.nonzero_cells()
-    rhs = _data_rhs(cells, *_at_cells(ad, cells), weights.w_R[None])[0]
-    g_d = (gram + lam * n * np.eye(d)) @ weights.G_D.T - rhs
+    g_d = reg @ weights.G_D.T - rhs
     data_residual = eta * (2.0 / n) * float(np.max(np.abs(g_d), initial=0.0))
 
     step = weights.A @ (np.eye(d) - eta * (2.0 * lam * np.eye(d) + (2.0 / n) * gram)) @ weights.A_inv

@@ -7,6 +7,8 @@ from conftest import cell_index
 from form_algebra import x_symbolic, y_symbolic
 from zonoridge.dataset import (
     LABEL_COL,
+    AbstractDataset,
+    Cells,
     Dataset,
     UncertaintySpec,
     abstract_missing,
@@ -16,6 +18,7 @@ from zonoridge.dataset import (
     train_test_split,
 )
 from zonoridge.errors import DataError, EmptyDataError, SplitBudgetError
+from zonoridge.symbols import SymbolRegistry
 
 
 @pytest.fixture
@@ -194,6 +197,25 @@ class TestInjectUncertainty:
         assert intervals.shape == (10, 2) and len(labelled) == 3
         for r in range(10):
             assert tuple(intervals[r]) == labelled.get(r, (ad.y_R[r], ad.y_R[r]))
+
+    def test_label_intervals_sum_shared_label_cells(self):
+        # Row 1 has two label symbols, row 3 three; row 0 one and row 2 none.
+        rows = [0, 1, 1, 3, 3, 3]
+        coef = [0.3, 0.5, -0.25, 0.7, -0.11, 0.42]
+        ad = AbstractDataset(
+            X_R=np.ones((4, 1)), y_R=np.array([1.0, 2.0, -0.5, 3.3]), registry=SymbolRegistry(),
+            cells=Cells(symbols=range(6), rows=rows, cols=[LABEL_COL] * 6, coef=coef),
+        )
+        intervals = ad.label_intervals()
+        np.testing.assert_array_equal(intervals[1], [1.25, 2.75])
+        np.testing.assert_array_equal(intervals[2], [-0.5, -0.5])
+        assert tuple(intervals[0]) == ad.cell_interval(0)
+        _, y = ad.materialize_batch(np.array(list(product([-1.0, 1.0], repeat=6))))
+        tol = 1e-12 * (1.0 + np.abs(ad.y_R))
+        assert np.all((y >= intervals[:, 0] - tol) & (y <= intervals[:, 1] + tol))
+        # The corners reach both ends: the intervals are no wider than the label ranges.
+        np.testing.assert_allclose(y.min(axis=0), intervals[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(y.max(axis=0), intervals[:, 1], rtol=0, atol=1e-12)
 
     def test_unknown_column_is_named(self):
         spec = UncertaintySpec("both", 0.5, 0.1, seed=0, columns=("f0", "nosuch"))

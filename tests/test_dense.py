@@ -555,14 +555,14 @@ def test_homogeneous_part_skips_the_threshold():
     Cprime = np.full((2, 2, 2), 0.5)
     c0 = np.array([[0.0, 0.0], [0.3, 0.1]])
     sys = NonDataSystem(Q=Q, Cprime=Cprime, c0=c0, beta=np.array([5.0, 0.01]), n=4)
-    k, checks = learning._diameters(sys, 0.5, 1e-9)
+    k, checks, _ = learning._diameters(sys, 0.5, 1e-9)
     assert learning._first_failure(checks) is None
     np.testing.assert_array_equal(k[0], 0.0)
     one = NonDataSystem(Q=Q[1], Cprime=Cprime[1], c0=c0[1], beta=0.01, n=4)
     np.testing.assert_array_equal(k[1], solve_non_data(one, 0.5))
     # The same homogeneous part with a nonzero constant column is refused.
     sys.c0[0, 0] = 1e-3
-    _, checks = learning._diameters(sys, 0.5, 1e-9)
+    _, checks, _ = learning._diameters(sys, 0.5, 1e-9)
     assert isinstance(learning._first_failure(checks), LambdaTooSmall)
 
 
@@ -592,10 +592,10 @@ def test_singular_part_fails_in_part_order():
         return NonDataSystem(Q=q[i, None, None], Cprime=cp[i, None, None], c0=np.ones(1),
                              beta=float((cp[i] - q[i]) / 4), n=4)
 
-    k, checks = learning._diameters(stack([0, 1, 2]), 0.25, 1e-9)
+    k, checks, _ = learning._diameters(stack([0, 1, 2]), 0.25, 1e-9)
     assert isinstance(learning._first_failure(checks), np.linalg.LinAlgError)
     np.testing.assert_array_equal(k[0], solve_non_data(one(0), 0.25))
-    _, checks = learning._diameters(stack([2, 1]), 0.25, 1e-9)
+    _, checks, _ = learning._diameters(stack([2, 1]), 0.25, 1e-9)
     assert isinstance(learning._first_failure(checks), LambdaTooSmall)
     with pytest.raises(np.linalg.LinAlgError):
         solve_non_data(one(1), 0.25)
@@ -680,3 +680,83 @@ def test_unsplit_fit_refuses_rank_deficient_centers_first(transform, error):
         fixed_point(toy([[1.0, 2.0]] * 3), cfg)
     with pytest.raises(error):
         fixed_point(toy([[1.0, 2.0], [1.0, 3.0], [1.0, 5.0]]), cfg)
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call; returns the record."""
+    calls, original = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_a_fit_computes_each_intermediate_once(monkeypatch):
+    """The residual reuses the fit's right-hand side; each stack builds one coefficient matrix."""
+    rhs = counting(monkeypatch, learning, "_data_rhs")
+    stacks = counting(monkeypatch, learning, "_fit_stack")
+    matrices = counting(monkeypatch, NonDataSystem, "coefficient_matrix")
+    ad, cfg = make_problem("both", 3, 7, 0, lam=5.0)
+    weights, diag = fixed_point(ad, cfg)
+    assert diag.splits_used == 1 and weights.k.any()
+    assert (len(rhs), len(stacks), len(matrices)) == (1, 1, 1)
+    # One part per block: the unsplit attempt and every block make one call each.
+    monkeypatch.setattr(learning, "CHUNK_ELEMENTS", 1)
+    ad, cfg = split_case("features", 3, 0)
+    del stacks[:], matrices[:]
+    _, diag = fixed_point(ad, cfg)
+    assert diag.splits_used > 1
+    assert len(matrices) == len(stacks) == 1 + diag.splits_used
+
+
+@pytest.mark.parametrize(
+    "target, d, n, lam, radius", [("labels", 8, 500, 0.01, 0.05), ("both", 5, 100, 1.0, 0.02)]
+)
+def test_fit_residual_and_margin_are_those_of_the_assembled_system(target, d, n, lam, radius):
+    """On workload-shaped problems the diagnostics equal, bit for bit, a rebuild from the weights."""
+    rng = np.random.default_rng(d)
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, d - 1))])
+    y = X @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n)
+    ds = Dataset(X=X, y=y, columns=["bias"] + [f"f{j}" for j in range(d - 1)])
+    ad = zonoridge.inject_uncertainty(ds, zonoridge.UncertaintySpec(target, 0.1, radius, seed=3))
+    assert len(ad.label_symbols()) == n // 10 and len(ad.cells.symbols) == 50
+    if target == "both":
+        assert set(ad.cells.rows[ad.cells.cols != LABEL_COL]) == set(ad.cells.rows)
+    cfg = RidgeConfig(lam=lam)
+    weights, diag = fixed_point(ad, cfg)
+    assert diag.splits_used == 1
+    assert diag.residual == verify_fixed_point_residual(ad, weights, cfg)
+    sys = build_non_data_system(ad, cfg.lam, weights.w_R, weights.G_D, weights.A, weights.A_inv)
+    assert bits(diag.m_matrix_margin) == bits(sys.m_matrix_margin(cfg.lam))
+
+
+@pytest.mark.parametrize(
+    "homogeneous",
+    [[True, False, True, False], [False, True], [True, True, True], [True, False, False]],
+)
+def test_diameters_without_a_part_to_solve(monkeypatch, homogeneous):
+    """Homogeneous and infeasible parts only: k = 0, and the per-part solves' first error."""
+    rng = np.random.default_rng(len(homogeneous))
+    P, d, n, lam = len(homogeneous), 3, 10, 0.5
+    Q = np.stack([np.diag(rng.uniform(0.5, 1.0, d)) for _ in range(P)])
+    cprime = rng.uniform(2.0, 4.0, (P, d, d))  # beta > 0.5 in every part
+    h = rng.uniform(0.1, 1.0, (P, d)) * ~np.array(homogeneous)[:, None]
+    sys = learning._system(Q, cprime, h, n)
+    assert (sys.beta > lam).all()
+    expected = None
+    for p in range(P):
+        one = NonDataSystem(Q=Q[p], Cprime=cprime[p], c0=sys.c0[p], beta=float(sys.beta[p]), n=n)
+        try:
+            solve_non_data(one, lam)
+        except ZonoError as error:
+            expected = error
+            break
+    monkeypatch.setattr(learning, "_solve_each", None)  # no part reaches the solve
+    k, checks, m = learning._diameters(sys, lam, learning.TOLERANCE)
+    assert bits(k) == bits(np.zeros((P, d)))
+    assert bits(m) == bits(sys.coefficient_matrix(lam))
+    error = learning._first_failure(checks)
+    assert type(error) is type(expected) and str(error) == str(expected)
