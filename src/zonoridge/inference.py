@@ -3,18 +3,22 @@
 Everything here consumes the weight zonotope produced by learning, as its
 generator matrix ``W`` around ``w_R``; the weights build ``W`` once and keep
 it.  A prediction for a concrete point is affine in the symbols, so its range
-is exact for the zonotope; losses are quadratic in the symbols and are
-linearized before concretizing, which stays sound but can widen.  An
-uncertain test point is a vector of affine forms
+is exact for the zonotope; a robustness report computes the bounds and flags
+of all its points as arrays, in one pass, before it wraps each point in a
+:class:`PredictionInterval`, an immutable ``(lo, hi)`` tuple.  Losses are
+quadratic in the symbols and are linearized before concretizing, which stays
+sound but can widen.  An uncertain test point is a vector of affine forms
 (:class:`~zonoridge.forms.ZVector`), read in one pass into its center and a
 generator matrix over its own symbols; its prediction is quadratic in the
 symbols and is linearized the same way.  A point with a higher-degree entry
 is not a zonotope and raises :class:`~zonoridge.errors.DegreeError`.
+Absolute values are taken in place on temporaries that nothing else reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,14 +27,20 @@ from .forms import ZVector
 from .learning import AbstractWeights
 
 
-@dataclass(frozen=True)
-class PredictionInterval:
+class _Bounds(NamedTuple):
     lo: float
     hi: float
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+
+class PredictionInterval(_Bounds):
+    """Prediction range ``[lo, hi]``, an immutable ``(lo, hi)`` tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: float, hi: float):
+        if lo > hi:
             raise ValueError("prediction interval requires lo <= hi")
+        return tuple.__new__(cls, (lo, hi))
 
     @property
     def width(self) -> float:
@@ -83,7 +93,8 @@ class ParameterIntervals:
 
 def _prediction_bounds(X: np.ndarray, weights: AbstractWeights) -> tuple[np.ndarray, np.ndarray]:
     """Centers ``X w_R`` and radii (row sums of ``|X W|``) of the predictions ``X w``."""
-    return X @ weights.w_R, np.abs(X @ weights.generators()).sum(axis=1)
+    XW = X @ weights.generators()
+    return X @ weights.w_R, np.add.reduce(np.abs(XW, out=XW), axis=1)
 
 
 def predict_interval(x: np.ndarray, weights: AbstractWeights) -> PredictionInterval:
@@ -127,27 +138,31 @@ def predict_interval_uncertain(
         raise ShapeMismatchError(f"test point must have dimension {weights.dim}")
     if x_abstract.registry is not weights.registry:
         raise RegistryMismatchError("test point and weights belong to different registries")
-    # One pass over the forms: centers, and (symbol, row, coefficient) triples
-    # with the point's symbols numbered in order of first use.
-    centers, rows, cols, coefs = [], [], [], []
+    # One pass over the forms: the centers, and P' as one flat row-major
+    # list, with the point's symbols numbered in order of first use.
+    d = weights.dim
+    centers, flat = [], []
+    blank = [0.0] * d
     own: dict[int, int] = {}
     for i, f in enumerate(x_abstract):
         centers.append(f.center)
         for mono, coef in f.terms.items():
             if len(mono) != 1:
                 raise DegreeError("uncertain test points must be affine forms")
-            cols.append(own.setdefault(mono[0], len(own)))
-            rows.append(i)
-            coefs.append(coef)
+            a = own.get(mono[0])
+            if a is None:
+                a = own[mono[0]] = len(own)
+                flat += blank
+            flat[a * d + i] = coef
     x_c = np.array(centers)
-    Pt = np.zeros((len(own), weights.dim))  # P', row a: the point's symbol a
-    Pt[cols, rows] = coefs
+    Pt = np.array(flat).reshape(len(own), d)  # P', row a: the point's symbol a
 
-    W, column = weights._generator_columns()
+    W = weights.generators()
     linear = x_c @ W
     own_linear = Pt @ weights.w_R
     C = Pt @ W  # row a: the monomials e_a e_v, for every weight symbol v
     merged = 0.0
+    column = weights._columns
     both = [(a, column[sid]) for sid, a in own.items() if sid in column]
     if both:
         a, v = np.array(both).T
@@ -155,9 +170,17 @@ def predict_interval_uncertain(
         own_linear[a] = 0.0
         block = C[a[:, None], v]  # e_a e_b with both symbols in both: merge both orders
         C[a[:, None], v] = 0.0
-        merged = np.abs(np.diag(block)).sum() + np.abs(np.triu(block + block.T, 1)).sum()
+        pairs = block + block.T
+        merged = np.add.reduce(np.abs(block.diagonal())) + np.add.reduce(
+            np.triu(np.abs(pairs, out=pairs), 1), axis=None
+        )
     center = float(x_c @ weights.w_R)
-    radius = float(np.abs(linear).sum() + np.abs(own_linear).sum() + np.abs(C).sum() + merged)
+    radius = float(
+        np.add.reduce(np.abs(linear, out=linear))
+        + np.add.reduce(np.abs(own_linear, out=own_linear))
+        + np.add.reduce(np.abs(C, out=C), axis=None)
+        + merged
+    )
     return PredictionInterval(center - radius, center + radius)
 
 
@@ -166,24 +189,24 @@ def certify_robustness(
 ) -> RobustnessReport:
     """Fraction of test points whose prediction interval is narrower than
     the absolute ``threshold`` (full width; thresholds given as a fraction
-    of the label range must be converted by the caller).
+    of the label range must be converted by the caller).  A point whose
+    width equals the threshold is not certified; a threshold that is not
+    positive, NaN included, raises ``ValueError``.
     """
     test_X = np.asarray(test_X, dtype=float)
     if test_X.ndim != 2 or test_X.shape[0] == 0:
         raise ShapeMismatchError("test set must be a nonempty 2-d array")
     if test_X.shape[1] != weights.dim:
         raise ShapeMismatchError(f"test points must have dimension {weights.dim}")
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("threshold must be positive")
-    centers, radii = _prediction_bounds(test_X, weights)
-    per_point = []
-    for center, radius in zip(centers.tolist(), radii.tolist()):
-        interval = PredictionInterval(center - radius, center + radius)
-        per_point.append((interval, interval.width < threshold))
+    center, radius = _prediction_bounds(test_X, weights)
+    lo, hi = center - radius, center + radius
+    certified = hi - lo < threshold
     return RobustnessReport(
         threshold=threshold,
-        per_point=per_point,
-        ratio=sum(robust for _, robust in per_point) / test_X.shape[0],
+        per_point=list(zip(map(PredictionInterval, lo.tolist(), hi.tolist()), certified.tolist())),
+        ratio=np.count_nonzero(certified) / test_X.shape[0],
     )
 
 
@@ -216,7 +239,9 @@ def loss_interval(
     lower end additionally uses each square's exact minimum (the squared
     distance of zero to the affine term's interval, from the row sums of
     ``|R|`` and ``|W|``); the linearized lower bound alone would forget that
-    squares cannot go negative.
+    squares cannot go negative.  The ``ridge`` formula refuses a negative
+    or non-finite ``lam`` with ``ValueError``, as ``RidgeConfig`` does;
+    ``mse`` ignores ``lam``.
     """
     test_X = np.asarray(test_X, dtype=float)
     test_y = np.asarray(test_y, dtype=float)
@@ -226,21 +251,28 @@ def loss_interval(
         raise ShapeMismatchError("test X and y row counts differ")
     if formula not in ("ridge", "mse"):
         raise ValueError(f"unknown loss formula {formula!r}")
+    if formula == "ridge" and not (np.isfinite(lam) and lam >= 0):
+        raise ValueError("lam must be >= 0 and finite")
     n = test_X.shape[0]
     W = weights.generators()
     R = test_X @ W
     c = test_X @ weights.w_R - test_y
-    center = (c * c / n).sum()
-    structural_lo = (_square_min(c, np.abs(R).sum(axis=1)) / n).sum()
     b = R.T @ (2.0 * c / n)
     Q = R.T @ (R / n)
+    center = np.add.reduce(c * c / n)
+    structural_lo = np.add.reduce(_square_min(c, np.add.reduce(np.abs(R, out=R), axis=1)) / n)
     if formula == "ridge" and lam > 0.0:
         w_R = weights.w_R
-        center += (lam * w_R * w_R).sum()
-        structural_lo += (lam * _square_min(w_R, np.abs(W).sum(axis=1))).sum()
+        center += np.add.reduce(lam * w_R * w_R)
+        structural_lo += np.add.reduce(lam * _square_min(w_R, np.add.reduce(np.abs(W), axis=1)))
         b += 2.0 * lam * (W.T @ w_R)
         Q += lam * (W.T @ W)
-    radius = np.abs(b).sum() + np.abs(np.diag(Q)).sum() + 2.0 * np.abs(np.triu(Q, 1)).sum()
+    np.abs(Q, out=Q)
+    radius = (
+        np.add.reduce(np.abs(b, out=b))
+        + np.add.reduce(Q.diagonal())
+        + 2.0 * np.add.reduce(np.triu(Q, 1), axis=None)
+    )
     return LossInterval(
         lo=float(max(center - radius, structural_lo)), hi=float(center + radius), formula=formula
     )
@@ -250,7 +282,7 @@ def parameter_intervals(
     weights: AbstractWeights, names: list[str] | None = None
 ) -> ParameterIntervals:
     """Componentwise bounds of the weight zonotope (exact per dimension)."""
-    radius = np.abs(weights.generators()).sum(axis=1)
+    radius = np.add.reduce(np.abs(weights.generators()), axis=1)
     lo = weights.w_R - radius
     hi = weights.w_R + radius
     return ParameterIntervals(lo=lo, hi=hi, names=names or [f"w{j}" for j in range(len(lo))])

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Mapping
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -121,9 +122,10 @@ class AbstractWeights:
     symbol ids: its d symbols are the weights' own and appear in no dataset
     or test point.
 
-    The generator matrix and its data-symbol-to-column index are built on
-    first use and kept; reassigning any field (``weights.k = ...``) drops
-    them.  Changing a field's array in place does not.
+    The generator matrix is built on first use and kept; the column of each
+    data symbol id is indexed only when an uncertain test point first asks
+    for it.  Reassigning any field (``weights.k = ...``) drops both.
+    Changing a field's array in place does not.
     """
 
     w_R: np.ndarray
@@ -135,7 +137,8 @@ class AbstractWeights:
     registry: SymbolRegistry
 
     def __setattr__(self, name, value):
-        self.__dict__.pop("_zonotope", None)
+        self.__dict__.pop("_generators", None)
+        self.__dict__.pop("_columns", None)
         super().__setattr__(name, value)
 
     @property
@@ -147,15 +150,17 @@ class AbstractWeights:
         ids = self.data_ids.tolist()
         return np.fromiter(map(assignment.__getitem__, ids), float, len(ids)) @ self.G_D
 
-    def _generator_columns(self) -> tuple[np.ndarray, dict[int, int]]:
-        """The cached ``generators()`` and the column of each data symbol id."""
-        cached = self.__dict__.get("_zonotope")
-        if cached is None:
-            W = np.hstack([self.G_D.T, self.A_inv * self.k])
-            W.flags.writeable = False
-            ids = self.data_ids.tolist()
-            cached = self.__dict__["_zonotope"] = (W, dict(zip(ids, range(len(ids)))))
-        return cached
+    @cached_property
+    def _generators(self) -> np.ndarray:
+        W = np.hstack([self.G_D.T, self.A_inv * self.k])
+        W.flags.writeable = False
+        return W
+
+    @cached_property
+    def _columns(self) -> dict[int, int]:
+        """The column of ``generators()`` of each data symbol id."""
+        ids = self.data_ids.tolist()
+        return dict(zip(ids, range(len(ids))))
 
     def generators(self) -> np.ndarray:
         """Generator matrix ``W = [G_D' | A^-1 diag(k)]`` of the weight zonotope.
@@ -165,7 +170,7 @@ class AbstractWeights:
         part.  The zonotope is ``{w_R + W e : e in [-1, 1]^m}``.  The array
         is read-only: it is the weights' cached copy.
         """
-        return self._generator_columns()[0]
+        return self._generators
 
 
 @dataclass

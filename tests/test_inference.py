@@ -4,13 +4,14 @@ import pytest
 from zonoridge.dataset import LABEL_COL, AbstractDataset, Dataset, UncertaintySpec, inject_uncertainty
 from zonoridge.forms import PolyForm, ZVector
 from zonoridge.inference import (
+    PredictionInterval,
     certify_robustness,
     loss_interval,
     parameter_intervals,
     predict_interval,
     predict_interval_uncertain,
 )
-from zonoridge.learning import RidgeConfig, fixed_point
+from zonoridge.learning import AbstractWeights, RidgeConfig, fixed_point
 from zonoridge.oracles import concrete_loss, enumerate_worlds, oracle_ranges, ridge_concrete, sample_worlds
 from zonoridge.symbols import SymbolKind, SymbolRegistry
 
@@ -60,6 +61,25 @@ class TestPredictInterval:
                 p = predict_interval(ds.X[i], weights)
                 assert p.lo == pytest.approx(res.pred_lo[i], rel=1e-9, abs=1e-9)
                 assert p.hi == pytest.approx(res.pred_hi[i], rel=1e-9, abs=1e-9)
+
+
+class TestPredictionIntervalType:
+    def test_contract(self):
+        p = PredictionInterval(1.0, 2.5)
+        assert (p.lo, p.hi, p.width) == (1.0, 2.5, 1.5)
+        assert repr(p) == "PredictionInterval(lo=1.0, hi=2.5)"
+        assert p == PredictionInterval(1.0, 2.5) and p != PredictionInterval(1.0, 2.0)
+        assert hash(p) == hash(PredictionInterval(1.0, 2.5))
+        assert len({p, PredictionInterval(1.0, 2.5)}) == 1
+        lo, hi = p  # a (lo, hi) tuple
+        assert p == (lo, hi) == (1.0, 2.5)
+        assert PredictionInterval(3.0, 3.0).width == 0.0
+        with pytest.raises(ValueError):
+            PredictionInterval(2.0, 1.0)
+        for name in ("lo", "hi", "width", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 0.0)
+        assert p == (1.0, 2.5)
 
 
 class TestPredictIntervalUncertain:
@@ -133,6 +153,49 @@ class TestCertifyRobustness:
             b_lo, b_hi = baseline.predict_interval(row)
             assert z.width <= (b_hi - b_lo) + 1e-12
 
+    def test_per_point_is_predict_interval_when_the_arithmetic_is_exact(self):
+        # Dyadic weights and points: every product and sum is exact, so the
+        # batched and the one-point arithmetic agree bit for bit.
+        reg = SymbolRegistry()
+        weights = AbstractWeights(
+            w_R=np.array([0.5, -1.25, 2.0]),
+            G_D=np.array([[0.25, 0.5, -0.125], [-0.75, 0.0, 0.375]]),
+            data_ids=np.array(reg.new_symbols(2, SymbolKind.DATA)),
+            k=np.array([0.5, 0.0, 0.25]), A=np.eye(3), A_inv=np.eye(3), registry=reg,
+        )
+        X = np.random.default_rng(42).integers(-8, 9, size=(37, 3)) / 4.0
+        intervals = [predict_interval(x, weights) for x in X]
+        threshold = sorted(p.width for p in intervals)[18]
+        rep = certify_robustness(X, weights, threshold)
+        assert [p for p, _ in rep.per_point] == intervals
+        assert [f for _, f in rep.per_point] == [p.width < threshold for p in intervals]
+        assert rep.ratio == sum(p.width < threshold for p in intervals) / len(X)
+
+    def test_flags_and_ratio_are_exact(self):
+        ds = make_dataset(20, 2, seed=40)
+        _, weights, _ = trained(ds, UncertaintySpec("both", 0.3, 0.1, seed=41), 0.05)
+        widths = sorted(p.width for p, _ in certify_robustness(ds.X, weights, 1.0).per_point)
+        threshold = widths[len(widths) // 2]  # the median point's width: not certified
+        rep = certify_robustness(ds.X, weights, threshold)
+        flags = [certified for _, certified in rep.per_point]
+        assert flags == [p.width < threshold for p, _ in rep.per_point]
+        assert False in flags and True in flags
+        assert not any(f for p, f in rep.per_point if p.width == threshold)
+        assert rep.ratio == sum(flags) / len(flags)
+        assert all(type(p) is PredictionInterval and type(f) is bool for p, f in rep.per_point)
+        # One point alone runs other BLAS kernels than the batch (a dot or a
+        # matrix-vector product instead of a matrix product), so the last
+        # bits may differ.
+        for (p, _), x in zip(rep.per_point, ds.X):
+            assert p == pytest.approx(predict_interval(x, weights), rel=1e-14)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1.0])
+    def test_threshold_must_be_positive(self, threshold):
+        ds = make_dataset(10, 2, seed=13)
+        _, weights, _ = trained(ds, UncertaintySpec("labels", 0.2, 0.1, seed=14), 0.1)
+        with pytest.raises(ValueError, match="threshold"):
+            certify_robustness(ds.X, weights, threshold)
+
     def test_empty_test_set_rejected(self):
         ds = make_dataset(10, 2, seed=13)
         _, weights, _ = trained(ds, UncertaintySpec("labels", 0.0, 0.1, seed=14), 0.1)
@@ -158,6 +221,17 @@ class TestLossInterval:
         point = concrete_loss(ds.X, ds.y, weights.w_R, 0.1)
         assert li.lo == pytest.approx(point, rel=1e-9)
         assert li.hi == pytest.approx(point, rel=1e-9)
+
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+    def test_ridge_rejects_invalid_lam(self, lam):
+        ds = make_dataset(10, 2, seed=15)
+        _, weights, _ = trained(ds, UncertaintySpec("both", 0.3, 0.1, seed=16), 0.1)
+        with pytest.raises(ValueError, match="lam"):
+            loss_interval(ds.X, ds.y, weights, lam, "ridge")
+        # The MSE ignores lam.
+        assert loss_interval(ds.X, ds.y, weights, lam, "mse") == loss_interval(
+            ds.X, ds.y, weights, 0.0, "mse"
+        )
 
     def test_pure_square_hand_case(self):
         # d=1, w = eps, X=[[1]], y=[0], lam=0: loss = eps^2 -> clamped [0, 1]
@@ -280,32 +354,55 @@ class TestParameterIntervals:
 
 
 class TestCachedGenerators:
-    """The weights keep their generator matrix; reassigning a field drops it."""
+    """The weights keep their generator matrix and symbol columns; reassigning
+    a field drops both."""
 
     def answers(self, weights, x):
         pi = parameter_intervals(weights)
         p = predict_interval_uncertain(x, weights)
         return weights.generators().copy(), pi.lo, pi.hi, np.array([p.lo, p.hi])
 
-    def test_reassigned_fields_reach_every_query(self):
-        import dataclasses
-
+    def fitted(self):
         ds = make_dataset(12, 2, seed=30)
         ad, weights, _ = trained(ds, UncertaintySpec("both", 0.3, 0.2, seed=31), 0.1)
-        assert np.max(weights.k) > 0 and len(weights.data_ids) > 0
+        assert np.max(weights.k) > 0 and len(weights.data_ids) > 2
         reg = weights.registry
         shared = [*ad.data_symbols()[:2], reg.new_symbol(SymbolKind.DATA)]
         x = ZVector(reg, [PolyForm(reg, 1.0, {(sid,): 0.1}) for sid in shared])
+        return weights, x
+
+    def test_reassigned_fields_reach_every_query(self):
+        import dataclasses
+
+        weights, x = self.fitted()
         before = self.answers(weights, x)
         assert not weights.generators().flags.writeable
-        for name, value in (("k", np.zeros_like(weights.k)), ("G_D", 2.0 * weights.G_D)):
+        for name, value in (
+            ("A_inv", 2.0 * weights.A_inv),
+            ("data_ids", weights.data_ids[::-1].copy()),
+            ("k", np.zeros_like(weights.k)),
+            ("G_D", 2.0 * weights.G_D),
+        ):
             setattr(weights, name, value)
             fresh = dataclasses.replace(weights)  # the same fields, nothing cached
             after = self.answers(weights, x)
-            for got, want, old in zip(after, self.answers(fresh, x), before):
+            for got, want in zip(after, self.answers(fresh, x)):
                 np.testing.assert_array_equal(got, want)
+            # Only the uncertain point reads data_ids: they name its symbols' columns.
+            changed = slice(-1, None) if name == "data_ids" else slice(None)
+            for got, old in zip(after[changed], before[changed]):
                 assert not np.array_equal(got, old)
             before = after
         np.testing.assert_array_equal(
             weights.generators(), np.hstack([weights.G_D.T, np.zeros((weights.dim, weights.dim))])
         )
+
+    def test_generators_alone_leave_the_symbol_columns_unbuilt(self):
+        weights, x = self.fitted()
+        parameter_intervals(weights)
+        loss_interval(np.eye(weights.dim), np.zeros(weights.dim), weights, 0.1)
+        assert "_generators" in vars(weights) and "_columns" not in vars(weights)
+        predict_interval_uncertain(x, weights)
+        assert "_columns" in vars(weights)
+        weights.data_ids = weights.data_ids.copy()
+        assert "_generators" not in vars(weights) and "_columns" not in vars(weights)
