@@ -94,7 +94,7 @@ class ExperimentConfig:
             raise DataError("seeds must be distinct")
         if self.fmt not in ("csv", "json"):
             raise DataError(f"unknown format {self.fmt!r}")
-        if self.threshold <= 0:
+        if not self.threshold > 0:  # NaN too
             raise DataError("threshold must be positive")
         if not all(math.isfinite(v) and v >= 0 for v in [self.lam, *self.lambda_grid]):
             raise DataError("lambda must be >= 0 and finite")

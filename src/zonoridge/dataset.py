@@ -88,8 +88,9 @@ class UncertaintySpec:
 
     ``radius`` is the full width of an uncertain cell's interval as a
     fraction of the column's domain range; the interval is centered on the
-    observed value.  ``target`` selects labels, features or both; for
-    features, ``columns`` restricts which ones (default: all non-bias).
+    observed value; it must be finite and nonnegative.  ``target`` selects
+    labels, features or both; for features, ``columns`` restricts which
+    ones (default: all non-bias).
     """
 
     target: str  # "labels" | "features" | "both"
@@ -103,8 +104,8 @@ class UncertaintySpec:
             raise DataError(f"unknown uncertainty target {self.target!r}")
         if not 0.0 <= self.percentage <= 1.0:
             raise DataError("percentage must be in [0, 1]")
-        if self.radius < 0.0:
-            raise DataError("radius must be >= 0")
+        if not (math.isfinite(self.radius) and self.radius >= 0.0):
+            raise DataError("radius must be >= 0 and finite")
         if self.columns is not None and BIAS_COLUMN in self.columns:
             raise DataError("the bias column cannot be uncertain")
 
@@ -499,8 +500,9 @@ def abstract_missing(
     A missing cell in column with range ``[l, u]`` becomes center
     ``l + (u - l)/2`` with one data symbol of coefficient ``(u - l)/2``.
     Supplying imputer-output ranges ``[min(a_i), max(a_i)]`` narrows the
-    interval to the span of the estimates.  The symbols run row by row, and
-    within a row over the columns, label last.
+    interval to the span of the estimates.  A range must be finite with
+    ``l <= u``.  The symbols run row by row, and within a row over the
+    columns, label last.
     """
     reg = registry or SymbolRegistry()
     X = d.X.copy()
@@ -512,7 +514,7 @@ def abstract_missing(
         if names[j] not in ranges:
             raise DataError(f"missing cell in column {names[j]!r} but no declared range")
         lo[j], hi[j] = ranges[names[j]]
-        if hi[j] < lo[j]:
+        if not (math.isfinite(lo[j]) and math.isfinite(hi[j]) and lo[j] <= hi[j]):
             raise DataError(f"invalid range for {names[j]!r}: [{lo[j]}, {hi[j]}]")
     coef = (hi[cols] - lo[cols]) / 2.0
     center = lo[cols] + coef

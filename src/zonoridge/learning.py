@@ -49,12 +49,13 @@ unsplit fit is the stack of one part, the dataset itself; a split builds the
 rows of its parts and passes them all.  Inside ``_diameter_terms`` the part
 axis is the innermost one instead, so that its numpy loops run over the
 parts, not over the d coefficients of a row; its results are part-first.
-The public one-part functions (``ridge_closed_form_real`` ...
-``solve_non_data``) run the same stages on one part and serve as the
-stepwise reference.  A fit computes each intermediate once: its residual
-and M-matrix margin come from the sums, right-hand sides and coefficient
-matrices the kernel already built, while ``verify_fixed_point_residual``
-rebuilds them from the dataset and runs the same arithmetic.
+The kernel is the only way into the stages: the module exports the fit,
+the weights and the checks on them, and nothing that runs one stage on its
+own.  A fit computes each intermediate once: its residual and M-matrix
+margin come from the sums, right-hand sides and coefficient matrices the
+kernel already built, while ``verify_fixed_point_residual`` rebuilds them
+from the dataset with the same private helpers and runs the same
+arithmetic.
 
 Everything here works on arrays, not on polynomial forms.  Each data symbol
 lives in exactly one cell (a row, a column or the label, and a coefficient),
@@ -177,10 +178,10 @@ class AbstractWeights:
 class NonDataSystem:
     """Assembled diameter system ``(lam n + q_ii - c'_ii) k_i - ... = (n/2) c0_i``.
 
-    The public functions build and take one system; the split path stacks
-    the systems of many parts along a leading axis (``Q`` and ``Cprime`` of
-    shape ``(P, d, d)``, ``c0`` of ``(P, d)``, ``beta`` of ``(P,)``), and
-    the methods then return one result per part.
+    A fit's diagnostics and ``determine_num_splits`` take one system; the
+    kernel stacks the systems of many parts along a leading axis (``Q`` and
+    ``Cprime`` of shape ``(P, d, d)``, ``c0`` of ``(P, d)``, ``beta`` of
+    ``(P,)``), and ``coefficient_matrix`` then returns one matrix per part.
     """
 
     Q: np.ndarray
@@ -195,14 +196,12 @@ class NonDataSystem:
         m[..., i, i] = lam * self.n + self.Q[..., i, i] - self.Cprime[..., i, i]
         return m
 
-    def m_matrix_margin(self, lam: float) -> float | np.ndarray:
-        """Least diagonal dominance ``min_i (m_ii - sum_{j!=i} |m_ij|)``."""
-        margin = _margin(self.coefficient_matrix(lam))
-        return margin if margin.ndim else float(margin)
-
 
 def _margin(m: np.ndarray) -> np.ndarray:
-    """``m_matrix_margin`` of a coefficient matrix, or of each one of a stack."""
+    """The M-matrix margin of a coefficient matrix, or of each one of a stack.
+
+    The margin is the least diagonal dominance ``min_i (m_ii - sum_{j!=i} |m_ij|)``.
+    """
     diag = np.diagonal(m, axis1=-2, axis2=-1)
     off = np.abs(m).sum(axis=-1) - np.abs(diag)
     return np.min(diag - off, axis=-1)
@@ -246,35 +245,6 @@ def _ridge(
         deficient = np.linalg.cond(reg) > 1e13
         reg[deficient] = np.eye(gram.shape[-1])
     return np.linalg.solve(reg, xty[..., None])[..., 0], reg, deficient
-
-
-def ridge_closed_form_real(X_R: np.ndarray, y_R: np.ndarray, lam: float) -> np.ndarray:
-    """Ridge solution on the real centers: ``(X_R'X_R + lam n I)^-1 X_R'y_R``."""
-    X_R = np.asarray(X_R, dtype=float)
-    y_R = np.asarray(y_R, dtype=float)
-    w_R, _, deficient = _ridge((X_R.T @ X_R)[None], (X_R.T @ y_R)[None], lam, X_R.shape[0])
-    if deficient[0]:
-        raise np.linalg.LinAlgError(_RANK_DEFICIENT)
-    return w_R[0]
-
-
-def closed_form_symbolic_data(
-    ad: AbstractDataset, lam: float, w_R: np.ndarray
-) -> np.ndarray:
-    """Generators ``G_D`` ``(S, d)`` of the data-symbol weight part.
-
-    Solves ``(X_R'X_R + lam n I) w_D = X_S'y_R + X_R'y_S
-    - (X_R'X_S + X_S'X_R) w_R`` for all data symbols at once: each symbol
-    lives in exactly one cell, so its column of the right-hand side is
-    assembled directly from that cell's row and coefficient.  Row j belongs
-    to entry j of ``ad.nonzero_cells()``.
-    """
-    X_R = ad.X_R
-    n, d = X_R.shape
-    gram = X_R.T @ X_R + lam * n * np.eye(d)
-    cells = ad.nonzero_cells()
-    rhs = _data_rhs(cells, *_at_cells(ad, cells), w_R[None])[0]
-    return np.ascontiguousarray(np.linalg.solve(gram, rhs).T)
 
 
 def _at_cells(ad: AbstractDataset, cells: Cells) -> tuple[np.ndarray, np.ndarray]:
@@ -455,7 +425,13 @@ def _diameter_terms(
 
 
 def _transform(gram: np.ndarray, cfg: RidgeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``build_transform`` for a stack of Gram matrices ``X_R'X_R``: ``(P, d, d)`` each."""
+    """Order-reduction transforms and their inverses for a stack of Gram matrices ``X_R'X_R``.
+
+    Each is ``(P, d, d)``.  The SVD choice diagonalizes ``X_R'X_R`` so the
+    q-matrix of the diameter system is diagonal; identity leaves the
+    original space.  Custom matrices are validated for conditioning before
+    inverting.
+    """
     P, d = gram.shape[0], gram.shape[-1]
     if isinstance(cfg.transform, str):
         if cfg.transform == "identity":
@@ -472,17 +448,6 @@ def _transform(gram: np.ndarray, cfg: RidgeConfig) -> tuple[np.ndarray, np.ndarr
     return np.repeat(a[None], P, axis=0), np.repeat(np.linalg.inv(a)[None], P, axis=0)
 
 
-def build_transform(X_R: np.ndarray, cfg: RidgeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Order-reduction transform and its inverse.
-
-    The SVD choice diagonalizes ``X_R'X_R`` so the q-matrix of the diameter
-    system is diagonal; identity leaves the original space.  Custom matrices
-    are validated for conditioning before inverting.
-    """
-    A, A_inv = _transform((X_R.T @ X_R)[None], cfg)
-    return A[0], A_inv[0]
-
-
 def _system(Q: np.ndarray, cprime: np.ndarray, h: np.ndarray, n: int) -> NonDataSystem:
     """The diameter system with ``c0 = (2/n) h`` and its threshold ``beta``.
 
@@ -495,36 +460,6 @@ def _system(Q: np.ndarray, cprime: np.ndarray, h: np.ndarray, n: int) -> NonData
     return NonDataSystem(
         Q=Q, Cprime=cprime, c0=(2.0 / n) * h, beta=beta if beta.ndim else float(beta), n=n
     )
-
-
-def build_non_data_system(
-    ad: AbstractDataset,
-    lam: float,
-    w_R: np.ndarray,
-    G_D: np.ndarray,
-    A: np.ndarray,
-    A_inv: np.ndarray,
-) -> NonDataSystem:
-    """Assemble the diameter system from dense per-symbol terms.
-
-    ``c'`` and ``c0`` are sums of |coefficients| over the distinct monomials
-    of degree at most 3 that the expansion of the gradient produces.  Each
-    data symbol lives in exactly one cell, so two products can land on the
-    same monomial only when all of its symbols lie in one row; those
-    same-row monomials are merged before taking absolute values, so
-    cancellations between summands are honored exactly as a full
-    polynomial expansion would, and every other product is summed as is
-    (see ``_diameter_terms``).  This matches what linearization followed by
-    an interval hull produces and is never looser.  ``G_D`` has one row per
-    entry of ``ad.nonzero_cells()``, as ``closed_form_symbolic_data`` gives.
-    """
-    cells = ad.nonzero_cells()
-    if G_D.shape != (len(cells.symbols), ad.d):
-        raise ShapeMismatchError(f"G_D must be {(len(cells.symbols), ad.d)}, got {G_D.shape}")
-    x, _ = _at_cells(ad, cells)
-    cprime, h = _diameter_terms(cells, x, w_R[None], G_D[None], A[None], A_inv[None])
-    Q = A @ (ad.X_R.T @ ad.X_R) @ A_inv
-    return _system(Q, cprime[0], h[0], ad.n)
 
 
 def _solve_each(m: np.ndarray, rhs: np.ndarray, solve: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -551,14 +486,17 @@ def _solve_each(m: np.ndarray, rhs: np.ndarray, solve: np.ndarray) -> tuple[np.n
 def _diameters(
     sys: NonDataSystem, lam: float, tolerance: float
 ) -> tuple[np.ndarray, list, np.ndarray]:
-    """``solve_non_data`` on a stack of systems.
+    """Solve a stack of diameter systems; each requires ``lam >= beta`` up to tolerance.
 
-    Returns the diameters ``(P, d)``, the checks, in the order
-    ``solve_non_data`` makes them, as ``(failed parts, error of part p)``
-    pairs (see ``_first_failure``), and the coefficient matrices, built
-    once for the solve and the margins.  A homogeneous part gets ``k = 0``
-    and passes every check; with no part left to solve, the feasibility
-    check is the only one.
+    Returns the diameters ``(P, d)``, the checks, in the order one part
+    makes them, as ``(failed parts, error of part p)`` pairs (see
+    ``_first_failure``), and the coefficient matrices, built once for the
+    solve and the margins.  A homogeneous part (zero constant column, e.g.
+    certain or label-only data) gets ``k = 0``, whatever its matrix looks
+    like, and passes every check; with no part left to solve, the
+    feasibility check is the only one.  Otherwise M-matrix theory
+    guarantees a nonnegative solution in the feasible regime; negative
+    entries beyond a small clamp indicate numerical trouble and fail.
     """
     m = sys.coefficient_matrix(lam)
     homogeneous = ~sys.c0.any(axis=-1)
@@ -603,26 +541,6 @@ def _first_failure(checks: list) -> Exception | None:
             if first is None or p < first[0]:
                 first = (p, error)
     return None if first is None else first[1](first[0])
-
-
-def solve_non_data(sys: NonDataSystem, lam: float, tolerance: float = TOLERANCE) -> np.ndarray:
-    """Solve the diameter system; requires ``lam >= beta`` up to tolerance.
-
-    The homogeneous case (zero constant column, e.g. certain or label-only
-    data) is solved exactly by ``k = 0`` whatever the matrix looks like, so
-    it bypasses the feasibility threshold.  Otherwise M-matrix theory
-    guarantees a nonnegative solution in the feasible regime; negative
-    entries beyond a small clamp indicate numerical trouble and are
-    rejected.
-    """
-    stack = NonDataSystem(
-        Q=sys.Q[None], Cprime=sys.Cprime[None], c0=sys.c0[None], beta=np.array([sys.beta]), n=sys.n
-    )
-    k, checks, _ = _diameters(stack, lam, tolerance)
-    error = _first_failure(checks)
-    if error is not None:
-        raise error
-    return k[0]
 
 
 def determine_num_splits(sys: NonDataSystem, lam: float) -> int:
@@ -671,9 +589,9 @@ def _fit_stack(
     Returns the fits of the parts and the error that solving them one by
     one, in order, raises first (``None`` if every part is solved), with
     the regularized Gram matrices and the data right-hand sides they were
-    solved from.  Each part gets the rank check of
-    ``ridge_closed_form_real``, then those of ``solve_non_data``; a
-    rank-deficient first part raises at once, as nothing can precede it.
+    solved from.  Each part gets the rank check of ``_ridge``, then those
+    of ``_diameters``; a rank-deficient first part raises at once, as
+    nothing can precede it.
     """
     w_R, reg, deficient = _ridge(gram, xty, cfg.lam, n)
     if deficient[0]:
@@ -824,25 +742,31 @@ def verify_fixed_point_residual(
 
     The step is taken on the dense terms of the diameter system.  With
     ``H = 2 lam I + (2/n) X_R'X_R``, the data-symbol part of the gradient is
-    ``(2/n) ((X_R'X_R + lam n I) G_D' - RHS)`` (``RHS`` as in
-    :func:`closed_form_symbolic_data`), and the interval hull of the box
-    part after the step, in the transformed space, has diameters
+    ``(2/n) ((X_R'X_R + lam n I) G_D' - RHS)`` (``RHS`` the data
+    right-hand side, ``_data_rhs``), and the interval hull of the box part
+    after the step, in the transformed space, has diameters
 
         k' = |A (I - eta H) A^-1| k + eta ((2/n) c' k + c0),
 
-    where ``c'`` and ``c0 = (2/n) h`` are assembled by
-    :func:`build_non_data_system` from the weights' own ``w_D``.  At a true
+    where ``c'`` and ``c0 = (2/n) h`` are assembled by ``_diameter_terms``
+    from the weights' own ``w_D``; ``G_D`` must have one row per entry of
+    ``ad.nonzero_cells()``, as a fit that did not split gives.  At a true
     fixed point the real and data-symbol parts are unchanged and
     ``k' = k``.  The normalized box residual divides out the ``2 eta / n``
     step factor, making it comparable to the system's scale.  The sums and
     ``RHS`` are taken from ``ad`` here; the residual in a fit's diagnostics
     takes them from the fit and is, for the fit's weights, this report.
     """
-    X_R = ad.X_R
+    X_R, G_D, A, A_inv = ad.X_R, weights.G_D, weights.A, weights.A_inv
     gram = X_R.T @ X_R
     cells = ad.nonzero_cells()
-    rhs = _data_rhs(cells, *_at_cells(ad, cells), weights.w_R[None])[0]
-    sys = build_non_data_system(ad, cfg.lam, weights.w_R, weights.G_D, weights.A, weights.A_inv)
+    x, y = _at_cells(ad, cells)
+    w_R = weights.w_R[None]
+    rhs = _data_rhs(cells, x, y, w_R)[0]
+    if G_D.shape != (len(cells.symbols), ad.d):
+        raise ShapeMismatchError(f"G_D must be {(len(cells.symbols), ad.d)}, got {G_D.shape}")
+    cprime, h = _diameter_terms(cells, x, w_R, G_D[None], A[None], A_inv[None])
+    sys = _system(A @ gram @ A_inv, cprime[0], h[0], ad.n)
     reg = gram + cfg.lam * ad.n * np.eye(ad.d)
     return _residual_report(weights, sys, cfg.lam, gram, X_R.T @ ad.y_R, reg, rhs)
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from form_algebra import PolyForm
 from zonoridge.dataset import Cells
-from zonoridge.forms import PolyForm
 from zonoridge.symbols import SymbolKind, SymbolRegistry
 
 

@@ -1,11 +1,21 @@
 """Polynomial-form algebra that the reference implementations are built on.
 
-The library computes on generator matrices; this module keeps the general
-form algebra it used before, so that ``reference_forms`` can follow the
-definitions term by term.  A :class:`~zonoridge.forms.ZVector` over affine
-forms is a linear zonotope in symbolic form; a vector or matrix over general
-:class:`~zonoridge.forms.PolyForm` entries is a polynomial zonotope.  All
-entries of one object share a registry.
+The library computes on generator matrices, and its
+:class:`~zonoridge.forms.PolyForm` and :class:`~zonoridge.forms.ZVector` are
+input records with no algebra.  This module keeps the general form algebra
+the library used before, so that ``reference_forms`` can follow the
+definitions term by term: :class:`PolyForm` and :class:`ZVector` here
+subclass the records and add arithmetic, evaluation and rendering, and the
+tests build their forms from them.  A :class:`ZVector` over affine forms is
+a linear zonotope in symbolic form; a vector or matrix over general
+:class:`PolyForm` entries is a polynomial zonotope.  All entries of one
+object share a registry.
+
+Addition and multiplication of forms are exact transformers: evaluating the
+result at any symbol assignment equals combining the evaluations of the
+operands.  Coefficients with magnitude below ``COEF_EPS`` are dropped after
+every operation so that forms stay canonical and float noise cannot inflate
+the monomial count.
 
 The operations here come in two families:
 
@@ -22,11 +32,195 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
+import zonoridge.forms
 from zonoridge.dataset import LABEL_COL, AbstractDataset
 from zonoridge.errors import DegreeError, RegistryMismatchError, ShapeMismatchError
-from zonoridge.forms import COEF_EPS, Monomial, PolyForm, ZVector
+from zonoridge.forms import COEF_EPS, Monomial
 from zonoridge.learning import AbstractWeights
 from zonoridge.symbols import SymbolKind, SymbolRegistry
+
+
+def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(sorted(a + b))
+
+
+class PolyForm(zonoridge.forms.PolyForm):
+    """A :class:`zonoridge.forms.PolyForm` with the form algebra: exact ``+ - *``, evaluation."""
+
+    __slots__ = ()
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def constant(cls, registry: SymbolRegistry, value: float) -> "PolyForm":
+        return cls(registry, value)
+
+    @classmethod
+    def symbol(
+        cls, registry: SymbolRegistry, sid: int, coef: float = 1.0, center: float = 0.0
+    ) -> "PolyForm":
+        if sid not in registry:
+            raise KeyError(f"symbol {sid} not in registry")
+        return cls(registry, center, {(sid,): coef})
+
+    # -- structure ---------------------------------------------------------
+
+    def degree(self) -> int:
+        return max((len(m) for m in self.terms), default=0)
+
+    def is_affine(self) -> bool:
+        return all(len(m) == 1 for m in self.terms)
+
+    def is_constant(self) -> bool:
+        return not self.terms
+
+    def n_monomials(self) -> int:
+        return len(self.terms)
+
+    def symbols(self) -> set[int]:
+        out: set[int] = set()
+        for mono in self.terms:
+            out.update(mono)
+        return out
+
+    def linear_coeffs(self) -> dict[int, float]:
+        """Symbol -> coefficient for an affine form."""
+        if not self.is_affine():
+            raise DegreeError("form has monomials of degree > 1")
+        return {m[0]: c for m, c in self.terms.items()}
+
+    def coeff_abs_sum(self) -> float:
+        """Sum of absolute coefficient values over all monomials."""
+        return sum(abs(c) for c in self.terms.values())
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _check_registry(self, other: "PolyForm") -> None:
+        if self.registry is not other.registry:
+            raise RegistryMismatchError("operands belong to different registries")
+
+    def __add__(self, other: "PolyForm | float | int") -> "PolyForm":
+        if isinstance(other, (int, float)):
+            return PolyForm(self.registry, self.center + other, self.terms)
+        self._check_registry(other)
+        terms = dict(self.terms)
+        for mono, coef in other.terms.items():
+            terms[mono] = terms.get(mono, 0.0) + coef
+        return PolyForm(self.registry, self.center + other.center, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "PolyForm":
+        return PolyForm(self.registry, -self.center, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other: "PolyForm | float | int") -> "PolyForm":
+        if isinstance(other, (int, float)):
+            return self + (-other)
+        return self + (-other)
+
+    def __rsub__(self, other: float | int) -> "PolyForm":
+        return (-self) + other
+
+    def scale(self, factor: float) -> "PolyForm":
+        return PolyForm(
+            self.registry,
+            self.center * factor,
+            {m: c * factor for m, c in self.terms.items()},
+        )
+
+    def __mul__(self, other: "PolyForm | float | int") -> "PolyForm":
+        if isinstance(other, (int, float)):
+            return self.scale(float(other))
+        self._check_registry(other)
+        # Distributive product; monomials merge canonically so e.g. the
+        # product of a symbol with itself lands on a degree-2 monomial.
+        terms: dict[Monomial, float] = {}
+        if other.center != 0.0:
+            for mono, coef in self.terms.items():
+                terms[mono] = terms.get(mono, 0.0) + coef * other.center
+        if self.center != 0.0:
+            for mono, coef in other.terms.items():
+                terms[mono] = terms.get(mono, 0.0) + coef * self.center
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                merged = _merge_monomials(m1, m2)
+                terms[merged] = terms.get(merged, 0.0) + c1 * c2
+        return PolyForm(self.registry, self.center * other.center, terms)
+
+    __rmul__ = __mul__
+
+    # -- evaluation and rendering -------------------------------------------
+
+    def evaluate(self, assignment: Mapping[int, float]) -> float:
+        """Evaluate at a concrete symbol assignment (values in [-1, 1])."""
+        total = self.center
+        for mono, coef in self.terms.items():
+            value = coef
+            for sid in mono:
+                value *= assignment[sid]
+            total += value
+        return total
+
+    def canonical_str(self) -> str:
+        """Debug rendering ``c + k1*e<id> + k2*e<id>*e<id>`` with ids sorted."""
+        parts = [repr(self.center)]
+        for mono in sorted(self.terms, key=lambda m: (len(m), m)):
+            factors = "*".join(f"e{sid}" for sid in mono)
+            parts.append(f"{self.terms[mono]!r}*{factors}")
+        return " + ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"PolyForm({self.canonical_str()})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PolyForm):
+            return NotImplemented
+        return (
+            self.registry is other.registry
+            and self.center == other.center
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((id(self.registry), self.center, frozenset(self.terms.items())))
+
+
+class ZVector(zonoridge.forms.ZVector):
+    """A :class:`zonoridge.forms.ZVector` with entrywise algebra and evaluation."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_real(cls, registry: SymbolRegistry, values: Sequence[float]) -> "ZVector":
+        return cls(registry, [PolyForm(registry, float(v)) for v in values])
+
+    def __add__(self, other: "ZVector") -> "ZVector":
+        if len(self) != len(other):
+            raise ShapeMismatchError("vector length mismatch")
+        return ZVector(self.registry, [a + b for a, b in zip(self.entries, other.entries)])
+
+    def __sub__(self, other: "ZVector") -> "ZVector":
+        if len(self) != len(other):
+            raise ShapeMismatchError("vector length mismatch")
+        return ZVector(self.registry, [a - b for a, b in zip(self.entries, other.entries)])
+
+    def scale(self, factor: float) -> "ZVector":
+        return ZVector(self.registry, [f.scale(factor) for f in self.entries])
+
+    def evaluate(self, assignment: Mapping[int, float]) -> np.ndarray:
+        return np.array([f.evaluate(assignment) for f in self.entries])
+
+    def is_affine(self) -> bool:
+        return all(f.is_affine() for f in self.entries)
+
+    def centers(self) -> np.ndarray:
+        return np.array([f.center for f in self.entries])
+
+    def symbols(self) -> set[int]:
+        out: set[int] = set()
+        for f in self.entries:
+            out.update(f.symbols())
+        return out
 
 
 def sum_forms(registry: SymbolRegistry, forms: Iterable[PolyForm]) -> PolyForm:

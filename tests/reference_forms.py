@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from form_algebra import (
+    PolyForm,
+    ZVector,
     box_join,
     interval_hull,
     interval_of,
@@ -32,9 +34,14 @@ from form_algebra import (
     x_symbolic,
     y_symbolic,
 )
+from stages import (
+    build_transform,
+    closed_form_symbolic_data,
+    ridge_closed_form_real,
+    solve_non_data,
+)
 from zonoridge.dataset import AbstractDataset
 from zonoridge.errors import ShapeMismatchError
-from zonoridge.forms import PolyForm, ZVector
 from zonoridge.inference import LossInterval, ParameterIntervals, PredictionInterval
 from zonoridge.learning import (
     AbstractWeights,
@@ -42,10 +49,6 @@ from zonoridge.learning import (
     ResidualReport,
     TOLERANCE,
     RidgeConfig,
-    build_transform,
-    closed_form_symbolic_data,
-    ridge_closed_form_real,
-    solve_non_data,
 )
 from zonoridge.symbols import SymbolKind
 

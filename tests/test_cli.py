@@ -420,6 +420,25 @@ class TestOptions:
         assert "config error: lambda must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, ini", [
+        (["--threshold", "nan"], ""),
+        ([], "[certify]\nthreshold = nan\n"),
+    ], ids=["flag", "key"])
+    def test_nan_threshold_is_config_error(self, data_csv, tmp_path, capsys, flag, ini):
+        path = write_ini(tmp_path, f"[data]\npath = {data_csv}\nlabel = target\n{ini}")
+        argv = ["certify", "--config", path, "--out-dir", str(tmp_path / "out"), *flag]
+        assert main(argv) == 2
+        assert "config error: threshold must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_non_finite_radius_is_data_error(self, data_csv, tmp_path, capsys, radius):
+        path = write_ini(tmp_path, f"[data]\npath = {data_csv}\nlabel = target\n")
+        argv = ["certify", "--config", path, "--out-dir", str(tmp_path / "out"), "--radius", radius]
+        assert main(argv) == 2
+        assert "data error: radius must be >= 0 and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text", [
         "path = x\n",
         "[data]\npath = a\npath = b\n",

@@ -229,6 +229,11 @@ class TestInjectUncertainty:
         with pytest.raises(DataError):
             UncertaintySpec("features", 0.5, 0.1, seed=0, columns=("bias",))
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_non_finite_radius_errors(self, radius):
+        with pytest.raises(DataError, match="radius must be >= 0 and finite"):
+            UncertaintySpec("labels", 0.5, radius, seed=0)
+
 
 class TestAbstractMissing:
     def test_worked_example(self):
@@ -254,6 +259,18 @@ class TestAbstractMissing:
         ds = Dataset(X=X, y=np.array([1.0]), columns=["bias", "a"])
         with pytest.raises(DataError):
             abstract_missing(ds, {})
+
+    @pytest.mark.parametrize("bounds", [
+        (float("nan"), 10.0),
+        (0.0, float("nan")),
+        (0.0, float("inf")),
+        (float("-inf"), 10.0),
+    ], ids=["nan-lo", "nan-hi", "inf-hi", "minus-inf-lo"])
+    def test_non_finite_range_errors(self, bounds):
+        X = np.array([[1.0, np.nan], [1.0, 2.0]])
+        ds = Dataset(X=X, y=np.array([1.0, 2.0]), columns=["bias", "a"])
+        with pytest.raises(DataError, match="invalid range for 'a'"):
+            abstract_missing(ds, {"a": bounds})
 
     def test_imputation_range_variant(self):
         X = np.array([[1.0, np.nan], [1.0, 2.0]])

@@ -21,8 +21,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference_forms as ref
+import stages
 import zonoridge
 from conftest import cell_table
+from form_algebra import PolyForm, ZVector
+from stages import (
+    build_non_data_system,
+    build_transform,
+    closed_form_symbolic_data,
+    ridge_closed_form_real,
+    solve_non_data,
+)
 from zonoridge import learning
 from zonoridge.dataset import LABEL_COL, AbstractDataset, Cells, Dataset, abstract_missing
 from zonoridge.errors import (
@@ -33,7 +42,6 @@ from zonoridge.errors import (
     SplitBudgetError,
     ZonoError,
 )
-from zonoridge.forms import PolyForm, ZVector
 from zonoridge.inference import (
     certify_robustness,
     loss_interval,
@@ -45,13 +53,8 @@ from zonoridge.learning import (
     AbstractWeights,
     NonDataSystem,
     RidgeConfig,
-    build_non_data_system,
-    build_transform,
-    closed_form_symbolic_data,
     determine_num_splits,
     fixed_point,
-    ridge_closed_form_real,
-    solve_non_data,
     verify_fixed_point_residual,
 )
 from zonoridge.symbols import SymbolKind, SymbolRegistry
@@ -418,7 +421,7 @@ def looped_part(part, cfg):
     k = solve_non_data(sys, cfg.lam, learning.TOLERANCE)
     weights = AbstractWeights(w_R=w_R, G_D=w_D, data_ids=part.nonzero_cells().symbols, k=k, A=A,
                               A_inv=A_inv, registry=part.registry)
-    return w_R, np.abs(weights.generators()).sum(axis=1), sys.beta, sys.m_matrix_margin(cfg.lam)
+    return w_R, np.abs(weights.generators()).sum(axis=1), sys.beta, stages.m_matrix_margin(sys, cfg.lam)
 
 
 def looped_join(parts, cfg):
@@ -657,7 +660,7 @@ def test_unsplit_fit_is_the_one_part_chain(kind, transform):
             assert bits(got) == bits(want)
         assert weights.G_D.flags.c_contiguous
         assert diag.beta == sys.beta
-        assert diag.m_matrix_margin == sys.m_matrix_margin(cfg.lam)
+        assert diag.m_matrix_margin == stages.m_matrix_margin(sys, cfg.lam)
         chain = dataclasses.replace(weights, w_R=w_R, G_D=G_D, k=k, A=A, A_inv=A_inv)
         assert diag.residual == verify_fixed_point_residual(ad, chain, cfg)
 
@@ -730,7 +733,7 @@ def test_fit_residual_and_margin_are_those_of_the_assembled_system(target, d, n,
     assert diag.splits_used == 1
     assert diag.residual == verify_fixed_point_residual(ad, weights, cfg)
     sys = build_non_data_system(ad, cfg.lam, weights.w_R, weights.G_D, weights.A, weights.A_inv)
-    assert bits(diag.m_matrix_margin) == bits(sys.m_matrix_margin(cfg.lam))
+    assert bits(diag.m_matrix_margin) == bits(stages.m_matrix_margin(sys, cfg.lam))
 
 
 @pytest.mark.parametrize(

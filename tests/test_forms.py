@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_symbols, random_assignment, random_form
+import zonoridge.forms
+from form_algebra import PolyForm
 from zonoridge.errors import DegreeError, RegistryMismatchError
-from zonoridge.forms import PolyForm
 from zonoridge.symbols import SymbolKind, SymbolRegistry
 
 
@@ -97,6 +98,19 @@ def test_tiny_coefficients_are_dropped(registry):
     a = PolyForm.symbol(registry, e1, 1.0)
     b = PolyForm.symbol(registry, e1, -1.0 + 1e-16)
     assert (a + b).is_constant()
+
+
+@pytest.mark.parametrize("center, coef", [
+    (float("nan"), 1.0),
+    (float("inf"), 1.0),
+    (1.0, float("nan")),
+    (1.0, float("inf")),
+    (1.0, float("-inf")),
+], ids=["nan-center", "inf-center", "nan-coef", "inf-coef", "minus-inf-coef"])
+def test_non_finite_center_or_coefficient_raises(registry, center, coef):
+    e1 = make_symbols(registry, 1)[0]
+    with pytest.raises(ValueError, match="finite"):
+        zonoridge.forms.PolyForm(registry, center, {(e1,): coef})
 
 
 def test_linear_coeffs_requires_affine(registry):

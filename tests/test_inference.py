@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from form_algebra import PolyForm, ZVector
 from zonoridge.dataset import LABEL_COL, AbstractDataset, Dataset, UncertaintySpec, inject_uncertainty
-from zonoridge.forms import PolyForm, ZVector
 from zonoridge.inference import (
     PredictionInterval,
     certify_robustness,
@@ -128,6 +128,15 @@ class TestPredictIntervalUncertain:
             x_point = c + g * e[sid]
             val = float(x_point @ w_star)
             assert p.lo - 1e-9 <= val <= p.hi + 1e-9
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_non_finite_radius_is_refused(self, radius):
+        ds = make_dataset(10, 2, seed=2)
+        _, weights, _ = trained(ds, UncertaintySpec("labels", 0.3, 0.2, seed=3), 0.05)
+        reg = weights.registry
+        sid = reg.new_symbol(SymbolKind.DATA)
+        with pytest.raises(ValueError, match="finite"):
+            ZVector(reg, [PolyForm(reg, v, {(sid,): radius}) for v in ds.X[1]])
 
 
 class TestCertifyRobustness:

@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
 from conftest import cell_table
+from stages import (
+    build_non_data_system,
+    build_transform,
+    closed_form_symbolic_data,
+    ridge_closed_form_real,
+    solve_non_data,
+)
 
 from zonoridge.dataset import LABEL_COL, AbstractDataset, Dataset, UncertaintySpec, inject_uncertainty
 from zonoridge.errors import LambdaTooSmall, SplitBudgetError
 from zonoridge.learning import (
     AbstractWeights,
     RidgeConfig,
-    build_non_data_system,
-    build_transform,
-    closed_form_symbolic_data,
     contains_world_weights,
     determine_num_splits,
     fixed_point,
-    ridge_closed_form_real,
-    solve_non_data,
     verify_fixed_point_residual,
 )
 from zonoridge.oracles import ridge_concrete, sample_worlds

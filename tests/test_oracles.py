@@ -4,6 +4,7 @@ from itertools import product as iter_product
 import numpy as np
 import pytest
 from conftest import cell_index, cell_table
+from stages import ridge_closed_form_real
 
 from zonoridge import learning
 from zonoridge.dataset import (
@@ -15,7 +16,6 @@ from zonoridge.dataset import (
     inject_uncertainty,
 )
 from zonoridge.errors import BudgetExceededError, DataError
-from zonoridge.learning import ridge_closed_form_real
 from zonoridge.oracles import (
     WorldAssignment,
     _train_worlds,

@@ -3,6 +3,13 @@
 import numpy as np
 import pytest
 from conftest import cell_table
+from stages import (
+    build_non_data_system,
+    build_transform,
+    closed_form_symbolic_data,
+    ridge_closed_form_real,
+    solve_non_data,
+)
 
 from zonoridge.dataset import (
     AbstractDataset,
@@ -15,15 +22,7 @@ from zonoridge.dataset import (
 )
 from zonoridge.errors import LambdaTooSmall
 from zonoridge.inference import certify_robustness, predict_interval
-from zonoridge.learning import (
-    RidgeConfig,
-    build_non_data_system,
-    build_transform,
-    closed_form_symbolic_data,
-    fixed_point,
-    ridge_closed_form_real,
-    solve_non_data,
-)
+from zonoridge.learning import RidgeConfig, fixed_point
 from zonoridge.oracles import interval_ridge_labels
 from zonoridge.symbols import SymbolKind, SymbolRegistry
 

@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import make_symbols, random_assignment, random_form
-from form_algebra import ZMatrix, box_join, interval_hull, interval_of, linearize, mat_mul
+from form_algebra import (
+    PolyForm,
+    ZMatrix,
+    ZVector,
+    box_join,
+    interval_hull,
+    interval_of,
+    linearize,
+    mat_mul,
+)
 from zonoridge.errors import DegreeError
-from zonoridge.forms import PolyForm, ZVector
 from zonoridge.symbols import SymbolKind
 
 
