@@ -39,7 +39,7 @@ from .dataset import (
     train_test_split,
 )
 from .errors import BudgetExceededError, DataError, ZonoError
-from .inference import certify_robustness, loss_interval, parameter_intervals, predict_interval
+from .inference import certify_robustness, loss_interval, parameter_intervals
 from .learning import RidgeConfig, contains_world_weights, fixed_point
 from .oracles import _train_worlds, concrete_loss, interval_ridge_labels, oracle_ranges
 
@@ -98,6 +98,12 @@ class ExperimentConfig:
             raise DataError("threshold must be positive")
         if not all(math.isfinite(v) and v >= 0 for v in [self.lam, *self.lambda_grid]):
             raise DataError("lambda must be >= 0 and finite")
+        for pct, rad in product([self.percentage, *self.percentage_grid],
+                                [self.radius, *self.radius_grid]):
+            UncertaintySpec(self.target, pct, rad, 0, self.columns())
+
+    def columns(self) -> tuple[str, ...] | None:
+        return tuple(self.uncertain_columns) if self.uncertain_columns else None
 
     def ridge_config(self, lam: float | None = None) -> RidgeConfig:
         return RidgeConfig(
@@ -297,7 +303,7 @@ def _run(cfg: ExperimentConfig, data: Dataset, task_rows, *, seeds=None, percent
     """
     tasks = list(product(seeds or cfg.seeds, percentages or [cfg.percentage],
                          radii or [cfg.radius], lambdas or [cfg.lam]))
-    columns = tuple(cfg.uncertain_columns) if cfg.uncertain_columns else None
+    columns = cfg.columns()
 
     def run(task):
         seed, pct, rad, lam = task
@@ -435,14 +441,14 @@ def cmd_lambda_sweep(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
 def cmd_oracle_check(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
     """End-to-end soundness sweep: every sampled/enumerated world's trained
     weights, predictions and loss must fall inside the abstract results."""
-    data, _ = _prepare(cfg)
+    data, threshold_abs = _prepare(cfg)
 
     def task_rows(task, train, test, ad, weights):
         seed, pct, rad, lam = task
         li = loss_interval(test.X, test.y, weights, lam)
-        intervals = [predict_interval(x, weights) for x in test.X]
-        pred_lo = np.array([interval.lo for interval in intervals]) - 1e-7
-        pred_hi = np.array([interval.hi for interval in intervals]) + 1e-7
+        report = certify_robustness(test.X, weights, threshold_abs)
+        bounds = np.array([interval for interval, _ in report.per_point])
+        pred_lo, pred_hi = bounds[:, 0] - 1e-7, bounds[:, 1] + 1e-7
         worlds = [_train_worlds(ad, lam, "uniform", samples=cfg.oracle_samples, seed=seed)]
         try:
             worlds.append(_train_worlds(ad, lam, "corner", budget=cfg.oracle_budget))

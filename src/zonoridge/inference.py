@@ -7,7 +7,8 @@ is exact for the zonotope; a robustness report computes the bounds and flags
 of all its points as arrays, in one pass, before it wraps each point in a
 :class:`PredictionInterval`, an immutable ``(lo, hi)`` tuple.  Losses are
 quadratic in the symbols and are linearized before concretizing, which stays
-sound but can widen.  An uncertain test point is a vector of affine forms
+sound but can widen; a loss range is a :class:`LossInterval`, the same
+``(lo, hi)`` tuple.  An uncertain test point is a vector of affine forms
 (:class:`~zonoridge.forms.ZVector`), read in one pass into its center and a
 generator matrix over its own symbols; its prediction is quadratic in the
 symbols and is linearized the same way.  A point with a higher-degree entry
@@ -32,19 +33,31 @@ class _Bounds(NamedTuple):
     hi: float
 
 
-class PredictionInterval(_Bounds):
-    """Prediction range ``[lo, hi]``, an immutable ``(lo, hi)`` tuple."""
+class _Interval(_Bounds):
+    """An immutable ``(lo, hi)`` tuple that refuses ``lo > hi``."""
 
     __slots__ = ()
 
     def __new__(cls, lo: float, hi: float):
         if lo > hi:
-            raise ValueError("prediction interval requires lo <= hi")
+            raise ValueError("interval requires lo <= hi")
         return tuple.__new__(cls, (lo, hi))
 
     @property
     def width(self) -> float:
         return self.hi - self.lo
+
+
+class PredictionInterval(_Interval):
+    """Prediction range ``[lo, hi]``, an immutable ``(lo, hi)`` tuple."""
+
+    __slots__ = ()
+
+
+class LossInterval(_Interval):
+    """Test-loss range ``[lo, hi]``, an immutable ``(lo, hi)`` tuple."""
+
+    __slots__ = ()
 
 
 @dataclass
@@ -54,17 +67,6 @@ class RobustnessReport:
     threshold: float
     per_point: list[tuple[PredictionInterval, bool]]
     ratio: float
-
-
-@dataclass(frozen=True)
-class LossInterval:
-    lo: float
-    hi: float
-    formula: str  # "ridge" | "mse"
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("loss interval requires lo <= hi")
 
 
 @dataclass
@@ -221,9 +223,8 @@ def loss_interval(
     test_y: np.ndarray,
     weights: AbstractWeights,
     lam: float,
-    formula: str = "ridge",
 ) -> LossInterval:
-    """Range of the test loss over the weight zonotope.
+    """Range of the test loss ``mean((X w - y)**2) + lam w'w`` over the weight zonotope.
 
     With the generator matrix ``W`` (see ``AbstractWeights.generators``),
     residual generators ``R = X W`` and centers ``c = X w_R - y``, the loss
@@ -234,14 +235,14 @@ def loss_interval(
     Linearizing every degree-2 monomial and concretizing gives the radius
     ``sum |b| + sum |Q|``.  Aggregating symbolically before concretizing
     keeps the cross-point correlations that per-prediction interval
-    arithmetic would lose, which tightens the upper end.  Both supported
-    formulas are nonnegative combinations of squares of affine forms, so the
-    lower end additionally uses each square's exact minimum (the squared
-    distance of zero to the affine term's interval, from the row sums of
-    ``|R|`` and ``|W|``); the linearized lower bound alone would forget that
-    squares cannot go negative.  The ``ridge`` formula refuses a negative
-    or non-finite ``lam`` with ``ValueError``, as ``RidgeConfig`` does;
-    ``mse`` ignores ``lam``.
+    arithmetic would lose, which tightens the upper end.  The loss is a
+    nonnegative combination of squares of affine forms, so the lower end
+    additionally uses each square's exact minimum (the squared distance of
+    zero to the affine term's interval, from the row sums of ``|R|`` and
+    ``|W|``); the linearized lower bound alone would forget that squares
+    cannot go negative.  At ``lam = 0`` the loss is the mean squared error.
+    A negative or non-finite ``lam`` raises ``ValueError``, as in
+    ``RidgeConfig``.
     """
     test_X = np.asarray(test_X, dtype=float)
     test_y = np.asarray(test_y, dtype=float)
@@ -249,9 +250,7 @@ def loss_interval(
         raise ShapeMismatchError(f"test set must be (n, {weights.dim})")
     if test_X.shape[0] != test_y.shape[0]:
         raise ShapeMismatchError("test X and y row counts differ")
-    if formula not in ("ridge", "mse"):
-        raise ValueError(f"unknown loss formula {formula!r}")
-    if formula == "ridge" and not (np.isfinite(lam) and lam >= 0):
+    if not (np.isfinite(lam) and lam >= 0):
         raise ValueError("lam must be >= 0 and finite")
     n = test_X.shape[0]
     W = weights.generators()
@@ -261,7 +260,7 @@ def loss_interval(
     Q = R.T @ (R / n)
     center = np.add.reduce(c * c / n)
     structural_lo = np.add.reduce(_square_min(c, np.add.reduce(np.abs(R, out=R), axis=1)) / n)
-    if formula == "ridge" and lam > 0.0:
+    if lam > 0.0:
         w_R = weights.w_R
         center += np.add.reduce(lam * w_R * w_R)
         structural_lo += np.add.reduce(lam * _square_min(w_R, np.add.reduce(np.abs(W), axis=1)))
@@ -273,9 +272,7 @@ def loss_interval(
         + np.add.reduce(Q.diagonal())
         + 2.0 * np.add.reduce(np.triu(Q, 1), axis=None)
     )
-    return LossInterval(
-        lo=float(max(center - radius, structural_lo)), hi=float(center + radius), formula=formula
-    )
+    return LossInterval(float(max(center - radius, structural_lo)), float(center + radius))
 
 
 def parameter_intervals(

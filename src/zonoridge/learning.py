@@ -572,7 +572,7 @@ class _Fit(NamedTuple):
     A_inv: np.ndarray
     k: np.ndarray
     sys: NonDataSystem
-    margin: np.ndarray  # m_matrix_margin of each part
+    m: np.ndarray  # the coefficient matrix of each part's diameter system
     reg: np.ndarray  # X'X + lam n I
     rhs: np.ndarray  # the data right-hand side, (P, d, S)
     error: Exception | None
@@ -604,7 +604,7 @@ def _fit_stack(
     error = _first_failure(
         [(deficient, lambda p: np.linalg.LinAlgError(_RANK_DEFICIENT)), *checks]
     )
-    return _Fit(w_R, G, A, A_inv, k, sys, _margin(m), reg, rhs, error)
+    return _Fit(w_R, G, A, A_inv, k, sys, m, reg, rhs, error)
 
 
 def _part_block(pos: np.ndarray, touched: int, d: int) -> int:
@@ -662,7 +662,7 @@ def _join_split(
         lo = np.minimum(lo, (fit.w_R - radius).min(axis=0))
         hi = np.maximum(hi, (fit.w_R + radius).max(axis=0))
         betas.extend(fit.sys.beta.tolist())
-        margin = min(margin, float(fit.margin.min()))
+        margin = min(margin, float(_margin(fit.m).min()))
     d = ad.d
     box = (0.5 * (lo + hi), np.zeros((0, d)), np.zeros(0, dtype=np.int64), 0.5 * (hi - lo),
            np.eye(d), np.eye(d))
@@ -683,9 +683,9 @@ def fixed_point(
     residual of one gradient step (``verify_fixed_point_residual``).  The
     residual is taken from what the fit already holds: the diameter system
     just assembled, the sums ``X_R'X_R`` and ``X_R'y_R`` passed to the
-    kernel, and the regularized Gram matrix and data right-hand side that
-    ``w_D`` was solved from; the margin comes from the coefficient matrix
-    of the diameter solve.  If that part is below its
+    kernel, the regularized Gram matrix and data right-hand side that
+    ``w_D`` was solved from, and the coefficient matrix of the diameter
+    solve, which also gives the margin.  If that part is below its
     feasibility threshold, the ``m**s`` parts of a split are solved and
     box-joined by ``_join_split``.  Each part gets the checks of the direct
     path, and the first failing part decides, as if the parts were solved
@@ -706,7 +706,7 @@ def fixed_point(
         # G_D in C order: a view can round later products differently.
         fit = (one.w_R[0], np.ascontiguousarray(one.G[0]), cells.symbols, one.k[0], one.A[0],
                one.A_inv[0])
-        part_betas, margin = None, float(one.margin[0])
+        part_betas, margin = None, float(_margin(one.m)[0])
     else:
         # Grow m until every part is feasible (centers shift per part, so
         # the prediction must be re-checked).  An infeasible system has a
@@ -728,7 +728,7 @@ def fixed_point(
         splits_used=1 if part_betas is None else len(part_betas),
         m_matrix_margin=margin,
         residual=None if part_betas is not None else _residual_report(
-            weights, sys0, cfg.lam, gram, xty, one.reg[0], one.rhs[0]
+            weights, sys0, one.m[0], cfg.lam, gram, xty, one.reg[0], one.rhs[0]
         ),
         part_betas=part_betas,
     )
@@ -750,12 +750,16 @@ def verify_fixed_point_residual(
 
     where ``c'`` and ``c0 = (2/n) h`` are assembled by ``_diameter_terms``
     from the weights' own ``w_D``; ``G_D`` must have one row per entry of
-    ``ad.nonzero_cells()``, as a fit that did not split gives.  At a true
-    fixed point the real and data-symbol parts are unchanged and
-    ``k' = k``.  The normalized box residual divides out the ``2 eta / n``
-    step factor, making it comparable to the system's scale.  The sums and
-    ``RHS`` are taken from ``ad`` here; the residual in a fit's diagnostics
-    takes them from the fit and is, for the fit's weights, this report.
+    ``ad.nonzero_cells()``, as a fit that did not split gives.  The step
+    size ``eta`` keeps the diagonal of ``A (I - eta H) A^-1 = I - eta (2 lam
+    I + (2/n) Q)`` nonnegative, so ``k' - k = (2 eta / n) ((n/2) c0 - M k)``
+    with ``M`` the system's coefficient matrix, and the report computes it
+    so.  At a true fixed point the real and data-symbol parts are unchanged
+    and ``k' = k``.  The normalized box residual ``max |M k - (n/2) c0|``
+    divides out the ``2 eta / n`` step factor, making it comparable to the
+    system's scale.  The sums and ``RHS`` are taken from ``ad`` here; the
+    residual in a fit's diagnostics takes them from the fit and is, for the
+    fit's weights, this report.
     """
     X_R, G_D, A, A_inv = ad.X_R, weights.G_D, weights.A, weights.A_inv
     gram = X_R.T @ X_R
@@ -768,21 +772,23 @@ def verify_fixed_point_residual(
     cprime, h = _diameter_terms(cells, x, w_R, G_D[None], A[None], A_inv[None])
     sys = _system(A @ gram @ A_inv, cprime[0], h[0], ad.n)
     reg = gram + cfg.lam * ad.n * np.eye(ad.d)
-    return _residual_report(weights, sys, cfg.lam, gram, X_R.T @ ad.y_R, reg, rhs)
+    m = sys.coefficient_matrix(cfg.lam)
+    return _residual_report(weights, sys, m, cfg.lam, gram, X_R.T @ ad.y_R, reg, rhs)
 
 
 def _residual_report(
-    weights: AbstractWeights, sys: NonDataSystem, lam: float, gram: np.ndarray, xty: np.ndarray,
-    reg: np.ndarray, rhs: np.ndarray,
+    weights: AbstractWeights, sys: NonDataSystem, m: np.ndarray, lam: float, gram: np.ndarray,
+    xty: np.ndarray, reg: np.ndarray, rhs: np.ndarray,
 ) -> ResidualReport:
     """``verify_fixed_point_residual`` at ``lam`` on ``sys``, the weights' assembled system.
 
     The centers enter only through their sums ``gram = X_R'X_R`` and
     ``xty = X_R'y_R``, the regularized ``reg = gram + lam n I`` and the data
-    right-hand side ``rhs`` ``(d, S)``; ``fixed_point`` passes the arrays its
-    fit was solved from, so nothing is computed twice.
+    right-hand side ``rhs`` ``(d, S)``; ``m`` is the system's coefficient
+    matrix at ``lam``.  ``fixed_point`` passes the arrays its fit was solved
+    from, so nothing is computed twice.
     """
-    n, d = sys.n, len(gram)
+    n = sys.n
     qmax = float(np.max(np.diag(sys.Q), initial=0.0))
     denom = 2.0 * lam + (2.0 / n) * max(qmax, 0.0)
     eta = 0.5 / denom if denom > 0 else 0.1
@@ -794,15 +800,14 @@ def _residual_report(
     g_d = reg @ weights.G_D.T - rhs
     data_residual = eta * (2.0 / n) * float(np.max(np.abs(g_d), initial=0.0))
 
-    step = weights.A @ (np.eye(d) - eta * (2.0 * lam * np.eye(d) + (2.0 / n) * gram)) @ weights.A_inv
-    k_new = np.abs(step) @ weights.k + eta * ((2.0 / n) * (sys.Cprime @ weights.k) + sys.c0)
-    box_residual = float(np.max(np.abs(k_new - weights.k), initial=0.0))
+    # k' - k = (2 eta / n) ((n/2) c0 - M k), see verify_fixed_point_residual.
+    box_normalized = float(np.max(np.abs(m @ weights.k - (n / 2.0) * sys.c0), initial=0.0))
     return ResidualReport(
         eta=eta,
         real_residual=real_residual,
         data_residual=data_residual,
-        box_residual=box_residual,
-        box_residual_normalized=box_residual / (2.0 * eta / n),
+        box_residual=(2.0 * eta / n) * box_normalized,
+        box_residual_normalized=box_normalized,
     )
 
 

@@ -54,23 +54,18 @@ def ridge_concrete(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     return np.linalg.solve(gram, Xt @ y[..., None])[..., 0]
 
 
-def concrete_loss(
-    X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float, formula: str = "ridge"
-) -> float:
-    """Mean squared error, plus ``lam * w'w`` for the ridge formula.
+def concrete_loss(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> float:
+    """Ridge loss ``mean((X w - y)**2) + lam w'w``; at ``lam = 0``, the mean squared error.
 
     ``w`` may be a stack ``(W, d)`` of weights; the result is then an array
     of W losses, each equal to the call on its row.  The products are
     matrix products with one column, which give the same bits as ``@`` on
     one vector.
     """
-    if formula not in ("ridge", "mse"):
-        raise ValueError(f"unknown loss formula {formula!r}")
     w = np.asarray(w, dtype=float)[..., None]
     resid = X @ w - np.asarray(y, dtype=float)[:, None]
     loss = (resid.swapaxes(-1, -2) @ resid)[..., 0, 0][()] / X.shape[0]
-    if formula == "ridge":
-        loss = loss + lam * (w.swapaxes(-1, -2) @ w)[..., 0, 0][()]
+    loss = loss + lam * (w.swapaxes(-1, -2) @ w)[..., 0, 0][()]
     return float(loss) if w.ndim == 2 else loss
 
 
@@ -219,9 +214,12 @@ def oracle_ranges(
     budget: int = 65536,
     samples: int = 0,
     seed: int = 0,
-    formula: str = "ridge",
 ) -> WorldOracleResult:
-    """Train one ridge model per world; record weight/prediction/loss extremes."""
+    """Train one ridge model per world; record weight/prediction/loss extremes.
+
+    The loss is ``concrete_loss`` at ``lam``, the lambda the worlds train
+    with: at ``lam = 0`` it is the mean squared error.
+    """
     test_X = np.asarray(test_X, dtype=float)
     test_y = np.asarray(test_y, dtype=float)
     weights = []
@@ -233,7 +231,7 @@ def oracle_ranges(
         preds = (test_X @ w[..., None])[..., 0]
         pred_lo = np.minimum(pred_lo, preds.min(axis=0))
         pred_hi = np.maximum(pred_hi, preds.max(axis=0))
-        loss = concrete_loss(test_X, test_y, w, lam, formula)
+        loss = concrete_loss(test_X, test_y, w, lam)
         loss_lo, loss_hi = min(loss_lo, float(loss.min())), max(loss_hi, float(loss.max()))
     if not weights:
         raise DataError("oracle saw no worlds")

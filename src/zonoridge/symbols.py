@@ -1,8 +1,11 @@
 """Error-symbol registry.
 
 Every symbolic object in this package is a polynomial over *error symbols*,
-variables that range over [-1, 1].  Symbols are plain integer ids handed out
-by a registry; each id carries a kind:
+variables that range over [-1, 1].  Symbols are plain integer ids that a
+registry hands out in order, from 0 up; it keeps only the next id, so a
+registry stays the same size however many symbols it has handed out.  A
+caller names the kind of symbol it asks for, which the registry does not
+record:
 
 * ``DATA`` symbols are created while abstracting an uncertain dataset and tie
   model weights back to the dataset cells they came from; a caller also
@@ -28,37 +31,27 @@ class SymbolKind(Enum):
 
 
 class SymbolRegistry:
-    """Allocates unique error-symbol ids.
+    """Allocates unique error-symbol ids, contiguously from 0.
 
     Allocation is guarded by a lock so parallel tasks may request new
-    symbols concurrently.  Kinds are immutable once assigned.
+    symbols concurrently.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._next = 0
-        self._kinds: dict[int, SymbolKind] = {}
 
     def new_symbol(self, kind: SymbolKind) -> int:
-        with self._lock:
-            sid = self._next
-            self._next += 1
-            self._kinds[sid] = kind
-        return sid
+        return self.new_symbols(1, kind)[0]
 
     def new_symbols(self, count: int, kind: SymbolKind) -> list[int]:
         with self._lock:
             start = self._next
             self._next += count
-            for sid in range(start, start + count):
-                self._kinds[sid] = kind
         return list(range(start, start + count))
-
-    def kind(self, sid: int) -> SymbolKind:
-        return self._kinds[sid]
 
     def __len__(self) -> int:
         return self._next
 
     def __contains__(self, sid: int) -> bool:
-        return sid in self._kinds
+        return 0 <= sid < self._next

@@ -197,19 +197,17 @@ def loss_interval(
     test_y: np.ndarray,
     weights: AbstractWeights,
     lam: float,
-    formula: str = "ridge",
 ) -> LossInterval:
-    """Range of the test loss over the weight zonotope.
+    """Range of the test loss ``mean((X w - y)**2) + lam w'w`` over the weight zonotope.
 
     Expands the quadratic loss as one polynomial form (degree <= 2 in the
     symbols), linearizes, and concretizes.  Aggregating symbolically before
     concretizing keeps the cross-point correlations that per-prediction
-    interval arithmetic would lose, which tightens the upper end.  Both
-    supported formulas are nonnegative combinations of squares of affine
-    forms, so the lower end additionally uses each square's exact minimum
-    (the squared distance of zero to the affine term's interval); the
-    linearized lower bound alone would forget that squares cannot go
-    negative.
+    interval arithmetic would lose, which tightens the upper end.  The loss
+    is a nonnegative combination of squares of affine forms, so the lower
+    end additionally uses each square's exact minimum (the squared distance
+    of zero to the affine term's interval); the linearized lower bound alone
+    would forget that squares cannot go negative.
     """
     test_X = np.asarray(test_X, dtype=float)
     test_y = np.asarray(test_y, dtype=float)
@@ -217,8 +215,6 @@ def loss_interval(
         raise ShapeMismatchError(f"test set must be (n, {weights.dim})")
     if test_X.shape[0] != test_y.shape[0]:
         raise ShapeMismatchError("test X and y row counts differ")
-    if formula not in ("ridge", "mse"):
-        raise ValueError(f"unknown loss formula {formula!r}")
     reg = weights.registry
     w_vec = weights_zvector(weights)
     n = test_X.shape[0]
@@ -239,14 +235,14 @@ def loss_interval(
         resid = pred - test_y[i]
         structural_lo += square_min(resid) / n
         pieces.append((resid * resid).scale(1.0 / n))
-    if formula == "ridge" and lam > 0.0:
+    if lam > 0.0:
         for j in range(weights.dim):
             structural_lo += lam * square_min(w_vec[j])
             pieces.append((w_vec[j] * w_vec[j]).scale(lam))
     total = sum_forms(reg, pieces)
     linear = linearize(ZVector(reg, [total]))
     lo, hi = interval_of(linear[0])
-    return LossInterval(lo=max(lo, structural_lo), hi=hi, formula=formula)
+    return LossInterval(max(lo, structural_lo), hi)
 
 
 def predict_interval(x: np.ndarray, weights: AbstractWeights) -> PredictionInterval:

@@ -212,7 +212,7 @@ class TestSoundnessFailures:
         assert capsys.readouterr().out.splitlines()[-1] == f"oracle-check: FAIL ({worlds} worlds)"
 
     def test_loss_range_reports_violated_containment(self, data_csv, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "loss_interval", lambda *args: LossInterval(0.0, 0.0, "ridge"))
+        monkeypatch.setattr(cli, "loss_interval", lambda *args: LossInterval(0.0, 0.0))
         assert main(self.args("loss-range", data_csv, tmp_path)) == 3
         rows = list(csv.DictReader(open(tmp_path / "out" / "loss-range_results.csv")))
         assert [row["contained"] for row in rows] == ["0", "0"]
@@ -431,12 +431,17 @@ class TestOptions:
         assert "config error: threshold must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("radius", ["nan", "inf"])
-    def test_non_finite_radius_is_data_error(self, data_csv, tmp_path, capsys, radius):
-        path = write_ini(tmp_path, f"[data]\npath = {data_csv}\nlabel = target\n")
-        argv = ["certify", "--config", path, "--out-dir", str(tmp_path / "out"), "--radius", radius]
+    @pytest.mark.parametrize("flag, message", [
+        (["--radius", "nan"], "radius must be >= 0 and finite"),
+        (["--radius", "inf"], "radius must be >= 0 and finite"),
+        (["--percentage", "2"], "percentage must be in [0, 1]"),
+    ], ids=["nan", "inf", "percentage-2"])
+    def test_non_finite_radius_is_data_error(self, tmp_path, capsys, flag, message):
+        # Checked with the config, before the dataset (here missing) is read.
+        path = write_ini(tmp_path, f"[data]\npath = {tmp_path / 'missing.csv'}\nlabel = target\n")
+        argv = ["certify", "--config", path, "--out-dir", str(tmp_path / "out"), *flag]
         assert main(argv) == 2
-        assert "data error: radius must be >= 0 and finite" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,20 @@ def test_add_distinct_symbols(registry):
     e1, e2 = make_symbols(registry, 2)
     out = PolyForm.symbol(registry, e1) + PolyForm.symbol(registry, e2)
     assert out.terms == {(e1,): 1.0, (e2,): 1.0}
+
+
+def test_registry_keeps_no_per_symbol_state():
+    reg = SymbolRegistry()
+    tracemalloc.start()
+    try:
+        reg.new_symbols(100_000, SymbolKind.DATA)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1024
+    assert reg.new_symbol(SymbolKind.FRESH) == 100_000 and len(reg) == 100_001
+    assert 0 in reg and 100_000 in reg
+    assert -1 not in reg and 100_001 not in reg
 
 
 def test_registry_mismatch_raises():

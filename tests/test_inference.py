@@ -4,6 +4,7 @@ import pytest
 from form_algebra import PolyForm, ZVector
 from zonoridge.dataset import LABEL_COL, AbstractDataset, Dataset, UncertaintySpec, inject_uncertainty
 from zonoridge.inference import (
+    LossInterval,
     PredictionInterval,
     certify_robustness,
     loss_interval,
@@ -64,18 +65,20 @@ class TestPredictInterval:
 
 
 class TestPredictionIntervalType:
-    def test_contract(self):
-        p = PredictionInterval(1.0, 2.5)
+    @pytest.mark.parametrize("interval", [PredictionInterval, LossInterval],
+                             ids=lambda cls: cls.__name__)
+    def test_contract(self, interval):
+        p = interval(1.0, 2.5)
         assert (p.lo, p.hi, p.width) == (1.0, 2.5, 1.5)
-        assert repr(p) == "PredictionInterval(lo=1.0, hi=2.5)"
-        assert p == PredictionInterval(1.0, 2.5) and p != PredictionInterval(1.0, 2.0)
-        assert hash(p) == hash(PredictionInterval(1.0, 2.5))
-        assert len({p, PredictionInterval(1.0, 2.5)}) == 1
+        assert repr(p) == f"{interval.__name__}(lo=1.0, hi=2.5)"
+        assert p == interval(1.0, 2.5) and p != interval(1.0, 2.0)
+        assert hash(p) == hash(interval(1.0, 2.5))
+        assert len({p, interval(1.0, 2.5)}) == 1
         lo, hi = p  # a (lo, hi) tuple
         assert p == (lo, hi) == (1.0, 2.5)
-        assert PredictionInterval(3.0, 3.0).width == 0.0
-        with pytest.raises(ValueError):
-            PredictionInterval(2.0, 1.0)
+        assert interval(3.0, 3.0).width == 0.0
+        with pytest.raises(ValueError, match="interval requires lo <= hi"):
+            interval(2.0, 1.0)
         for name in ("lo", "hi", "width", "other"):
             with pytest.raises(AttributeError):
                 setattr(p, name, 0.0)
@@ -236,11 +239,7 @@ class TestLossInterval:
         ds = make_dataset(10, 2, seed=15)
         _, weights, _ = trained(ds, UncertaintySpec("both", 0.3, 0.1, seed=16), 0.1)
         with pytest.raises(ValueError, match="lam"):
-            loss_interval(ds.X, ds.y, weights, lam, "ridge")
-        # The MSE ignores lam.
-        assert loss_interval(ds.X, ds.y, weights, lam, "mse") == loss_interval(
-            ds.X, ds.y, weights, 0.0, "mse"
-        )
+            loss_interval(ds.X, ds.y, weights, lam)
 
     def test_pure_square_hand_case(self):
         # d=1, w = eps, X=[[1]], y=[0], lam=0: loss = eps^2 -> clamped [0, 1]
@@ -265,6 +264,11 @@ class TestLossInterval:
             gt = oracle_ranges(ad, 0.05, test_X, test_y, strategy="grid", levels=3, budget=100_000)
             assert gt.loss_lo >= li.lo - 1e-9
             assert gt.loss_hi <= li.hi + 1e-9
+            # At lam = 0 the range is the MSE's, of the worlds trained at 0.05.
+            mse = loss_interval(test_X, test_y, weights, 0.0)
+            w_stars = np.array([ridge_concrete(X, y, 0.05) for _, X, y in sample_worlds(ad, 32, seed)])
+            losses = concrete_loss(test_X, test_y, w_stars, 0.0)
+            assert np.all((mse.lo - 1e-9 <= losses) & (losses <= mse.hi + 1e-9))
 
     def test_aggregate_before_concretize_not_wider(self):
         for seed in range(5):

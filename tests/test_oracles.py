@@ -220,16 +220,15 @@ def looped_ridge(X, y, lam):
     return np.linalg.solve(gram, X.T @ y)
 
 
-def looped_loss(X, y, w, lam, formula="ridge"):
+def looped_loss(X, y, w, lam):
     resid = X @ w - y
-    mse = float(resid @ resid) / X.shape[0]
-    return mse + lam * float(w @ w) if formula == "ridge" else mse
+    return float(resid @ resid) / X.shape[0] + lam * float(w @ w)
 
 
-def looped_oracle_ranges(worlds, lam, test_X, test_y, formula="ridge"):
+def looped_oracle_ranges(worlds, lam, test_X, test_y):
     weights = [looped_ridge(X, y, lam) for _, X, y in worlds]
     preds = np.array([test_X @ w for w in weights])
-    losses = [looped_loss(test_X, test_y, w, lam, formula) for w in weights]
+    losses = [looped_loss(test_X, test_y, w, lam) for w in weights]
     return weights, preds.min(axis=0), preds.max(axis=0), min(losses), max(losses)
 
 
@@ -381,18 +380,16 @@ class TestStackedTraining:
             looped_ridge(X[3], y[3], 0.0)
         ridge_concrete(X, y, 0.01)
 
-    @pytest.mark.parametrize("formula", ["ridge", "mse"])
-    def test_stacked_loss_equals_each_world(self, formula):
+    @pytest.mark.parametrize("lam", [0.3, 0.0])
+    def test_stacked_loss_equals_each_world(self, lam):
         rng = np.random.default_rng(4)
         X, y = rng.standard_normal((50, 4)), rng.standard_normal(50)
         w = rng.standard_normal((9, 4))
-        losses = concrete_loss(X, y, w, 0.3, formula)
+        losses = concrete_loss(X, y, w, lam)
         for i in range(len(w)):
-            one = concrete_loss(X, y, w[i], 0.3, formula)
+            one = concrete_loss(X, y, w[i], lam)
             assert isinstance(one, float)
-            assert one == losses[i] == looped_loss(X, y, w[i], 0.3, formula)
-        with pytest.raises(ValueError):
-            concrete_loss(X, y, w[0], 0.3, "huber")
+            assert one == losses[i] == looped_loss(X, y, w[i], lam)
 
     @pytest.mark.parametrize("strategy", ["corner", "uniform"])
     def test_train_worlds_blocks_follow_the_worlds(self, strategy, monkeypatch):
