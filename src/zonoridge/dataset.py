@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, EmptyDataError, SplitBudgetError
+from .errors import DataError, EmptyDataError
 from .symbols import SymbolKind, SymbolRegistry
 
 BIAS_COLUMN = "bias"
@@ -136,8 +136,8 @@ class Cells(NamedTuple):
 
         ``delta`` is ``(P, S)``: in copy p the cell of entry j gains
         ``delta[p, j]``; cells shared by several entries add them in table
-        order.  This builds possible worlds, split parts and the touched
-        rows of the batched part solve.
+        order.  This builds possible worlds and the touched rows of the
+        parts of a split.
         """
         X = np.repeat(X[None], len(delta), axis=0)
         y = np.repeat(y[None], len(delta), axis=0)
@@ -250,75 +250,6 @@ class AbstractDataset:
         delta = self.cells.coef * np.asarray(values, dtype=float)
         return self.cells.move(self.X_R, self.y_R, delta)
 
-    def split_plan(self, m: int, budget: int = 65536) -> "SplitPlan":
-        """Array form of ``split(m)``: which sub-cell every part takes.
-
-        Raises ``SplitBudgetError`` when the ``m**s`` parts exceed ``budget``.
-        """
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        cells = self.nonzero_cells()
-        s = len(cells.symbols)
-        n_parts = m**s
-        if n_parts > budget:
-            raise SplitBudgetError(f"{n_parts} parts exceed budget {budget}")
-        combos = np.indices((m,) * s).reshape(s, n_parts).T
-        return SplitPlan(
-            symbols=cells.symbols.tolist(),
-            radii=cells.coef,
-            combos=combos,
-            shifts=(2 * np.arange(m) + 1 - m) / m,
-            coefficients=cells.coef / m,
-        )
-
-    def split(self, m: int, budget: int = 65536) -> list["AbstractDataset"]:
-        """Partition evenly into ``m`` parts per data symbol (``m**s`` parts).
-
-        Each part keeps the same symbols with coefficients scaled by ``1/m``
-        and centers shifted to one sub-cell; the union of the parts'
-        concretizations equals this dataset's.  Zero-coefficient symbols are
-        excluded from ``s``: splitting them would only clone parts.  The
-        parts are those of ``split_plan(m)``, in its order.
-        """
-        plan = self.split_plan(m, budget)
-        if m == 1 or not plan.symbols:
-            return [self]
-        moved = self.cells.coef != 0.0
-        coef = self.cells.coef.copy()
-        coef[moved] = plan.coefficients
-        X, y = self.cells.select(moved).move(self.X_R, self.y_R, plan.offsets())
-        return [
-            AbstractDataset(
-                X_R=X_p,
-                y_R=y_p,
-                registry=self.registry,
-                cells=self.cells._replace(coef=coef.copy()),
-                columns=list(self.columns),
-                label_name=self.label_name,
-            )
-            for X_p, y_p in zip(X, y)
-        ]
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """An even ``m``-way split along every split symbol, as arrays.
-
-    Part p, in ``itertools.product`` order over ``symbols``, takes sub-cell
-    ``combos[p, i]`` of symbol i: the cell's center moves by ``radii[i] *
-    shifts[combos[p, i]]`` and its coefficient becomes ``coefficients[i]``.
-    """
-
-    symbols: list[int]
-    radii: np.ndarray  # (s,) the symbols' coefficients before the split
-    combos: np.ndarray  # (m**s, s) sub-cell index per part and symbol
-    shifts: np.ndarray  # (m,) sub-cell centers (2j + 1 - m) / m, in units of a radius
-    coefficients: np.ndarray  # (s,) radii / m, the same in every part
-
-    def offsets(self, parts: slice = slice(None)) -> np.ndarray:
-        """Center offsets ``(P, s)`` of the split cells of the selected parts."""
-        return self.radii * self.shifts[self.combos[parts]]
-
 
 def load_csv(
     path: str,
@@ -328,7 +259,8 @@ def load_csv(
     """Read a comma-separated file with a header row into a Dataset.
 
     A constant-one bias column is prepended.  Empty fields and ``?`` mark
-    missing values (stored as NaN); any other non-numeric cell is an error.
+    missing values (stored as NaN); any other non-numeric cell is an error,
+    and so are a repeated column name and a feature that is the label.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -341,10 +273,15 @@ def load_csv(
         except StopIteration:
             raise EmptyDataError(f"{path} is empty") from None
         header = [h.strip() for h in header]
+        if len(set(header)) < len(header):
+            raise DataError(f"header repeats a column name: {header}")
         if label_column not in header:
             raise DataError(f"label column {label_column!r} not in header {header}")
         if feature_columns is None:
             feature_columns = [h for h in header if h != label_column]
+        if label_column in feature_columns or len(set(feature_columns)) < len(feature_columns):
+            raise DataError(f"feature columns {list(feature_columns)} repeat a name or "
+                            f"include the label {label_column!r}")
         missing_cols = [c for c in feature_columns if c not in header]
         if missing_cols:
             raise DataError(f"feature columns not in header: {missing_cols}")

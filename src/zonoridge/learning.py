@@ -40,7 +40,7 @@ The constant column is stored as ``c0 = (2/n) h`` so the scalar case reads
 
 Below that threshold the dataset is mu-split until every part satisfies the
 bound, the fixed points of all parts are computed in one batched pass, and
-the results are box-joined.
+the results are box-joined; ``_split_fit`` owns that whole search.
 
 One kernel (``_fit_stack``) computes these fixed points for a stack of parts:
 the part index is a leading axis of its arrays, and it reads each part only
@@ -623,50 +623,62 @@ def _part_block(pos: np.ndarray, touched: int, d: int) -> int:
     return max(1, CHUNK_ELEMENTS // max(1, largest))
 
 
-def _join_split(
-    ad: AbstractDataset, m: int, cfg: RidgeConfig
-) -> tuple[tuple, list[float], float] | None:
-    """Box join of the fixed points of all parts of an ``m``-way split.
+def _split_fit(
+    ad: AbstractDataset, cells: Cells, sys0: NonDataSystem, cfg: RidgeConfig
+) -> tuple[tuple, list[float], float]:
+    """Box join of the parts of the least feasible even split.
 
-    Every part shares the rows without a split cell, so their sums ``X_U'X_U``
-    and ``X_U'y_U`` are taken once; only the touched rows are built per part,
-    with ``Cells.move``, and ``_fit_stack`` solves the parts in blocks that
-    bound memory, in ``AbstractDataset.split`` order.  The join is the
-    smallest box holding every part's interval hull ``w_R +- radius``.
-    Returns the fit ``(w_R, G_D, data_ids, k, A, A_inv)`` of that box, the
-    part betas and the least M-matrix margin; ``None`` if the first part to
-    fail is below its feasibility threshold.
+    ``sys0`` is the infeasible system of the unsplit fit on ``cells``, the
+    entries with a nonzero coefficient.  Part p of an ``m``-way split, in
+    ``itertools.product`` order, takes sub-cell ``j = combos[p, i]`` of cell
+    i: its center moves by ``coef_i (2j + 1 - m) / m`` and its coefficient
+    is ``coef_i / m``.  m starts at ``determine_num_splits`` and grows while
+    the first failing part is below its feasibility threshold (centers shift
+    per part; a nonzero constant column needs a feature cell, so splitting
+    makes progress); ``m**s`` parts over ``cfg.split_budget`` are refused
+    before any is built.  The sums of the rows without a split cell are
+    taken once per fit; each block of parts gets its touched rows from
+    ``Cells.move`` and one ``_fit_stack`` call.  Returns the fit ``(w_R,
+    G_D, data_ids, k, A, A_inv)`` of the smallest box holding every part's
+    interval hull, the part betas and the least M-matrix margin.
     """
-    plan = ad.split_plan(m, budget=cfg.split_budget)
-    cells = ad.nonzero_cells()._replace(coef=plan.coefficients)
+    s, d = len(cells.symbols), ad.d
     touched, pos = np.unique(cells.rows, return_inverse=True)
     X_U, y_U = np.delete(ad.X_R, touched, axis=0), np.delete(ad.y_R, touched)
     gram_U, xty_U = X_U.T @ X_U, X_U.T @ y_U
     X_T, y_T = ad.X_R[touched], ad.y_R[touched]
-    block = _part_block(pos, len(touched), ad.d)
-    lo = np.full(ad.d, np.inf)
-    hi = np.full(ad.d, -np.inf)
-    betas, margin = [], np.inf
-    for start in range(0, len(plan.combos), block):
-        X, y = cells._replace(rows=pos).move(X_T, y_T, plan.offsets(slice(start, start + block)))
-        gram = gram_U + X.swapaxes(1, 2) @ X
-        xty = xty_U + (X.swapaxes(1, 2) @ y[..., None])[..., 0]
-        fit = _fit_stack(gram, xty, cells, X[:, pos], y[:, pos], ad.n, cfg)
-        if isinstance(fit.error, LambdaTooSmall):
-            return None
-        if fit.error is not None:
-            raise fit.error
-        # Interval hull of [G_D' | A^-1 diag(k)] around w_R.
-        generators = [fit.G.swapaxes(1, 2), fit.A_inv * fit.k[:, None, :]]
-        radius = np.abs(np.concatenate(generators, axis=2)).sum(axis=2)
-        lo = np.minimum(lo, (fit.w_R - radius).min(axis=0))
-        hi = np.maximum(hi, (fit.w_R + radius).max(axis=0))
-        betas.extend(fit.sys.beta.tolist())
-        margin = min(margin, float(_margin(fit.m).min()))
-    d = ad.d
-    box = (0.5 * (lo + hi), np.zeros((0, d)), np.zeros(0, dtype=np.int64), 0.5 * (hi - lo),
-           np.eye(d), np.eye(d))
-    return box, betas, margin
+    block = _part_block(pos, len(touched), d)
+    m = determine_num_splits(sys0, cfg.lam)
+    while True:
+        if m**s > cfg.split_budget:
+            raise SplitBudgetError(f"{m}**{s} parts exceed split budget {cfg.split_budget}")
+        combos = np.indices((m,) * s).reshape(s, m**s).T
+        shifts = (2 * np.arange(m) + 1 - m) / m
+        parts = cells._replace(coef=cells.coef / m)
+        lo, hi = np.full(d, np.inf), np.full(d, -np.inf)
+        betas, margin = [], np.inf
+        for start in range(0, len(combos), block):
+            offsets = cells.coef * shifts[combos[start:start + block]]
+            X, y = cells._replace(rows=pos).move(X_T, y_T, offsets)
+            gram = gram_U + X.swapaxes(1, 2) @ X
+            xty = xty_U + (X.swapaxes(1, 2) @ y[..., None])[..., 0]
+            fit = _fit_stack(gram, xty, parts, X[:, pos], y[:, pos], ad.n, cfg)
+            if isinstance(fit.error, LambdaTooSmall):
+                break
+            if fit.error is not None:
+                raise fit.error
+            # Interval hull of [G_D' | A^-1 diag(k)] around w_R.
+            generators = [fit.G.swapaxes(1, 2), fit.A_inv * fit.k[:, None, :]]
+            radius = np.abs(np.concatenate(generators, axis=2)).sum(axis=2)
+            lo = np.minimum(lo, (fit.w_R - radius).min(axis=0))
+            hi = np.maximum(hi, (fit.w_R + radius).max(axis=0))
+            betas.extend(fit.sys.beta.tolist())
+            margin = min(margin, float(_margin(fit.m).min()))
+        else:
+            box = (0.5 * (lo + hi), np.zeros((0, d)), np.zeros(0, dtype=np.int64),
+                   0.5 * (hi - lo), np.eye(d), np.eye(d))
+            return box, betas, margin
+        m += 1
 
 
 def fixed_point(
@@ -686,11 +698,12 @@ def fixed_point(
     kernel, the regularized Gram matrix and data right-hand side that
     ``w_D`` was solved from, and the coefficient matrix of the diameter
     solve, which also gives the margin.  If that part is below its
-    feasibility threshold, the ``m**s`` parts of a split are solved and
-    box-joined by ``_join_split``.  Each part gets the checks of the direct
-    path, and the first failing part decides, as if the parts were solved
-    in order.  The join drops the data-symbol correlation: the joined
-    weights have no data part, and ``splits_used > 1`` tells them apart.
+    feasibility threshold, the split path is one call: ``_split_fit``
+    searches for the least feasible split count and box-joins the ``m**s``
+    parts of that split.  Each part gets the checks of the direct path, and
+    the first failing part decides, as if the parts were solved in order.
+    The join drops the data-symbol correlation: the joined weights have no
+    data part, and ``splits_used > 1`` tells them apart.
     """
     X_R, y_R = ad.X_R, ad.y_R
     cells = ad.nonzero_cells()
@@ -708,20 +721,7 @@ def fixed_point(
                one.A_inv[0])
         part_betas, margin = None, float(_margin(one.m)[0])
     else:
-        # Grow m until every part is feasible (centers shift per part, so
-        # the prediction must be re-checked).  An infeasible system has a
-        # nonzero constant column, which requires at least one feature
-        # symbol with a nonzero coefficient, so splitting makes progress.
-        s = len(cells.symbols)
-        m = determine_num_splits(sys0, cfg.lam)
-        while True:
-            if m**s > cfg.split_budget:
-                raise SplitBudgetError(f"{m}**{s} parts exceed split budget {cfg.split_budget}")
-            joined = _join_split(ad, m, cfg)
-            if joined is not None:
-                break
-            m += 1
-        fit, part_betas, margin = joined
+        fit, part_betas, margin = _split_fit(ad, cells, sys0, cfg)
     weights = AbstractWeights(*fit, registry=ad.registry)
     diag = FixedPointDiagnostics(
         beta=sys0.beta,

@@ -10,6 +10,9 @@ own and compare the kernel's results with a fit built step by step:
     A, A_inv = build_transform(ad.X_R, cfg)
     sys = build_non_data_system(ad, lam, w_R, G_D, A, A_inv)
     k = solve_non_data(sys, lam)
+
+``split`` is the split reference: the parts of an even split as datasets of
+their own, which ``fixed_point`` builds and solves in batches.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from zonoridge.dataset import AbstractDataset
-from zonoridge.errors import ShapeMismatchError
+from zonoridge.errors import ShapeMismatchError, SplitBudgetError
 from zonoridge.learning import (
     _RANK_DEFICIENT,
     TOLERANCE,
@@ -129,3 +132,43 @@ def m_matrix_margin(sys: NonDataSystem, lam: float) -> float | np.ndarray:
     """Least diagonal dominance ``min_i (m_ii - sum_{j!=i} |m_ij|)``."""
     margin = _margin(sys.coefficient_matrix(lam))
     return margin if margin.ndim else float(margin)
+
+
+def split(ad: AbstractDataset, m: int, budget: int = 65536) -> list[AbstractDataset]:
+    """Partition evenly into ``m`` parts per data symbol (``m**s`` parts).
+
+    Each part keeps the same symbols with coefficients scaled by ``1/m``
+    and centers shifted to one sub-cell; the union of the parts'
+    concretizations equals the dataset's.  Zero-coefficient symbols are
+    excluded from ``s``: splitting them would only clone parts.  Part p, in
+    ``itertools.product`` order over the split symbols, takes sub-cell ``j
+    = combos[p, i]`` of symbol i, whose center moves by ``coef_i (2j + 1 -
+    m) / m``: the parts and the order of ``fixed_point``'s split, built
+    with the same expressions.  Raises ``SplitBudgetError`` when the parts
+    exceed ``budget``.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    moved = ad.cells.coef != 0.0
+    cells = ad.cells.select(moved)
+    s = len(cells.symbols)
+    if m**s > budget:
+        raise SplitBudgetError(f"{m**s} parts exceed budget {budget}")
+    if m == 1 or s == 0:
+        return [ad]
+    combos = np.indices((m,) * s).reshape(s, m**s).T
+    shifts = (2 * np.arange(m) + 1 - m) / m
+    coef = ad.cells.coef.copy()
+    coef[moved] = cells.coef / m
+    X, y = cells.move(ad.X_R, ad.y_R, cells.coef * shifts[combos])
+    return [
+        AbstractDataset(
+            X_R=X_p,
+            y_R=y_p,
+            registry=ad.registry,
+            cells=ad.cells._replace(coef=coef.copy()),
+            columns=list(ad.columns),
+            label_name=ad.label_name,
+        )
+        for X_p, y_p in zip(X, y)
+    ]

@@ -420,6 +420,19 @@ class TestOptions:
         assert "config error: lambda must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, flag, ini", [
+        ("oracle-check", ["--oracle-samples", "0"], ""),
+        ("oracle-check", ["--oracle-samples", "-3"], ""),
+        ("loss-range", [], "[oracle]\nsamples = 0\n"),
+    ], ids=["oracle-check-0", "oracle-check-negative", "loss-range-key-0"])
+    def test_no_oracle_samples_is_config_error(self, tmp_path, capsys, command, flag, ini):
+        # An oracle of no worlds checks nothing; refused before the dataset (here missing) is read.
+        path = write_ini(tmp_path, f"[data]\npath = {tmp_path / 'missing.csv'}\nlabel = target\n{ini}")
+        argv = [command, "--config", path, "--oracle-budget", "1", "--out-dir", str(tmp_path / "out"), *flag]
+        assert main(argv) == 2
+        assert "config error: oracle samples must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag, ini", [
         (["--threshold", "nan"], ""),
         ([], "[certify]\nthreshold = nan\n"),
@@ -453,6 +466,17 @@ class TestOptions:
         path = write_ini(tmp_path, text)
         assert main(["params", "--config", path, "--out-dir", str(tmp_path / "out")]) == 2
         assert f"config error: cannot parse config file {path}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("features, named", [
+        ("f0,target", "include the label"),
+        ("f0,f0", "repeat a name"),
+    ], ids=["label", "repeated"])
+    def test_label_or_repeated_feature_is_data_error(self, data_csv, tmp_path, capsys, features, named):
+        argv = ["params", "--dataset", data_csv, "--label", "target", "--features", features,
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_uncertain_column_is_data_error(self, data_csv, tmp_path, capsys):

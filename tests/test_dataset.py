@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import stages
 from conftest import cell_index
 
 from form_algebra import x_symbolic, y_symbolic
@@ -55,6 +56,18 @@ class TestLoadCsv:
     def test_non_numeric_cell(self, csv_file):
         with pytest.raises(DataError):
             load_csv(csv_file("a,target\nfoo,1\n"), "target")
+
+    @pytest.mark.parametrize("features", [["a", "target"], ["target"], ["a", "a"]])
+    def test_label_or_repeated_feature_errors(self, csv_file, features):
+        with pytest.raises(DataError, match="repeat a name or include the label"):
+            load_csv(csv_file("a,b,target\n1,2,3\n"), "target", feature_columns=features)
+
+    @pytest.mark.parametrize("header", ["a,a,target", "a,target,target", "a,b,a,target"])
+    def test_repeated_header_name_errors(self, csv_file, header):
+        row = ",".join("1" for _ in header.split(","))
+        for features in (None, ["a"]):
+            with pytest.raises(DataError, match="header repeats a column name"):
+                load_csv(csv_file(f"{header}\n{row}\n"), "target", feature_columns=features)
 
     def test_missing_markers_become_nan(self, csv_file):
         ds = load_csv(csv_file("a,b,target\n1,?,3\n,5,6\n"), "target")
@@ -314,7 +327,7 @@ class TestSplit:
             ad = inject_uncertainty(_toy(6, seed=12), UncertaintySpec(target, pct, 0.3, seed=13))
             if zero:
                 ad.cells.coef[cell_index(ad, ad.feature_symbols()[0])] = 0.0
-            parts = ad.split(m)
+            parts = stages.split(ad, m)
             if m == 1:
                 assert len(parts) == 1 and parts[0] is ad
                 continue
@@ -343,28 +356,28 @@ class TestSplit:
         ad = inject_uncertainty(_toy(6, seed=12), UncertaintySpec("both", 0.1, 0.3, seed=13))
         ad.cells.coef[cell_index(ad, ad.feature_symbols()[0])] = 0.0
         m = 3
-        plan = ad.split_plan(m)
         syms = ad.split_symbols()
-        assert plan.symbols == syms and len(syms) == 2
-        assert plan.combos.tolist() == [list(c) for c in product(range(m), repeat=len(syms))]
-        assert plan.shifts.tolist() == [(2 * j + 1 - m) / m for j in range(m)]
-        parts = ad.split(m)
-        assert len(parts) == len(plan.combos)
-        for part, offsets in zip(parts, plan.offsets()):
+        assert len(syms) == 2
+        parts = stages.split(ad, m)
+        combos = list(product(range(m), repeat=len(syms)))
+        assert len(parts) == len(combos)
+        for part, combo in zip(parts, combos):
             X, y = ad.X_R.copy(), ad.y_R.copy()
-            for sid, offset, coef in zip(syms, offsets, plan.coefficients):
+            for sid, j in zip(syms, combo):
                 r, c = ad.provenance[sid]
+                coef = ad.cells.coef[cell_index(ad, sid)]
+                offset = coef * ((2 * j + 1 - m) / m)
                 if c == LABEL_COL:
                     y[r] += offset
                 else:
                     X[r, c] += offset
-                assert part.cells.coef[cell_index(part, sid)] == coef == ad.cells.coef[cell_index(ad, sid)] / m
+                assert part.cells.coef[cell_index(part, sid)] == coef / m
             np.testing.assert_array_equal(part.X_R, X)
             np.testing.assert_array_equal(part.y_R, y)
         with pytest.raises(SplitBudgetError):
-            ad.split_plan(m, budget=m ** len(syms) - 1)
+            stages.split(ad, m, budget=m ** len(syms) - 1)
 
     def test_budget(self):
         ad = inject_uncertainty(_toy(6, seed=12), UncertaintySpec("labels", 0.34, 0.3, seed=13))
         with pytest.raises(SplitBudgetError):
-            ad.split(10, budget=100)
+            stages.split(ad, 10, budget=100)

@@ -5,8 +5,8 @@ The fixed-point residuals are rounding noise at a true fixed point, which
 the reference additionally truncates at ``COEF_EPS``; the residual checks
 therefore run on perturbed weights, where every residual is macroscopic.
 The batched split fit is compared the same way with a loop of the public
-one-part functions over ``AbstractDataset.split``, and the unsplit fit
-bit for bit with one run of them.
+one-part functions over ``stages.split``, and the unsplit fit bit for bit
+with one run of them.
 """
 
 import dataclasses
@@ -166,7 +166,7 @@ def test_diameter_system_matches_reference(kind, d, n, seed, transform):
 @given(kind=st.sampled_from(("features", "both", "missing")), seed=st.integers(0, 2**32 - 1))
 def test_split_parts_match_reference(kind, seed):
     ad, cfg = make_problem(kind, 2, 6, seed)
-    for part in ad.split(2)[:4]:
+    for part in stages.split(ad, 2)[:4]:
         check_system(part, cfg)
 
 
@@ -238,7 +238,7 @@ def split_problem(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_split_join_matches_reference(seed):
     ad, cfg, weights, diag = split_problem(seed)
-    center, k = ref.split_join(ad.split(diag.splits_used), cfg)
+    center, k = ref.split_join(stages.split(ad, diag.splits_used), cfg)
     assert_close(weights.w_R, center)
     assert_close(weights.k, k)
 
@@ -431,7 +431,7 @@ def looped_join(parts, cfg):
 
 
 def looped_split_fit(ad, cfg):
-    """The split path of ``fixed_point`` with a loop over ``ad.split(m)``."""
+    """The split path of ``fixed_point`` with a loop over ``stages.split(ad, m)``."""
     w_R, w_D, A, A_inv = prepared(ad, cfg)
     sys = build_non_data_system(ad, cfg.lam, w_R, w_D, A, A_inv)
     s = len(ad.split_symbols())
@@ -442,7 +442,7 @@ def looped_split_fit(ad, cfg):
         if m**s > cfg.split_budget:
             raise SplitBudgetError(f"{m}**{s}")
         try:
-            return looped_join(ad.split(m), cfg), m**s
+            return looped_join(stages.split(ad, m), cfg), m**s
         except LambdaTooSmall:
             m += 1
 
@@ -529,9 +529,20 @@ def test_split_retry_grows_m_past_the_prediction():
                                 cfg.lam) == 12
     batched, splits_used = batched_split_fit(ad, cfg)
     assert splits_used == 34**2  # as the one-part-at-a-time loop found
-    assert_join_close(batched, looped_join(ad.split(34), cfg))
+    assert_join_close(batched, looped_join(stages.split(ad, 34), cfg))
     with pytest.raises(LambdaTooSmall):
-        looped_join(ad.split(33), cfg)
+        looped_join(stages.split(ad, 33), cfg)
+
+
+def test_split_retry_resolves_only_the_parts(monkeypatch):
+    # From m = 12 to m = 34 the fit tries 23 splits; what does not depend
+    # on m, the block size among it, is built once.
+    ad, cfg = retry_case()
+    calls = []
+    part_block = learning._part_block
+    monkeypatch.setattr(learning, "_part_block", lambda *args: calls.append(args) or part_block(*args))
+    assert fixed_point(ad, cfg)[1].splits_used == 34**2
+    assert len(calls) == 1
 
 
 def test_rank_deficient_part_at_lambda_zero_raises(monkeypatch):
@@ -545,9 +556,9 @@ def test_rank_deficient_part_at_lambda_zero_raises(monkeypatch):
     )
     cfg = RidgeConfig(lam=0.0, split_budget=16)
     monkeypatch.setattr(learning, "determine_num_splits", lambda sys, lam: 2)
-    np.testing.assert_array_equal(ad.split(2)[0].X_R[:, 1], 1.0)
+    np.testing.assert_array_equal(stages.split(ad, 2)[0].X_R[:, 1], 1.0)
     with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
-        looped_join(ad.split(2), cfg)
+        looped_join(stages.split(ad, 2), cfg)
     with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
         fixed_point(ad, cfg)
 
@@ -607,7 +618,6 @@ def test_split_budget_refused_before_any_part(monkeypatch):
     ad, cfg = split_case("both", 3, 3, "svd", 0.5)
     called = []
     monkeypatch.setattr(Cells, "move", lambda *args: called.append(args))
-    monkeypatch.setattr(AbstractDataset, "split_plan", lambda *args: called.append(args))
     with pytest.raises(SplitBudgetError):
         fixed_point(ad, dataclasses.replace(cfg, split_budget=2))
     assert called == []
