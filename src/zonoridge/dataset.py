@@ -90,7 +90,7 @@ class UncertaintySpec:
     fraction of the column's domain range; the interval is centered on the
     observed value; it must be finite and nonnegative.  ``target`` selects
     labels, features or both; for features, ``columns`` restricts which
-    ones (default: all non-bias).
+    ones (default: all non-bias), each named once.
     """
 
     target: str  # "labels" | "features" | "both"
@@ -108,6 +108,8 @@ class UncertaintySpec:
             raise DataError("radius must be >= 0 and finite")
         if self.columns is not None and BIAS_COLUMN in self.columns:
             raise DataError("the bias column cannot be uncertain")
+        if self.columns is not None and len(set(self.columns)) != len(self.columns):
+            raise DataError(f"uncertain columns {list(self.columns)} repeat a name")
 
 
 class Cells(NamedTuple):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegreeError, RegistryMismatchError, ShapeMismatchError
 from .forms import ZVector
-from .learning import AbstractWeights
+from .learning import AbstractWeights, _check_lam
 
 
 class _Bounds(NamedTuple):
@@ -242,16 +242,18 @@ def loss_interval(
     ``|W|``); the linearized lower bound alone would forget that squares
     cannot go negative.  At ``lam = 0`` the loss is the mean squared error.
     A negative or non-finite ``lam`` raises ``ValueError``, as in
-    ``RidgeConfig``.
+    ``RidgeConfig``, and an empty test set ``ShapeMismatchError``, as in
+    ``certify_robustness``.
     """
     test_X = np.asarray(test_X, dtype=float)
     test_y = np.asarray(test_y, dtype=float)
-    if test_X.ndim != 2 or test_X.shape[1] != weights.dim:
+    if test_X.ndim != 2 or test_X.shape[0] == 0:
+        raise ShapeMismatchError("test set must be a nonempty 2-d array")
+    if test_X.shape[1] != weights.dim:
         raise ShapeMismatchError(f"test set must be (n, {weights.dim})")
     if test_X.shape[0] != test_y.shape[0]:
         raise ShapeMismatchError("test X and y row counts differ")
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ValueError("lam must be >= 0 and finite")
+    _check_lam(lam)
     n = test_X.shape[0]
     W = weights.generators()
     R = test_X @ W

@@ -92,6 +92,12 @@ TOLERANCE = 1e-9
 CHUNK_ELEMENTS = 1 << 16
 
 
+def _check_lam(lam: float) -> None:
+    """Raise ``ValueError`` unless ``lam`` is a finite, nonnegative penalty (NaN too)."""
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError("lam must be >= 0 and finite")
+
+
 @dataclass(frozen=True)
 class RidgeConfig:
     """Learning configuration.
@@ -106,8 +112,7 @@ class RidgeConfig:
     split_budget: int = 4096
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError("lam must be >= 0 and finite")
+        _check_lam(self.lam)
         if isinstance(self.transform, str) and self.transform not in ("svd", "identity"):
             raise ValueError(f"unknown transform {self.transform!r}")
 

@@ -42,8 +42,9 @@ def ridge_concrete(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     ``X`` may be a stack ``(W, n, d)`` of worlds with labels ``(W, n)``;
     the result is then ``(W, d)``, one stacked solve whose rows equal the
     calls on each world.  For ``lam == 0`` every feature matrix must have
-    full column rank.
+    full column rank.  A negative or non-finite ``lam`` raises ``ValueError``.
     """
+    learning._check_lam(lam)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = X.shape[-2:]
@@ -60,8 +61,9 @@ def concrete_loss(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> fl
     ``w`` may be a stack ``(W, d)`` of weights; the result is then an array
     of W losses, each equal to the call on its row.  The products are
     matrix products with one column, which give the same bits as ``@`` on
-    one vector.
+    one vector.  A negative or non-finite ``lam`` raises ``ValueError``.
     """
+    learning._check_lam(lam)
     w = np.asarray(w, dtype=float)[..., None]
     resid = X @ w - np.asarray(y, dtype=float)[:, None]
     loss = (resid.swapaxes(-1, -2) @ resid)[..., 0, 0][()] / X.shape[0]
@@ -93,12 +95,14 @@ def _grid_values(
 
     Only symbols with a nonzero coefficient vary, in ``itertools.product``
     order over the cell table; the others stay at 0, which gives the same
-    worlds.  Raises ``BudgetExceededError`` at the call, before any
-    block exists.
+    worlds.  Raises ``BudgetExceededError``, or ``ValueError`` for a grid
+    of fewer than 2 levels, at the call, before any block exists.
     """
     if strategy == "corner":
         points = np.array([-1.0, 1.0])
     elif strategy == "grid":
+        if levels < 2:
+            raise ValueError(f"a grid needs at least 2 levels, got {levels}")
         points = np.linspace(-1.0, 1.0, levels)
     else:
         raise ValueError(f"enumerate_worlds does not support strategy {strategy!r}")
@@ -218,7 +222,8 @@ def oracle_ranges(
     """Train one ridge model per world; record weight/prediction/loss extremes.
 
     The loss is ``concrete_loss`` at ``lam``, the lambda the worlds train
-    with: at ``lam = 0`` it is the mean squared error.
+    with: at ``lam = 0`` it is the mean squared error.  A negative or
+    non-finite ``lam`` raises ``ValueError`` from ``ridge_concrete``.
     """
     test_X = np.asarray(test_X, dtype=float)
     test_y = np.asarray(test_y, dtype=float)
@@ -274,8 +279,10 @@ def interval_ridge_labels(
 
     ``y_intervals`` is (n, 2) with per-row [lo, hi].  The feature matrix must
     be certain.  Weight interval j sums the row intervals scaled by the
-    entries of ``(X'X + lam*n*I)^-1 X'``.
+    entries of ``(X'X + lam*n*I)^-1 X'``.  A negative or non-finite ``lam``
+    raises ``ValueError``.
     """
+    learning._check_lam(lam)
     X = np.asarray(X, dtype=float)
     y_intervals = np.asarray(y_intervals, dtype=float)
     n, d = X.shape

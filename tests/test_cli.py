@@ -20,7 +20,9 @@ from zonoridge.cli import (
     load_config,
     main,
 )
+from zonoridge.dataset import UncertaintySpec, inject_uncertainty, load_csv, train_test_split
 from zonoridge.inference import LossInterval
+from zonoridge.learning import fixed_point, verify_fixed_point_residual
 
 
 def write_regression_csv(path, n=40, d_feat=2, seed=0, noise=0.05):
@@ -86,6 +88,29 @@ class TestCertify:
         if len(ratios) > 1:
             assert entry["ratio_std"] == pytest.approx(np.std(ratios, ddof=1))
         assert entry["ratio_3sigma"] == pytest.approx(3 * entry["ratio_std"])
+
+    def test_residual_columns_are_the_verifier_of_each_fit(self, data_csv, tmp_path):
+        """Unsplit rows carry ``verify_fixed_point_residual`` of the task's fit, split rows NaN."""
+        args = ["certify", "--dataset", data_csv, "--label", "target", "--target", "features",
+                "--percentage", "0.1", "--radius", "0.5", "--lambda", "0.2",
+                "--seeds", "1,2", "--out-dir", str(tmp_path / "out")]
+        assert main(args) == 0
+        rows = list(csv.DictReader(open(tmp_path / "out" / "certify_results.csv")))
+        cfg = ExperimentConfig(target="features", percentage=0.1, radius=0.5, lam=0.2)
+        data = load_csv(data_csv, "target")
+        for row in rows:
+            seed = int(row["seed"])
+            train, _ = train_test_split(data, cfg.split_ratio, cfg.split_seed + seed)
+            ad = inject_uncertainty(train, UncertaintySpec("features", 0.1, 0.5, seed))
+            weights, diag = fixed_point(ad, cfg.ridge_config())
+            assert row["splits"] == str(diag.splits_used)
+            got = [float(row[f"residual_{part}"]) for part in ("real", "data", "box")]
+            if diag.splits_used > 1:
+                assert all(np.isnan(got))
+                continue
+            rep = verify_fixed_point_residual(ad, weights, cfg.ridge_config())
+            assert got == [rep.real_residual, rep.data_residual, rep.box_residual]
+        assert [row["splits"] for row in rows] == ["256", "1"]
 
 
 class TestDeterminism:
@@ -448,7 +473,9 @@ class TestOptions:
         (["--radius", "nan"], "radius must be >= 0 and finite"),
         (["--radius", "inf"], "radius must be >= 0 and finite"),
         (["--percentage", "2"], "percentage must be in [0, 1]"),
-    ], ids=["nan", "inf", "percentage-2"])
+        (["--target", "features", "--columns", "f0,f0"],
+         "uncertain columns ['f0', 'f0'] repeat a name"),
+    ], ids=["nan", "inf", "percentage-2", "repeated-columns"])
     def test_non_finite_radius_is_data_error(self, tmp_path, capsys, flag, message):
         # Checked with the config, before the dataset (here missing) is read.
         path = write_ini(tmp_path, f"[data]\npath = {tmp_path / 'missing.csv'}\nlabel = target\n")

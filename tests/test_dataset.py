@@ -242,6 +242,11 @@ class TestInjectUncertainty:
         with pytest.raises(DataError):
             UncertaintySpec("features", 0.5, 0.1, seed=0, columns=("bias",))
 
+    def test_repeated_column_errors(self):
+        # A repeated name would give each chosen cell of that column two symbols.
+        with pytest.raises(DataError, match=r"uncertain columns \['f0', 'f0'\] repeat a name"):
+            UncertaintySpec("features", 0.1, 0.2, seed=1, columns=("f0", "f0"))
+
     @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
     def test_non_finite_radius_errors(self, radius):
         with pytest.raises(DataError, match="radius must be >= 0 and finite"):

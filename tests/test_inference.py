@@ -224,6 +224,15 @@ class TestCertifyRobustness:
         with pytest.raises(ShapeMismatchError):
             loss_interval(np.ones((3, 5)), np.ones(3), weights, 0.1)
 
+    def test_loss_of_empty_test_set_rejected(self):
+        from zonoridge.errors import ShapeMismatchError
+
+        ds = make_dataset(10, 2, seed=13)
+        _, weights, _ = trained(ds, UncertaintySpec("labels", 0.2, 0.1, seed=14), 0.1)
+        # Not the range of the lam w'w term alone.
+        with pytest.raises(ShapeMismatchError, match="test set must be a nonempty 2-d array"):
+            loss_interval(np.empty((0, 3)), np.empty(0), weights, 0.1)
+
 
 class TestLossInterval:
     def test_certain_weights_point_loss(self):

@@ -57,6 +57,21 @@ class TestRidgeConcrete:
         grad = (2 / ds.n) * (ds.X.T @ ds.X @ w - ds.X.T @ ds.y) + 2 * lam * w
         assert np.max(np.abs(grad)) < 1e-10
 
+    @pytest.mark.parametrize("lam", [-0.5, float("nan"), float("inf")])
+    def test_invalid_lam_rejected(self, lam):
+        ds = make_dataset(10, 2, seed=2)
+        ad = inject_uncertainty(ds, UncertaintySpec("labels", 0.3, 0.2, seed=1))
+        w = ridge_concrete(ds.X, ds.y, 0.1)
+        for call in (
+            lambda: ridge_concrete(ds.X, ds.y, lam),
+            lambda: concrete_loss(ds.X, ds.y, w, lam),
+            lambda: interval_ridge_labels(ds.X, ad.label_intervals(), lam),
+            # Not a negative loss, or an infinite one, as the range of no world.
+            lambda: oracle_ranges(ad, lam, ds.X[:3], ds.y[:3]),
+        ):
+            with pytest.raises(ValueError, match="lam must be >= 0 and finite"):
+                call()
+
 
 class TestEnumerateWorlds:
     def test_no_symbols_single_world(self):
@@ -90,6 +105,16 @@ class TestEnumerateWorlds:
         ad = inject_uncertainty(ds, UncertaintySpec("both", 0.5, 0.2, seed=3))
         with pytest.raises(BudgetExceededError):
             list(enumerate_worlds(ad, budget=16))
+
+    @pytest.mark.parametrize("levels", [-1, 0, 1])
+    def test_grid_needs_two_levels(self, levels):
+        # One level is the all -1 corner alone, and none is no world at all.
+        ds = make_dataset(8, 2, seed=5)
+        ad = inject_uncertainty(ds, UncertaintySpec("both", 0.25, 0.3, seed=2))
+        with pytest.raises(ValueError, match=f"at least 2 levels, got {levels}"):
+            list(enumerate_worlds(ad, "grid", levels=levels))
+        with pytest.raises(ValueError, match=f"at least 2 levels, got {levels}"):
+            oracle_ranges(ad, 0.1, ds.X[:3], ds.y[:3], strategy="grid", levels=levels)
 
 
 class TestSampleWorlds:
