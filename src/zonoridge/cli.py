@@ -100,6 +100,7 @@ class ExperimentConfig:
             raise DataError("oracle samples must be >= 1")
         if not all(math.isfinite(v) and v >= 0 for v in [self.lam, *self.lambda_grid]):
             raise DataError("lambda must be >= 0 and finite")
+        self.ridge_config()
         for pct, rad in product([self.percentage, *self.percentage_grid],
                                 [self.radius, *self.radius_grid]):
             UncertaintySpec(self.target, pct, rad, 0, self.columns())
@@ -287,6 +288,8 @@ def _summarize(rows: list[dict], group_keys: list[str], value_keys: list[str]) -
 
 def _prepare(cfg: ExperimentConfig) -> tuple[Dataset, float]:
     data = load_csv(cfg.dataset_path, cfg.label_column, cfg.feature_columns)
+    if data.has_missing():  # in a test row too: tasks inject uncertainty into observed data
+        raise DataError(f"{cfg.dataset_path} has missing cells, which no command accepts")
     threshold_abs = cfg.threshold * domain_ranges(data).label_width()
     if threshold_abs <= 0:
         raise DataError("label domain range is zero; cannot derive a robustness threshold")

@@ -32,7 +32,7 @@ _MISSING_MARKERS = {"", "?"}
 
 @dataclass
 class Dataset:
-    """Concrete tabular data: features with a constant-one bias column, labels."""
+    """Concrete data: features with a constant-one bias column, labels; NaN marks a missing cell."""
 
     X: np.ndarray
     y: np.ndarray
@@ -50,6 +50,8 @@ class Dataset:
             raise EmptyDataError("dataset must have at least one row and one column")
         if len(self.columns) != self.X.shape[1]:
             raise DataError("column names must match feature count")
+        if np.isinf(self.X).any() or np.isinf(self.y).any():
+            raise DataError("X and y must be finite; NaN marks a missing cell")
         bias = self.X[:, 0]
         if self.columns[0] != BIAS_COLUMN or not np.all(bias[~np.isnan(bias)] == 1.0):
             raise DataError("first column must be the constant-one bias column")

@@ -46,8 +46,9 @@ One kernel (``_fit_stack``) computes these fixed points for a stack of parts:
 the part index is a leading axis of its arrays, and it reads each part only
 through its sums ``X'X`` and ``X'y`` and its rows at the uncertain cells.  The
 unsplit fit is the stack of one part, the dataset itself; a split builds the
-rows of its parts and passes them all.  Inside ``_diameter_terms`` the part
-axis is the innermost one instead, so that its numpy loops run over the
+rows of its parts and passes them all.  It raises every failure but
+infeasibility, which ``_split_fit`` answers.  Inside ``_diameter_terms`` the
+part axis is the innermost one instead, so that its numpy loops run over the
 parts, not over the d coefficients of a row; its results are part-first.
 The kernel is the only way into the stages: the module exports the fit,
 the weights and the checks on them, and nothing that runs one stage on its
@@ -104,7 +105,8 @@ class RidgeConfig:
 
     ``transform`` selects the order-reduction space: ``"svd"`` diagonalizes
     the center covariance (the default), ``"identity"`` reduces to a plain
-    interval hull, or a custom invertible matrix may be supplied.
+    interval hull, or a custom invertible matrix may be supplied.  A
+    ``split_budget`` of 1 never splits.
     """
 
     lam: float = 0.0
@@ -115,6 +117,8 @@ class RidgeConfig:
         _check_lam(self.lam)
         if isinstance(self.transform, str) and self.transform not in ("svd", "identity"):
             raise ValueError(f"unknown transform {self.transform!r}")
+        if not self.split_budget >= 1:
+            raise ValueError("split budget must be >= 1")
 
 
 @dataclass
@@ -183,10 +187,10 @@ class AbstractWeights:
 class NonDataSystem:
     """Assembled diameter system ``(lam n + q_ii - c'_ii) k_i - ... = (n/2) c0_i``.
 
-    A fit's diagnostics and ``determine_num_splits`` take one system; the
-    kernel stacks the systems of many parts along a leading axis (``Q`` and
-    ``Cprime`` of shape ``(P, d, d)``, ``c0`` of ``(P, d)``, ``beta`` of
-    ``(P,)``), and ``coefficient_matrix`` then returns one matrix per part.
+    Internal.  The kernel stacks the systems of its parts along a leading
+    axis (``Q`` and ``Cprime`` of shape ``(P, d, d)``, ``c0`` of ``(P, d)``,
+    ``beta`` of ``(P,)``), and ``coefficient_matrix`` then returns one
+    matrix per part; the tests' one-part stages build one without that axis.
     """
 
     Q: np.ndarray
@@ -434,8 +438,8 @@ def _transform(gram: np.ndarray, cfg: RidgeConfig) -> tuple[np.ndarray, np.ndarr
 
     Each is ``(P, d, d)``.  The SVD choice diagonalizes ``X_R'X_R`` so the
     q-matrix of the diameter system is diagonal; identity leaves the
-    original space.  Custom matrices are validated for conditioning before
-    inverting.
+    original space.  Custom matrices are validated for shape, finite
+    entries and conditioning before inverting.
     """
     P, d = gram.shape[0], gram.shape[-1]
     if isinstance(cfg.transform, str):
@@ -447,6 +451,8 @@ def _transform(gram: np.ndarray, cfg: RidgeConfig) -> tuple[np.ndarray, np.ndarr
     a = np.asarray(cfg.transform, dtype=float)
     if a.shape != (d, d):
         raise ShapeMismatchError(f"transform must be {d}x{d}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise IllConditionedError("custom transform has a non-finite entry")
     cond = np.linalg.cond(a)
     if not np.isfinite(cond) or cond > _COND_BOUND:
         raise IllConditionedError(f"custom transform condition number {cond:.3e}")
@@ -548,24 +554,20 @@ def _first_failure(checks: list) -> Exception | None:
     return None if first is None else first[1](first[0])
 
 
-def determine_num_splits(sys: NonDataSystem, lam: float) -> int:
-    """Smallest per-symbol split count predicted to bring beta under lam.
+def _first_split_count(sys: NonDataSystem, lam: float) -> int:
+    """Where ``_split_fit`` starts: the least split count predicted to bring beta under lam.
 
     Uses the bound ``beta(m) <= (d * c'_max / m - min_i q_ii) / n`` obtained
-    from scaling the symbolic part by 1/m; the caller re-checks actual
-    per-part betas after splitting, since centers shift per part.
+    from scaling the symbolic part by 1/m; ``_split_fit`` re-checks actual
+    per-part betas after splitting, since centers shift per part.  ``sys``
+    (one part, or a stack of one) is infeasible with a feature cell, so
+    ``c'_max > 0``.
     """
-    if sys.beta <= lam:
-        return 1
     cmax = float(np.max(sys.Cprime, initial=0.0))
-    if cmax <= 0.0:
-        return 1
-    d = sys.Q.shape[0]
-    min_q = float(np.min(np.diag(sys.Q)))
-    denom = lam * sys.n + min_q
+    denom = lam * sys.n + float(np.min(np.diagonal(sys.Q, axis1=-2, axis2=-1)))
     if denom <= 0.0:
-        raise LambdaTooSmall(sys.beta)
-    return max(2, int(np.ceil(d * cmax / denom)))
+        raise LambdaTooSmall(float(np.max(sys.beta)))
+    return max(2, int(np.ceil(sys.Q.shape[-1] * cmax / denom)))
 
 
 class _Fit(NamedTuple):
@@ -580,7 +582,7 @@ class _Fit(NamedTuple):
     m: np.ndarray  # the coefficient matrix of each part's diameter system
     reg: np.ndarray  # X'X + lam n I
     rhs: np.ndarray  # the data right-hand side, (P, d, S)
-    error: Exception | None
+    infeasible: bool  # the first failure is a part below its feasibility threshold
 
 
 def _fit_stack(
@@ -591,12 +593,13 @@ def _fit_stack(
 
     Part p has ``n`` rows, the sums ``gram[p] = X'X`` and ``xty[p] = X'y``,
     and the feature row ``x[p, i]`` and label ``y[p, i]`` at cell i.
-    Returns the fits of the parts and the error that solving them one by
-    one, in order, raises first (``None`` if every part is solved), with
-    the regularized Gram matrices and the data right-hand sides they were
-    solved from.  Each part gets the rank check of ``_ridge``, then those
-    of ``_diameters``; a rank-deficient first part raises at once, as
-    nothing can precede it.
+    Returns the fits of the parts, with the regularized Gram matrices and
+    the data right-hand sides they were solved from.  Each part gets the
+    rank check of ``_ridge``, then those of ``_diameters``; the error that
+    solving the parts one by one, in order, raises first is raised here,
+    unless it is ``LambdaTooSmall``: then the fit is returned with
+    ``infeasible`` set, for the caller to split.  A rank-deficient first
+    part raises at once, as nothing can precede it.
     """
     w_R, reg, deficient = _ridge(gram, xty, cfg.lam, n)
     if deficient[0]:
@@ -609,7 +612,9 @@ def _fit_stack(
     error = _first_failure(
         [(deficient, lambda p: np.linalg.LinAlgError(_RANK_DEFICIENT)), *checks]
     )
-    return _Fit(w_R, G, A, A_inv, k, sys, m, reg, rhs, error)
+    if error is not None and not isinstance(error, LambdaTooSmall):
+        raise error
+    return _Fit(w_R, G, A, A_inv, k, sys, m, reg, rhs, error is not None)
 
 
 def _part_block(pos: np.ndarray, touched: int, d: int) -> int:
@@ -629,21 +634,21 @@ def _part_block(pos: np.ndarray, touched: int, d: int) -> int:
 
 
 def _split_fit(
-    ad: AbstractDataset, cells: Cells, sys0: NonDataSystem, cfg: RidgeConfig
+    ad: AbstractDataset, cells: Cells, sys: NonDataSystem, cfg: RidgeConfig
 ) -> tuple[tuple, list[float], float]:
     """Box join of the parts of the least feasible even split.
 
-    ``sys0`` is the infeasible system of the unsplit fit on ``cells``, the
-    entries with a nonzero coefficient.  Part p of an ``m``-way split, in
-    ``itertools.product`` order, takes sub-cell ``j = combos[p, i]`` of cell
-    i: its center moves by ``coef_i (2j + 1 - m) / m`` and its coefficient
-    is ``coef_i / m``.  m starts at ``determine_num_splits`` and grows while
-    the first failing part is below its feasibility threshold (centers shift
-    per part; a nonzero constant column needs a feature cell, so splitting
-    makes progress); ``m**s`` parts over ``cfg.split_budget`` are refused
-    before any is built.  The sums of the rows without a split cell are
-    taken once per fit; each block of parts gets its touched rows from
-    ``Cells.move`` and one ``_fit_stack`` call.  Returns the fit ``(w_R,
+    ``sys`` is the kernel's infeasible stack of one, the unsplit fit on
+    ``cells``, the entries with a nonzero coefficient.  Part p of an
+    ``m``-way split, in ``itertools.product`` order, takes sub-cell ``j =
+    combos[p, i]`` of cell i: its center moves by ``coef_i (2j + 1 - m) /
+    m`` and its coefficient is ``coef_i / m``.  m starts at
+    ``_first_split_count`` and grows while the kernel flags its stack
+    infeasible (centers shift per part; a nonzero constant column needs a
+    feature cell, so splitting makes progress); ``m**s`` parts over
+    ``cfg.split_budget`` are refused before any is built.  The sums of the
+    rows without a split cell are taken once per fit; each block of parts
+    gets its touched rows from ``Cells.move`` and one ``_fit_stack`` call.  Returns the fit ``(w_R,
     G_D, data_ids, k, A, A_inv)`` of the smallest box holding every part's
     interval hull, the part betas and the least M-matrix margin.
     """
@@ -653,7 +658,7 @@ def _split_fit(
     gram_U, xty_U = X_U.T @ X_U, X_U.T @ y_U
     X_T, y_T = ad.X_R[touched], ad.y_R[touched]
     block = _part_block(pos, len(touched), d)
-    m = determine_num_splits(sys0, cfg.lam)
+    m = _first_split_count(sys, cfg.lam)
     while True:
         if m**s > cfg.split_budget:
             raise SplitBudgetError(f"{m}**{s} parts exceed split budget {cfg.split_budget}")
@@ -668,10 +673,8 @@ def _split_fit(
             gram = gram_U + X.swapaxes(1, 2) @ X
             xty = xty_U + (X.swapaxes(1, 2) @ y[..., None])[..., 0]
             fit = _fit_stack(gram, xty, parts, X[:, pos], y[:, pos], ad.n, cfg)
-            if isinstance(fit.error, LambdaTooSmall):
+            if fit.infeasible:
                 break
-            if fit.error is not None:
-                raise fit.error
             # Interval hull of [G_D' | A^-1 diag(k)] around w_R.
             generators = [fit.G.swapaxes(1, 2), fit.A_inv * fit.k[:, None, :]]
             radius = np.abs(np.concatenate(generators, axis=2)).sum(axis=2)
@@ -703,37 +706,30 @@ def fixed_point(
     kernel, the regularized Gram matrix and data right-hand side that
     ``w_D`` was solved from, and the coefficient matrix of the diameter
     solve, which also gives the margin.  If that part is below its
-    feasibility threshold, the split path is one call: ``_split_fit``
-    searches for the least feasible split count and box-joins the ``m**s``
-    parts of that split.  Each part gets the checks of the direct path, and
-    the first failing part decides, as if the parts were solved in order.
+    feasibility threshold (the kernel raises any other failure), the split
+    path is one call: ``_split_fit`` searches for the least feasible split
+    count and box-joins the ``m**s`` parts of that split.  Each part gets
+    the checks of the direct path, and the first failing part decides.
     The join drops the data-symbol correlation: the joined weights have no
     data part, and ``splits_used > 1`` tells them apart.
     """
-    X_R, y_R = ad.X_R, ad.y_R
     cells = ad.nonzero_cells()
-    gram, xty = X_R.T @ X_R, X_R.T @ y_R
+    gram, xty = ad.X_R.T @ ad.X_R, ad.X_R.T @ ad.y_R
     one = _fit_stack(gram[None], xty[None], cells, *_at_cells(ad, cells), ad.n, cfg)
-    sys = one.sys
-    sys0 = NonDataSystem(
-        Q=sys.Q[0], Cprime=sys.Cprime[0], c0=sys.c0[0], beta=float(sys.beta[0]), n=ad.n
-    )
-    if not isinstance(one.error, LambdaTooSmall):
-        if one.error is not None:
-            raise one.error
+    if not one.infeasible:
         # G_D in C order: a view can round later products differently.
         fit = (one.w_R[0], np.ascontiguousarray(one.G[0]), cells.symbols, one.k[0], one.A[0],
                one.A_inv[0])
         part_betas, margin = None, float(_margin(one.m)[0])
     else:
-        fit, part_betas, margin = _split_fit(ad, cells, sys0, cfg)
+        fit, part_betas, margin = _split_fit(ad, cells, one.sys, cfg)
     weights = AbstractWeights(*fit, registry=ad.registry)
     diag = FixedPointDiagnostics(
-        beta=sys0.beta,
+        beta=float(one.sys.beta[0]),
         splits_used=1 if part_betas is None else len(part_betas),
         m_matrix_margin=margin,
         residual=None if part_betas is not None else _residual_report(
-            weights, sys0, one.m[0], cfg.lam, gram, xty, one.reg[0], one.rhs[0]
+            weights, one.sys, one.m[0], cfg.lam, gram, xty, one.reg[0], one.rhs[0]
         ),
         part_betas=part_betas,
     )
@@ -775,9 +771,9 @@ def verify_fixed_point_residual(
     if G_D.shape != (len(cells.symbols), ad.d):
         raise ShapeMismatchError(f"G_D must be {(len(cells.symbols), ad.d)}, got {G_D.shape}")
     cprime, h = _diameter_terms(cells, x, w_R, G_D[None], A[None], A_inv[None])
-    sys = _system(A @ gram @ A_inv, cprime[0], h[0], ad.n)
+    sys = _system((A @ gram @ A_inv)[None], cprime, h, ad.n)
     reg = gram + cfg.lam * ad.n * np.eye(ad.d)
-    m = sys.coefficient_matrix(cfg.lam)
+    m = sys.coefficient_matrix(cfg.lam)[0]
     return _residual_report(weights, sys, m, cfg.lam, gram, X_R.T @ ad.y_R, reg, rhs)
 
 
@@ -787,14 +783,14 @@ def _residual_report(
 ) -> ResidualReport:
     """``verify_fixed_point_residual`` at ``lam`` on ``sys``, the weights' assembled system.
 
-    The centers enter only through their sums ``gram = X_R'X_R`` and
-    ``xty = X_R'y_R``, the regularized ``reg = gram + lam n I`` and the data
-    right-hand side ``rhs`` ``(d, S)``; ``m`` is the system's coefficient
-    matrix at ``lam``.  ``fixed_point`` passes the arrays its fit was solved
-    from, so nothing is computed twice.
+    ``sys`` is a stack of one.  The centers enter only through their sums
+    ``gram = X_R'X_R`` and ``xty = X_R'y_R``, the regularized ``reg = gram +
+    lam n I`` and the data right-hand side ``rhs`` ``(d, S)``; ``m`` is the
+    system's coefficient matrix at ``lam``.  ``fixed_point`` passes the
+    arrays its fit was solved from, so nothing is computed twice.
     """
     n = sys.n
-    qmax = float(np.max(np.diag(sys.Q), initial=0.0))
+    qmax = float(np.max(np.diag(sys.Q[0]), initial=0.0))
     denom = 2.0 * lam + (2.0 / n) * max(qmax, 0.0)
     eta = 0.5 / denom if denom > 0 else 0.1
 
@@ -806,7 +802,7 @@ def _residual_report(
     data_residual = eta * (2.0 / n) * float(np.max(np.abs(g_d), initial=0.0))
 
     # k' - k = (2 eta / n) ((n/2) c0 - M k), see verify_fixed_point_residual.
-    box_normalized = float(np.max(np.abs(m @ weights.k - (n / 2.0) * sys.c0), initial=0.0))
+    box_normalized = float(np.max(np.abs(m @ weights.k - (n / 2.0) * sys.c0[0]), initial=0.0))
     return ResidualReport(
         eta=eta,
         real_residual=real_residual,

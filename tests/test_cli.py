@@ -518,3 +518,71 @@ class TestOptions:
         cfg = load_config(write_ini(tmp_path, block))
         cfg.validate()
         assert cfg.label_column == "mpg" and cfg.standardize
+
+
+def write_csv_missing_in_test_rows(tmp_path, seed=1):
+    """The regression CSV with two blank cells, both in test rows of ``seed``'s split."""
+    path = write_regression_csv(tmp_path / "holes.csv")
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    test_rows = np.random.default_rng(ExperimentConfig().split_seed + seed).permutation(40)[32:]
+    for row, col in zip(test_rows[:2].tolist(), (0, 2)):
+        cells = lines[1 + row].split(",")
+        cells[col] = ""
+        lines[1 + row] = ",".join(cells)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestInputRefusals:
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_missing_cell_in_a_test_row_is_data_error(self, tmp_path, capsys, command):
+        path = write_csv_missing_in_test_rows(tmp_path)
+        argv = [command, "--dataset", path, "--label", "target", "--seeds", "1", "--lambda", "0.1",
+                "--oracle-samples", "20", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {path} has missing cells, which no command accepts\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_cell_is_data_error(self, data_csv, tmp_path, capsys):
+        text = Path(data_csv).read_text(encoding="utf-8").splitlines()
+        text[5] = "inf," + text[5].split(",", 1)[1]
+        Path(data_csv).write_text("\n".join(text) + "\n", encoding="utf-8")
+        argv = ["certify", "--dataset", data_csv, "--label", "target", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "data error: X and y must be finite; NaN marks a missing cell\n"
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_split_budget_below_one_is_config_error(self, tmp_path, capsys, budget):
+        # Checked with the config, before the dataset (here missing) is read.
+        argv = ["certify", "--dataset", str(tmp_path / "missing.csv"), "--label", "target",
+                "--split-budget", budget, "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: split budget must be >= 1\n"
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"dataset_path": ""}, "dataset path is required (config [data] path or --dataset)"),
+        ({"label_column": ""}, "label column is required (config [data] label or --label)"),
+        ({"seeds": [1, 2, 1]}, "seeds must be distinct"),
+        ({"fmt": "xml"}, "unknown format 'xml'"),
+    ], ids=["no-dataset", "no-label", "repeated-seeds", "format"])
+    def test_validate_refusals(self, changes, message):
+        cfg = ExperimentConfig(**{"dataset_path": "data.csv", "label_column": "target", **changes})
+        with pytest.raises(cli.DataError) as exc:
+            cfg.validate()
+        assert type(exc.value) is cli.DataError and str(exc.value) == message
+
+    def test_unreadable_config_is_data_error(self, tmp_path):
+        path = str(tmp_path / "absent.ini")
+        with pytest.raises(cli.DataError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"cannot read config file {path}"
+
+    def test_constant_label_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "flat.csv"
+        path.write_text("x,target\n" + "".join(f"{i},2.5\n" for i in range(10)), encoding="utf-8")
+        argv = ["certify", "--dataset", str(path), "--label", "target", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "data error: label domain range is zero; cannot derive a robustness threshold\n"
+        )

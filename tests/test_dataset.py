@@ -386,3 +386,52 @@ class TestSplit:
         ad = inject_uncertainty(_toy(6, seed=12), UncertaintySpec("labels", 0.34, 0.3, seed=13))
         with pytest.raises(SplitBudgetError):
             stages.split(ad, 10, budget=100)
+
+
+def _load(tmp_path, text, features=None):
+    path = tmp_path / "refused.csv"
+    path.write_text(text, encoding="utf-8")
+    return load_csv(str(path), "y", features)
+
+
+def _inject_into_missing():
+    ds = _toy(4)
+    ds.X[2, 1] = np.nan
+    inject_uncertainty(ds, UncertaintySpec("labels", 0.5, 0.1, seed=0))
+
+
+@pytest.mark.parametrize("refuse, error, message", [
+    (lambda tmp: Dataset(X=np.ones(3), y=np.ones(3), columns=["bias"]),
+     DataError, "X must be 2-d and y 1-d"),
+    (lambda tmp: Dataset(X=np.ones((3, 1)), y=np.ones(2), columns=["bias"]),
+     DataError, "X and y row counts differ"),
+    (lambda tmp: Dataset(X=np.ones((0, 1)), y=np.ones(0), columns=["bias"]),
+     EmptyDataError, "dataset must have at least one row and one column"),
+    (lambda tmp: Dataset(X=np.ones((2, 1)), y=np.ones(2), columns=["bias", "x"]),
+     DataError, "column names must match feature count"),
+    (lambda tmp: Dataset(X=np.full((2, 1), 2.0), y=np.ones(2), columns=["bias"]),
+     DataError, "first column must be the constant-one bias column"),
+    (lambda tmp: Dataset(X=[[1.0, np.inf]], y=[1.0], columns=["bias", "x"]),
+     DataError, "X and y must be finite; NaN marks a missing cell"),
+    (lambda tmp: Dataset(X=[[1.0, 2.0]], y=[-np.inf], columns=["bias", "x"]),
+     DataError, "X and y must be finite; NaN marks a missing cell"),
+    (lambda tmp: _load(tmp, "x,y\n1,2\ninf,3\n"),
+     DataError, "X and y must be finite; NaN marks a missing cell"),
+    (lambda tmp: UncertaintySpec("weights", 0.1, 0.1, 0),
+     DataError, "unknown uncertainty target 'weights'"),
+    (lambda tmp: inject_uncertainty(_toy(4), UncertaintySpec("labels", 0.5, 0.1, 0)).cell_interval(99),
+     KeyError, "99"),
+    (lambda tmp: _load(tmp, ""), EmptyDataError, "{path} is empty"),
+    (lambda tmp: _load(tmp, "x,y\n1,2\n", ["z"]), DataError, "feature columns not in header: ['z']"),
+    (lambda tmp: _load(tmp, "x,y\n1,2\n3,4,5\n"), DataError, "row 3 has 3 fields, expected 2"),
+    (lambda tmp: train_test_split(_toy(10), 1.0, 0), DataError, "ratio must be in (0, 1)"),
+    (lambda tmp: _inject_into_missing(), DataError,
+     "inject_uncertainty requires fully observed data; use abstract_missing"),
+], ids=["X-1d", "row-counts", "no-rows", "column-names", "no-bias", "infinite-X", "infinite-y",
+        "infinite-csv-cell", "unknown-target", "unknown-symbol", "empty-csv", "feature-not-in-header",
+        "field-count", "split-ratio", "inject-into-missing"])
+def test_refusals(tmp_path, refuse, error, message):
+    with pytest.raises(error) as exc:
+        refuse(tmp_path)
+    expected = message.format(path=tmp_path / "refused.csv")
+    assert type(exc.value) is error and str(exc.value) == expected

@@ -53,7 +53,6 @@ from zonoridge.learning import (
     AbstractWeights,
     NonDataSystem,
     RidgeConfig,
-    determine_num_splits,
     fixed_point,
     verify_fixed_point_residual,
 )
@@ -435,9 +434,9 @@ def looped_split_fit(ad, cfg):
     w_R, w_D, A, A_inv = prepared(ad, cfg)
     sys = build_non_data_system(ad, cfg.lam, w_R, w_D, A, A_inv)
     s = len(ad.split_symbols())
-    m = determine_num_splits(sys, cfg.lam)
-    if m == 1:
+    if sys.beta <= cfg.lam or not (sys.Cprime > 0).any():
         return None, 1
+    m = learning._first_split_count(sys, cfg.lam)
     while True:
         if m**s > cfg.split_budget:
             raise SplitBudgetError(f"{m}**{s}")
@@ -525,8 +524,8 @@ def retry_case():
 def test_split_retry_grows_m_past_the_prediction():
     ad, cfg = retry_case()
     w_R, w_D, A, A_inv = prepared(ad, cfg)
-    assert determine_num_splits(build_non_data_system(ad, cfg.lam, w_R, w_D, A, A_inv),
-                                cfg.lam) == 12
+    assert learning._first_split_count(build_non_data_system(ad, cfg.lam, w_R, w_D, A, A_inv),
+                                       cfg.lam) == 12
     batched, splits_used = batched_split_fit(ad, cfg)
     assert splits_used == 34**2  # as the one-part-at-a-time loop found
     assert_join_close(batched, looped_join(stages.split(ad, 34), cfg))
@@ -555,12 +554,33 @@ def test_rank_deficient_part_at_lambda_zero_raises(monkeypatch):
         y_R=np.array([0.0, 1.0, 0.5, 2.0]), registry=reg, cells=cell_table({sid: (3, 1)}, {sid: 0.5}),
     )
     cfg = RidgeConfig(lam=0.0, split_budget=16)
-    monkeypatch.setattr(learning, "determine_num_splits", lambda sys, lam: 2)
+    monkeypatch.setattr(learning, "_first_split_count", lambda sys, lam: 2)
     np.testing.assert_array_equal(stages.split(ad, 2)[0].X_R[:, 1], 1.0)
     with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
         looped_join(stages.split(ad, 2), cfg)
     with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
         fixed_point(ad, cfg)
+
+
+@pytest.mark.parametrize("case, refused", [
+    (lambda: split_case("features", 3, 0), 1),
+    (lambda: make_problem("both", 3, 7, 0, lam=5.0), 0),
+], ids=["split", "unsplit"])
+def test_kernel_raises_every_failure_but_infeasibility(monkeypatch, case, refused):
+    """A failing check after the threshold's refuses the fit, on both paths, in part order."""
+    diameters = learning._diameters
+
+    def with_a_failing_check(sys, lam, tolerance):
+        k, checks, m = diameters(sys, lam, tolerance)
+        mask = np.arange(len(k)) == refused
+        return k, [*checks, (mask, lambda p: ZonoError(f"part {p} refused"))], m
+
+    ad, cfg = case()
+    assert (fixed_point(ad, cfg)[1].splits_used > 1) == (refused == 1)
+    monkeypatch.setattr(learning, "_diameters", with_a_failing_check)
+    with pytest.raises(ZonoError) as exc:
+        fixed_point(ad, cfg)
+    assert type(exc.value) is ZonoError and str(exc.value) == f"part {refused} refused"
 
 
 def test_homogeneous_part_skips_the_threshold():

@@ -147,3 +147,15 @@ def test_canonical_str_sorts_ids(registry):
     e1, e2, e3 = make_symbols(registry, 3)
     f = PolyForm(registry, 0.0, {(e1, e3): 1.5, (e2,): 1.0})
     assert f.canonical_str() == f"0.0 + 1.0*e{e2} + 1.5*e{e1}*e{e3}"
+
+
+@pytest.mark.parametrize("refuse, error, message", [
+    (lambda reg: zonoridge.forms.PolyForm(reg, 1.0, {(): 2.0}), ValueError,
+     "constants belong in the center, not in a monomial"),
+    (lambda reg: zonoridge.forms.ZVector(reg, [zonoridge.forms.PolyForm(SymbolRegistry(), 1.0)]),
+     RegistryMismatchError, "entry from a different registry"),
+], ids=["empty-monomial", "foreign-entry"])
+def test_refusals(registry, refuse, error, message):
+    with pytest.raises(error) as exc:
+        refuse(registry)
+    assert type(exc.value) is error and str(exc.value) == message

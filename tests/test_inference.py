@@ -3,6 +3,7 @@ import pytest
 
 from form_algebra import PolyForm, ZVector
 from zonoridge.dataset import LABEL_COL, AbstractDataset, Dataset, UncertaintySpec, inject_uncertainty
+from zonoridge.errors import RegistryMismatchError, ShapeMismatchError
 from zonoridge.inference import (
     LossInterval,
     PredictionInterval,
@@ -428,3 +429,24 @@ class TestCachedGenerators:
         assert "_columns" in vars(weights)
         weights.data_ids = weights.data_ids.copy()
         assert "_generators" not in vars(weights) and "_columns" not in vars(weights)
+
+
+def _point(registry, length):
+    return ZVector(registry, [PolyForm(registry, 1.0)] * length)
+
+
+@pytest.mark.parametrize("refuse, error, message", [
+    (lambda w: predict_interval_uncertain(_point(w.registry, 2), w), ShapeMismatchError,
+     "test point must have dimension 3"),
+    (lambda w: predict_interval_uncertain(_point(SymbolRegistry(), 3), w), RegistryMismatchError,
+     "test point and weights belong to different registries"),
+    (lambda w: certify_robustness(np.ones((2, 4)), w, 0.5), ShapeMismatchError,
+     "test points must have dimension 3"),
+    (lambda w: loss_interval(np.ones((3, 3)), np.ones(2), w, 0.1), ShapeMismatchError,
+     "test X and y row counts differ"),
+], ids=["point-length", "point-registry", "certify-width", "loss-row-counts"])
+def test_refusals(refuse, error, message):
+    _, weights, _ = trained(make_dataset(10, 2, seed=13), UncertaintySpec("labels", 0.2, 0.1, seed=14), 0.1)
+    with pytest.raises(error) as exc:
+        refuse(weights)
+    assert type(exc.value) is error and str(exc.value) == message

@@ -9,13 +9,18 @@ from stages import (
     solve_non_data,
 )
 
+from zonoridge import learning
 from zonoridge.dataset import LABEL_COL, AbstractDataset, Dataset, UncertaintySpec, inject_uncertainty
-from zonoridge.errors import LambdaTooSmall, SplitBudgetError
+from zonoridge.errors import (
+    IllConditionedError,
+    LambdaTooSmall,
+    ShapeMismatchError,
+    SplitBudgetError,
+)
 from zonoridge.learning import (
     AbstractWeights,
     RidgeConfig,
     contains_world_weights,
-    determine_num_splits,
     fixed_point,
     verify_fixed_point_residual,
 )
@@ -66,6 +71,51 @@ def gradient_descent_ridge(X, y, lam, steps=200_000, eta=None):
 def test_ridge_config_refuses_a_negative_or_non_finite_lambda(lam):
     with pytest.raises(ValueError, match="lam must be >= 0 and finite"):
         RidgeConfig(lam=lam)
+
+
+def refused_split_start():
+    """At lam = 0 a custom transform gives ``A X'X A^-1`` the diagonal (-12, 30): no m helps."""
+    ds = Dataset(X=np.column_stack([np.ones(4), [0.0, 1.0, 2.0, 3.0]]),
+                 y=np.array([0.0, 1.0, 0.5, 2.0]), columns=["bias", "x"])
+    ad = abstract_cells(ds, [(1, 1)], [0.5])
+    cfg = RidgeConfig(lam=0.0, transform=np.array([[1.0, 0.5], [1.0, 1.0]]))
+    w_R = ridge_closed_form_real(ad.X_R, ad.y_R, cfg.lam)
+    A, A_inv = build_transform(ad.X_R, cfg)
+    sys = build_non_data_system(ad, cfg.lam, w_R, closed_form_symbolic_data(ad, cfg.lam, w_R),
+                                A, A_inv)
+    np.testing.assert_allclose(np.diag(sys.Q), [-12.0, 30.0])
+    assert sys.beta == 8.6875 and sys.c0.any()
+    fixed_point(ad, cfg)
+
+
+def wrong_g_d():
+    ds = make_dataset(8, 1, seed=3)
+    ad = abstract_cells(ds, [(0, 1), (2, LABEL_COL)], [0.1, 0.2])
+    cfg = RidgeConfig(lam=0.1)
+    weights, _ = fixed_point(ad, cfg)
+    weights.G_D = weights.G_D[:1]
+    verify_fixed_point_residual(ad, weights, cfg)
+
+
+def nan_transform():
+    fixed_point(abstract_cells(make_dataset(6, 1, seed=4), [(0, LABEL_COL)], [0.1]),
+                RidgeConfig(lam=0.1, transform=np.array([[1.0, 0.0], [np.nan, 1.0]])))
+
+
+@pytest.mark.parametrize("refuse, error, message", [
+    (lambda: RidgeConfig(transform="qr"), ValueError, "unknown transform 'qr'"),
+    (lambda: RidgeConfig(split_budget=0), ValueError, "split budget must be >= 1"),
+    (lambda: RidgeConfig(split_budget=-1), ValueError, "split budget must be >= 1"),
+    (refused_split_start, LambdaTooSmall,
+     "regularization below feasibility threshold beta=8.6875"),
+    (wrong_g_d, ShapeMismatchError, "G_D must be (2, 2), got (1, 2)"),
+    (nan_transform, IllConditionedError, "custom transform has a non-finite entry"),
+], ids=["unknown-transform", "split-budget-0", "split-budget-negative", "split-start",
+        "residual-g-d-shape", "nan-transform"])
+def test_refusals(refuse, error, message):
+    with pytest.raises(error) as exc:
+        refuse()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestRidgeClosedFormReal:
@@ -297,24 +347,6 @@ class TestFixedPoint:
 
 
 class TestDetermineNumSplits:
-    def test_feasible_returns_one(self):
-        ds = make_dataset(10, 2, seed=18)
-        ad = abstract_cells(ds, [], [])
-        cfg = RidgeConfig(lam=0.1)
-        w_R = ridge_closed_form_real(ad.X_R, ad.y_R, cfg.lam)
-        A, A_inv = build_transform(ad.X_R, cfg)
-        sys = build_non_data_system(ad, cfg.lam, w_R, np.zeros((0, ad.d)), A, A_inv)
-        assert determine_num_splits(sys, cfg.lam) == 1
-
-    def test_zero_cprime_returns_one(self):
-        from zonoridge.learning import NonDataSystem
-
-        sys = NonDataSystem(
-            Q=np.diag([0.5, 2.0]), Cprime=np.zeros((2, 2)),
-            c0=np.zeros(2), beta=0.2, n=4,
-        )
-        assert determine_num_splits(sys, 0.1) == 1
-
     def test_split_instance_reaches_feasibility(self):
         ds = make_dataset(4, 1, seed=19)
         ad = abstract_cells(ds, [(1, 1)], [6.0])
@@ -324,7 +356,7 @@ class TestDetermineNumSplits:
         A, A_inv = build_transform(ad.X_R, cfg)
         sys = build_non_data_system(ad, cfg.lam, w_R, w_D, A, A_inv)
         assert sys.beta > cfg.lam
-        m = determine_num_splits(sys, cfg.lam)
+        m = learning._first_split_count(sys, cfg.lam)
         assert m >= 2
         weights, diag = fixed_point(ad, cfg)
         assert diag.splits_used > 1

@@ -497,3 +497,21 @@ class TestOracleRangesMatchTheLoop:
         assert res.n_worlds == 4096
         # All 4096 worlds at once would take 4096 * 1000 * 3 * 8 B = 98 MB.
         assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("refuse, error, message", [
+    (lambda ad: list(enumerate_worlds(ad, "uniform")), ValueError,
+     "enumerate_worlds does not support strategy 'uniform'"),
+    (lambda ad: interval_ridge_labels(ad.X_R, ad.label_intervals()[:, :1], 0.1), DataError,
+     "y_intervals must be (n, 2), got (6, 1)"),
+    (lambda ad: interval_ridge_labels(ad.X_R, ad.label_intervals()[:, ::-1], 0.1), DataError,
+     "label intervals must satisfy lo <= hi"),
+    (lambda ad: interval_ridge_labels(np.column_stack([ad.X_R, ad.X_R[:, 1]]),
+                                      ad.label_intervals(), 0.0),
+     np.linalg.LinAlgError, "X'X is singular at lambda = 0; need full column rank"),
+], ids=["unknown-strategy", "interval-shape", "reversed-interval", "rank-deficient"])
+def test_refusals(refuse, error, message):
+    ad = inject_uncertainty(make_dataset(6, 1, seed=8), UncertaintySpec("labels", 0.5, 0.2, seed=1))
+    with pytest.raises(error) as exc:
+        refuse(ad)
+    assert type(exc.value) is error and str(exc.value) == message
