@@ -51,7 +51,6 @@ from .learning import (
     RidgeConfig,
     contains_world_weights,
     fixed_point,
-    verify_fixed_point_residual,
 )
 from .oracles import (
     IntervalRidgeResult,
@@ -117,5 +116,4 @@ __all__ = [
     "ridge_concrete",
     "sample_worlds",
     "train_test_split",
-    "verify_fixed_point_residual",
 ]

@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise DataError(f"unknown format {self.fmt!r}")
         if not self.threshold > 0:  # NaN too
             raise DataError("threshold must be positive")
+        if not 0 < self.split_ratio < 1:  # NaN too
+            raise DataError("split ratio must be in (0, 1)")
         if self.oracle_samples < 1:
             raise DataError("oracle samples must be >= 1")
         if not all(math.isfinite(v) and v >= 0 for v in [self.lam, *self.lambda_grid]):

@@ -158,8 +158,10 @@ class AbstractDataset:
     ``cells`` is the cell table: ``X_S`` and ``y_S`` are zero but at its
     entries, where they are ``coef * e`` for the entry's symbol ``e``.  The
     constructor takes any sequences and stores arrays; the symbols must be
-    strictly ascending.  ``provenance`` and the ``*_symbols`` lists are
-    views of the table for callers that work with symbol ids.
+    strictly ascending, and every center and coefficient finite: a missing
+    cell, NaN in a ``Dataset``, is a cell table entry here.  ``provenance``
+    and the ``*_symbols`` lists are views of the table for callers that work
+    with symbol ids.
     """
 
     X_R: np.ndarray
@@ -186,6 +188,8 @@ class AbstractDataset:
         rows, cols = self.cells.rows, self.cells.cols
         if np.any((rows < 0) | (rows >= self.n) | (cols >= self.d) | ((cols < 0) & (cols != LABEL_COL))):
             raise DataError("every cell table entry needs a row of X_R and a column of it or the label")
+        if not all(np.isfinite(a).all() for a in (self.X_R, self.y_R, self.cells.coef)):
+            raise DataError("X_R, y_R and the cell coefficients must be finite")
 
     @property
     def n(self) -> int:

@@ -242,8 +242,8 @@ def loss_interval(
     ``|W|``); the linearized lower bound alone would forget that squares
     cannot go negative.  At ``lam = 0`` the loss is the mean squared error.
     A negative or non-finite ``lam`` raises ``ValueError``, as in
-    ``RidgeConfig``, and an empty test set ``ShapeMismatchError``, as in
-    ``certify_robustness``.
+    ``RidgeConfig``, and an empty test set or a ``test_y`` that is not one
+    label per row ``ShapeMismatchError``, as in ``certify_robustness``.
     """
     test_X = np.asarray(test_X, dtype=float)
     test_y = np.asarray(test_y, dtype=float)
@@ -251,8 +251,8 @@ def loss_interval(
         raise ShapeMismatchError("test set must be a nonempty 2-d array")
     if test_X.shape[1] != weights.dim:
         raise ShapeMismatchError(f"test set must be (n, {weights.dim})")
-    if test_X.shape[0] != test_y.shape[0]:
-        raise ShapeMismatchError("test X and y row counts differ")
+    if test_y.shape != test_X.shape[:1]:
+        raise ShapeMismatchError(f"test y must be ({test_X.shape[0]},), got {test_y.shape}")
     _check_lam(lam)
     n = test_X.shape[0]
     W = weights.generators()

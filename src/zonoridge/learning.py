@@ -51,12 +51,10 @@ infeasibility, which ``_split_fit`` answers.  Inside ``_diameter_terms`` the
 part axis is the innermost one instead, so that its numpy loops run over the
 parts, not over the d coefficients of a row; its results are part-first.
 The kernel is the only way into the stages: the module exports the fit,
-the weights and the checks on them, and nothing that runs one stage on its
-own.  A fit computes each intermediate once: its residual and M-matrix
-margin come from the sums, right-hand sides and coefficient matrices the
-kernel already built, while ``verify_fixed_point_residual`` rebuilds them
-from the dataset with the same private helpers and runs the same
-arithmetic.
+the weights and the membership check, and nothing that runs one stage on
+its own.  A fit computes each intermediate once: its residual
+(``_residual_report``) and M-matrix margin come from the sums, right-hand
+sides and coefficient matrices the kernel already built.
 
 Everything here works on arrays, not on polynomial forms.  Each data symbol
 lives in exactly one cell (a row, a column or the label, and a coefficient),
@@ -700,8 +698,8 @@ def fixed_point(
     built in one place.  The direct path is the stack of one part, the
     dataset itself: the result shares data symbols with the dataset and
     carries the solved box diameters, and only its diagnostics carry the
-    residual of one gradient step (``verify_fixed_point_residual``).  The
-    residual is taken from what the fit already holds: the diameter system
+    residual of one gradient step (``_residual_report``).  The residual is
+    taken from what the fit already holds: the diameter system
     just assembled, the sums ``X_R'X_R`` and ``X_R'y_R`` passed to the
     kernel, the regularized Gram matrix and data right-hand side that
     ``w_D`` was solved from, and the coefficient matrix of the diameter
@@ -736,58 +734,31 @@ def fixed_point(
     return weights, diag
 
 
-def verify_fixed_point_residual(
-    ad: AbstractDataset, weights: AbstractWeights, cfg: RidgeConfig
-) -> ResidualReport:
-    """Apply one symbolic gradient step at ``cfg.lam`` and measure how far it moves.
-
-    The step is taken on the dense terms of the diameter system.  With
-    ``H = 2 lam I + (2/n) X_R'X_R``, the data-symbol part of the gradient is
-    ``(2/n) ((X_R'X_R + lam n I) G_D' - RHS)`` (``RHS`` the data
-    right-hand side, ``_data_rhs``), and the interval hull of the box part
-    after the step, in the transformed space, has diameters
-
-        k' = |A (I - eta H) A^-1| k + eta ((2/n) c' k + c0),
-
-    where ``c'`` and ``c0 = (2/n) h`` are assembled by ``_diameter_terms``
-    from the weights' own ``w_D``; ``G_D`` must have one row per entry of
-    ``ad.nonzero_cells()``, as a fit that did not split gives.  The step
-    size ``eta`` keeps the diagonal of ``A (I - eta H) A^-1 = I - eta (2 lam
-    I + (2/n) Q)`` nonnegative, so ``k' - k = (2 eta / n) ((n/2) c0 - M k)``
-    with ``M`` the system's coefficient matrix, and the report computes it
-    so.  At a true fixed point the real and data-symbol parts are unchanged
-    and ``k' = k``.  The normalized box residual ``max |M k - (n/2) c0|``
-    divides out the ``2 eta / n`` step factor, making it comparable to the
-    system's scale.  The sums and ``RHS`` are taken from ``ad`` here; the
-    residual in a fit's diagnostics takes them from the fit and is, for the
-    fit's weights, this report.
-    """
-    X_R, G_D, A, A_inv = ad.X_R, weights.G_D, weights.A, weights.A_inv
-    gram = X_R.T @ X_R
-    cells = ad.nonzero_cells()
-    x, y = _at_cells(ad, cells)
-    w_R = weights.w_R[None]
-    rhs = _data_rhs(cells, x, y, w_R)[0]
-    if G_D.shape != (len(cells.symbols), ad.d):
-        raise ShapeMismatchError(f"G_D must be {(len(cells.symbols), ad.d)}, got {G_D.shape}")
-    cprime, h = _diameter_terms(cells, x, w_R, G_D[None], A[None], A_inv[None])
-    sys = _system((A @ gram @ A_inv)[None], cprime, h, ad.n)
-    reg = gram + cfg.lam * ad.n * np.eye(ad.d)
-    m = sys.coefficient_matrix(cfg.lam)[0]
-    return _residual_report(weights, sys, m, cfg.lam, gram, X_R.T @ ad.y_R, reg, rhs)
-
-
 def _residual_report(
     weights: AbstractWeights, sys: NonDataSystem, m: np.ndarray, lam: float, gram: np.ndarray,
     xty: np.ndarray, reg: np.ndarray, rhs: np.ndarray,
 ) -> ResidualReport:
-    """``verify_fixed_point_residual`` at ``lam`` on ``sys``, the weights' assembled system.
+    """Apply one symbolic gradient step at ``lam`` and measure how far it moves.
 
-    ``sys`` is a stack of one.  The centers enter only through their sums
-    ``gram = X_R'X_R`` and ``xty = X_R'y_R``, the regularized ``reg = gram +
-    lam n I`` and the data right-hand side ``rhs`` ``(d, S)``; ``m`` is the
-    system's coefficient matrix at ``lam``.  ``fixed_point`` passes the
-    arrays its fit was solved from, so nothing is computed twice.
+    ``sys`` is a stack of one, the diameter system assembled from the
+    weights' own ``w_D``.  The centers enter only through their sums ``gram
+    = X_R'X_R`` and ``xty = X_R'y_R``, the regularized ``reg = gram + lam n
+    I`` and the data right-hand side ``rhs`` ``(d, S)`` (``_data_rhs``);
+    ``m`` is the system's coefficient matrix at ``lam``.  ``fixed_point``
+    passes the arrays its fit was solved from, so nothing is computed twice.
+
+    With ``H = 2 lam I + (2/n) X_R'X_R``, the data-symbol part of the
+    gradient is ``(2/n) (reg G_D' - rhs)``, and the interval hull of the box
+    part after the step, in the transformed space, has diameters
+
+        k' = |A (I - eta H) A^-1| k + eta ((2/n) c' k + c0).
+
+    The step size ``eta`` keeps the diagonal of ``A (I - eta H) A^-1 = I -
+    eta (2 lam I + (2/n) Q)`` nonnegative, so ``k' - k = (2 eta / n) ((n/2)
+    c0 - M k)`` with ``M = m``, and the report computes it so.  At a true
+    fixed point the real and data-symbol parts are unchanged and ``k' = k``.
+    The normalized box residual ``max |M k - (n/2) c0|`` divides out the
+    ``2 eta / n`` step factor, making it comparable to the system's scale.
     """
     n = sys.n
     qmax = float(np.max(np.diag(sys.Q[0]), initial=0.0))
@@ -801,7 +772,7 @@ def _residual_report(
     g_d = reg @ weights.G_D.T - rhs
     data_residual = eta * (2.0 / n) * float(np.max(np.abs(g_d), initial=0.0))
 
-    # k' - k = (2 eta / n) ((n/2) c0 - M k), see verify_fixed_point_residual.
+    # k' - k = (2 eta / n) ((n/2) c0 - M k), see the docstring.
     box_normalized = float(np.max(np.abs(m @ weights.k - (n / 2.0) * sys.c0[0]), initial=0.0))
     return ResidualReport(
         eta=eta,

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import learning
 from .dataset import AbstractDataset
-from .errors import BudgetExceededError, DataError
+from .errors import BudgetExceededError, DataError, ShapeMismatchError
 
 Strategy = Literal["corner", "grid", "uniform"]
 
@@ -223,10 +223,16 @@ def oracle_ranges(
 
     The loss is ``concrete_loss`` at ``lam``, the lambda the worlds train
     with: at ``lam = 0`` it is the mean squared error.  A negative or
-    non-finite ``lam`` raises ``ValueError`` from ``ridge_concrete``.
+    non-finite ``lam`` raises ``ValueError`` from ``ridge_concrete``; a
+    ``test_X`` that is not 2-d with ``ad.d`` columns, or a ``test_y`` that is
+    not one label per row, ``ShapeMismatchError``.
     """
     test_X = np.asarray(test_X, dtype=float)
     test_y = np.asarray(test_y, dtype=float)
+    if test_X.ndim != 2 or test_X.shape[1] != ad.d:
+        raise ShapeMismatchError(f"test set must be (n, {ad.d})")
+    if test_y.shape != test_X.shape[:1]:
+        raise ShapeMismatchError(f"test y must be ({test_X.shape[0]},), got {test_y.shape}")
     weights = []
     pred_lo = np.full(len(test_X), np.inf)
     pred_hi = np.full(len(test_X), -np.inf)

@@ -1,8 +1,10 @@
 """Polynomial-form reference versions of the dense kernels.
 
 These are the implementations that the library used before its dense
-generator-matrix kernels.  ``build_non_data_system``,
-``verify_fixed_point_residual``, ``loss_interval`` and
+generator-matrix kernels.  ``build_non_data_system`` and ``residual`` check
+the stages of the same names in ``stages`` (``residual`` is the residual a
+fit reports); the others check the library's functions of their names.
+``build_non_data_system``, ``residual``, ``loss_interval`` and
 ``predict_interval_uncertain`` expand every product into
 :class:`~zonoridge.forms.PolyForm` monomials (the algebra of
 ``form_algebra``) and sum coefficients per canonical monomial;
@@ -108,7 +110,7 @@ def build_non_data_system(
     return NonDataSystem(Q=Q, Cprime=cprime, c0=c0, beta=beta, n=n)
 
 
-def verify_fixed_point_residual(
+def residual(
     ad: AbstractDataset, weights: AbstractWeights, cfg: RidgeConfig
 ) -> ResidualReport:
     """Apply one symbolic gradient step and measure how far it moves.

@@ -11,8 +11,11 @@ own and compare the kernel's results with a fit built step by step:
     sys = build_non_data_system(ad, lam, w_R, G_D, A, A_inv)
     k = solve_non_data(sys, lam)
 
-``split`` is the split reference: the parts of an even split as datasets of
-their own, which ``fixed_point`` builds and solves in batches.
+``residual`` is the residual reference: the report of one gradient step,
+rebuilt from the dataset and the weights alone, which a fit that does not
+split carries in ``diag.residual``.  ``split`` is the split reference: the
+parts of an even split as datasets of their own, which ``fixed_point``
+builds and solves in batches.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from zonoridge.errors import ShapeMismatchError, SplitBudgetError
 from zonoridge.learning import (
     _RANK_DEFICIENT,
     TOLERANCE,
+    AbstractWeights,
     NonDataSystem,
+    ResidualReport,
     RidgeConfig,
     _at_cells,
     _data_rhs,
@@ -32,6 +37,7 @@ from zonoridge.learning import (
     _diameters,
     _first_failure,
     _margin,
+    _residual_report,
     _ridge,
     _system,
     _transform,
@@ -108,6 +114,13 @@ def build_non_data_system(
     return _system(Q, cprime[0], h[0], ad.n)
 
 
+def _stack_of_one(sys: NonDataSystem) -> NonDataSystem:
+    """A one-part system as the kernel's stack of one part."""
+    return NonDataSystem(
+        Q=sys.Q[None], Cprime=sys.Cprime[None], c0=sys.c0[None], beta=np.array([sys.beta]), n=sys.n
+    )
+
+
 def solve_non_data(sys: NonDataSystem, lam: float, tolerance: float = TOLERANCE) -> np.ndarray:
     """Solve the diameter system; requires ``lam >= beta`` up to tolerance.
 
@@ -118,10 +131,7 @@ def solve_non_data(sys: NonDataSystem, lam: float, tolerance: float = TOLERANCE)
     entries beyond a small clamp indicate numerical trouble and are
     rejected.
     """
-    stack = NonDataSystem(
-        Q=sys.Q[None], Cprime=sys.Cprime[None], c0=sys.c0[None], beta=np.array([sys.beta]), n=sys.n
-    )
-    k, checks, _ = _diameters(stack, lam, tolerance)
+    k, checks, _ = _diameters(_stack_of_one(sys), lam, tolerance)
     error = _first_failure(checks)
     if error is not None:
         raise error
@@ -132,6 +142,24 @@ def m_matrix_margin(sys: NonDataSystem, lam: float) -> float | np.ndarray:
     """Least diagonal dominance ``min_i (m_ii - sum_{j!=i} |m_ij|)``."""
     margin = _margin(sys.coefficient_matrix(lam))
     return margin if margin.ndim else float(margin)
+
+
+def residual(ad: AbstractDataset, weights: AbstractWeights, cfg: RidgeConfig) -> ResidualReport:
+    """The residual of one gradient step at ``cfg.lam``, rebuilt from ``ad`` and ``weights``.
+
+    Assembles the diameter system from the weights' own ``w_D`` and takes
+    the sums ``X_R'X_R`` and ``X_R'y_R`` and the data right-hand side from
+    ``ad``; ``learning._residual_report`` defines the step.  ``G_D`` has one
+    row per entry of ``ad.nonzero_cells()``, as a fit that did not split
+    gives; for such a fit's weights this is, bit for bit, ``diag.residual``.
+    """
+    sys = build_non_data_system(ad, cfg.lam, weights.w_R, weights.G_D, weights.A, weights.A_inv)
+    gram = ad.X_R.T @ ad.X_R
+    cells = ad.nonzero_cells()
+    rhs = _data_rhs(cells, *_at_cells(ad, cells), weights.w_R[None])[0]
+    reg = gram + cfg.lam * ad.n * np.eye(ad.d)
+    return _residual_report(weights, _stack_of_one(sys), sys.coefficient_matrix(cfg.lam), cfg.lam,
+                            gram, ad.X_R.T @ ad.y_R, reg, rhs)
 
 
 def split(ad: AbstractDataset, m: int, budget: int = 65536) -> list[AbstractDataset]:

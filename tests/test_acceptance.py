@@ -2,7 +2,7 @@
 
 Each test prints a single PASS line with its headline numbers; run with
 ``pytest tests/test_acceptance.py -v -s`` to see them.  Criteria 1-3 stash
-their fixed points so criterion 4 can re-verify every unsplit one.
+their fixed points so criterion 4 can bound the residual of every unsplit one.
 """
 
 import sys
@@ -25,10 +25,11 @@ from zonoridge.dataset import (
 from zonoridge.inference import certify_robustness, loss_interval, predict_interval
 from zonoridge.learning import (
     TOLERANCE,
+    AbstractWeights,
+    FixedPointDiagnostics,
     RidgeConfig,
     contains_world_weights,
     fixed_point,
-    verify_fixed_point_residual,
 )
 from zonoridge.oracles import (
     enumerate_worlds,
@@ -40,8 +41,8 @@ from zonoridge.oracles import (
 from zonoridge.symbols import SymbolKind, SymbolRegistry
 from zonoridge.cli import main as cli_main
 
-# Fixed points produced by criteria 1-3, re-verified by criterion 4.
-_FIXED_POINTS: list[tuple[AbstractDataset, object, RidgeConfig]] = []
+# Fixed points produced by criteria 1-3 with their diagnostics, checked by criterion 4.
+_FIXED_POINTS: list[tuple[AbstractWeights, FixedPointDiagnostics]] = []
 
 
 def _announce(num, text):
@@ -87,7 +88,7 @@ class TestCriterion1Soundness:
             cfg = RidgeConfig(lam=lam)
             weights, diag = fixed_point(ad, cfg)
             if diag.splits_used == 1:
-                _FIXED_POINTS.append((ad, weights, cfg))
+                _FIXED_POINTS.append((weights, diag))
             worlds = sample_worlds(ad, 500, seed=seed + 3000)
             n_syms = len(ad.data_symbols())
             if 2**n_syms <= 2**12:
@@ -113,7 +114,7 @@ class TestCriterion2LabelOnlyExactness:
             lam = 0.03 if seed % 2 else 0.0
             cfg = RidgeConfig(lam=lam)
             weights, diag = fixed_point(ad, cfg)
-            _FIXED_POINTS.append((ad, weights, cfg))
+            _FIXED_POINTS.append((weights, diag))
             assert np.all(weights.k == 0.0), "label-only uncertainty must not need a box"
             res = oracle_ranges(ad, lam, ds.X[:6], ds.y[:6], strategy="corner", budget=2**12)
             for i in range(6):
@@ -135,7 +136,7 @@ class TestCriterion3BaselineDominance:
             cfg = RidgeConfig(lam=lam)
             weights, diag = fixed_point(ad, cfg)
             if diag.splits_used == 1:
-                _FIXED_POINTS.append((ad, weights, cfg))
+                _FIXED_POINTS.append((weights, diag))
             zono.append(certify_robustness(test.X, weights, threshold_abs).ratio)
             intervals = np.column_stack([ad.y_R, ad.y_R])
             for sid in ad.label_symbols():
@@ -216,10 +217,10 @@ class TestCriterion4FixedPointResiduals:
                 cfg = RidgeConfig(lam=0.05)
                 weights, diag = fixed_point(ad, cfg)
                 if diag.splits_used == 1:
-                    _FIXED_POINTS.append((ad, weights, cfg))
+                    _FIXED_POINTS.append((weights, diag))
         checked = 0
-        for ad, weights, cfg in _FIXED_POINTS:
-            rep = verify_fixed_point_residual(ad, weights, cfg)
+        for weights, diag in _FIXED_POINTS:
+            rep = diag.residual
             assert rep.real_residual < 1e-9
             assert rep.data_residual < 1e-9
             assert rep.box_residual < 1e-8 * (1.0 + float(np.max(weights.k, initial=0.0)))

@@ -22,7 +22,7 @@ from zonoridge.cli import (
 )
 from zonoridge.dataset import UncertaintySpec, inject_uncertainty, load_csv, train_test_split
 from zonoridge.inference import LossInterval
-from zonoridge.learning import fixed_point, verify_fixed_point_residual
+from zonoridge.learning import fixed_point
 
 
 def write_regression_csv(path, n=40, d_feat=2, seed=0, noise=0.05):
@@ -90,7 +90,7 @@ class TestCertify:
         assert entry["ratio_3sigma"] == pytest.approx(3 * entry["ratio_std"])
 
     def test_residual_columns_are_the_verifier_of_each_fit(self, data_csv, tmp_path):
-        """Unsplit rows carry ``verify_fixed_point_residual`` of the task's fit, split rows NaN."""
+        """Unsplit rows carry the residual of the task's fit, split rows NaN."""
         args = ["certify", "--dataset", data_csv, "--label", "target", "--target", "features",
                 "--percentage", "0.1", "--radius", "0.5", "--lambda", "0.2",
                 "--seeds", "1,2", "--out-dir", str(tmp_path / "out")]
@@ -102,13 +102,13 @@ class TestCertify:
             seed = int(row["seed"])
             train, _ = train_test_split(data, cfg.split_ratio, cfg.split_seed + seed)
             ad = inject_uncertainty(train, UncertaintySpec("features", 0.1, 0.5, seed))
-            weights, diag = fixed_point(ad, cfg.ridge_config())
+            _, diag = fixed_point(ad, cfg.ridge_config())
             assert row["splits"] == str(diag.splits_used)
             got = [float(row[f"residual_{part}"]) for part in ("real", "data", "box")]
             if diag.splits_used > 1:
                 assert all(np.isnan(got))
                 continue
-            rep = verify_fixed_point_residual(ad, weights, cfg.ridge_config())
+            rep = diag.residual
             assert got == [rep.real_residual, rep.data_residual, rep.box_residual]
         assert [row["splits"] for row in rows] == ["256", "1"]
 
@@ -559,6 +559,14 @@ class TestInputRefusals:
                 "--split-budget", budget, "--out-dir", str(tmp_path / "out")]
         assert main(argv) == 2
         assert capsys.readouterr().err == "config error: split budget must be >= 1\n"
+
+    @pytest.mark.parametrize("ratio", ["0", "1.5", "nan"])
+    def test_split_ratio_outside_the_unit_interval_is_config_error(self, tmp_path, capsys, ratio):
+        # Checked with the config, before the dataset (here missing) is read.
+        argv = ["certify", "--dataset", str(tmp_path / "missing.csv"), "--label", "target",
+                "--split-ratio", ratio, "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: split ratio must be in (0, 1)\n"
 
     @pytest.mark.parametrize("changes, message", [
         ({"dataset_path": ""}, "dataset path is required (config [data] path or --dataset)"),

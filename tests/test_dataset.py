@@ -394,6 +394,14 @@ def _load(tmp_path, text, features=None):
     return load_csv(str(path), "y", features)
 
 
+def _non_finite(X_R=(1.0, 2.0), y_R=1.0, coef=(0.1, 0.2)):
+    """A one-row dataset with a feature cell and a label cell, one entry replaced."""
+    return AbstractDataset(
+        X_R=[X_R], y_R=[y_R], registry=SymbolRegistry(),
+        cells=Cells(symbols=[0, 1], rows=[0, 0], cols=[1, LABEL_COL], coef=coef),
+    )
+
+
 def _inject_into_missing():
     ds = _toy(4)
     ds.X[2, 1] = np.nan
@@ -427,9 +435,15 @@ def _inject_into_missing():
     (lambda tmp: train_test_split(_toy(10), 1.0, 0), DataError, "ratio must be in (0, 1)"),
     (lambda tmp: _inject_into_missing(), DataError,
      "inject_uncertainty requires fully observed data; use abstract_missing"),
+    *[(lambda tmp, bad=bad: _non_finite(**bad), DataError,
+       "X_R, y_R and the cell coefficients must be finite") for bad in (
+        {"X_R": (1.0, np.nan)}, {"X_R": (np.inf, 2.0)}, {"y_R": np.nan}, {"y_R": -np.inf},
+        {"coef": (np.nan, 0.2)}, {"coef": (np.inf, 0.2)}, {"coef": (0.1, np.nan)},
+        {"coef": (0.1, np.inf)})],
 ], ids=["X-1d", "row-counts", "no-rows", "column-names", "no-bias", "infinite-X", "infinite-y",
         "infinite-csv-cell", "unknown-target", "unknown-symbol", "empty-csv", "feature-not-in-header",
-        "field-count", "split-ratio", "inject-into-missing"])
+        "field-count", "split-ratio", "inject-into-missing", "nan-X_R", "inf-X_R", "nan-y_R",
+        "inf-y_R", "nan-feature-coef", "inf-feature-coef", "nan-label-coef", "inf-label-coef"])
 def test_refusals(tmp_path, refuse, error, message):
     with pytest.raises(error) as exc:
         refuse(tmp_path)

@@ -29,6 +29,7 @@ from stages import (
     build_non_data_system,
     build_transform,
     closed_form_symbolic_data,
+    residual,
     ridge_closed_form_real,
     solve_non_data,
 )
@@ -54,7 +55,6 @@ from zonoridge.learning import (
     NonDataSystem,
     RidgeConfig,
     fixed_point,
-    verify_fixed_point_residual,
 )
 from zonoridge.symbols import SymbolKind, SymbolRegistry
 
@@ -176,8 +176,8 @@ def test_split_parts_match_reference(kind, seed):
 def test_residual_report_matches_reference(kind, d, n, seed, transform):
     ad, cfg = make_problem(kind, d, n, seed, transform)
     weights = perturbed_weights(ad, cfg, seed)
-    dense = verify_fixed_point_residual(ad, weights, cfg)
-    reference = ref.verify_fixed_point_residual(ad, weights, cfg)
+    dense = residual(ad, weights, cfg)
+    reference = ref.residual(ad, weights, cfg)
     assert dense.eta == reference.eta
     assert dense.real_residual == reference.real_residual
     assert_close(dense.data_residual, reference.data_residual)
@@ -305,12 +305,12 @@ def test_chunk_size_does_not_change_results(monkeypatch):
     weights = perturbed_weights(ad, cfg, 11)
     default = (
         build_non_data_system(ad, cfg.lam, w_R, w_D, A, A_inv),
-        verify_fixed_point_residual(ad, weights, cfg),
+        residual(ad, weights, cfg),
     )
     monkeypatch.setattr(learning, "CHUNK_ELEMENTS", 1)
     chunked = (
         build_non_data_system(ad, cfg.lam, w_R, w_D, A, A_inv),
-        verify_fixed_point_residual(ad, weights, cfg),
+        residual(ad, weights, cfg),
     )
     for field in ("Q", "Cprime", "c0"):
         np.testing.assert_array_equal(getattr(chunked[0], field), getattr(default[0], field))
@@ -691,7 +691,7 @@ def test_unsplit_fit_is_the_one_part_chain(kind, transform):
         assert diag.beta == sys.beta
         assert diag.m_matrix_margin == stages.m_matrix_margin(sys, cfg.lam)
         chain = dataclasses.replace(weights, w_R=w_R, G_D=G_D, k=k, A=A, A_inv=A_inv)
-        assert diag.residual == verify_fixed_point_residual(ad, chain, cfg)
+        assert diag.residual == residual(ad, chain, cfg)
 
 
 @pytest.mark.parametrize(
@@ -760,7 +760,7 @@ def test_fit_residual_and_margin_are_those_of_the_assembled_system(target, d, n,
     cfg = RidgeConfig(lam=lam)
     weights, diag = fixed_point(ad, cfg)
     assert diag.splits_used == 1
-    assert diag.residual == verify_fixed_point_residual(ad, weights, cfg)
+    assert diag.residual == residual(ad, weights, cfg)
     sys = build_non_data_system(ad, cfg.lam, weights.w_R, weights.G_D, weights.A, weights.A_inv)
     assert bits(diag.m_matrix_margin) == bits(stages.m_matrix_margin(sys, cfg.lam))
 

@@ -443,8 +443,15 @@ def _point(registry, length):
     (lambda w: certify_robustness(np.ones((2, 4)), w, 0.5), ShapeMismatchError,
      "test points must have dimension 3"),
     (lambda w: loss_interval(np.ones((3, 3)), np.ones(2), w, 0.1), ShapeMismatchError,
-     "test X and y row counts differ"),
-], ids=["point-length", "point-registry", "certify-width", "loss-row-counts"])
+     "test y must be (3,), got (2,)"),
+    (lambda w: loss_interval(np.ones((3, 3)), np.ones((3, 1)), w, 0.1), ShapeMismatchError,
+     "test y must be (3,), got (3, 1)"),
+    (lambda w: loss_interval(np.ones((3, 3)), np.ones((3, 1)), w, 0.0), ShapeMismatchError,
+     "test y must be (3,), got (3, 1)"),
+    (lambda w: loss_interval(np.ones((3, 3)), 1.0, w, 0.1), ShapeMismatchError,
+     "test y must be (3,), got ()"),
+], ids=["point-length", "point-registry", "certify-width", "loss-row-counts", "loss-y-column",
+        "loss-y-column-lambda-0", "loss-y-scalar"])
 def test_refusals(refuse, error, message):
     _, weights, _ = trained(make_dataset(10, 2, seed=13), UncertaintySpec("labels", 0.2, 0.1, seed=14), 0.1)
     with pytest.raises(error) as exc:

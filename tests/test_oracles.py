@@ -15,7 +15,7 @@ from zonoridge.dataset import (
     abstract_missing,
     inject_uncertainty,
 )
-from zonoridge.errors import BudgetExceededError, DataError
+from zonoridge.errors import BudgetExceededError, DataError, ShapeMismatchError
 from zonoridge.oracles import (
     WorldAssignment,
     _train_worlds,
@@ -509,7 +509,16 @@ class TestOracleRangesMatchTheLoop:
     (lambda ad: interval_ridge_labels(np.column_stack([ad.X_R, ad.X_R[:, 1]]),
                                       ad.label_intervals(), 0.0),
      np.linalg.LinAlgError, "X'X is singular at lambda = 0; need full column rank"),
-], ids=["unknown-strategy", "interval-shape", "reversed-interval", "rank-deficient"])
+    (lambda ad: oracle_ranges(ad, 0.1, ad.X_R, ad.y_R[:, None]), ShapeMismatchError,
+     "test y must be (6,), got (6, 1)"),
+    (lambda ad: oracle_ranges(ad, 0.1, ad.X_R, ad.y_R[:5]), ShapeMismatchError,
+     "test y must be (6,), got (5,)"),
+    (lambda ad: oracle_ranges(ad, 0.1, ad.X_R[0], ad.y_R[:1]), ShapeMismatchError,
+     "test set must be (n, 2)"),
+    (lambda ad: oracle_ranges(ad, 0.1, ad.X_R[:, :1], ad.y_R), ShapeMismatchError,
+     "test set must be (n, 2)"),
+], ids=["unknown-strategy", "interval-shape", "reversed-interval", "rank-deficient",
+        "oracle-y-column", "oracle-row-counts", "oracle-X-1d", "oracle-X-width"])
 def test_refusals(refuse, error, message):
     ad = inject_uncertainty(make_dataset(6, 1, seed=8), UncertaintySpec("labels", 0.5, 0.2, seed=1))
     with pytest.raises(error) as exc:
