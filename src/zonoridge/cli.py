@@ -40,7 +40,7 @@ from .dataset import (
 )
 from .errors import BudgetExceededError, DataError, ZonoError
 from .inference import certify_robustness, loss_interval, parameter_intervals
-from .learning import RidgeConfig, contains_world_weights, fixed_point
+from .learning import RidgeConfig, _inside, contains_world_weights, fixed_point
 from .oracles import _train_worlds, concrete_loss, interval_ridge_labels, oracle_ranges
 
 EXIT_OK = 0
@@ -359,11 +359,8 @@ def cmd_certify(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
         }
         if cfg.target == "labels":
             baseline = interval_ridge_labels(train.X, ad.label_intervals(), lam)
-            robust = sum(
-                (lambda lh: lh[1] - lh[0] < threshold_abs)(baseline.predict_interval(x))
-                for x in test.X
-            )
-            row["baseline_ratio"] = robust / test.n
+            lo, hi = baseline.predict_interval(test.X)
+            row["baseline_ratio"] = np.count_nonzero(hi - lo < threshold_abs) / test.n
         return [row]
 
     rows = _run(cfg, data, task_rows, percentages=cfg.percentage_grid, radii=cfg.radius_grid)
@@ -404,7 +401,7 @@ def cmd_loss_range(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
             "gt_hi": gt.loss_hi,
             "sample_lo": sampled.loss_lo,
             "sample_hi": sampled.loss_hi,
-            "contained": int(li.lo <= gt.loss_lo + 1e-9 and gt.loss_hi <= li.hi + 1e-9),
+            "contained": int(_inside(np.array([gt.loss_lo, gt.loss_hi]), li.lo, li.hi).all()),
             "gap": (li.hi - li.lo) - (gt.loss_hi - gt.loss_lo),
         }]
 
@@ -454,8 +451,7 @@ def cmd_oracle_check(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
         seed, pct, rad, lam = task
         li = loss_interval(test.X, test.y, weights, lam)
         report = certify_robustness(test.X, weights, threshold_abs)
-        bounds = np.array([interval for interval, _ in report.per_point])
-        pred_lo, pred_hi = bounds[:, 0] - 1e-7, bounds[:, 1] + 1e-7
+        pred_lo, pred_hi = np.array([interval for interval, _ in report.per_point]).T
         worlds = [_train_worlds(ad, lam, "uniform", samples=cfg.oracle_samples, seed=seed)]
         try:
             worlds.append(_train_worlds(ad, lam, "corner", budget=cfg.oracle_budget))
@@ -468,9 +464,9 @@ def cmd_oracle_check(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
             for e, w_star in zip(values.tolist(), w_stars):
                 weight_fail += not contains_world_weights(weights, dict(zip(syms, e)), w_star)
             preds = (test.X @ w_stars[..., None])[..., 0]
-            pred_fail += int(np.sum(~((pred_lo <= preds) & (preds <= pred_hi)).all(axis=1)))
+            pred_fail += int(np.sum(~_inside(preds, pred_lo, pred_hi).all(axis=1)))
             loss = concrete_loss(test.X, test.y, w_stars, lam)
-            loss_fail += int(np.sum(~((li.lo - 1e-7 <= loss) & (loss <= li.hi + 1e-7))))
+            loss_fail += int(np.sum(~_inside(loss, li.lo, li.hi)))
         return [{
             "seed": seed,
             "percentage": pct,

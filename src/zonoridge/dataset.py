@@ -387,7 +387,6 @@ def domain_ranges(d: Dataset) -> DomainRange:
 def inject_uncertainty(
     d: Dataset,
     spec: UncertaintySpec,
-    registry: SymbolRegistry | None = None,
 ) -> AbstractDataset:
     """Attach symmetric interval uncertainty to a seeded choice of rows.
 
@@ -400,7 +399,7 @@ def inject_uncertainty(
     """
     if d.has_missing():
         raise DataError("inject_uncertainty requires fully observed data; use abstract_missing")
-    reg = registry or SymbolRegistry()
+    reg = SymbolRegistry()
     ranges = domain_ranges(d)
     rng = np.random.default_rng(spec.seed)
     n_unc = math.ceil(spec.percentage * d.n)
@@ -438,7 +437,6 @@ def inject_uncertainty(
 def abstract_missing(
     d: Dataset,
     ranges: Mapping[str, tuple[float, float]],
-    registry: SymbolRegistry | None = None,
 ) -> AbstractDataset:
     """Represent each missing cell as the declared interval for its column.
 
@@ -449,7 +447,7 @@ def abstract_missing(
     ``l <= u``.  The symbols run row by row, and within a row over the
     columns, label last.
     """
-    reg = registry or SymbolRegistry()
+    reg = SymbolRegistry()
     X = d.X.copy()
     y = d.y.copy()
     names = [*d.columns, d.label_name]  # column d stands for the label

@@ -212,10 +212,10 @@ def certify_robustness(
     )
 
 
-def _square_min(center: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """Least value of ``v**2`` over each interval ``center +- radius``."""
+def _nearest_zero(center: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """The point of each interval ``center +- radius`` nearest 0, where ``v**2`` is least."""
     lo, hi = center - radius, center + radius
-    return np.where((lo <= 0.0) & (hi >= 0.0), 0.0, np.minimum(lo * lo, hi * hi))
+    return np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0))
 
 
 def loss_interval(
@@ -261,11 +261,15 @@ def loss_interval(
     b = R.T @ (2.0 * c / n)
     Q = R.T @ (R / n)
     center = np.add.reduce(c * c / n)
-    structural_lo = np.add.reduce(_square_min(c, np.add.reduce(np.abs(R, out=R), axis=1)) / n)
+    # Each structural term is the center's term in the same form at a |v| no
+    # larger, so after rounding too it is no larger, and lo <= hi holds.
+    v = _nearest_zero(c, np.add.reduce(np.abs(R, out=R), axis=1))
+    structural_lo = np.add.reduce(v * v / n)
     if lam > 0.0:
         w_R = weights.w_R
         center += np.add.reduce(lam * w_R * w_R)
-        structural_lo += np.add.reduce(lam * _square_min(w_R, np.add.reduce(np.abs(W), axis=1)))
+        v = _nearest_zero(w_R, np.add.reduce(np.abs(W), axis=1))
+        structural_lo += np.add.reduce(lam * v * v)
         b += 2.0 * lam * (W.T @ w_R)
         Q += lam * (W.T @ W)
     np.abs(Q, out=Q)

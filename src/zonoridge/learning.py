@@ -805,3 +805,10 @@ def contains_world_weights(
     # k (1 + 1e-12) + tol where k > 0, else tol (fmax maps NaN to 0 too)
     bound = np.fmax(weights.k, 0.0) * (1.0 + 1e-12) + tol
     return bool(np.isfinite(r).all() and (np.abs(r) <= bound).all())
+
+
+def _inside(value, lo, hi):
+    """``lo <= value <= hi`` elementwise, up to the world checks' slack ``1e-7 (1 + |value|)``:
+    it scales, as ``contains_world_weights``' does, because a world rounds at its own scale."""
+    tol = 1e-7 * (1.0 + np.abs(value))
+    return (lo - tol <= value) & (value <= hi + tol)

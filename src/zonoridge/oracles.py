@@ -6,16 +6,15 @@ of the true possible-model set (weights are rational, not affine, in the
 symbols once features are uncertain, so corners need not be extremal); the
 abstract learner must cover everything they produce.
 
-The worlds are handled as arrays: the assignments of all worlds are drawn
-or enumerated at once, ``AbstractDataset.materialize_batch`` builds a block
-of worlds by indexing, and ``ridge_concrete`` and ``concrete_loss`` train
-and score a whole block with stacked products and one stacked solve.  Each
-world's data, weights and loss equal, bit for bit, those of building,
-training and scoring it alone.  Enumeration and training work in blocks
-that keep the largest temporary near ``learning.CHUNK_ELEMENTS``;
-``sample_worlds`` returns every world, so it builds them as one block.
-Nothing here calls the learner: the oracle stays an independent check of
-it.
+The worlds are handled as arrays: one generator, ``_assignments``, yields
+the assignment rows of every strategy in blocks that keep the largest
+temporary near ``learning.CHUNK_ELEMENTS``;
+``AbstractDataset.materialize_batch`` builds a block of worlds by
+indexing, and ``ridge_concrete`` and ``concrete_loss`` train and score a
+whole block with stacked products and one stacked solve.  Each world's
+data, weights and loss equal, bit for bit, those of building, training and
+scoring it alone.  Nothing here calls the learner: the oracle stays an
+independent check of it.
 
 The interval baseline supports label uncertainty only and deliberately
 propagates per-dimension weight intervals with interval arithmetic,
@@ -36,6 +35,17 @@ from .errors import BudgetExceededError, DataError, ShapeMismatchError
 Strategy = Literal["corner", "grid", "uniform"]
 
 
+def _gram(X: np.ndarray, lam: float) -> np.ndarray:
+    """``X'X + lam*n*I`` of ``X``, one matrix or a stack; at ``lam == 0`` a rank-deficient
+    matrix raises ``LinAlgError``, and a negative or non-finite ``lam`` ``ValueError``."""
+    learning._check_lam(lam)
+    n, d = X.shape[-2:]
+    gram = X.swapaxes(-1, -2) @ X + lam * n * np.eye(d)
+    if lam == 0.0 and np.any(np.linalg.cond(gram) > 1e13):
+        raise np.linalg.LinAlgError("X'X is singular at lambda = 0; need full column rank")
+    return gram
+
+
 def ridge_concrete(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Exact ridge solution ``(X'X + lam*n*I)^-1 X'y`` on concrete data.
 
@@ -44,15 +54,9 @@ def ridge_concrete(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     calls on each world.  For ``lam == 0`` every feature matrix must have
     full column rank.  A negative or non-finite ``lam`` raises ``ValueError``.
     """
-    learning._check_lam(lam)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, d = X.shape[-2:]
-    Xt = X.swapaxes(-1, -2)
-    gram = Xt @ X + lam * n * np.eye(d)
-    if lam == 0.0 and np.any(np.linalg.cond(gram) > 1e13):
-        raise np.linalg.LinAlgError("X'X is singular at lambda = 0; need full column rank")
-    return np.linalg.solve(gram, Xt @ y[..., None])[..., 0]
+    return np.linalg.solve(_gram(X, lam), X.swapaxes(-1, -2) @ y[..., None])[..., 0]
 
 
 def concrete_loss(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> float:
@@ -83,21 +87,24 @@ class WorldAssignment:
                 raise ValueError("assignments must lie in [-1, 1]")
 
 
-def _block(ad: AbstractDataset) -> int:
-    """Worlds built and trained together: a block's ``(W, n, d)`` stays near ``CHUNK_ELEMENTS``."""
-    return max(1, learning.CHUNK_ELEMENTS // max(1, ad.n * ad.d))
-
-
-def _grid_values(
-    ad: AbstractDataset, strategy: Strategy, levels: int, budget: int
+def _assignments(
+    ad: AbstractDataset, strategy: Strategy, levels: int, budget: int, samples: int, seed: int
 ) -> Iterator[np.ndarray]:
-    """Every corner (or grid point) of the cube, in blocks of assignment rows.
+    """Blocks of the assignment rows ``(W, S)`` over ``data_symbols()`` of a strategy's worlds.
 
-    Only symbols with a nonzero coefficient vary, in ``itertools.product``
-    order over the cell table; the others stay at 0, which gives the same
-    worlds.  Raises ``BudgetExceededError``, or ``ValueError`` for a grid
-    of fewer than 2 levels, at the call, before any block exists.
+    ``"uniform"`` draws ``samples`` seeded rows in one draw, the stream of one
+    scalar draw per symbol and world.  ``"corner"`` and ``"grid"`` (``levels``
+    points a symbol) enumerate the cube in ``itertools.product`` order over
+    the symbols with a nonzero coefficient; the others stay at 0, which gives
+    the same worlds.  A block's worlds ``(W, n, d)`` stay near
+    ``CHUNK_ELEMENTS``.  Every refusal (the budget, a grid of fewer than 2
+    levels, an unknown strategy) comes at the call, before any block exists.
     """
+    block = max(1, learning.CHUNK_ELEMENTS // max(1, ad.n * ad.d))
+    if strategy == "uniform":
+        shape = (max(samples, 0), len(ad.cells.symbols))
+        values = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+        return (values[start : start + block] for start in range(0, len(values), block))
     if strategy == "corner":
         points = np.array([-1.0, 1.0])
     elif strategy == "grid":
@@ -105,14 +112,13 @@ def _grid_values(
             raise ValueError(f"a grid needs at least 2 levels, got {levels}")
         points = np.linspace(-1.0, 1.0, levels)
     else:
-        raise ValueError(f"enumerate_worlds does not support strategy {strategy!r}")
+        raise ValueError(f"unknown world strategy {strategy!r}")
     active = np.flatnonzero(ad.cells.coef != 0.0)
     count = len(points) ** len(active)
     if count > budget:
         raise BudgetExceededError(f"{count} worlds exceed budget {budget}")
 
     def blocks() -> Iterator[np.ndarray]:
-        block = _block(ad)
         for start in range(0, count, block):
             index = np.arange(start, min(count, start + block))
             values = np.zeros((len(index), len(ad.cells.symbols)))
@@ -122,16 +128,6 @@ def _grid_values(
             yield values
 
     return blocks()
-
-
-def _sampled_values(ad: AbstractDataset, count: int, seed: int) -> np.ndarray:
-    """Seeded uniform assignments ``(count, S)``, none for ``count <= 0``.
-
-    One draw of the whole array gives the same stream as one scalar draw per
-    symbol and world, world by world.
-    """
-    shape = (max(count, 0), len(ad.cells.symbols))
-    return np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
 
 
 def _worlds(
@@ -157,15 +153,19 @@ def enumerate_worlds(
     Symbols with a zero coefficient are held at 0: they change no cell, so
     the budget counts only the others.  Worlds are built in blocks.
     """
-    for values in _grid_values(ad, strategy, levels, budget):
+    if strategy == "uniform":
+        raise ValueError(f"enumerate_worlds does not support strategy {strategy!r}")
+    for values in _assignments(ad, strategy, levels, budget, 0, 0):
         yield from _worlds(ad, values)
 
 
 def sample_worlds(
     ad: AbstractDataset, count: int, seed: int
 ) -> list[tuple[WorldAssignment, np.ndarray, np.ndarray]]:
-    """Seeded uniform samples from the uncertainty cube, built as one block."""
-    return _worlds(ad, _sampled_values(ad, count, seed))
+    """Seeded uniform samples from the uncertainty cube, built as one block: all are
+    returned, so blocks would save no memory, and one build is faster."""
+    blocks = _assignments(ad, "uniform", 0, 0, count, seed)
+    return _worlds(ad, np.concatenate([np.empty((0, len(ad.cells.symbols))), *blocks]))
 
 
 def _train_worlds(
@@ -183,14 +183,9 @@ def _train_worlds(
     or ``sample_worlds`` (``"uniform"``, ``samples`` of them), in the same
     order; ``values`` holds their assignments ``(W, S)`` over
     ``data_symbols()`` and ``weights`` the ``ridge_concrete`` solution
-    ``(W, d)`` of each.  Too many corners raise ``BudgetExceededError`` at
-    the call, before any world is built.
+    ``(W, d)`` of each.  Every refusal comes at the call.
     """
-    if strategy == "uniform":
-        values, step = _sampled_values(ad, samples, seed), _block(ad)
-        blocks = (values[start : start + step] for start in range(0, len(values), step))
-    else:
-        blocks = _grid_values(ad, strategy, levels, budget)
+    blocks = _assignments(ad, strategy, levels, budget, samples, seed)
     return ((values, ridge_concrete(*ad.materialize_batch(values), lam)) for values in blocks)
 
 
@@ -198,7 +193,7 @@ def _train_worlds(
 class WorldOracleResult:
     """Extremes observed over a set of concrete worlds (an under-approximation)."""
 
-    weights: list[np.ndarray]
+    weights: np.ndarray  # (n_worlds, d), one row per world
     weight_lo: np.ndarray
     weight_hi: np.ndarray
     pred_lo: np.ndarray
@@ -233,24 +228,24 @@ def oracle_ranges(
         raise ShapeMismatchError(f"test set must be (n, {ad.d})")
     if test_y.shape != test_X.shape[:1]:
         raise ShapeMismatchError(f"test y must be ({test_X.shape[0]},), got {test_y.shape}")
-    weights = []
+    blocks = []
     pred_lo = np.full(len(test_X), np.inf)
     pred_hi = np.full(len(test_X), -np.inf)
     loss_lo, loss_hi = np.inf, -np.inf
     for _, w in _train_worlds(ad, lam, strategy, levels, budget, samples, seed):
-        weights.extend(w)
+        blocks.append(w)
         preds = (test_X @ w[..., None])[..., 0]
         pred_lo = np.minimum(pred_lo, preds.min(axis=0))
         pred_hi = np.maximum(pred_hi, preds.max(axis=0))
         loss = concrete_loss(test_X, test_y, w, lam)
         loss_lo, loss_hi = min(loss_lo, float(loss.min())), max(loss_hi, float(loss.max()))
-    if not weights:
+    if not blocks:
         raise DataError("oracle saw no worlds")
-    stack = np.vstack(weights)
+    weights = np.concatenate(blocks)
     return WorldOracleResult(
         weights=weights,
-        weight_lo=stack.min(axis=0),
-        weight_hi=stack.max(axis=0),
+        weight_lo=weights.min(axis=0),
+        weight_hi=weights.max(axis=0),
         pred_lo=pred_lo,
         pred_hi=pred_hi,
         loss_lo=loss_lo,
@@ -266,16 +261,17 @@ class IntervalRidgeResult:
     weight_lo: np.ndarray
     weight_hi: np.ndarray
 
-    def predict_interval(self, x: np.ndarray) -> tuple[float, float]:
-        """Interval dot product of x with the weight intervals.
+    def predict_interval(self, x: np.ndarray) -> tuple:
+        """Interval dot product of x with the weight intervals: two floats for
+        one point, two arrays for a matrix of points by row.
 
         Cross-dimension correlation is deliberately discarded; the result
         contains the true prediction range but is generally loose.
         """
         x = np.asarray(x, dtype=float)
-        lo = np.where(x >= 0, x * self.weight_lo, x * self.weight_hi).sum()
-        hi = np.where(x >= 0, x * self.weight_hi, x * self.weight_lo).sum()
-        return float(lo), float(hi)
+        lo = np.where(x >= 0, x * self.weight_lo, x * self.weight_hi).sum(axis=-1)
+        hi = np.where(x >= 0, x * self.weight_hi, x * self.weight_lo).sum(axis=-1)
+        return (float(lo), float(hi)) if x.ndim == 1 else (lo, hi)
 
 
 def interval_ridge_labels(
@@ -288,17 +284,14 @@ def interval_ridge_labels(
     entries of ``(X'X + lam*n*I)^-1 X'``.  A negative or non-finite ``lam``
     raises ``ValueError``.
     """
-    learning._check_lam(lam)
     X = np.asarray(X, dtype=float)
     y_intervals = np.asarray(y_intervals, dtype=float)
-    n, d = X.shape
+    gram = _gram(X, lam)
+    n = X.shape[0]
     if y_intervals.shape != (n, 2):
         raise DataError(f"y_intervals must be (n, 2), got {y_intervals.shape}")
     if np.any(y_intervals[:, 0] > y_intervals[:, 1]):
         raise DataError("label intervals must satisfy lo <= hi")
-    gram = X.T @ X + lam * n * np.eye(d)
-    if lam == 0.0 and np.linalg.cond(gram) > 1e13:
-        raise np.linalg.LinAlgError("X'X is singular at lambda = 0; need full column rank")
     m = np.linalg.solve(gram, X.T)  # d x n
     lo = np.where(m >= 0, m * y_intervals[:, 0], m * y_intervals[:, 1]).sum(axis=1)
     hi = np.where(m >= 0, m * y_intervals[:, 1], m * y_intervals[:, 0]).sum(axis=1)

@@ -39,6 +39,15 @@ def write_regression_csv(path, n=40, d_feat=2, seed=0, noise=0.05):
     return str(path)
 
 
+def write_linear_csv(path, n, seed, scale=1.0):
+    """Two features on [-1, 2] and a label ``scale (1.5 + 0.7 f0 - 1.2 f1 + noise)``."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 2, (n, 2))
+    y = scale * (1.5 + X @ [0.7, -1.2] + 0.05 * rng.standard_normal(n))
+    np.savetxt(path, np.column_stack([X, y]), delimiter=",", header="f0,f1,target", comments="")
+    return str(path)
+
+
 @pytest.fixture
 def data_csv(tmp_path):
     return write_regression_csv(tmp_path / "reg.csv")
@@ -160,6 +169,16 @@ class TestLossRange:
         for row in report.rows:
             assert row["contained"] == 1
 
+    def test_certain_data_at_positive_lambda_exits_zero(self, tmp_path):
+        # The bounds of a zonotope with no width are one point, never crossed.
+        csv_path = write_linear_csv(tmp_path / "reg.csv", 40, seed=0)
+        out = tmp_path / "out"
+        args = ["loss-range", "--dataset", csv_path, "--label", "target",
+                "--percentage", "0", "--lambda", "0.3", "--out-dir", str(out)]
+        assert main(args) == 0
+        rows = list(csv.DictReader(open(out / "loss-range_results.csv")))
+        assert len(rows) == 5 and all(row["zono_lo"] == row["zono_hi"] for row in rows)
+
     def test_sampling_fallback_when_enumeration_over_budget(self, data_csv, tmp_path):
         cfg = base_config(
             data_csv, tmp_path / "out", percentage=0.3, oracle_budget=16,
@@ -169,6 +188,16 @@ class TestLossRange:
         assert all(r["gt_mode"] == "sampling_fallback" for r in report.rows)
         assert report.notes
         assert all(r["contained"] == 1 for r in report.rows)
+
+    def test_notes_printed(self, data_csv, tmp_path, capsys):
+        assert main(["loss-range", "--dataset", data_csv, "--label", "target", "--seeds", "1,2",
+                     "--percentage", "0.3", "--oracle-budget", "16", "--oracle-samples", "20",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note:")]
+        assert notes == [
+            f"note: seed={seed} radius=0.05: enumeration over budget, sampled instead"
+            for seed in (1, 2)
+        ]
 
 
 class TestLambdaSweep:
@@ -202,6 +231,12 @@ class TestOracleCheck:
             "--out-dir", str(tmp_path / "out"),
         ])
         assert rc == 0
+
+    def test_corners_over_budget_leave_the_sampled_worlds(self, data_csv, tmp_path):
+        cfg = base_config(data_csv, tmp_path / "out", percentage=0.3, oracle_budget=16)
+        report, ok = cmd_oracle_check(cfg)
+        assert ok
+        assert [r["worlds"] for r in report.rows] == [cfg.oracle_samples] * 2
 
     def test_zero_radius_completes_and_passes(self, data_csv, tmp_path):
         # Every data symbol has a zero coefficient: the corners are one world.
@@ -242,6 +277,28 @@ class TestSoundnessFailures:
         rows = list(csv.DictReader(open(tmp_path / "out" / "loss-range_results.csv")))
         assert [row["contained"] for row in rows] == ["0", "0"]
         assert capsys.readouterr().err == "loss-range: containment violated\n"
+
+
+class TestLargeLabelScale:
+    """Labels near 1e8: a sound bound and a world may differ by a few ulps of 1e8."""
+
+    @pytest.fixture
+    def big_csv(self, tmp_path):
+        return write_linear_csv(tmp_path / "big.csv", 60, seed=1, scale=1e5)
+
+    def args(self, command, big_csv, tmp_path):
+        return [command, "--dataset", big_csv, "--label", "target", "--seeds", "1,2,3,4,5",
+                "--lambda", "0.02", "--oracle-samples", "100", "--out-dir", str(tmp_path / "out")]
+
+    def test_oracle_check_passes(self, big_csv, tmp_path, capsys):
+        assert main(self.args("oracle-check", big_csv, tmp_path)) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("oracle-check: PASS")
+
+    def test_loss_range_contains_every_world(self, big_csv, tmp_path):
+        assert main(self.args("loss-range", big_csv, tmp_path)) == 0
+        rows = list(csv.DictReader(open(tmp_path / "out" / "loss-range_results.csv")))
+        assert [row["contained"] for row in rows] == ["1"] * 5
+        assert float(rows[0]["zono_hi"]) > 1e8
 
 
 class TestStandardize:

@@ -73,6 +73,10 @@ class TestLoadCsv:
         ds = load_csv(csv_file("a,b,target\n1,?,3\n,5,6\n"), "target")
         assert np.isnan(ds.X[0, 2]) and np.isnan(ds.X[1, 1])
 
+    def test_blank_rows_skipped(self, csv_file):
+        ds = load_csv(csv_file("a,target\n1,2\n\n , \n3,4\n"), "target")
+        np.testing.assert_array_equal(ds.y, [2.0, 4.0])
+
     def test_row_order_preserved_and_feature_subset(self, csv_file):
         path = csv_file("a,b,target\n10,1,0\n20,2,0\n30,3,0\n")
         ds = load_csv(path, "target", feature_columns=["b"])
@@ -140,6 +144,15 @@ class TestDomainRanges:
     def test_bias_excluded(self):
         dr = domain_ranges(_toy(5))
         assert "bias" not in dr.feature_ranges
+
+    def test_all_missing_column_has_zero_range(self):
+        ds = Dataset(
+            X=np.array([[1.0, np.nan, 4.0], [1.0, np.nan, 6.0]]),
+            y=np.array([0.0, 10.0]),
+            columns=["bias", "a", "b"],
+        )
+        dr = domain_ranges(ds)
+        assert dr.feature_ranges == {"a": (0.0, 0.0), "b": (4.0, 6.0)}
 
 
 class TestInjectUncertainty:

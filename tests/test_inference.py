@@ -244,6 +244,20 @@ class TestLossInterval:
         assert li.lo == pytest.approx(point, rel=1e-9)
         assert li.hi == pytest.approx(point, rel=1e-9)
 
+    @pytest.mark.parametrize("lam", [0.01, 0.1, 0.3, 1.0])
+    def test_no_width_is_one_point(self, lam):
+        # With no uncertain cell the structural lower end and the center are
+        # the same sums.  When the lam term of one was rounded in another
+        # form, seeds 4 and 5 put the lower end an ulp above the upper one.
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            X = np.column_stack([np.ones(40), rng.standard_normal((40, 3))])
+            y = X @ rng.standard_normal(4) + 0.1 * rng.standard_normal(40)
+            ds = Dataset(X=X, y=y, columns=["bias", "a", "b", "c"])
+            _, weights, _ = trained(ds, UncertaintySpec("labels", 0.0, 0.1, seed=seed), lam)
+            li = loss_interval(X[:10], y[:10], weights, lam)
+            assert li.lo == li.hi
+
     @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
     def test_ridge_rejects_invalid_lam(self, lam):
         ds = make_dataset(10, 2, seed=15)

@@ -166,6 +166,12 @@ class TestOracleRanges:
         np.testing.assert_allclose(res.weight_lo, res.weight_hi)
         assert res.loss_lo == res.loss_hi
 
+    def test_weights_one_row_per_world(self):
+        ds = make_dataset(12, 2, seed=11)
+        ad = inject_uncertainty(ds, UncertaintySpec("labels", 0.25, 0.3, seed=9))
+        res = oracle_ranges(ad, 0.02, ds.X[:5], ds.y[:5])
+        assert res.weights.shape == (res.n_worlds, ad.d) == (2 ** len(ad.split_symbols()), 3)
+
     def test_label_only_prediction_extremes_at_corners(self):
         ds = make_dataset(12, 2, seed=11)
         ad = inject_uncertainty(ds, UncertaintySpec("labels", 0.25, 0.3, seed=9))
@@ -177,6 +183,18 @@ class TestOracleRanges:
 
 
 class TestIntervalRidgeLabels:
+    def test_a_matrix_gives_each_row(self):
+        ds = make_dataset(14, 2, seed=12)
+        ad = inject_uncertainty(ds, UncertaintySpec("labels", 0.3, 0.4, seed=11))
+        res = interval_ridge_labels(ds.X, ad.label_intervals(), 0.1)
+        X = np.vstack([ds.X, -ds.X])
+        lo, hi = res.predict_interval(X)
+        assert lo.shape == hi.shape == (len(X),)
+        for i, x in enumerate(X):
+            one = res.predict_interval(x)
+            assert all(type(v) is float for v in one)
+            assert one == (lo[i], hi[i])
+
     def test_degenerate_matches_concrete(self):
         ds = make_dataset(14, 2, seed=12)
         lam = 0.1
@@ -502,6 +520,8 @@ class TestOracleRangesMatchTheLoop:
 @pytest.mark.parametrize("refuse, error, message", [
     (lambda ad: list(enumerate_worlds(ad, "uniform")), ValueError,
      "enumerate_worlds does not support strategy 'uniform'"),
+    (lambda ad: oracle_ranges(ad, 0.1, ad.X_R, ad.y_R, strategy="bogus"), ValueError,
+     "unknown world strategy 'bogus'"),
     (lambda ad: interval_ridge_labels(ad.X_R, ad.label_intervals()[:, :1], 0.1), DataError,
      "y_intervals must be (n, 2), got (6, 1)"),
     (lambda ad: interval_ridge_labels(ad.X_R, ad.label_intervals()[:, ::-1], 0.1), DataError,
@@ -517,7 +537,7 @@ class TestOracleRangesMatchTheLoop:
      "test set must be (n, 2)"),
     (lambda ad: oracle_ranges(ad, 0.1, ad.X_R[:, :1], ad.y_R), ShapeMismatchError,
      "test set must be (n, 2)"),
-], ids=["unknown-strategy", "interval-shape", "reversed-interval", "rank-deficient",
+], ids=["unknown-strategy", "oracle-unknown-strategy", "interval-shape", "reversed-interval", "rank-deficient",
         "oracle-y-column", "oracle-row-counts", "oracle-X-1d", "oracle-X-width"])
 def test_refusals(refuse, error, message):
     ad = inject_uncertainty(make_dataset(6, 1, seed=8), UncertaintySpec("labels", 0.5, 0.2, seed=1))
