@@ -60,9 +60,10 @@ Everything here works on arrays, not on polynomial forms.  Each data symbol
 lives in exactly one cell (a row, a column or the label, and a coefficient),
 so the coefficient of every monomial in ``c'`` and ``h`` is a small product
 of rows of ``X_R``, ``A``, ``A^-1`` and the ``w_D`` generators, and only
-monomials whose symbols all share one row can collect more than one term
-(see ``_diameter_terms``).  The weight zonotope is the generator matrix
-``[G_D' | A^-1 diag(k)]`` around ``w_R``.
+monomials whose symbols all share one row can collect more than one term.
+A same-row feature pair's cubic terms are built once per column pair, and
+its triples across rows are prefix and suffix sums (see ``_diameter_terms``).
+The weight zonotope is the generator matrix ``[G_D' | A^-1 diag(k)]`` around ``w_R``.
 """
 
 from __future__ import annotations
@@ -276,17 +277,6 @@ def _data_rhs(cells: Cells, x: np.ndarray, y: np.ndarray, w_R: np.ndarray) -> np
     return rhs.swapaxes(1, 2)
 
 
-def _matches(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs ``(i, j)`` with ``a[i] == b[j]``, by ``j``, then ``i``."""
-    order = a.argsort(kind="stable")
-    first = a[order].searchsorted(b, side="left")
-    counts = a[order].searchsorted(b, side="right") - first
-    ends = counts.cumsum()
-    j = np.arange(len(b)).repeat(counts)
-    pos = np.arange(ends[-1] if len(ends) else 0) - (ends - counts - first).repeat(counts)
-    return order[pos], j
-
-
 def _abs_row_sums(parts: int, count: int, inner: int, d: int, block) -> np.ndarray:
     """Per-row sums of ``|block(lo, hi)|`` over its inner axis, in chunks: ``(count, d, parts)``.
 
@@ -334,15 +324,27 @@ def _diameter_terms(
     Every monomial has a feature symbol, so without one both are zero.
     A monomial is reached from more than one source only when all its
     symbols lie in one row, so only same-row triples are merged before
-    taking absolute values; every other product is its own monomial and is
-    abs-summed in chunks of ``CHUNK_ELEMENTS``.
+    taking absolute values; every other product is its own monomial.
+
+    ``N_st`` depends on its pair only through ``fp = a_s a_t`` (halved for
+    ``s = t``) and its column pair ``(c1, c2)``: ``A N_st g_u = fp T[c1 c2, u]``
+    with ``T[c1 c2, u] = A e_c1 g_u[c2] + A e_c2 g_u[c1]``, and ``A N_st A^-1``
+    likewise.  ``T`` is built once per column pair that occurs (at most
+    d(d+1)/2) over a table of each touched row's symbols; a pair's triples
+    across rows add ``|fp|`` times the prefix plus the suffix sum of the row
+    sums of ``|T|`` that skips its own row (nothing is subtracted), and its
+    same-row triples take ``fp T``.
+    Degree 3 costs O(S d^3 + pairs d) per part, not O(pairs S d).  The
+    degree-2 block and ``T`` are built in blocks of whole rows of about
+    ``CHUNK_ELEMENTS`` elements, so the chunk size does not change a sum.
 
     The part axis is the last axis of every broadcast and sum, so numpy's
     inner loops run over the P parts, not over the d (3 on a typical split)
     coefficients of a row.  The products with ``x`` are taken part-first,
     one matrix per part, then transposed; so each part's terms equal, bit
     for bit, its own one-part call's (but for d = 1, where numpy sums 8 or
-    more terms of one part pairwise and those of a stack in order).
+    more terms of one part pairwise and those of a stack in order; the
+    prefix and suffix sums are always in order).
     """
     P, d = w_R.shape
     feat = cells.cols != LABEL_COL
@@ -351,49 +353,65 @@ def _diameter_terms(
         return np.zeros((P, d, d)), np.zeros((P, d))
     order = (~feat).argsort(kind="stable")  # features first
     rows, cols, coef = cells.rows[order], cells.cols[order], cells.coef[order]
-    fr, fc, fa = rows[:nf], cols[:nf], coef[:nf]
-    # Same-row (feature s, symbol t) with s <= t, by t: the feature pairs
-    # (t < nf), then the feature/label pairs.
-    i, j = _matches(fr, rows)
-    ex_s, ex_t = i[i <= j], j[i <= j]
-    npairs = ex_t.searchsorted(nf)
-    ps, pt = ex_s[:npairs], ex_t[:npairs]
-    fl, fb = ex_s[npairs:], coef[ex_t[npairs:]]
+    fc, fa = cols[:nf], coef[:nf]
+    # Each touched row's symbols in order (so its features first), padded with ns.
+    by_row = rows.argsort(kind="stable")
+    sr = rows[by_row]
+    start = sr.searchsorted(sr)  # where the symbol's row starts in by_row
+    place = np.arange(ns) - start
+    at = (place == 0).nonzero()[0].searchsorted(start)
+    table = np.full((int(at[-1]) + 1, int(place.max()) + 1), ns)
+    table[at, place] = by_row
+    isf, filled, nr = table < nf, table < ns, len(table)
+    # Same-row (feature s, symbol t), s <= t, by row: feature pairs, then feature/label pairs.
+    label, r, i, j = (np.array([isf, filled > isf])[:, :, None] & isf[:, :, None]
+                      & (table[:, :, None] <= table[:, None])).nonzero()
+    s, t, npairs = table[r, i], table[r, j], label.searchsorted(1)
+    ps, pt, prow = s[:npairs], t[:npairs], r[:npairs]
+    fl, lt = s[npairs:], t[npairs:]
     # N_st = fp (E_{c_s c_t} + E_{c_t c_s}); halving fp for s = t gives N_ss = a_s^2 E_cc.
     fp = fa[ps] * fa[pt] * np.where(ps == pt, 0.5, 1.0)
-    prow = fr[ps]
-    # Pair q times a symbol u of its row, by sorted triple: each run of equal
-    # keys is one monomial, and ``rank`` is the place of a source in its run.
-    u, q = _matches(rows, prow)
-    keys = np.array([ns * ns, ns, 1]) @ np.sort(np.array([ps[q], pt[q], u]), axis=0)
+    # The column pair (c1, c2), c1 <= c2, of each pair, numbered among those that occur.
+    cs, ct = fc[ps], fc[pt]
+    pair_col = np.minimum(cs, ct) * d + np.maximum(cs, ct)
+    occurs = np.zeros(d * d, dtype=bool)
+    occurs[pair_col] = True
+    flat = occurs.nonzero()[0]
+    c1, c2, cp = flat // d, flat % d, flat.searchsorted(pair_col)
+    # Pair q times a symbol of its row (table row tq, place w), by row; in the
+    # ``srt`` order each run of equal sorted triples, from ``runs`` on, is one monomial.
+    q, w = filled[prow].nonzero()
+    tq = prow[q]
+    qs, qt, u = ps[q], pt[q], table[tq, w]  # qs <= qt: the triple sorts to (min, median, max)
+    keys = (np.minimum(qs, u) * ns + np.minimum(np.maximum(u, qs), qt)) * ns + np.maximum(qt, u)
     srt = keys.argsort(kind="stable")
-    u, q, keys = u[srt], q[srt], keys[srt]
-    first = np.concatenate([[True], keys[1:] != keys[:-1]])
-    run = first.cumsum() - 1
-    rank = np.arange(len(keys)) - np.flatnonzero(first)[run]
+    keys = keys[srt]
+    runs = (keys != np.concatenate([[-1], keys[:-1]])).nonzero()[0]
 
     G, x = G[:, order], x[:, order[:nf]]
     # A x_r, x_r' A^-1, x_r . g_t, A e_c, e_c' A^-1, g_t[c], part last (a view if P = 1)
     A_t, G_t = A.swapaxes(1, 2), G.swapaxes(1, 2)
     Ax, xAi, xG, Ac, Ai, Gc = (np.ascontiguousarray(a.transpose(1, 2, 0))
                                for a in (x @ A_t, x @ A_inv, x @ G_t, A_t, A_inv, G_t))
+    A1, A2, I1, I2 = Ac[c1], Ac[c2], Ai[c1], Ai[c2]
     Ac, Ai = Ac[fc], Ai[fc]
 
-    cprime = 0.0  # sum |a (A x_r e_c' A^-1 + A e_c x_r' A^-1)|, then the same-row pairs
-    for k, a, b, c, e in ((fa, Ax, Ai, Ac, xAi), (fp, Ac[ps], Ai[pt], Ac[pt], Ai[ps])):
+    cprime = 0.0  # sum |a (A x_r e_c' A^-1 + A e_c x_r' A^-1)|, then sum |fp| per column pair
+    for k, a, b, c, e in ((fa, Ax, Ai, Ac, xAi), (np.bincount(cp, np.abs(fp)), A1, I2, A2, I1)):
         t = a[:, :, None] * b[:, None]
         t += c[:, :, None] * e[:, None]
         t *= k[:, None, None, None]
         cprime = cprime + np.abs(t, out=t).sum(axis=0)
 
     # Degree 2: row s of a block holds the monomials e_s e_t with s < t
-    # among features, s = t, and every label t.
+    # among features, s = t, and every label t.  The same-row terms are
+    # multiples of A e_c too: N_st w_R = fp (w_R[c_t] A e_{c_s} + w_R[c_s]
+    # A e_{c_t}) and -a_s b_t A e_{c_s}, so they join the factors of aZ.
     aY = fa[:, None, None] * Gc[fc]  # a_s g_t[c_s]
-    aZ = fa[:, None, None] * xG  # a_s (x_r . g_t)
-    ex_v = np.concatenate([
-        fp[:, None, None] * (Ac[ps] * w_R.T[fc[pt], None] + Ac[pt] * w_R.T[fc[ps], None]),
-        -(fa[fl] * fb)[:, None, None] * Ac[fl],
-    ])
+    aZ = fa[:, None, None] * xG  # a_s (x_r . g_t), entry (t, s) for M_t g_s
+    aZ[ps, pt] += fp[:, None] * w_R.T[ct]
+    aZ[pt, ps] += fp[:, None] * w_R.T[cs]  # a second term when s = t
+    aZ[fl, lt] -= (fa[fl] * coef[lt])[:, None]
     findex = np.arange(nf)
     own = (np.arange(ns) >= findex[:, None])[..., None]  # t >= s, so every label t
     later = (findex > findex[:, None])[..., None]  # t > s among features
@@ -405,29 +423,30 @@ def _diameter_terms(
         back = (aY[:, b].swapaxes(0, 1) * later[b])[:, :, None] * Ax  # M_t g_s
         back += (aZ[:, b].swapaxes(0, 1) * later[b])[:, :, None] * Ac
         out[:, :nf] += back
-        sel = (ex_s >= lo) & (ex_s < hi)
-        out[ex_s[sel] - lo, ex_t[sel]] += ex_v[sel]
-        return out
-
-    # Degree 3 across rows: pair q times a symbol outside the pair's row.
-    v_s, v_t = fp[:, None, None] * Ac[ps], fp[:, None, None] * Ac[pt]
-
-    def triples(lo: int, hi: int) -> np.ndarray:
-        b = slice(lo, hi)
-        other = (rows != prow[b, None])[..., None]
-        out = (Gc[fc[pt[b]]] * other)[:, :, None] * v_s[b, None]
-        out += (Gc[fc[ps[b]]] * other)[:, :, None] * v_t[b, None]
         return out
 
     h = _abs_row_sums(P, nf, ns, d, pairs).sum(axis=0)
-    h += _abs_row_sums(P, len(ps), ns, d, triples).sum(axis=0)
 
-    # Degree 3 within a row: merge the sources of each sorted triple.
-    vals = Gc[fc[pt[q]], u][:, None] * v_s[q] + Gc[fc[ps[q]], u][:, None] * v_t[q]
-    merged = np.zeros((run[-1] + 1, d, P))
-    for r in range(rank.max() + 1):  # at most 3 sources each, added in pair order
-        merged[run[rank == r]] += vals[rank == r]
-    h += np.abs(merged).sum(axis=0)
+    # Degree 3: A N_st g_u = fp T[cp, u], T[cp, u] = A e_c1 g_u[c2] + A e_c2 g_u[c1], in whole
+    # table rows: its same-row values are kept, its sums of |T| per row go into ``rsum``.
+    Gz = np.zeros((d, ns + 1, 1, P))  # g_u[c], and a zero generator for the padding
+    Gz[:, :ns, 0] = Gc
+    vals, rsum = np.empty((len(q), d, P)), np.zeros((len(c1), nr + 2, d, P))
+    step = max(1, CHUNK_ELEMENTS // (len(c1) * table.shape[1] * d * P))
+    for lo in range(0, nr, step):
+        hi = min(nr, lo + step)
+        T = A1[:, None, None] * Gz[c2[:, None, None], table[lo:hi]]
+        T += A2[:, None, None] * Gz[c1[:, None, None], table[lo:hi]]
+        a, b = tq.searchsorted([lo, hi])
+        vals[a:b] = T[cp[q[a:b]], tq[a:b] - lo, w[a:b]]
+        rsum[:, lo + 1 : hi + 1] = np.abs(T, out=T).sum(axis=2)
+    # Across rows each (pair, u) is its own monomial: |fp| times the row sums
+    # before the pair's row plus those after it.
+    outside = rsum.cumsum(axis=1)[:, :nr] + rsum[:, ::-1].cumsum(axis=1)[:, nr - 1 :: -1]
+    h += (np.abs(fp)[:, None, None] * outside[cp, prow]).sum(axis=0)
+    # Within a row the (at most 3) sources of a monomial are merged first.
+    vals *= fp[q, None, None]
+    h += np.abs(np.add.reduceat(vals[srt], runs)).sum(axis=0)
     return np.ascontiguousarray(cprime.transpose(2, 0, 1)), np.ascontiguousarray(h.T)
 
 
@@ -620,14 +639,15 @@ def _part_block(pos: np.ndarray, touched: int, d: int) -> int:
 
     ``pos`` is the index of each cell's row among the ``touched`` rows that
     hold a split cell.  The largest per-part temporaries are the ``(terms,
-    d, d)`` products of ``c'`` (one per feature cell and same-row pair), the
-    same-row triples of ``h``, one row of the degree-2 block and the touched
-    rows.
+    d, d)`` products of ``c'`` (one per feature cell and column pair), the
+    same-row triples of ``h``, the degree-2 factors, and the row sums of
+    the degree-3 block with one table row of it (see ``_diameter_terms``).
     """
     per_row = np.bincount(pos).astype(np.int64)
     S = len(pos)
     pairs, triples = int(per_row @ per_row), int(per_row @ per_row**2)
-    largest = d * max(d * (S + pairs), triples, S * S, touched)
+    ncp = min(pairs, d * (d + 1) // 2)  # column pairs
+    largest = d * max(d * (S + ncp), triples, S * S, ncp * (touched + 2 + int(per_row.max())))
     return max(1, CHUNK_ELEMENTS // max(1, largest))
 
 

@@ -462,23 +462,23 @@ def box_join(parts: Sequence[ZVector]) -> ZVector:
 
 
 def x_symbolic(ad: AbstractDataset) -> ZMatrix:
-    """X_S as a zero-centered matrix of affine forms."""
+    """X_S as a zero-centered matrix of affine forms; the symbols of one cell add up."""
     n, d = ad.X_R.shape
     rows = [[PolyForm(ad.registry, 0.0) for _ in range(d)] for _ in range(n)]
     for sid, r, c, coef in zip(*(a.tolist() for a in ad.cells)):
         if c == LABEL_COL:
             continue
-        rows[r][c] = PolyForm(ad.registry, 0.0, {(sid,): coef})
+        rows[r][c] = rows[r][c] + PolyForm(ad.registry, 0.0, {(sid,): coef})
     return ZMatrix(ad.registry, rows)
 
 
 def y_symbolic(ad: AbstractDataset) -> ZVector:
-    """y_S as a zero-centered vector of affine forms."""
+    """y_S as a zero-centered vector of affine forms; the symbols of one cell add up."""
     entries = [PolyForm(ad.registry, 0.0) for _ in range(ad.n)]
     for sid, r, c, coef in zip(*(a.tolist() for a in ad.cells)):
         if c != LABEL_COL:
             continue
-        entries[r] = PolyForm(ad.registry, 0.0, {(sid,): coef})
+        entries[r] = entries[r] + PolyForm(ad.registry, 0.0, {(sid,): coef})
     return ZVector(ad.registry, entries)
 
 

@@ -331,10 +331,28 @@ LABEL_CELLS = Cells(
     symbols=np.arange(3), rows=np.array([4, 1, 4]), cols=np.full(3, LABEL_COL),
     coef=np.array([0.5, -0.2, 1.5]),
 )
+# Row 2 holds every cell: three feature cells, two of them in column 1, and a
+# label, so no triple crosses rows and every sum over other rows is 0.
+ONE_ROW_CELLS = Cells(
+    symbols=np.arange(4), rows=np.full(4, 2), cols=np.array([1, 0, 1, LABEL_COL]),
+    coef=np.array([0.8, 1.2, -0.5, 0.6]),
+)
+# Rows 0 and 3 hold three and four feature cells over several column pairs
+# (two of row 3's in one cell) and a label each, next to the lone feature
+# cells of rows 1 and 4 and the lone label of row 6.
+CROWDED_CELLS = Cells(
+    symbols=np.arange(12),
+    rows=np.array([0, 0, 1, 0, 0, 3, 3, 3, 3, 4, 6, 3]),
+    cols=np.array([0, 1, 2, 2, LABEL_COL, 2, 0, 1, 1, 0, LABEL_COL, LABEL_COL]),
+    coef=np.array([0.7, -1.3, 0.4, 0.9, 2.1, -0.6, 0.3, 1.1, -0.8, 0.5, -1.7, 1.4]),
+)
 
 
 @pytest.mark.parametrize("chunk", [learning.CHUNK_ELEMENTS, 1])
-@pytest.mark.parametrize("cells", [MIXED_CELLS, LABEL_CELLS], ids=["mixed", "labels"])
+@pytest.mark.parametrize(
+    "cells", [MIXED_CELLS, LABEL_CELLS, ONE_ROW_CELLS, CROWDED_CELLS],
+    ids=["mixed", "labels", "one-row", "crowded"],
+)
 def test_stacked_diameter_terms_equal_one_part_calls(cells, chunk, monkeypatch):
     """Each part of one batched call is, bit for bit, its own one-part call."""
     monkeypatch.setattr(learning, "CHUNK_ELEMENTS", chunk)
@@ -347,11 +365,33 @@ def test_stacked_diameter_terms_equal_one_part_calls(cells, chunk, monkeypatch):
     cprime, h = learning._diameter_terms(cells, *args)
     assert cprime.shape == (parts, d, d) and h.shape == (parts, d)
     assert cprime.flags.c_contiguous and h.flags.c_contiguous
-    assert np.any(h) == (cells is MIXED_CELLS)
+    assert np.any(h) == (cells is not LABEL_CELLS)
     for p in range(parts):
         one = learning._diameter_terms(cells, *(a[p : p + 1] for a in args))
         assert bits(cprime[p : p + 1]) == bits(one[0])
         assert bits(h[p : p + 1]) == bits(one[1])
+
+
+@pytest.mark.parametrize("chunk", [learning.CHUNK_ELEMENTS, 1])
+@pytest.mark.parametrize("transform", ["svd", "identity", "custom"])
+@pytest.mark.parametrize(
+    "cells", [MIXED_CELLS, ONE_ROW_CELLS, CROWDED_CELLS], ids=["mixed", "one-row", "crowded"]
+)
+def test_crowded_rows_match_reference(cells, transform, chunk, monkeypatch):
+    """Rows of several feature cells, one cell of two symbols: c' and h as the reference's."""
+    monkeypatch.setattr(learning, "CHUNK_ELEMENTS", chunk)
+    rng = np.random.default_rng(9)
+    n, d = 8, 3
+    reg = SymbolRegistry()
+    symbols = reg.new_symbols(len(cells.symbols), SymbolKind.DATA)
+    if transform == "custom":
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        transform = q @ np.diag(rng.uniform(0.5, 2.0, d))
+    ad = AbstractDataset(
+        X_R=rng.uniform(-2.0, 2.0, (n, d)), y_R=rng.uniform(-2.0, 2.0, n), registry=reg,
+        cells=cells._replace(symbols=np.array(symbols)), columns=[f"f{j}" for j in range(d)],
+    )
+    check_system(ad, RidgeConfig(lam=0.5, transform=transform))
 
 
 def test_import_does_not_load_scipy():
