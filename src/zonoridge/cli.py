@@ -457,12 +457,11 @@ def cmd_oracle_check(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
             worlds.append(_train_worlds(ad, lam, "corner", budget=cfg.oracle_budget))
         except BudgetExceededError:
             pass  # more corners than the budget: the sampled worlds alone
-        syms = ad.data_symbols()
         count = weight_fail = pred_fail = loss_fail = 0
         for values, w_stars in chain(*worlds):
             count += len(w_stars)
-            for e, w_star in zip(values.tolist(), w_stars):
-                weight_fail += not contains_world_weights(weights, dict(zip(syms, e)), w_star)
+            for e, w_star in zip(values, w_stars):
+                weight_fail += not contains_world_weights(weights, e, w_star)
             preds = (test.X @ w_stars[..., None])[..., 0]
             pred_fail += int(np.sum(~_inside(preds, pred_lo, pred_hi).all(axis=1)))
             loss = concrete_loss(test.X, test.y, w_stars, lam)

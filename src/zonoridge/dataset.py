@@ -5,8 +5,9 @@ An uncertain training set is decomposed as ``X = X_R + X_S`` and
 uncertain cell owns exactly one data symbol with a zero constant part.  The
 concretization of the decomposition ranges over exactly the declared
 per-cell intervals.  The symbolic parts are stored as one table of cells
-(:class:`Cells`), and its entry order is the symbol axis of every
-per-symbol array in the package.
+(:class:`Cells`): data symbol j is entry j, so the table's entry order is
+the symbol axis of every per-symbol array in the package, and a world is
+a row of S values.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, EmptyDataError
+from .errors import DataError, EmptyDataError, ShapeMismatchError
 from .symbols import SymbolKind, SymbolRegistry
 
 BIAS_COLUMN = "bias"
@@ -115,16 +116,15 @@ class UncertaintySpec:
 
 
 class Cells(NamedTuple):
-    """The cell table: one entry per data symbol, in ascending id order.
+    """The cell table: entry j is data symbol j.
 
-    Entry j says that data symbol ``symbols[j]`` moves the cell in row
-    ``rows[j]`` and column ``cols[j]`` (``LABEL_COL`` for the label) by
-    ``coef[j]`` times its value.  Column j of a world assignment (see
-    ``AbstractDataset.materialize_batch``) is entry j, and the learner's
-    kernels take the entries with a nonzero coefficient, in the same order.
+    Data symbol j moves the cell in row ``rows[j]`` and column ``cols[j]``
+    (``LABEL_COL`` for the label) by ``coef[j]`` times its value.  Column
+    j of a world (see ``AbstractDataset.materialize_batch``) is entry j,
+    and the learner's kernels take the entries with a nonzero coefficient,
+    in the same order.
     """
 
-    symbols: np.ndarray  # (S,) symbol ids, ascending
     rows: np.ndarray  # (S,)
     cols: np.ndarray  # (S,) feature column, or LABEL_COL
     coef: np.ndarray  # (S,)
@@ -153,15 +153,16 @@ class Cells(NamedTuple):
 
 @dataclass
 class AbstractDataset:
-    """Decomposed uncertain training set over a shared symbol registry.
+    """Decomposed uncertain training set; data symbol j is entry j of ``cells``.
 
     ``cells`` is the cell table: ``X_S`` and ``y_S`` are zero but at its
-    entries, where they are ``coef * e`` for the entry's symbol ``e``.  The
-    constructor takes any sequences and stores arrays; the symbols must be
-    strictly ascending, and every center and coefficient finite: a missing
-    cell, NaN in a ``Dataset``, is a cell table entry here.  ``provenance``
-    and the ``*_symbols`` lists are views of the table for callers that work
-    with symbol ids.
+    entries, where entry j is ``coef[j] * e_j``.  The constructor takes any
+    sequences and stores arrays; every center and coefficient must be
+    finite (a missing cell, NaN in a ``Dataset``, is a cell table entry
+    here), and the registry must already have handed out the S ids of the
+    table, so that the symbols a caller takes from it later for a test
+    point are new.  ``provenance`` and the ``*_symbols`` lists are views of
+    the table by position.
     """
 
     X_R: np.ndarray
@@ -174,22 +175,24 @@ class AbstractDataset:
     def __post_init__(self):
         self.X_R = np.asarray(self.X_R, dtype=float)
         self.y_R = np.asarray(self.y_R, dtype=float)
-        symbols, rows, cols, coef = self.cells
+        rows, cols, coef = self.cells
         self.cells = Cells(
-            np.asarray(symbols, dtype=np.int64).reshape(-1),
             np.asarray(rows, dtype=np.intp).reshape(-1),
             np.asarray(cols, dtype=np.intp).reshape(-1),
             np.asarray(coef, dtype=float).reshape(-1),
         )
         if self.X_R.ndim != 2 or self.y_R.shape != self.X_R.shape[:1]:
             raise DataError("X_R must be 2-d, with one label in y_R per row")
-        if len({a.shape for a in self.cells}) != 1 or np.any(np.diff(self.cells.symbols) <= 0):
-            raise DataError("the cell table needs one entry per symbol, in ascending id order")
+        if len({a.shape for a in self.cells}) != 1:
+            raise DataError("the cell table needs one row, column and coefficient per entry")
         rows, cols = self.cells.rows, self.cells.cols
         if np.any((rows < 0) | (rows >= self.n) | (cols >= self.d) | ((cols < 0) & (cols != LABEL_COL))):
             raise DataError("every cell table entry needs a row of X_R and a column of it or the label")
         if not all(np.isfinite(a).all() for a in (self.X_R, self.y_R, self.cells.coef)):
             raise DataError("X_R, y_R and the cell coefficients must be finite")
+        if len(self.registry) < len(rows):
+            raise DataError(f"the registry has handed out {len(self.registry)} ids, "
+                            f"fewer than the {len(rows)} data symbols of the cell table")
 
     @property
     def n(self) -> int:
@@ -203,16 +206,13 @@ class AbstractDataset:
     def provenance(self) -> Mapping[int, tuple[int, int]]:
         """Read-only ``symbol -> (row, col)`` view of the table, built once."""
         cells = zip(self.cells.rows.tolist(), self.cells.cols.tolist())
-        return MappingProxyType(dict(zip(self.cells.symbols.tolist(), cells)))
+        return MappingProxyType(dict(enumerate(cells)))
 
     def data_symbols(self) -> list[int]:
-        return self.cells.symbols.tolist()
-
-    def feature_symbols(self) -> list[int]:
-        return self.cells.symbols[self.cells.cols != LABEL_COL].tolist()
+        return list(range(len(self.cells.coef)))
 
     def label_symbols(self) -> list[int]:
-        return self.cells.symbols[self.cells.cols == LABEL_COL].tolist()
+        return np.flatnonzero(self.cells.cols == LABEL_COL).tolist()
 
     def nonzero_cells(self) -> Cells:
         """The entries with a nonzero coefficient: the symbols that move a cell."""
@@ -220,13 +220,12 @@ class AbstractDataset:
 
     def split_symbols(self) -> list[int]:
         """Data symbols worth splitting: those with a nonzero coefficient."""
-        return self.nonzero_cells().symbols.tolist()
+        return np.flatnonzero(self.cells.coef != 0.0).tolist()
 
     def cell_interval(self, sid: int) -> tuple[float, float]:
-        j = int(np.searchsorted(self.cells.symbols, sid))
-        if j == len(self.cells.symbols) or self.cells.symbols[j] != sid:
+        if not 0 <= sid < len(self.cells.coef):
             raise KeyError(sid)
-        r, c, coef = self.cells.rows[j], self.cells.cols[j], abs(self.cells.coef[j])
+        r, c, coef = self.cells.rows[sid], self.cells.cols[sid], abs(self.cells.coef[sid])
         center = self.y_R[r] if c == LABEL_COL else self.X_R[r, c]
         return (center - coef, center + coef)
 
@@ -242,20 +241,18 @@ class AbstractDataset:
         intervals[labels.rows] = np.column_stack([center - radius, center + radius])
         return intervals
 
-    def materialize(self, assignment: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
-        """One possible world: plug a symbol assignment into the decomposition."""
-        values = np.array([[assignment[s] for s in self.data_symbols()]], dtype=float)
-        X, y = self.materialize_batch(values)
-        return X[0], y[0]
-
     def materialize_batch(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Possible worlds ``(W, n, d)`` and ``(W, n)``, one per row of ``values``.
 
-        ``values`` is ``(W, S)``: column j holds the values of the table's
-        entry j.  Every cell of world w gains ``coef[j] * values[w, j]``;
-        cells shared by several symbols add them in table order.
+        ``values`` is ``(W, S)``: column j holds the values of data symbol
+        j.  Every cell of world w gains ``coef[j] * values[w, j]``; cells
+        shared by several symbols add them in table order.  Any other shape
+        raises ``ShapeMismatchError``.
         """
-        delta = self.cells.coef * np.asarray(values, dtype=float)
+        values, S = np.asarray(values, dtype=float), len(self.cells.coef)
+        if values.ndim != 2 or values.shape[1] != S:
+            raise ShapeMismatchError(f"worlds must be (W, {S}), got {values.shape}")
+        delta = self.cells.coef * values
         return self.cells.move(self.X_R, self.y_R, delta)
 
 
@@ -399,7 +396,6 @@ def inject_uncertainty(
     """
     if d.has_missing():
         raise DataError("inject_uncertainty requires fully observed data; use abstract_missing")
-    reg = SymbolRegistry()
     ranges = domain_ranges(d)
     rng = np.random.default_rng(spec.seed)
     n_unc = math.ceil(spec.percentage * d.n)
@@ -419,19 +415,11 @@ def inject_uncertainty(
         cols.append(LABEL_COL)
         coef.append(spec.radius * ranges.label_width() / 2.0)
     cells = Cells(
-        symbols=reg.new_symbols(len(rows) * len(cols), SymbolKind.DATA),
         rows=np.repeat(rows, len(cols)),
         cols=np.tile(np.array(cols, dtype=np.intp), len(rows)),
         coef=np.tile(np.array(coef, dtype=float), len(rows)),
     )
-    return AbstractDataset(
-        X_R=d.X.copy(),
-        y_R=d.y.copy(),
-        registry=reg,
-        cells=cells,
-        columns=list(d.columns),
-        label_name=d.label_name,
-    )
+    return _abstraction(d, d.X.copy(), d.y.copy(), cells)
 
 
 def abstract_missing(
@@ -447,7 +435,6 @@ def abstract_missing(
     ``l <= u``.  The symbols run row by row, and within a row over the
     columns, label last.
     """
-    reg = SymbolRegistry()
     X = d.X.copy()
     y = d.y.copy()
     names = [*d.columns, d.label_name]  # column d stands for the label
@@ -464,17 +451,13 @@ def abstract_missing(
     f = cols < d.d
     X[rows[f], cols[f]] = center[f]
     y[rows[~f]] = center[~f]
-    cells = Cells(
-        symbols=reg.new_symbols(len(rows), SymbolKind.DATA),
-        rows=rows,
-        cols=np.where(f, cols, LABEL_COL),
-        coef=coef,
-    )
-    return AbstractDataset(
-        X_R=X,
-        y_R=y,
-        registry=reg,
-        cells=cells,
-        columns=list(d.columns),
-        label_name=d.label_name,
-    )
+    return _abstraction(d, X, y, Cells(rows=rows, cols=np.where(f, cols, LABEL_COL), coef=coef))
+
+
+def _abstraction(d: Dataset, X: np.ndarray, y: np.ndarray, cells: Cells) -> AbstractDataset:
+    """The abstraction of ``d`` with centers ``X``, ``y`` and cell table ``cells``, over
+    a new registry that has handed out the table's data symbols ``0..S-1``."""
+    reg = SymbolRegistry()
+    reg.new_symbols(len(cells.coef), SymbolKind.DATA)
+    return AbstractDataset(X_R=X, y_R=y, registry=reg, cells=cells, columns=list(d.columns),
+                           label_name=d.label_name)

@@ -69,7 +69,6 @@ The weight zonotope is the generator matrix ``[G_D' | A^-1 diag(k)]`` around ``w
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Mapping
 from functools import cached_property
 from typing import NamedTuple
 
@@ -125,11 +124,11 @@ class AbstractWeights:
     """Weight zonotope ``w_R + G_D' e + A^-1 diag(k) eps'``.
 
     ``G_D`` ``(S, d)`` is the data part: row j is the generator of data
-    symbol ``data_ids[j]``.  A fit has one row per entry of the dataset's
-    cell table with a nonzero coefficient, in table order, and none after
-    the box join of a split.  The box part ``A^-1 diag(k) eps'`` has no
-    symbol ids: its d symbols are the weights' own and appear in no dataset
-    or test point.
+    symbol ``data_ids[j]``, the position of its entry in the dataset's cell
+    table.  A fit has one row per entry with a nonzero coefficient, in
+    table order, and none after the box join of a split.  The box part
+    ``A^-1 diag(k) eps'`` has no symbol ids: its d symbols are the weights'
+    own and appear in no dataset or test point.
 
     The generator matrix is built on first use and kept; the column of each
     data symbol id is indexed only when an uncertain test point first asks
@@ -154,10 +153,10 @@ class AbstractWeights:
     def dim(self) -> int:
         return self.w_R.shape[0]
 
-    def w_D(self, assignment: Mapping[int, float]) -> np.ndarray:
-        """Evaluate the data-symbol part at a concrete assignment: ``e @ G_D``."""
-        ids = self.data_ids.tolist()
-        return np.fromiter(map(assignment.__getitem__, ids), float, len(ids)) @ self.G_D
+    def w_D(self, values: np.ndarray) -> np.ndarray:
+        """The data-symbol part at a world, a row of one value per cell table entry:
+        ``values[data_ids] @ G_D``."""
+        return np.asarray(values, dtype=float)[self.data_ids] @ self.G_D
 
     @cached_property
     def _generators(self) -> np.ndarray:
@@ -670,7 +669,7 @@ def _split_fit(
     G_D, data_ids, k, A, A_inv)`` of the smallest box holding every part's
     interval hull, the part betas and the least M-matrix margin.
     """
-    s, d = len(cells.symbols), ad.d
+    s, d = len(cells.coef), ad.d
     touched, pos = np.unique(cells.rows, return_inverse=True)
     X_U, y_U = np.delete(ad.X_R, touched, axis=0), np.delete(ad.y_R, touched)
     gram_U, xty_U = X_U.T @ X_U, X_U.T @ y_U
@@ -731,12 +730,13 @@ def fixed_point(
     The join drops the data-symbol correlation: the joined weights have no
     data part, and ``splits_used > 1`` tells them apart.
     """
-    cells = ad.nonzero_cells()
+    data_ids = np.flatnonzero(ad.cells.coef != 0.0)
+    cells = ad.cells.select(data_ids)
     gram, xty = ad.X_R.T @ ad.X_R, ad.X_R.T @ ad.y_R
     one = _fit_stack(gram[None], xty[None], cells, *_at_cells(ad, cells), ad.n, cfg)
     if not one.infeasible:
         # G_D in C order: a view can round later products differently.
-        fit = (one.w_R[0], np.ascontiguousarray(one.G[0]), cells.symbols, one.k[0], one.A[0],
+        fit = (one.w_R[0], np.ascontiguousarray(one.G[0]), data_ids, one.k[0], one.A[0],
                one.A_inv[0])
         part_betas, margin = None, float(_margin(one.m)[0])
     else:
@@ -805,23 +805,24 @@ def _residual_report(
 
 def contains_world_weights(
     weights: AbstractWeights,
-    e_data: Mapping[int, float],
+    values: np.ndarray,
     w_star: np.ndarray,
     tol: float | None = None,
 ) -> bool:
     """Membership of one world's trained weights in the joint concretization.
 
-    Checks ``A (w* - w_R - w_D(e))`` against the box diameters: dimensions
-    with a positive diameter allow the full box plus tolerance, degenerate
-    dimensions must match to tolerance.  Valid for the structured fixed
-    point shape (unsplit, or the box produced by a join).  A ``w*`` with a
-    NaN or infinite entry is never inside: its ``r`` has one too, as ``A``
-    is invertible.
+    ``values`` is the world: one value per cell table entry, as a row of
+    the oracles' worlds.  Checks ``A (w* - w_R - w_D(values))`` against the
+    box diameters: dimensions with a positive diameter allow the full box
+    plus tolerance, degenerate dimensions must match to tolerance.  Valid
+    for the structured fixed point shape (unsplit, or the box produced by a
+    join).  A ``w*`` with a NaN or infinite entry is never inside: its ``r``
+    has one too, as ``A`` is invertible.
     """
     w_star = np.asarray(w_star, dtype=float)
     if tol is None:
         tol = 1e-7 * (1.0 + float(np.abs(w_star).max()))
-    r = weights.A @ (w_star - weights.w_R - weights.w_D(e_data))
+    r = weights.A @ (w_star - weights.w_R - weights.w_D(values))
     # k (1 + 1e-12) + tol where k > 0, else tol (fmax maps NaN to 0 too)
     bound = np.fmax(weights.k, 0.0) * (1.0 + 1e-12) + tol
     return bool(np.isfinite(r).all() and (np.abs(r) <= bound).all())

@@ -6,9 +6,10 @@ of the true possible-model set (weights are rational, not affine, in the
 symbols once features are uncertain, so corners need not be extremal); the
 abstract learner must cover everything they produce.
 
-The worlds are handled as arrays: one generator, ``_assignments``, yields
-the assignment rows of every strategy in blocks that keep the largest
-temporary near ``learning.CHUNK_ELEMENTS``;
+The worlds are handled as arrays: a world is a row of S values, value j
+for data symbol j, the entry j of the cell table.  One generator,
+``_assignments``, yields the rows of every strategy in blocks that keep
+the largest temporary near ``learning.CHUNK_ELEMENTS``;
 ``AbstractDataset.materialize_batch`` builds a block of worlds by
 indexing, and ``ridge_concrete`` and ``concrete_loss`` train and score a
 whole block with stacked products and one stacked solve.  Each world's
@@ -65,9 +66,13 @@ def concrete_loss(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> fl
     ``w`` may be a stack ``(W, d)`` of weights; the result is then an array
     of W losses, each equal to the call on its row.  The products are
     matrix products with one column, which give the same bits as ``@`` on
-    one vector.  A negative or non-finite ``lam`` raises ``ValueError``.
+    one vector.  A negative or non-finite ``lam`` raises ``ValueError``, and
+    an ``X`` that is not a nonempty 2-d array ``ShapeMismatchError``.
     """
     learning._check_lam(lam)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ShapeMismatchError("test set must be a nonempty 2-d array")
     w = np.asarray(w, dtype=float)[..., None]
     resid = X @ w - np.asarray(y, dtype=float)[:, None]
     loss = (resid.swapaxes(-1, -2) @ resid)[..., 0, 0][()] / X.shape[0]
@@ -75,34 +80,36 @@ def concrete_loss(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> fl
     return float(loss) if w.ndim == 2 else loss
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorldAssignment:
-    """One point of the symbol cube: value in [-1, 1] per data symbol."""
+    """One point of the symbol cube: ``values[j]`` in [-1, 1] is the value of data symbol j."""
 
-    values: dict[int, float]
+    values: np.ndarray
 
     def __post_init__(self):
-        for v in self.values.values():
-            if not -1.0 <= v <= 1.0:
-                raise ValueError("assignments must lie in [-1, 1]")
+        if not (np.abs(self.values) <= 1.0).all():  # NaN fails too
+            raise ValueError("assignments must lie in [-1, 1]")
 
 
 def _assignments(
     ad: AbstractDataset, strategy: Strategy, levels: int, budget: int, samples: int, seed: int
 ) -> Iterator[np.ndarray]:
-    """Blocks of the assignment rows ``(W, S)`` over ``data_symbols()`` of a strategy's worlds.
+    """Blocks of the world rows ``(W, S)`` of a strategy, one value per cell table entry.
 
     ``"uniform"`` draws ``samples`` seeded rows in one draw, the stream of one
     scalar draw per symbol and world.  ``"corner"`` and ``"grid"`` (``levels``
     points a symbol) enumerate the cube in ``itertools.product`` order over
     the symbols with a nonzero coefficient; the others stay at 0, which gives
     the same worlds.  A block's worlds ``(W, n, d)`` stay near
-    ``CHUNK_ELEMENTS``.  Every refusal (the budget, a grid of fewer than 2
-    levels, an unknown strategy) comes at the call, before any block exists.
+    ``CHUNK_ELEMENTS``.  Every refusal (a negative sample count, the budget,
+    a grid of fewer than 2 levels, an unknown strategy) comes at the call,
+    before any block exists.
     """
     block = max(1, learning.CHUNK_ELEMENTS // max(1, ad.n * ad.d))
     if strategy == "uniform":
-        shape = (max(samples, 0), len(ad.cells.symbols))
+        if samples < 0:
+            raise ValueError(f"cannot sample {samples} worlds")
+        shape = (samples, len(ad.cells.coef))
         values = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
         return (values[start : start + block] for start in range(0, len(values), block))
     if strategy == "corner":
@@ -121,7 +128,7 @@ def _assignments(
     def blocks() -> Iterator[np.ndarray]:
         for start in range(0, count, block):
             index = np.arange(start, min(count, start + block))
-            values = np.zeros((len(index), len(ad.cells.symbols)))
+            values = np.zeros((len(index), len(ad.cells.coef)))
             for j in active[::-1]:  # the last symbol varies fastest
                 index, digit = np.divmod(index, len(points))
                 values[:, j] = points[digit]
@@ -134,12 +141,8 @@ def _worlds(
     ad: AbstractDataset, values: np.ndarray
 ) -> list[tuple[WorldAssignment, np.ndarray, np.ndarray]]:
     """``(assignment, X, y)`` of every row of ``values``, built as one block."""
-    syms = ad.data_symbols()
     X, y = ad.materialize_batch(values)
-    return [
-        (WorldAssignment(dict(zip(syms, row))), Xw, yw)
-        for row, Xw, yw in zip(values.tolist(), X, y)
-    ]
+    return [(WorldAssignment(row), Xw, yw) for row, Xw, yw in zip(values, X, y)]
 
 
 def enumerate_worlds(
@@ -163,9 +166,10 @@ def sample_worlds(
     ad: AbstractDataset, count: int, seed: int
 ) -> list[tuple[WorldAssignment, np.ndarray, np.ndarray]]:
     """Seeded uniform samples from the uncertainty cube, built as one block: all are
-    returned, so blocks would save no memory, and one build is faster."""
+    returned, so blocks would save no memory, and one build is faster.  A
+    negative ``count`` raises ``ValueError``."""
     blocks = _assignments(ad, "uniform", 0, 0, count, seed)
-    return _worlds(ad, np.concatenate([np.empty((0, len(ad.cells.symbols))), *blocks]))
+    return _worlds(ad, np.concatenate([np.empty((0, len(ad.cells.coef))), *blocks]))
 
 
 def _train_worlds(
@@ -181,9 +185,9 @@ def _train_worlds(
 
     The worlds are those of ``enumerate_worlds`` (``"corner"``, ``"grid"``)
     or ``sample_worlds`` (``"uniform"``, ``samples`` of them), in the same
-    order; ``values`` holds their assignments ``(W, S)`` over
-    ``data_symbols()`` and ``weights`` the ``ridge_concrete`` solution
-    ``(W, d)`` of each.  Every refusal comes at the call.
+    order; ``values`` holds their rows ``(W, S)`` and ``weights`` the
+    ``ridge_concrete`` solution ``(W, d)`` of each.  Every refusal comes at
+    the call.
     """
     blocks = _assignments(ad, strategy, levels, budget, samples, seed)
     return ((values, ridge_concrete(*ad.materialize_batch(values), lam)) for values in blocks)
@@ -219,13 +223,15 @@ def oracle_ranges(
     The loss is ``concrete_loss`` at ``lam``, the lambda the worlds train
     with: at ``lam = 0`` it is the mean squared error.  A negative or
     non-finite ``lam`` raises ``ValueError`` from ``ridge_concrete``; a
-    ``test_X`` that is not 2-d with ``ad.d`` columns, or a ``test_y`` that is
-    not one label per row, ``ShapeMismatchError``.
+    ``test_X`` that is not 2-d with ``ad.d`` columns and at least one row,
+    or a ``test_y`` that is not one label per row, ``ShapeMismatchError``.
     """
     test_X = np.asarray(test_X, dtype=float)
     test_y = np.asarray(test_y, dtype=float)
     if test_X.ndim != 2 or test_X.shape[1] != ad.d:
         raise ShapeMismatchError(f"test set must be (n, {ad.d})")
+    if test_X.shape[0] == 0:
+        raise ShapeMismatchError("test set must be a nonempty 2-d array")
     if test_y.shape != test_X.shape[:1]:
         raise ShapeMismatchError(f"test y must be ({test_X.shape[0]},), got {test_y.shape}")
     blocks = []

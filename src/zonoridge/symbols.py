@@ -7,9 +7,11 @@ registry stays the same size however many symbols it has handed out.  A
 caller names the kind of symbol it asks for, which the registry does not
 record:
 
-* ``DATA`` symbols are created while abstracting an uncertain dataset and tie
-  model weights back to the dataset cells they came from; a caller also
-  takes new ones for the independent uncertainty of a test point.
+* ``DATA`` symbols stand for uncertain values.  Data symbol j of a dataset
+  is entry j of its cell table, so the abstraction takes ids ``0..S-1``
+  only to move the registry past them; the registry's job is to keep the
+  ids that a caller takes later for an uncertain test point new.  A point
+  that names a dataset id shares that cell's uncertainty.
 * ``FRESH`` symbols stand for a quantity that is tied to no dataset cell,
   such as a linearized monomial.  The library takes none: a fit leaves the
   registry as it found it, and the box part of a weight zonotope is the

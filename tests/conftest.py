@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from form_algebra import PolyForm
-from zonoridge.dataset import Cells
+from zonoridge.dataset import LABEL_COL, Cells
 from zonoridge.symbols import SymbolKind, SymbolRegistry
 
 
@@ -12,18 +12,26 @@ def registry():
 
 
 def cell_table(provenance: dict, coefficients: dict) -> Cells:
-    """The cell table of ``symbol -> (row, col)`` and ``symbol -> coefficient``, in key order."""
+    """The cell table of ``symbol -> (row, col)`` and ``symbol -> coefficient``, in key order:
+    the keys must be the symbols ``0..S-1``, as a new registry hands them out."""
+    assert list(provenance) == list(range(len(provenance)))
     return Cells(
-        symbols=list(provenance),
         rows=[r for r, _ in provenance.values()],
         cols=[c for _, c in provenance.values()],
         coef=[coefficients.get(s, 0.0) for s in provenance],
     )
 
 
-def cell_index(ad, sid: int) -> int:
-    """The entry of symbol ``sid`` in the cell table of ``ad``."""
-    return ad.data_symbols().index(sid)
+def feature_symbols(ad) -> list[int]:
+    """The data symbols of the feature cells of ``ad``: their entries in its cell table."""
+    return np.flatnonzero(ad.cells.cols != LABEL_COL).tolist()
+
+
+def registry_with(count: int) -> SymbolRegistry:
+    """A new registry that has handed out the data symbols ``0..count-1``."""
+    reg = SymbolRegistry()
+    reg.new_symbols(count, SymbolKind.DATA)
+    return reg
 
 
 def make_symbols(reg: SymbolRegistry, n: int, kind=SymbolKind.DATA) -> list[int]:

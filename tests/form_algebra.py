@@ -465,7 +465,7 @@ def x_symbolic(ad: AbstractDataset) -> ZMatrix:
     """X_S as a zero-centered matrix of affine forms; the symbols of one cell add up."""
     n, d = ad.X_R.shape
     rows = [[PolyForm(ad.registry, 0.0) for _ in range(d)] for _ in range(n)]
-    for sid, r, c, coef in zip(*(a.tolist() for a in ad.cells)):
+    for sid, (r, c, coef) in enumerate(zip(*(a.tolist() for a in ad.cells))):
         if c == LABEL_COL:
             continue
         rows[r][c] = rows[r][c] + PolyForm(ad.registry, 0.0, {(sid,): coef})
@@ -475,7 +475,7 @@ def x_symbolic(ad: AbstractDataset) -> ZMatrix:
 def y_symbolic(ad: AbstractDataset) -> ZVector:
     """y_S as a zero-centered vector of affine forms; the symbols of one cell add up."""
     entries = [PolyForm(ad.registry, 0.0) for _ in range(ad.n)]
-    for sid, r, c, coef in zip(*(a.tolist() for a in ad.cells)):
+    for sid, (r, c, coef) in enumerate(zip(*(a.tolist() for a in ad.cells))):
         if c != LABEL_COL:
             continue
         entries[r] = entries[r] + PolyForm(ad.registry, 0.0, {(sid,): coef})

@@ -94,7 +94,7 @@ def build_non_data_system(
         [[projected[i, j].coeff_abs_sum() for j in range(d)] for i in range(d)]
     )
 
-    w_d_vec = _w_d_zvector(ad, ad.nonzero_cells().symbols, G_D, d)
+    w_d_vec = _w_d_zvector(ad, np.flatnonzero(ad.cells.coef), G_D, d)
     w_r_vec = ZVector.from_real(ad.registry, w_R)
     const_part = (
         mat_vec(cross, w_d_vec)
@@ -311,7 +311,7 @@ def split_join(
         k = solve_non_data(part_sys, cfg.lam, TOLERANCE)
         results.append(
             AbstractWeights(
-                w_R=w_R, G_D=w_D, data_ids=part.nonzero_cells().symbols, k=k, A=A, A_inv=A_inv,
+                w_R=w_R, G_D=w_D, data_ids=np.flatnonzero(part.cells.coef), k=k, A=A, A_inv=A_inv,
                 registry=part.registry,
             )
         )

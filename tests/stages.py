@@ -106,8 +106,8 @@ def build_non_data_system(
     entry of ``ad.nonzero_cells()``, as ``closed_form_symbolic_data`` gives.
     """
     cells = ad.nonzero_cells()
-    if G_D.shape != (len(cells.symbols), ad.d):
-        raise ShapeMismatchError(f"G_D must be {(len(cells.symbols), ad.d)}, got {G_D.shape}")
+    if G_D.shape != (len(cells.coef), ad.d):
+        raise ShapeMismatchError(f"G_D must be {(len(cells.coef), ad.d)}, got {G_D.shape}")
     x, _ = _at_cells(ad, cells)
     cprime, h = _diameter_terms(cells, x, w_R[None], G_D[None], A[None], A_inv[None])
     Q = A @ (ad.X_R.T @ ad.X_R) @ A_inv
@@ -179,7 +179,7 @@ def split(ad: AbstractDataset, m: int, budget: int = 65536) -> list[AbstractData
         raise ValueError("m must be >= 1")
     moved = ad.cells.coef != 0.0
     cells = ad.cells.select(moved)
-    s = len(cells.symbols)
+    s = len(cells.coef)
     if m**s > budget:
         raise SplitBudgetError(f"{m**s} parts exceed budget {budget}")
     if m == 1 or s == 0:

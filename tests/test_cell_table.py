@@ -3,8 +3,9 @@
 ``looped_inject`` and ``looped_missing`` build the abstraction one cell at a
 time, as ``provenance`` (``symbol -> (row, col)``) and ``coefficients``
 (``symbol -> coef``) dictionaries over a fresh registry.  The table must
-hold the same entries in id order, and seeded worlds built from it must
-equal, bit for bit, worlds built from the dictionaries one cell at a time.
+hold the same entries in id order, entry j for symbol j, and seeded worlds
+built from it must equal, bit for bit, worlds built from the dictionaries
+one cell at a time.
 """
 
 import math
@@ -12,6 +13,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from conftest import registry_with
 
 from zonoridge.dataset import (
     BIAS_COLUMN,
@@ -113,8 +115,8 @@ KINDS = ("labels", "features", "both", "missing")
 @pytest.mark.parametrize("seed", range(3))
 def test_table_holds_the_dictionary_entries_in_id_order(kind, seed):
     ad, (X_R, y_R, provenance, coefficients) = case(kind, seed)
-    table = list(zip(*(a.tolist() for a in ad.cells)))
-    expected = [(sid, r, c, coefficients[sid]) for sid, (r, c) in sorted(provenance.items())]
+    table = list(enumerate(zip(*(a.tolist() for a in ad.cells))))
+    expected = [(sid, (r, c, coefficients[sid])) for sid, (r, c) in sorted(provenance.items())]
     assert table == expected and len(table) > 0
     assert ad.X_R.tobytes() == X_R.tobytes() and ad.y_R.tobytes() == y_R.tobytes()
     assert dict(ad.provenance) == provenance
@@ -129,27 +131,44 @@ def test_seeded_worlds_match_the_dictionaries(kind, seed):
     for wa, X, y in sample_worlds(ad, 20, seed):
         e = {s: float(rng.uniform(-1.0, 1.0)) for s in symbols}
         X_ref, y_ref = looped_world(reference, e)
-        assert wa.values == e
+        assert wa.values.tolist() == [e[s] for s in symbols]
         assert X.tobytes() == X_ref.tobytes() and y.tobytes() == y_ref.tobytes()
 
     varied = [s for s in symbols if reference[3][s] != 0.0][:6]
     fixed = [s for s in symbols if s not in varied]
-    ad.cells.coef[np.isin(ad.cells.symbols, fixed)] = 0.0
+    ad.cells.coef[fixed] = 0.0
     reference[3].update(dict.fromkeys(fixed, 0.0))
     worlds = list(enumerate_worlds(ad, "corner"))
     assert len(worlds) == 2 ** len(varied)
     for (wa, X, y), corner in zip(worlds, product((-1.0, 1.0), repeat=len(varied))):
         e = {**dict.fromkeys(symbols, 0.0), **dict(zip(varied, corner))}
         X_ref, y_ref = looped_world(reference, e)
-        assert wa.values == e
+        assert wa.values.tolist() == [e[s] for s in symbols]
         assert X.tobytes() == X_ref.tobytes() and y.tobytes() == y_ref.tobytes()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", range(3))
+def test_abstraction_hands_out_one_id_per_entry(kind, seed):
+    ad, _ = case(kind, seed)
+    S = len(ad.cells.coef)
+    assert len(ad.registry) == S and ad.data_symbols() == list(range(S))
+
+
+def test_constructor_refuses_a_registry_behind_the_table():
+    # A test point's symbols taken from such a registry would alias data symbol 1.
+    cells = Cells([0, 1], [0, 0], [0.1, 0.2])
+    with pytest.raises(DataError, match="handed out 1 ids, fewer than the 2 data symbols"):
+        AbstractDataset(X_R=np.ones((2, 1)), y_R=np.zeros(2), registry=registry_with(1), cells=cells)
+    for count in (2, 3):
+        ad = AbstractDataset(X_R=np.ones((2, 1)), y_R=np.zeros(2), registry=registry_with(count),
+                             cells=cells)
+        assert ad.data_symbols() == [0, 1]
+
+
 @pytest.mark.parametrize("cells", [
-    Cells([1, 0], [0, 1], [0, 0], [0.1, 0.2]),
-    Cells([0, 0], [0, 1], [0, 0], [0.1, 0.2]),
-    Cells([0, 1], [0], [0, 0], [0.1, 0.2]),
-], ids=["descending", "repeated", "ragged"])
+    Cells([0], [0, 0], [0.1, 0.2]),
+], ids=["ragged"])
 def test_constructor_refuses_a_malformed_table(cells):
     with pytest.raises(DataError, match="cell table"):
         AbstractDataset(X_R=np.ones((2, 1)), y_R=np.zeros(2), registry=SymbolRegistry(), cells=cells)
@@ -166,4 +185,4 @@ def test_constructor_refuses_a_malformed_table(cells):
 def test_constructor_checks_the_shapes_and_table_indices(shape, labels, rows, cols, match):
     with pytest.raises(DataError, match=match):
         AbstractDataset(X_R=np.ones(shape), y_R=np.zeros(labels), registry=SymbolRegistry(),
-                        cells=Cells([0], rows, cols, [0.1]))
+                        cells=Cells(rows, cols, [0.1]))

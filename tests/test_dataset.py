@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 import stages
-from conftest import cell_index
+from conftest import feature_symbols, registry_with
 
 from form_algebra import x_symbolic, y_symbolic
 from zonoridge.dataset import (
@@ -187,18 +187,18 @@ class TestInjectUncertainty:
         rng = np.random.default_rng(5)
         syms = ad.data_symbols()
         for _ in range(50):
-            e = {s: float(rng.uniform(-1, 1)) for s in syms}
-            X, y = ad.materialize(e)
+            e = [float(rng.uniform(-1, 1)) for s in syms]
+            (X,), (y,) = ad.materialize_batch([e])
             for sid in syms:
                 r, c = ad.provenance[sid]
                 lo, hi = ad.cell_interval(sid)
                 val = y[r] if c == LABEL_COL else X[r, c]
                 assert lo - 1e-12 <= val <= hi + 1e-12
-        at_hi = ad.materialize({s: 1.0 for s in syms})
+        at_hi = ad.materialize_batch([[1.0 for s in syms]])
         for sid in syms:
             r, c = ad.provenance[sid]
             _, hi = ad.cell_interval(sid)
-            val = at_hi[1][r] if c == LABEL_COL else at_hi[0][r, c]
+            val = at_hi[1][0, r] if c == LABEL_COL else at_hi[0][0, r, c]
             assert val == pytest.approx(hi)
 
     def test_same_seed_bit_identical(self):
@@ -212,7 +212,7 @@ class TestInjectUncertainty:
     def test_both_targets_share_rows(self):
         ds = _toy(20, seed=8)
         ad = inject_uncertainty(ds, UncertaintySpec("both", 0.2, 0.1, seed=9))
-        feat_rows = {ad.provenance[s][0] for s in ad.feature_symbols()}
+        feat_rows = {ad.provenance[s][0] for s in feature_symbols(ad)}
         label_rows = {ad.provenance[s][0] for s in ad.label_symbols()}
         assert feat_rows == label_rows
 
@@ -229,8 +229,8 @@ class TestInjectUncertainty:
         rows = [0, 1, 1, 3, 3, 3]
         coef = [0.3, 0.5, -0.25, 0.7, -0.11, 0.42]
         ad = AbstractDataset(
-            X_R=np.ones((4, 1)), y_R=np.array([1.0, 2.0, -0.5, 3.3]), registry=SymbolRegistry(),
-            cells=Cells(symbols=range(6), rows=rows, cols=[LABEL_COL] * 6, coef=coef),
+            X_R=np.ones((4, 1)), y_R=np.array([1.0, 2.0, -0.5, 3.3]), registry=registry_with(6),
+            cells=Cells(rows=rows, cols=[LABEL_COL] * 6, coef=coef),
         )
         intervals = ad.label_intervals()
         np.testing.assert_array_equal(intervals[1], [1.25, 2.75])
@@ -277,7 +277,7 @@ class TestAbstractMissing:
         for sid in ad.data_symbols():
             r, c = ad.provenance[sid]
             assert ad.X_R[r, c] == 5.0
-            assert ad.cells.coef[cell_index(ad, sid)] == 5.0
+            assert ad.cells.coef[sid] == 5.0
 
     def test_no_missing_cells(self):
         ds = _toy(5)
@@ -344,7 +344,7 @@ class TestSplit:
         for target, pct, m, zero in cases:
             ad = inject_uncertainty(_toy(6, seed=12), UncertaintySpec(target, pct, 0.3, seed=13))
             if zero:
-                ad.cells.coef[cell_index(ad, ad.feature_symbols()[0])] = 0.0
+                ad.cells.coef[feature_symbols(ad)[0]] = 0.0
             parts = stages.split(ad, m)
             if m == 1:
                 assert len(parts) == 1 and parts[0] is ad
@@ -353,8 +353,8 @@ class TestSplit:
             assert len(parts) == m ** len(ad.split_symbols())
             rng = np.random.default_rng(14)
             for _ in range(100):
-                e = {s: float(rng.uniform(-1, 1)) for s in syms}
-                X, y = ad.materialize(e)
+                e = [float(rng.uniform(-1, 1)) for s in syms]
+                (X,), (y,) = ad.materialize_batch([e])
                 covered = False
                 for p in parts:
                     ok = True
@@ -372,7 +372,7 @@ class TestSplit:
         # A feature and a label cell in one row, and a zero-coefficient
         # symbol that is not split.
         ad = inject_uncertainty(_toy(6, seed=12), UncertaintySpec("both", 0.1, 0.3, seed=13))
-        ad.cells.coef[cell_index(ad, ad.feature_symbols()[0])] = 0.0
+        ad.cells.coef[feature_symbols(ad)[0]] = 0.0
         m = 3
         syms = ad.split_symbols()
         assert len(syms) == 2
@@ -383,13 +383,13 @@ class TestSplit:
             X, y = ad.X_R.copy(), ad.y_R.copy()
             for sid, j in zip(syms, combo):
                 r, c = ad.provenance[sid]
-                coef = ad.cells.coef[cell_index(ad, sid)]
+                coef = ad.cells.coef[sid]
                 offset = coef * ((2 * j + 1 - m) / m)
                 if c == LABEL_COL:
                     y[r] += offset
                 else:
                     X[r, c] += offset
-                assert part.cells.coef[cell_index(part, sid)] == coef / m
+                assert part.cells.coef[sid] == coef / m
             np.testing.assert_array_equal(part.X_R, X)
             np.testing.assert_array_equal(part.y_R, y)
         with pytest.raises(SplitBudgetError):
@@ -411,7 +411,7 @@ def _non_finite(X_R=(1.0, 2.0), y_R=1.0, coef=(0.1, 0.2)):
     """A one-row dataset with a feature cell and a label cell, one entry replaced."""
     return AbstractDataset(
         X_R=[X_R], y_R=[y_R], registry=SymbolRegistry(),
-        cells=Cells(symbols=[0, 1], rows=[0, 0], cols=[1, LABEL_COL], coef=coef),
+        cells=Cells(rows=[0, 0], cols=[1, LABEL_COL], coef=coef),
     )
 
 

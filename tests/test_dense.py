@@ -125,7 +125,7 @@ def perturbed_weights(ad, cfg, seed):
     rng = np.random.default_rng(seed)
     w_R, w_D, A, A_inv = prepared(ad, cfg)
     return AbstractWeights(
-        w_R=w_R, G_D=1.3 * w_D, data_ids=ad.nonzero_cells().symbols,
+        w_R=w_R, G_D=1.3 * w_D, data_ids=np.flatnonzero(ad.cells.coef),
         k=rng.uniform(0.01, 0.3, ad.d), A=A, A_inv=A_inv, registry=ad.registry,
     )
 
@@ -322,26 +322,24 @@ def test_chunk_size_does_not_change_results(monkeypatch):
 # label, row 1 a lone feature: same-row feature pairs, feature/label pairs,
 # triples with one to three sources and triples across rows all occur.
 MIXED_CELLS = Cells(
-    symbols=np.arange(9),
     rows=np.array([3, 0, 3, 3, 5, 3, 5, 1, 0]),
     cols=np.array([0, 2, 1, LABEL_COL, 2, 2, LABEL_COL, 1, LABEL_COL]),
     coef=np.array([0.7, -1.3, 0.4, 0.9, 2.1, -0.6, 0.3, 1.1, -0.8]),
 )
 LABEL_CELLS = Cells(
-    symbols=np.arange(3), rows=np.array([4, 1, 4]), cols=np.full(3, LABEL_COL),
+    rows=np.array([4, 1, 4]), cols=np.full(3, LABEL_COL),
     coef=np.array([0.5, -0.2, 1.5]),
 )
 # Row 2 holds every cell: three feature cells, two of them in column 1, and a
 # label, so no triple crosses rows and every sum over other rows is 0.
 ONE_ROW_CELLS = Cells(
-    symbols=np.arange(4), rows=np.full(4, 2), cols=np.array([1, 0, 1, LABEL_COL]),
+    rows=np.full(4, 2), cols=np.array([1, 0, 1, LABEL_COL]),
     coef=np.array([0.8, 1.2, -0.5, 0.6]),
 )
 # Rows 0 and 3 hold three and four feature cells over several column pairs
 # (two of row 3's in one cell) and a label each, next to the lone feature
 # cells of rows 1 and 4 and the lone label of row 6.
 CROWDED_CELLS = Cells(
-    symbols=np.arange(12),
     rows=np.array([0, 0, 1, 0, 0, 3, 3, 3, 3, 4, 6, 3]),
     cols=np.array([0, 1, 2, 2, LABEL_COL, 2, 0, 1, 1, 0, LABEL_COL, LABEL_COL]),
     coef=np.array([0.7, -1.3, 0.4, 0.9, 2.1, -0.6, 0.3, 1.1, -0.8, 0.5, -1.7, 1.4]),
@@ -357,7 +355,7 @@ def test_stacked_diameter_terms_equal_one_part_calls(cells, chunk, monkeypatch):
     """Each part of one batched call is, bit for bit, its own one-part call."""
     monkeypatch.setattr(learning, "CHUNK_ELEMENTS", chunk)
     rng = np.random.default_rng(5)
-    parts, S, d = 64, len(cells.symbols), 3
+    parts, S, d = 64, len(cells.coef), 3
     args = [
         rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
         for shape in ((parts, S, d), (parts, d), (parts, S, d), (parts, d, d), (parts, d, d))
@@ -383,13 +381,13 @@ def test_crowded_rows_match_reference(cells, transform, chunk, monkeypatch):
     rng = np.random.default_rng(9)
     n, d = 8, 3
     reg = SymbolRegistry()
-    symbols = reg.new_symbols(len(cells.symbols), SymbolKind.DATA)
+    reg.new_symbols(len(cells.coef), SymbolKind.DATA)
     if transform == "custom":
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         transform = q @ np.diag(rng.uniform(0.5, 2.0, d))
     ad = AbstractDataset(
         X_R=rng.uniform(-2.0, 2.0, (n, d)), y_R=rng.uniform(-2.0, 2.0, n), registry=reg,
-        cells=cells._replace(symbols=np.array(symbols)), columns=[f"f{j}" for j in range(d)],
+        cells=cells, columns=[f"f{j}" for j in range(d)],
     )
     check_system(ad, RidgeConfig(lam=0.5, transform=transform))
 
@@ -439,8 +437,8 @@ def split_case(kind, d, seed, transform="svd", share=0.7):
             coefficients[sid] = float(rng.uniform(0.3, 1.0)) * wide
         ad = AbstractDataset(X_R=X, y_R=y, registry=reg,
                              cells=cell_table(provenance, coefficients))
-    sid = ad.registry.new_symbol(SymbolKind.DATA)
-    cells = Cells(*(np.append(a, v) for a, v in zip(ad.cells, (sid, r[2], d - 1, 0.0))))
+    ad.registry.new_symbol(SymbolKind.DATA)
+    cells = Cells(*(np.append(a, v) for a, v in zip(ad.cells, (r[2], d - 1, 0.0))))
     ad = dataclasses.replace(ad, cells=cells)
     if transform == "custom":
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -457,7 +455,7 @@ def looped_part(part, cfg):
     A, A_inv = build_transform(part.X_R, cfg)
     sys = build_non_data_system(part, cfg.lam, w_R, w_D, A, A_inv)
     k = solve_non_data(sys, cfg.lam, learning.TOLERANCE)
-    weights = AbstractWeights(w_R=w_R, G_D=w_D, data_ids=part.nonzero_cells().symbols, k=k, A=A,
+    weights = AbstractWeights(w_R=w_R, G_D=w_D, data_ids=np.flatnonzero(part.cells.coef), k=k, A=A,
                               A_inv=A_inv, registry=part.registry)
     return w_R, np.abs(weights.generators()).sum(axis=1), sys.beta, stages.m_matrix_margin(sys, cfg.lam)
 
@@ -691,8 +689,8 @@ def test_fit_result_contract_on_both_paths(case):
     ad, cfg = split_case(*case)
     cells = ad.nonzero_cells()
     weights, diag = fixed_point(ad, dataclasses.replace(cfg, lam=1e3))
-    np.testing.assert_array_equal(weights.data_ids, cells.symbols)
-    assert weights.G_D.shape == (len(cells.symbols), ad.d) and weights.G_D.flags.c_contiguous
+    np.testing.assert_array_equal(weights.data_ids, np.flatnonzero(ad.cells.coef))
+    assert weights.G_D.shape == (len(cells.coef), ad.d) and weights.G_D.flags.c_contiguous
     assert diag.residual is not None and diag.part_betas is None and diag.splits_used == 1
 
     weights, diag = fixed_point(ad, cfg)
@@ -701,7 +699,7 @@ def test_fit_result_contract_on_both_paths(case):
     np.testing.assert_array_equal(weights.A, np.eye(ad.d))
     np.testing.assert_array_equal(weights.A_inv, np.eye(ad.d))
     assert (weights.k >= 0).all() and diag.residual is None
-    s = len(cells.symbols)
+    s = len(cells.coef)
     m = round(diag.splits_used ** (1 / s))
     assert diag.splits_used == len(diag.part_betas) == m**s and m > 1
 
@@ -794,7 +792,7 @@ def test_fit_residual_and_margin_are_those_of_the_assembled_system(target, d, n,
     y = X @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n)
     ds = Dataset(X=X, y=y, columns=["bias"] + [f"f{j}" for j in range(d - 1)])
     ad = zonoridge.inject_uncertainty(ds, zonoridge.UncertaintySpec(target, 0.1, radius, seed=3))
-    assert len(ad.label_symbols()) == n // 10 and len(ad.cells.symbols) == 50
+    assert len(ad.label_symbols()) == n // 10 and len(ad.cells.coef) == 50
     if target == "both":
         assert set(ad.cells.rows[ad.cells.cols != LABEL_COL]) == set(ad.cells.rows)
     cfg = RidgeConfig(lam=lam)

@@ -87,6 +87,29 @@ class TestPredictionIntervalType:
 
 
 class TestPredictIntervalUncertain:
+    @pytest.mark.parametrize("target", ["labels", "features", "both"])
+    def test_registry_symbols_after_a_fit_share_no_data_symbol(self, target):
+        # Symbols taken from the weights' registry after a fit are new: the
+        # point's range is that of a point over ids no registry handed out.
+        ds = make_dataset(12, 2, seed=9)
+        ad, weights, _ = trained(ds, UncertaintySpec(target, 0.25, 0.1, seed=10), lam=0.5)
+        assert len(weights.data_ids) > 1
+        reg = weights.registry
+        x = ds.X[0]
+
+        def point(ids):
+            entries = [PolyForm(reg, x[0])]
+            gens = zip((1, 2), ids, (0.1, -0.1))
+            entries += [PolyForm(reg, x[j], {(sid,): g}) for j, sid, g in gens]
+            return predict_interval_uncertain(ZVector(reg, entries), weights)
+
+        sids = reg.new_symbols(2, SymbolKind.DATA)
+        assert min(sids) >= len(ad.cells.coef)
+        far = [10**9, 10**9 + 1]
+        assert point(sids) == point(far)
+        # Naming the data symbols instead shares their cells' uncertainty.
+        assert point(weights.data_ids[:2].tolist()) != point(far)
+
     def test_degenerate_point_matches_concrete(self):
         ds = make_dataset(10, 2, seed=2)
         _, weights, _ = trained(ds, UncertaintySpec("labels", 0.3, 0.2, seed=3), 0.05)
@@ -127,7 +150,7 @@ class TestPredictIntervalUncertain:
         for _ in range(300):
             e = {s: float(rng.uniform(-1, 1)) for s in syms}
             e[sid] = float(rng.uniform(-1, 1))
-            X, y = ad.materialize(e)
+            (X,), (y,) = ad.materialize_batch([[e[s] for s in syms]])
             w_star = ridge_concrete(X, y, 0.05)
             x_point = c + g * e[sid]
             val = float(x_point @ w_star)

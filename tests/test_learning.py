@@ -404,14 +404,14 @@ class TestContainsWorldWeights:
         ds = make_dataset(10, 2, seed=26)
         ad = abstract_cells(ds, [], [])
         weights, _ = fixed_point(ad, RidgeConfig(lam=0.1))
-        assert contains_world_weights(weights, {}, weights.w_R)
+        assert contains_world_weights(weights, np.zeros(0), weights.w_R)
 
     def test_perturbed_point_rejected(self):
         ds = make_dataset(10, 2, seed=27)
         spec = UncertaintySpec(target="features", percentage=0.2, radius=0.1, seed=28)
         ad = inject_uncertainty(ds, spec)
         weights, _ = fixed_point(ad, RidgeConfig(lam=0.1))
-        e = {s: 0.0 for s in ad.data_symbols()}
+        e = np.array([0.0 for s in ad.data_symbols()])
         if np.max(weights.k) == 0:
             pytest.skip("instance produced a degenerate box")
         direction = weights.A_inv[:, int(np.argmax(weights.k))]
@@ -459,7 +459,7 @@ class TestContainmentMatchesTheLoop:
                 rng.standard_normal(d), rng.standard_normal((S, d)), k,
                 np.eye(d) + 0.3 * rng.standard_normal((d, d)),
             )
-            e = {s: float(rng.uniform(-1, 1)) for s in weights.data_ids.tolist()}
+            e = np.array([float(rng.uniform(-1, 1)) for s in weights.data_ids.tolist()])
             # The product sums in another order than the loop: equal to S ulps.
             terms = [g * e[s] for s, g in zip(weights.data_ids.tolist(), weights.G_D)]
             looped = np.sum(terms, axis=0) if terms else np.zeros(d)
@@ -480,7 +480,8 @@ class TestContainmentMatchesTheLoop:
         # the test sits on the float boundary k (1 + 1e-12) + tol itself.
         weights = manual_weights([0.0, 0.0], [[0.5, 0.0], [0.25, 0.0]], [0.6, 0.0], np.eye(2))
         s1, s2 = weights.data_ids.tolist()
-        e = {s1: 0.75, s2: -0.5}
+        e = np.empty(2)
+        e[s1], e[s2] = 0.75, -0.5
         w_D = weights.w_D(e)
         assert w_D.tolist() == [0.25, 0.0]
         tol = 1e-3
@@ -500,10 +501,11 @@ class TestContainmentMatchesTheLoop:
     def test_degenerate_dimensions_need_the_tolerance(self):
         weights = manual_weights([1.0, 2.0], [[0.5, -1.0]], [0.0, 0.0], np.eye(2))
         (s,) = weights.data_ids.tolist()
-        center = weights.w_R + weights.w_D({s: 0.5})
-        assert contains_world_weights(weights, {s: 0.5}, center)
-        assert not contains_world_weights(weights, {s: 0.5}, center + [0.0, 1e-5])
-        assert not contains_world_weights(weights, {s: -0.5}, center)
+        assert s == 0
+        center = weights.w_R + weights.w_D(np.array([0.5]))
+        assert contains_world_weights(weights, np.array([0.5]), center)
+        assert not contains_world_weights(weights, np.array([0.5]), center + [0.0, 1e-5])
+        assert not contains_world_weights(weights, np.array([-0.5]), center)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("A", [np.eye(2), [[1.0, 0.5], [0.5, 1.0]]])
@@ -513,14 +515,15 @@ class TestContainmentMatchesTheLoop:
         # every bound is infinite and only the finiteness check refuses it.
         weights = manual_weights([1.0, 2.0], [[0.5, -1.0]], [0.3, 0.0], A)
         (s,) = weights.data_ids.tolist()
-        e = {s: 0.5}
+        assert s == 0
+        e = np.array([0.5])
         center = weights.w_R + weights.w_D(e)
         assert contains_world_weights(weights, e, center)
         for w_star in ([bad, bad], [bad, center[1]], [1e9, bad], [center[0], bad]):
             assert not contains_world_weights(weights, e, w_star)
             assert not contains_world_weights(weights, e, w_star, tol=1e-3)
         # A non-finite assignment value leaves a non-finite residual.
-        assert not contains_world_weights(weights, {s: bad}, center)
+        assert not contains_world_weights(weights, np.array([bad]), center)
 
     def test_split_weights_without_data_part(self):
         # One feature cell wide enough that beta exceeds lambda, so the fit splits.
@@ -529,8 +532,29 @@ class TestContainmentMatchesTheLoop:
         assert diag.splits_used > 1 and len(weights.data_ids) == 0
         rng = np.random.default_rng(42)
         for _ in range(50):
-            e = {s: float(rng.uniform(-1, 1)) for s in ad.data_symbols()}
+            e = np.array([float(rng.uniform(-1, 1)) for s in ad.data_symbols()])
             w_star = weights.w_R + weights.A_inv @ (weights.k * rng.uniform(-1.3, 1.3, weights.dim))
             assert contains_world_weights(weights, e, w_star) == looped_contains(weights, e, w_star)
-            assert contains_world_weights(weights, {}, w_star) == looped_contains(weights, {}, w_star)
+            empty = np.zeros(0)
+            assert contains_world_weights(weights, empty, w_star) == looped_contains(weights, empty, w_star)
+
+    def test_rows_skip_zero_coefficient_entries(self):
+        # Every other entry has a zero coefficient: the fit's data_ids skip
+        # them, and the row's value there must not reach the data part.
+        spec = UncertaintySpec(target="both", percentage=0.25, radius=0.1, seed=44)
+        ad = inject_uncertainty(make_dataset(12, 2, seed=43), spec)
+        ad.cells.coef[::2] = 0.0
+        weights, diag = fixed_point(ad, RidgeConfig(lam=0.1))
+        assert diag.splits_used == 1 and np.max(weights.k) > 0
+        assert weights.data_ids.tolist() == ad.split_symbols() == ad.data_symbols()[1::2]
+        rng = np.random.default_rng(45)
+        verdicts = []
+        for wa, X, y in sample_worlds(ad, 50, seed=46):
+            e = dict(zip(ad.data_symbols(), wa.values.tolist()))
+            box = weights.A_inv @ (weights.k * rng.uniform(-1.3, 1.3, weights.dim))
+            for w_star in (ridge_concrete(X, y, 0.1), weights.w_R + weights.w_D(wa.values) + box):
+                verdict = contains_world_weights(weights, wa.values, w_star)
+                assert verdict == looped_contains(weights, e, w_star)
+                verdicts.append(verdict)
+        assert 50 < sum(verdicts) < 100
 

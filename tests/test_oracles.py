@@ -3,7 +3,7 @@ from itertools import product as iter_product
 
 import numpy as np
 import pytest
-from conftest import cell_index, cell_table
+from conftest import cell_table
 from stages import ridge_closed_form_real
 
 from zonoridge import learning
@@ -87,7 +87,7 @@ class TestEnumerateWorlds:
         assert len(ad.data_symbols()) == 2
         worlds = list(enumerate_worlds(ad))
         assert len(worlds) == 4
-        seen = {tuple(sorted(w.values.values())) for w, _, _ in worlds}
+        seen = {tuple(sorted(w.values.tolist())) for w, _, _ in worlds}
         assert seen == {(-1.0, -1.0), (-1.0, 1.0), (1.0, 1.0)}
 
     def test_cells_within_intervals(self):
@@ -129,7 +129,7 @@ class TestSampleWorlds:
         a = sample_worlds(ad, 5, seed=11)
         b = sample_worlds(ad, 5, seed=11)
         for (wa, Xa, ya), (wb, Xb, yb) in zip(a, b):
-            assert wa.values == wb.values
+            assert wa.values.tolist() == wb.values.tolist()
             np.testing.assert_array_equal(ya, yb)
 
     def test_sampled_extremes_dominated_by_corners_label_only(self):
@@ -149,13 +149,13 @@ class TestSampleWorlds:
 
 class TestWorldAssignment:
     def test_cube_values_accepted(self):
-        assert WorldAssignment({1: -1.0, 2: 0.25, 3: 1.0}).values[2] == 0.25
-        assert WorldAssignment({}).values == {}
+        assert WorldAssignment(np.array([-1.0, 0.25, 1.0])).values[1] == 0.25
+        assert WorldAssignment(np.empty(0)).values.size == 0
 
     @pytest.mark.parametrize("bad", [1.0 + 1e-12, -1.5, np.inf, -np.inf, np.nan])
     def test_values_outside_the_cube_rejected(self, bad):
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            WorldAssignment({1: 0.5, 2: bad, 3: -0.5})
+            WorldAssignment(np.array([0.5, bad, -0.5]))
 
 
 class TestOracleRanges:
@@ -227,7 +227,7 @@ def looped_materialize(ad, assignment):
     X = ad.X_R.copy()
     y = ad.y_R.copy()
     for sid, (r, c) in ad.provenance.items():
-        delta = ad.cells.coef[cell_index(ad, sid)] * assignment[sid]
+        delta = ad.cells.coef[sid] * assignment[sid]
         if c == LABEL_COL:
             y[r] += delta
         else:
@@ -240,8 +240,8 @@ def looped_sample_worlds(ad, count, seed):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        e = {s: float(rng.uniform(-1.0, 1.0)) for s in syms}
-        out.append((WorldAssignment(e), *looped_materialize(ad, e)))
+        e = [float(rng.uniform(-1.0, 1.0)) for s in syms]
+        out.append((WorldAssignment(np.array(e)), *looped_materialize(ad, e)))
     return out
 
 
@@ -252,7 +252,8 @@ def looped_enumerate_worlds(ad, strategy="corner", levels=3):
     for combo in iter_product(points, repeat=len(active)):
         e = {s: 0.0 for s in ad.data_symbols()}
         e.update(zip(active, (float(v) for v in combo)))
-        yield (WorldAssignment(e), *looped_materialize(ad, e))
+        row = np.array([e[s] for s in ad.data_symbols()])
+        yield (WorldAssignment(row), *looped_materialize(ad, e))
 
 
 def looped_ridge(X, y, lam):
@@ -278,7 +279,7 @@ def looped_oracle_ranges(worlds, lam, test_X, test_y):
 def assert_same_worlds(worlds, reference):
     assert len(worlds) == len(reference)
     for (wa, X, y), (wa_ref, X_ref, y_ref) in zip(worlds, reference):
-        assert wa == wa_ref
+        assert wa.values.tobytes() == wa_ref.values.tobytes() and wa.values.shape == wa_ref.values.shape
         assert X.tobytes() == X_ref.tobytes() and X.shape == X_ref.shape
         assert y.tobytes() == y_ref.tobytes() and y.shape == y_ref.shape
 
@@ -304,7 +305,7 @@ def world_case(kind, seed):
     ad = inject_uncertainty(ds, UncertaintySpec(target, share, 0.2, seed=seed))
     if kind == "zero":
         for sid in ad.data_symbols()[::2]:
-            ad.cells.coef[cell_index(ad, sid)] = 0.0
+            ad.cells.coef[sid] = 0.0
     return ad
 
 
@@ -337,8 +338,9 @@ class TestWorldsMatchTheLoop:
     def test_materialize(self, kind):
         ad = world_case(kind, 2)
         rng = np.random.default_rng(5)
-        e = {s: float(rng.uniform(-1.0, 1.0)) for s in ad.data_symbols()}
-        for got, want in zip(ad.materialize(e), looped_materialize(ad, e)):
+        e = [float(rng.uniform(-1.0, 1.0)) for s in ad.data_symbols()]
+        X, y = ad.materialize_batch(np.array([e]))
+        for got, want in zip((X[0], y[0]), looped_materialize(ad, e)):
             assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
     def test_shared_cell_adds_symbols_in_provenance_order(self):
@@ -352,16 +354,16 @@ class TestWorldsMatchTheLoop:
         )
         e = {a: 0.5, b: -1.0, c: 0.5}
         # The two orders of adding c's and a's deltas differ in the last bit.
-        X, _ = ad.materialize(e)
-        assert X[0, 1] == (0.1 + 0.4 * 0.5) + 0.3 * 0.5 != (0.1 + 0.3 * 0.5) + 0.4 * 0.5
-        for got, want in zip(ad.materialize(e), looped_materialize(ad, e)):
+        X, y = ad.materialize_batch(np.array([[e[s] for s in ad.data_symbols()]]))
+        assert X[0, 0, 1] == (0.1 + 0.4 * 0.5) + 0.3 * 0.5 != (0.1 + 0.3 * 0.5) + 0.4 * 0.5
+        for got, want in zip((X[0], y[0]), looped_materialize(ad, e)):
             assert got.tobytes() == want.tobytes()
         assert_same_worlds(sample_worlds(ad, 9, 3), looped_sample_worlds(ad, 9, 3))
 
     def test_materialize_needs_every_symbol(self):
         ad = world_case("labels", 0)
-        with pytest.raises(KeyError):
-            ad.materialize({})
+        with pytest.raises(ShapeMismatchError):
+            ad.materialize_batch(np.empty((1, 0)))
 
 
 class TestZeroCoefficientSymbols:
@@ -372,7 +374,7 @@ class TestZeroCoefficientSymbols:
         worlds = list(enumerate_worlds(ad, budget=1))
         assert len(worlds) == 1
         wa, X, y = worlds[0]
-        assert set(wa.values.values()) == {0.0}
+        assert set(wa.values.tolist()) == {0.0}
         np.testing.assert_array_equal(X, ds.X)
         np.testing.assert_array_equal(y, ds.y)
 
@@ -448,7 +450,7 @@ class TestStackedTraining:
         weights = np.concatenate([w for _, w in blocks])
         assert len(values) == len(worlds)
         for row, w, (wa, X, y) in zip(values, weights, worlds):
-            assert dict(zip(ad.data_symbols(), row.tolist())) == wa.values
+            assert row.tolist() == wa.values.tolist()
             assert w.tobytes() == looped_ridge(X, y, 0.1).tobytes()
 
     def test_train_worlds_refuses_the_budget_at_the_call(self):
@@ -537,8 +539,14 @@ class TestOracleRangesMatchTheLoop:
      "test set must be (n, 2)"),
     (lambda ad: oracle_ranges(ad, 0.1, ad.X_R[:, :1], ad.y_R), ShapeMismatchError,
      "test set must be (n, 2)"),
+    (lambda ad: oracle_ranges(ad, 0.1, ad.X_R[:0], ad.y_R[:0]), ShapeMismatchError,
+     "test set must be a nonempty 2-d array"),
+    (lambda ad: concrete_loss(ad.X_R[:0], ad.y_R[:0], np.zeros(2), 0.1), ShapeMismatchError,
+     "test set must be a nonempty 2-d array"),
+    (lambda ad: sample_worlds(ad, -3, 0), ValueError, "cannot sample -3 worlds"),
 ], ids=["unknown-strategy", "oracle-unknown-strategy", "interval-shape", "reversed-interval", "rank-deficient",
-        "oracle-y-column", "oracle-row-counts", "oracle-X-1d", "oracle-X-width"])
+        "oracle-y-column", "oracle-row-counts", "oracle-X-1d", "oracle-X-width", "oracle-empty",
+        "loss-empty", "negative-count"])
 def test_refusals(refuse, error, message):
     ad = inject_uncertainty(make_dataset(6, 1, seed=8), UncertaintySpec("labels", 0.5, 0.2, seed=1))
     with pytest.raises(error) as exc:
