@@ -40,8 +40,8 @@ from .dataset import (
 )
 from .errors import BudgetExceededError, DataError, ZonoError
 from .inference import certify_robustness, loss_interval, parameter_intervals
-from .learning import RidgeConfig, _inside, contains_world_weights, fixed_point
-from .oracles import _train_worlds, concrete_loss, interval_ridge_labels, oracle_ranges
+from .learning import CHUNK_ELEMENTS, RidgeConfig, _inside, contains_world_weights, fixed_point
+from .oracles import interval_ridge_labels, oracle_ranges
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -452,20 +452,21 @@ def cmd_oracle_check(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
         li = loss_interval(test.X, test.y, weights, lam)
         report = certify_robustness(test.X, weights, threshold_abs)
         pred_lo, pred_hi = np.array([interval for interval, _ in report.per_point]).T
-        worlds = [_train_worlds(ad, lam, "uniform", samples=cfg.oracle_samples, seed=seed)]
+        results = [oracle_ranges(ad, lam, test.X, test.y, "uniform", samples=cfg.oracle_samples, seed=seed)]
         try:
-            worlds.append(_train_worlds(ad, lam, "corner", budget=cfg.oracle_budget))
+            results.append(oracle_ranges(ad, lam, test.X, test.y, "corner", budget=cfg.oracle_budget))
         except BudgetExceededError:
             pass  # more corners than the budget: the sampled worlds alone
         count = weight_fail = pred_fail = loss_fail = 0
-        for values, w_stars in chain(*worlds):
-            count += len(w_stars)
-            for e, w_star in zip(values, w_stars):
+        block = max(1, CHUNK_ELEMENTS // len(test.X))  # worlds whose predictions fit one temporary
+        for res in results:
+            count += res.n_worlds
+            for e, w_star in zip(res.values, res.weights):
                 weight_fail += not contains_world_weights(weights, e, w_star)
-            preds = (test.X @ w_stars[..., None])[..., 0]
-            pred_fail += int(np.sum(~_inside(preds, pred_lo, pred_hi).all(axis=1)))
-            loss = concrete_loss(test.X, test.y, w_stars, lam)
-            loss_fail += int(np.sum(~_inside(loss, li.lo, li.hi)))
+            for start in range(0, res.n_worlds, block):
+                preds = (test.X @ res.weights[start : start + block, :, None])[..., 0]
+                pred_fail += int(np.sum(~_inside(preds, pred_lo, pred_hi).all(axis=1)))
+            loss_fail += int(np.sum(~_inside(res.losses, li.lo, li.hi)))
         return [{
             "seed": seed,
             "percentage": pct,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegreeError, RegistryMismatchError, ShapeMismatchError
 from .forms import ZVector
-from .learning import AbstractWeights, _check_lam
+from .learning import AbstractWeights, _check_lam, _test_set
 
 
 class _Bounds(NamedTuple):
@@ -105,12 +105,10 @@ def predict_interval(x: np.ndarray, weights: AbstractWeights) -> PredictionInter
     The prediction ``x . w`` is affine in the symbols: the data part
     contributes ``sum_s |x . g_s|`` and the box part ``sum_i |x . a_i| k_i``
     where ``a_i`` are the columns of the inverse transform.  Exact for the
-    weight zonotope.
+    weight zonotope.  ``learning._test_set`` checks the point as a one-row set.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (weights.dim,):
-        raise ShapeMismatchError(f"test point must have dimension {weights.dim}")
-    center, radius = _prediction_bounds(x[None, :], weights)
+    X, _ = _test_set(np.asarray(x, dtype=float)[None], weights.dim)
+    center, radius = _prediction_bounds(X, weights)
     return PredictionInterval(float(center[0] - radius[0]), float(center[0] + radius[0]))
 
 
@@ -193,13 +191,10 @@ def certify_robustness(
     the absolute ``threshold`` (full width; thresholds given as a fraction
     of the label range must be converted by the caller).  A point whose
     width equals the threshold is not certified; a threshold that is not
-    positive, NaN included, raises ``ValueError``.
+    positive, NaN included, raises ``ValueError``, and the test set is
+    refused as ``learning._test_set`` refuses it.
     """
-    test_X = np.asarray(test_X, dtype=float)
-    if test_X.ndim != 2 or test_X.shape[0] == 0:
-        raise ShapeMismatchError("test set must be a nonempty 2-d array")
-    if test_X.shape[1] != weights.dim:
-        raise ShapeMismatchError(f"test points must have dimension {weights.dim}")
+    test_X, _ = _test_set(test_X, weights.dim)
     if not threshold > 0:
         raise ValueError("threshold must be positive")
     center, radius = _prediction_bounds(test_X, weights)
@@ -242,17 +237,9 @@ def loss_interval(
     ``|W|``); the linearized lower bound alone would forget that squares
     cannot go negative.  At ``lam = 0`` the loss is the mean squared error.
     A negative or non-finite ``lam`` raises ``ValueError``, as in
-    ``RidgeConfig``, and an empty test set or a ``test_y`` that is not one
-    label per row ``ShapeMismatchError``, as in ``certify_robustness``.
+    ``RidgeConfig``, and ``learning._test_set`` refuses a bad test set.
     """
-    test_X = np.asarray(test_X, dtype=float)
-    test_y = np.asarray(test_y, dtype=float)
-    if test_X.ndim != 2 or test_X.shape[0] == 0:
-        raise ShapeMismatchError("test set must be a nonempty 2-d array")
-    if test_X.shape[1] != weights.dim:
-        raise ShapeMismatchError(f"test set must be (n, {weights.dim})")
-    if test_y.shape != test_X.shape[:1]:
-        raise ShapeMismatchError(f"test y must be ({test_X.shape[0]},), got {test_y.shape}")
+    test_X, test_y = _test_set(test_X, weights.dim, test_y)
     _check_lam(lam)
     n = test_X.shape[0]
     W = weights.generators()

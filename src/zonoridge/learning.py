@@ -76,6 +76,7 @@ import numpy as np
 
 from .dataset import LABEL_COL, AbstractDataset, Cells
 from .errors import (
+    DataError,
     IllConditionedError,
     LambdaTooSmall,
     ShapeMismatchError,
@@ -95,6 +96,24 @@ def _check_lam(lam: float) -> None:
     """Raise ``ValueError`` unless ``lam`` is a finite, nonnegative penalty (NaN too)."""
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError("lam must be >= 0 and finite")
+
+
+def _test_set(X, d: int, y=None, finite: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one check of a test set: ``X`` as a nonempty ``(n, d)`` float array and ``y``,
+    if given, as n labels, else ``ShapeMismatchError``; then ``DataError`` for a NaN or
+    infinite entry, unless ``finite`` is false (for calls run once per world or point)."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ShapeMismatchError("test set must be a nonempty 2-d array")
+    if X.shape[1] != d:
+        raise ShapeMismatchError(f"test set must be (n, {d})")
+    if y is not None:
+        y = np.asarray(y, dtype=float)
+        if y.shape != X.shape[:1]:
+            raise ShapeMismatchError(f"test y must be ({X.shape[0]},), got {y.shape}")
+    if finite and not (np.isfinite(X).all() and (y is None or np.isfinite(y).all())):
+        raise DataError("test X and y must be finite")
+    return X, y
 
 
 @dataclass(frozen=True)
@@ -817,9 +836,16 @@ def contains_world_weights(
     plus tolerance, degenerate dimensions must match to tolerance.  Valid
     for the structured fixed point shape (unsplit, or the box produced by a
     join).  A ``w*`` with a NaN or infinite entry is never inside: its ``r``
-    has one too, as ``A`` is invertible.
+    has one too, as ``A`` is invertible.  A ``w*`` that is not ``(d,)``, or a
+    row that is not 1-d or ends before a symbol of ``data_ids``, raises
+    ``ShapeMismatchError``; the weights do not record S to refuse a long row.
     """
     w_star = np.asarray(w_star, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if w_star.shape != (weights.dim,):
+        raise ShapeMismatchError(f"w_star must be ({weights.dim},), got {w_star.shape}")
+    if values.ndim != 1 or values.shape[0] <= weights.data_ids.max(initial=-1):
+        raise ShapeMismatchError(f"values must be a 1-d row reaching every symbol id, got {values.shape}")
     if tol is None:
         tol = 1e-7 * (1.0 + float(np.abs(w_star).max()))
     r = weights.A @ (w_star - weights.w_R - weights.w_D(values))

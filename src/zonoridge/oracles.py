@@ -1,7 +1,8 @@
 """Ground-truth oracles and the interval-arithmetic baseline.
 
-World enumeration and sampling train one concrete ridge model per symbol
-assignment and record the observed extremes.  These are under-approximations
+``oracle_ranges``, the one pass over the worlds of a strategy, trains one
+concrete ridge model per symbol assignment and keeps each world's row,
+weights and loss with the observed extremes.  These are under-approximations
 of the true possible-model set (weights are rational, not affine, in the
 symbols once features are uncertain, so corners need not be extremal); the
 abstract learner must cover everything they produce.
@@ -53,10 +54,13 @@ def ridge_concrete(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     ``X`` may be a stack ``(W, n, d)`` of worlds with labels ``(W, n)``;
     the result is then ``(W, d)``, one stacked solve whose rows equal the
     calls on each world.  For ``lam == 0`` every feature matrix must have
-    full column rank.  A negative or non-finite ``lam`` raises ``ValueError``.
+    full column rank.  A negative or non-finite ``lam`` raises ``ValueError``,
+    and labels that are not one per row ``ShapeMismatchError``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    if y.shape != X.shape[:-1]:
+        raise ShapeMismatchError(f"labels must be {X.shape[:-1]}, one per row of X, got {y.shape}")
     return np.linalg.solve(_gram(X, lam), X.swapaxes(-1, -2) @ y[..., None])[..., 0]
 
 
@@ -66,15 +70,17 @@ def concrete_loss(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> fl
     ``w`` may be a stack ``(W, d)`` of weights; the result is then an array
     of W losses, each equal to the call on its row.  The products are
     matrix products with one column, which give the same bits as ``@`` on
-    one vector.  A negative or non-finite ``lam`` raises ``ValueError``, and
-    an ``X`` that is not a nonempty 2-d array ``ShapeMismatchError``.
+    one vector.  A negative or non-finite ``lam`` raises ``ValueError``; ``X``
+    and ``y`` are refused as by the shape half of ``learning._test_set``,
+    as this call runs once per world: a NaN comes out as NaN.
     """
     learning._check_lam(lam)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ShapeMismatchError("test set must be a nonempty 2-d array")
-    w = np.asarray(w, dtype=float)[..., None]
-    resid = X @ w - np.asarray(y, dtype=float)[:, None]
+    w = np.asarray(w, dtype=float)
+    if w.ndim not in (1, 2):
+        raise ShapeMismatchError(f"w must be (d,) or (W, d), got {w.shape}")
+    X, y = learning._test_set(X, w.shape[-1], y, finite=False)
+    w = w[..., None]
+    resid = X @ w - y[:, None]
     loss = (resid.swapaxes(-1, -2) @ resid)[..., 0, 0][()] / X.shape[0]
     loss = loss + lam * (w.swapaxes(-1, -2) @ w)[..., 0, 0][()]
     return float(loss) if w.ndim == 2 else loss
@@ -172,32 +178,13 @@ def sample_worlds(
     return _worlds(ad, np.concatenate([np.empty((0, len(ad.cells.coef))), *blocks]))
 
 
-def _train_worlds(
-    ad: AbstractDataset,
-    lam: float,
-    strategy: Strategy = "corner",
-    levels: int = 3,
-    budget: int = 65536,
-    samples: int = 0,
-    seed: int = 0,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks ``(values, weights)`` of worlds and their trained ridge weights.
-
-    The worlds are those of ``enumerate_worlds`` (``"corner"``, ``"grid"``)
-    or ``sample_worlds`` (``"uniform"``, ``samples`` of them), in the same
-    order; ``values`` holds their rows ``(W, S)`` and ``weights`` the
-    ``ridge_concrete`` solution ``(W, d)`` of each.  Every refusal comes at
-    the call.
-    """
-    blocks = _assignments(ad, strategy, levels, budget, samples, seed)
-    return ((values, ridge_concrete(*ad.materialize_batch(values), lam)) for values in blocks)
-
-
 @dataclass
 class WorldOracleResult:
-    """Extremes observed over a set of concrete worlds (an under-approximation)."""
+    """Each world's row, weights and loss, and their extremes (an under-approximation)."""
 
+    values: np.ndarray  # (n_worlds, S), one row of symbol values per world
     weights: np.ndarray  # (n_worlds, d), one row per world
+    losses: np.ndarray  # (n_worlds,)
     weight_lo: np.ndarray
     weight_hi: np.ndarray
     pred_lo: np.ndarray
@@ -218,44 +205,37 @@ def oracle_ranges(
     samples: int = 0,
     seed: int = 0,
 ) -> WorldOracleResult:
-    """Train one ridge model per world; record weight/prediction/loss extremes.
+    """Each world's row, ``ridge_concrete`` weights and loss, and their extremes.
 
+    The worlds are those of ``enumerate_worlds`` (``"corner"``, ``"grid"``)
+    or ``sample_worlds`` (``"uniform"``, ``samples`` of them), in order.
     The loss is ``concrete_loss`` at ``lam``, the lambda the worlds train
-    with: at ``lam = 0`` it is the mean squared error.  A negative or
-    non-finite ``lam`` raises ``ValueError`` from ``ridge_concrete``; a
-    ``test_X`` that is not 2-d with ``ad.d`` columns and at least one row,
-    or a ``test_y`` that is not one label per row, ``ShapeMismatchError``.
+    with: at ``lam = 0`` it is the mean squared error.  The test set is
+    refused as ``learning._test_set`` refuses it; every refusal, the
+    budget's too, comes before any world is trained.
     """
-    test_X = np.asarray(test_X, dtype=float)
-    test_y = np.asarray(test_y, dtype=float)
-    if test_X.ndim != 2 or test_X.shape[1] != ad.d:
-        raise ShapeMismatchError(f"test set must be (n, {ad.d})")
-    if test_X.shape[0] == 0:
-        raise ShapeMismatchError("test set must be a nonempty 2-d array")
-    if test_y.shape != test_X.shape[:1]:
-        raise ShapeMismatchError(f"test y must be ({test_X.shape[0]},), got {test_y.shape}")
+    test_X, test_y = learning._test_set(test_X, ad.d, test_y)
     blocks = []
-    pred_lo = np.full(len(test_X), np.inf)
-    pred_hi = np.full(len(test_X), -np.inf)
-    loss_lo, loss_hi = np.inf, -np.inf
-    for _, w in _train_worlds(ad, lam, strategy, levels, budget, samples, seed):
-        blocks.append(w)
+    pred_lo, pred_hi = np.full(len(test_X), np.inf), np.full(len(test_X), -np.inf)
+    for values in _assignments(ad, strategy, levels, budget, samples, seed):
+        w = ridge_concrete(*ad.materialize_batch(values), lam)
         preds = (test_X @ w[..., None])[..., 0]
         pred_lo = np.minimum(pred_lo, preds.min(axis=0))
         pred_hi = np.maximum(pred_hi, preds.max(axis=0))
-        loss = concrete_loss(test_X, test_y, w, lam)
-        loss_lo, loss_hi = min(loss_lo, float(loss.min())), max(loss_hi, float(loss.max()))
+        blocks.append((values, w, concrete_loss(test_X, test_y, w, lam)))
     if not blocks:
         raise DataError("oracle saw no worlds")
-    weights = np.concatenate(blocks)
+    values, weights, losses = (np.concatenate(column) for column in zip(*blocks))
     return WorldOracleResult(
+        values=values,
         weights=weights,
+        losses=losses,
         weight_lo=weights.min(axis=0),
         weight_hi=weights.max(axis=0),
         pred_lo=pred_lo,
         pred_hi=pred_hi,
-        loss_lo=loss_lo,
-        loss_hi=loss_hi,
+        loss_lo=float(losses.min()),
+        loss_hi=float(losses.max()),
         n_worlds=len(weights),
     )
 
@@ -272,9 +252,11 @@ class IntervalRidgeResult:
         one point, two arrays for a matrix of points by row.
 
         Cross-dimension correlation is deliberately discarded; the result
-        contains the true prediction range but is generally loose.
+        contains the true prediction range but is generally loose.  Shapes are
+        checked as in ``concrete_loss``.
         """
         x = np.asarray(x, dtype=float)
+        learning._test_set(x[None] if x.ndim == 1 else x, len(self.weight_lo), finite=False)
         lo = np.where(x >= 0, x * self.weight_lo, x * self.weight_hi).sum(axis=-1)
         hi = np.where(x >= 0, x * self.weight_hi, x * self.weight_lo).sum(axis=-1)
         return (float(lo), float(hi)) if x.ndim == 1 else (lo, hi)
@@ -288,7 +270,8 @@ def interval_ridge_labels(
     ``y_intervals`` is (n, 2) with per-row [lo, hi].  The feature matrix must
     be certain.  Weight interval j sums the row intervals scaled by the
     entries of ``(X'X + lam*n*I)^-1 X'``.  A negative or non-finite ``lam``
-    raises ``ValueError``.
+    raises ``ValueError``, and intervals that are not ``(n, 2)``, finite and
+    ordered ``DataError``.
     """
     X = np.asarray(X, dtype=float)
     y_intervals = np.asarray(y_intervals, dtype=float)
@@ -296,6 +279,8 @@ def interval_ridge_labels(
     n = X.shape[0]
     if y_intervals.shape != (n, 2):
         raise DataError(f"y_intervals must be (n, 2), got {y_intervals.shape}")
+    if not np.isfinite(y_intervals).all():
+        raise DataError("label intervals must be finite")
     if np.any(y_intervals[:, 0] > y_intervals[:, 1]):
         raise DataError("label intervals must satisfy lo <= hi")
     m = np.linalg.solve(gram, X.T)  # d x n

@@ -1,4 +1,5 @@
-"""Every script under ``demos/`` runs to completion."""
+"""Every script under ``demos/`` runs to completion, with a ``RuntimeWarning`` an error
+as in the test suite: a demo that starts printing NaN fails."""
 
 import os
 import subprocess
@@ -15,7 +16,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_zero(demo, tmp_path):
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -478,7 +478,7 @@ def _point(registry, length):
     (lambda w: predict_interval_uncertain(_point(SymbolRegistry(), 3), w), RegistryMismatchError,
      "test point and weights belong to different registries"),
     (lambda w: certify_robustness(np.ones((2, 4)), w, 0.5), ShapeMismatchError,
-     "test points must have dimension 3"),
+     "test set must be (n, 3)"),
     (lambda w: loss_interval(np.ones((3, 3)), np.ones(2), w, 0.1), ShapeMismatchError,
      "test y must be (3,), got (2,)"),
     (lambda w: loss_interval(np.ones((3, 3)), np.ones((3, 1)), w, 0.1), ShapeMismatchError,

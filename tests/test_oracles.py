@@ -6,7 +6,7 @@ import pytest
 from conftest import cell_table
 from stages import ridge_closed_form_real
 
-from zonoridge import learning
+from zonoridge import learning, oracles
 from zonoridge.dataset import (
     LABEL_COL,
     AbstractDataset,
@@ -18,7 +18,6 @@ from zonoridge.dataset import (
 from zonoridge.errors import BudgetExceededError, DataError, ShapeMismatchError
 from zonoridge.oracles import (
     WorldAssignment,
-    _train_worlds,
     concrete_loss,
     enumerate_worlds,
     interval_ridge_labels,
@@ -436,30 +435,49 @@ class TestStackedTraining:
             assert isinstance(one, float)
             assert one == losses[i] == looped_loss(X, y, w[i], lam)
 
+    @staticmethod
+    def spy_on_training(monkeypatch) -> list[int]:
+        """The size of every block ``oracle_ranges`` trains, in order."""
+        sizes = []
+
+        def spy(X, y, lam):
+            sizes.append(len(X))
+            return ridge_concrete(X, y, lam)
+
+        monkeypatch.setattr(oracles, "ridge_concrete", spy)
+        return sizes
+
     @pytest.mark.parametrize("strategy", ["corner", "uniform"])
-    def test_train_worlds_blocks_follow_the_worlds(self, strategy, monkeypatch):
+    def test_oracle_ranges_keeps_the_worlds_in_order(self, strategy, monkeypatch):
         ad = world_case("both", 1)
-        monkeypatch.setattr(learning, "CHUNK_ELEMENTS", 5 * ad.n * ad.d)
+        test_X, test_y = ad.X_R[:4], ad.y_R[:4]
         if strategy == "uniform":
             worlds = sample_worlds(ad, 23, 8)
         else:
             worlds = list(enumerate_worlds(ad))
-        blocks = list(_train_worlds(ad, 0.1, strategy, samples=23, seed=8))
-        assert max(len(w) for _, w in blocks) == 5
-        values = np.concatenate([v for v, _ in blocks])
-        weights = np.concatenate([w for _, w in blocks])
-        assert len(values) == len(worlds)
-        for row, w, (wa, X, y) in zip(values, weights, worlds):
+        default = oracle_ranges(ad, 0.1, test_X, test_y, strategy, samples=23, seed=8)
+        monkeypatch.setattr(learning, "CHUNK_ELEMENTS", 5 * ad.n * ad.d)
+        sizes = self.spy_on_training(monkeypatch)
+        res = oracle_ranges(ad, 0.1, test_X, test_y, strategy, samples=23, seed=8)
+        assert max(sizes) == 5 and sum(sizes) == len(worlds) == res.n_worlds
+        assert res.values.shape == (len(worlds), len(ad.cells.coef))
+        for row, w, loss, (wa, X, y) in zip(res.values, res.weights, res.losses, worlds):
             assert row.tolist() == wa.values.tolist()
             assert w.tobytes() == looped_ridge(X, y, 0.1).tobytes()
+            assert loss == looped_loss(test_X, test_y, w, 0.1)
+        for field in ("values", "weights", "losses", "pred_lo", "pred_hi"):
+            assert getattr(res, field).tobytes() == getattr(default, field).tobytes()
 
-    def test_train_worlds_refuses_the_budget_at_the_call(self):
+    def test_oracle_ranges_refuses_the_budget_at_the_call(self, monkeypatch):
         ad = world_case("both", 1)
         s = len(ad.split_symbols())
-        # No iteration: callers choose their worlds on this error.
+        sizes = self.spy_on_training(monkeypatch)
+        # No world trained: callers choose their worlds on this error.
         with pytest.raises(BudgetExceededError):
-            _train_worlds(ad, 0.1, "corner", budget=2**s - 1)
-        assert sum(len(w) for _, w in _train_worlds(ad, 0.1, "corner", budget=2**s)) == 2**s
+            oracle_ranges(ad, 0.1, ad.X_R, ad.y_R, "corner", budget=2**s - 1)
+        assert sizes == []
+        assert oracle_ranges(ad, 0.1, ad.X_R, ad.y_R, "corner", budget=2**s).n_worlds == 2**s
+        assert sum(sizes) == 2**s
 
 
 class TestOracleRangesMatchTheLoop:
@@ -536,7 +554,7 @@ class TestOracleRangesMatchTheLoop:
     (lambda ad: oracle_ranges(ad, 0.1, ad.X_R, ad.y_R[:5]), ShapeMismatchError,
      "test y must be (6,), got (5,)"),
     (lambda ad: oracle_ranges(ad, 0.1, ad.X_R[0], ad.y_R[:1]), ShapeMismatchError,
-     "test set must be (n, 2)"),
+     "test set must be a nonempty 2-d array"),
     (lambda ad: oracle_ranges(ad, 0.1, ad.X_R[:, :1], ad.y_R), ShapeMismatchError,
      "test set must be (n, 2)"),
     (lambda ad: oracle_ranges(ad, 0.1, ad.X_R[:0], ad.y_R[:0]), ShapeMismatchError,

@@ -1,0 +1,148 @@
+"""One refusal table: every query and oracle entry point, and the world-side
+calls beside them, refuse a malformed or non-finite input with a typed error
+and the same message for the same fault.
+
+The queries and ``oracle_ranges`` check their test set in full; the calls
+that run once per world or test point (``concrete_loss`` and the interval
+baseline's ``predict_interval``) check its shape only.
+"""
+
+import numpy as np
+import pytest
+
+from zonoridge.dataset import Dataset, UncertaintySpec, inject_uncertainty
+from zonoridge.errors import DataError, ShapeMismatchError
+from zonoridge.inference import certify_robustness, loss_interval, predict_interval
+from zonoridge.learning import RidgeConfig, contains_world_weights, fixed_point
+from zonoridge.oracles import concrete_loss, interval_ridge_labels, oracle_ranges, ridge_concrete
+
+SHAPE = "test set must be a nonempty 2-d array"
+WIDTH = "test set must be (n, 3)"
+FINITE = "test X and y must be finite"
+
+
+def _set(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+class Case:
+    """A 10-row, 3-column problem with uncertain labels, fitted, and a 5-row test set."""
+
+    def __init__(self):
+        rng = np.random.default_rng(13)
+        X = np.column_stack([np.ones(10), rng.uniform(-1, 2, (10, 2))])
+        y = X @ np.array([0.5, -1.0, 2.0]) + 0.1 * rng.standard_normal(10)
+        self.ad = inject_uncertainty(
+            Dataset(X=X, y=y, columns=["bias", "f0", "f1"]), UncertaintySpec("labels", 0.2, 0.1, seed=14)
+        )
+        self.weights, _ = fixed_point(self.ad, RidgeConfig(lam=0.1))
+        self.X, self.y = X[:5], y[:5]
+        self.train_X, self.train_y = X, y
+        self.baseline = interval_ridge_labels(X, self.ad.label_intervals(), 0.1)
+        self.values = np.zeros(len(self.ad.cells.coef))
+
+
+# A test set's faults: the bad X or y, and the error and message every full check gives.
+BAD_X = [
+    ("X-1d", lambda X: X[0], ShapeMismatchError, SHAPE),
+    ("X-empty", lambda X: X[:0], ShapeMismatchError, SHAPE),
+    ("X-width", lambda X: X[:, :2], ShapeMismatchError, WIDTH),
+    ("X-nan", lambda X: _set(X, (1, 1), np.nan), DataError, FINITE),
+    ("X-inf", lambda X: _set(X, (1, 1), np.inf), DataError, FINITE),
+    ("X-neg-inf", lambda X: _set(X, (1, 1), -np.inf), DataError, FINITE),
+]
+BAD_Y = [
+    ("y-1", lambda y: y[:1], ShapeMismatchError, "test y must be (5,), got (1,)"),
+    ("y-column", lambda y: y[:, None], ShapeMismatchError, "test y must be (5,), got (5, 1)"),
+    ("y-nan", lambda y: _set(y, 2, np.nan), DataError, FINITE),
+    ("y-inf", lambda y: _set(y, 2, np.inf), DataError, FINITE),
+    ("y-neg-inf", lambda y: _set(y, 2, -np.inf), DataError, FINITE),
+]
+# Entry points that take a test set, as calls on (case, X, y), and whether
+# they take labels and check finiteness.
+TEST_SETS = [
+    ("certify", lambda c, X, y: certify_robustness(X, c.weights, 0.5), False, True),
+    ("loss", lambda c, X, y: loss_interval(X, y, c.weights, 0.1), True, True),
+    ("oracle", lambda c, X, y: oracle_ranges(c.ad, 0.1, X, y), True, True),
+    ("concrete-loss", lambda c, X, y: concrete_loss(X, y, c.weights.w_R, 0.1), True, False),
+]
+
+
+def _test_set_cases():
+    for name, call, takes_y, finite in TEST_SETS:
+        for fault, bad, error, message in BAD_X:
+            if finite or error is ShapeMismatchError:
+                yield pytest.param(
+                    lambda c, call=call, bad=bad: call(c, bad(c.X), c.y), error, message, id=f"{name}-{fault}"
+                )
+        for fault, bad, error, message in BAD_Y if takes_y else ():
+            if finite or error is ShapeMismatchError:
+                yield pytest.param(
+                    lambda c, call=call, bad=bad: call(c, c.X, bad(c.y)), error, message, id=f"{name}-{fault}"
+                )
+
+
+CASES = [
+    *_test_set_cases(),
+    # A point is a one-row test set.
+    pytest.param(lambda c: predict_interval(c.X[:1], c.weights), ShapeMismatchError, SHAPE, id="point-2d"),
+    pytest.param(lambda c: predict_interval(c.X[0, :0], c.weights), ShapeMismatchError, WIDTH, id="point-empty"),
+    pytest.param(lambda c: predict_interval(c.X[0, :2], c.weights), ShapeMismatchError, WIDTH, id="point-width"),
+    pytest.param(lambda c: predict_interval(1.0, c.weights), ShapeMismatchError, SHAPE, id="point-scalar"),
+    pytest.param(lambda c: predict_interval(_set(c.X[0], 1, np.nan), c.weights), DataError, FINITE,
+                 id="point-nan"),
+    pytest.param(lambda c: predict_interval(_set(c.X[0], 1, np.inf), c.weights), DataError, FINITE,
+                 id="point-inf"),
+    pytest.param(lambda c: predict_interval(_set(c.X[0], 1, -np.inf), c.weights), DataError, FINITE,
+                 id="point-neg-inf"),
+    # The interval baseline's point or matrix of points: its shape only.
+    pytest.param(lambda c: c.baseline.predict_interval(c.X[0, :1]), ShapeMismatchError, WIDTH,
+                 id="baseline-one-entry-point"),
+    pytest.param(lambda c: c.baseline.predict_interval(c.X[:, :2]), ShapeMismatchError, WIDTH,
+                 id="baseline-width"),
+    pytest.param(lambda c: c.baseline.predict_interval(c.X[:0]), ShapeMismatchError, SHAPE,
+                 id="baseline-empty"),
+    pytest.param(lambda c: c.baseline.predict_interval(c.X[None]), ShapeMismatchError, SHAPE,
+                 id="baseline-3d"),
+    pytest.param(lambda c: concrete_loss(c.X, c.y, 1.0, 0.1), ShapeMismatchError,
+                 "w must be (d,) or (W, d), got ()", id="concrete-loss-scalar-w"),
+    # The world side: a world's weights and row, training labels, label intervals.
+    pytest.param(lambda c: contains_world_weights(c.weights, c.values, c.weights.w_R[:1]), ShapeMismatchError,
+                 "w_star must be (3,), got (1,)", id="contains-w-star-short"),
+    pytest.param(lambda c: contains_world_weights(c.weights, c.values, c.weights.w_R[:, None]),
+                 ShapeMismatchError, "w_star must be (3,), got (3, 1)", id="contains-w-star-column"),
+    pytest.param(lambda c: contains_world_weights(c.weights, c.values[None], c.weights.w_R), ShapeMismatchError,
+                 "values must be a 1-d row reaching every symbol id, got (1, 2)", id="contains-row-2d"),
+    pytest.param(lambda c: contains_world_weights(c.weights, c.values[:1], c.weights.w_R), ShapeMismatchError,
+                 "values must be a 1-d row reaching every symbol id, got (1,)", id="contains-row-short"),
+    pytest.param(lambda c: ridge_concrete(c.train_X, c.train_y[:1], 0.1), ShapeMismatchError,
+                 "labels must be (10,), one per row of X, got (1,)", id="ridge-labels-short"),
+    pytest.param(lambda c: ridge_concrete(c.train_X, c.train_y[:, None], 0.1), ShapeMismatchError,
+                 "labels must be (10,), one per row of X, got (10, 1)", id="ridge-labels-column"),
+    pytest.param(lambda c: interval_ridge_labels(c.train_X, _set(c.ad.label_intervals(), (3, 0), np.nan), 0.1),
+                 DataError, "label intervals must be finite", id="baseline-nan-interval"),
+    pytest.param(lambda c: interval_ridge_labels(c.train_X, _set(c.ad.label_intervals(), (3, 1), np.inf), 0.1),
+                 DataError, "label intervals must be finite", id="baseline-inf-interval"),
+]
+
+
+@pytest.mark.parametrize("refuse, error, message", CASES)
+def test_refusals(refuse, error, message):
+    case = Case()
+    assert len(case.values) == 2 and case.weights.data_ids.tolist() == [0, 1]
+    with pytest.raises(error) as exc:
+        refuse(case)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_shape_checked_calls_show_a_nan():
+    # They do not look for NaN: it comes out as a NaN, never as a plausible number.
+    case = Case()
+    X = _set(case.X, (1, 1), np.nan)
+    assert np.isnan(concrete_loss(X, case.y, case.weights.w_R, 0.1))
+    assert np.isnan(concrete_loss(case.X, _set(case.y, 2, np.nan), case.weights.w_R, 0.1))
+    assert np.isnan(case.baseline.predict_interval(X[1])).all()
+    lo, hi = case.baseline.predict_interval(X)
+    assert np.isnan(lo[1]) and np.isnan(hi[1]) and np.isfinite(np.delete(lo, 1)).all()
