@@ -240,34 +240,18 @@ class RunReport:
     def write(self, out_dir: str, fmt: str) -> list[Path]:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        written = []
         if fmt == "json":
-            p = out / f"{self.command}_report.json"
-            p.write_text(self.to_json() + "\n", encoding="utf-8")
-            written.append(p)
-        else:
-            for name, rows in (("results", self.rows), ("summary", self.summary)):
-                p = out / f"{self.command}_{name}.csv"
-                _write_csv(p, rows)
-                written.append(p)
-        return written
-
-
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if not rows:
-            fh.write("")
-            return
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def _stats(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, std
+            path = out / f"{self.command}_report.json"
+            path.write_text(self.to_json() + "\n", encoding="utf-8")
+            return [path]
+        paths = [out / f"{self.command}_{name}.csv" for name in ("results", "summary")]
+        for path, rows in zip(paths, (self.rows, self.summary)):
+            with open(path, "w", newline="", encoding="utf-8") as fh:  # no rows: an empty file
+                if rows:
+                    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                    writer.writeheader()
+                    writer.writerows(rows)
+        return paths
 
 
 def _summarize(rows: list[dict], group_keys: list[str], value_keys: list[str]) -> list[dict]:
@@ -280,10 +264,10 @@ def _summarize(rows: list[dict], group_keys: list[str], value_keys: list[str]) -
         entry = dict(zip(group_keys, key))
         entry["runs"] = len(bucket)
         for vk in value_keys:
-            mean, std = _stats([r[vk] for r in bucket])
-            entry[f"{vk}_mean"] = mean
-            entry[f"{vk}_std"] = std
-            entry[f"{vk}_3sigma"] = 3.0 * std
+            arr = np.array([r[vk] for r in bucket], dtype=float)
+            std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+            mean = float(arr.mean())
+            entry.update({f"{vk}_mean": mean, f"{vk}_std": std, f"{vk}_3sigma": 3.0 * std})
         out.append(entry)
     return out
 

@@ -31,6 +31,12 @@ LABEL_COL = -1
 _MISSING_MARKERS = {"", "?"}
 
 
+def _check_cube(values: np.ndarray) -> None:
+    """The one check of a world: ``ValueError`` unless every entry lies in [-1, 1], NaN too."""
+    if not (np.abs(values) <= 1.0).all():
+        raise ValueError("assignments must lie in [-1, 1]")
+
+
 @dataclass
 class Dataset:
     """Concrete data: features with a constant-one bias column, labels; NaN marks a missing cell."""
@@ -247,13 +253,13 @@ class AbstractDataset:
         ``values`` is ``(W, S)``: column j holds the values of data symbol
         j.  Every cell of world w gains ``coef[j] * values[w, j]``; cells
         shared by several symbols add them in table order.  Any other shape
-        raises ``ShapeMismatchError``.
+        raises ``ShapeMismatchError``, and a value outside [-1, 1] ``ValueError``.
         """
         values, S = np.asarray(values, dtype=float), len(self.cells.coef)
         if values.ndim != 2 or values.shape[1] != S:
             raise ShapeMismatchError(f"worlds must be (W, {S}), got {values.shape}")
-        delta = self.cells.coef * values
-        return self.cells.move(self.X_R, self.y_R, delta)
+        _check_cube(values)
+        return self.cells.move(self.X_R, self.y_R, self.cells.coef * values)
 
 
 def load_csv(

@@ -9,16 +9,20 @@ of all its points as arrays, in one pass, before it wraps each point in a
 quadratic in the symbols and are linearized before concretizing, which stays
 sound but can widen; a loss range is a :class:`LossInterval`, the same
 ``(lo, hi)`` tuple.  An uncertain test point is a vector of affine forms
-(:class:`~zonoridge.forms.ZVector`), read in one pass into its center and a
-generator matrix over its own symbols; its prediction is quadratic in the
-symbols and is linearized the same way.  A point with a higher-degree entry
-is not a zonotope and raises :class:`~zonoridge.errors.DegreeError`.
-Absolute values are taken in place on temporaries that nothing else reads.
+(:class:`~zonoridge.forms.ZVector`), read in one pass into one matrix, its
+center row over its generator rows, which multiplies ``[w_R | W]`` (kept by
+the weights too) once; its prediction is quadratic in the symbols and is
+linearized the same way.  A point with a higher-degree entry is not a
+zonotope and raises :class:`~zonoridge.errors.DegreeError`.  The queries
+build their records without the constructor's ``lo <= hi`` check, which a
+radius, a sum of absolute values (or NaN), cannot fail.  Absolute values are
+taken in place on temporaries that nothing else reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +56,9 @@ class PredictionInterval(_Interval):
     """Prediction range ``[lo, hi]``, an immutable ``(lo, hi)`` tuple."""
 
     __slots__ = ()
+
+
+_record = partial(tuple.__new__, PredictionInterval)  # no lo <= hi check (module doc)
 
 
 class LossInterval(_Interval):
@@ -130,58 +137,49 @@ def predict_interval_uncertain(
     * degree-2 coefficients ``C = P'W``: ``C[a,v]`` for the monomial
       ``e_a e_v``, plus ``C[v,a]`` when both symbols are in both.
 
-    Linearizing gives every monomial its own fresh symbol, so the radius is
-    the sum of the absolute values of all these coefficients: a sound
-    superset.
+    All of them come from one product ``B = [x_c; P'] [w_R | W]``: ``B[0, 0]``
+    is the center, row 0 ``x_c'W``, column 0 ``P'w_R`` and the rest ``C``.
+    The shared symbols' terms are merged inside ``B``.  Linearizing gives
+    every monomial its own fresh symbol, so the radius is the abs-sum of
+    ``B`` off its center entry plus the merged terms: a sound superset.
     """
     if len(x_abstract) != weights.dim:
         raise ShapeMismatchError(f"test point must have dimension {weights.dim}")
     if x_abstract.registry is not weights.registry:
         raise RegistryMismatchError("test point and weights belong to different registries")
-    # One pass over the forms: the centers, and P' as one flat row-major
-    # list, with the point's symbols numbered in order of first use.
+    # One pass over the forms into M = [x_c; P']: row 0 the centers, row a
+    # the point's symbol a, numbered from 1 in order of first use.
     d = weights.dim
-    centers, flat = [], []
-    blank = [0.0] * d
+    flat, blank = [0.0] * d, [0.0] * d
     own: dict[int, int] = {}
     for i, f in enumerate(x_abstract):
-        centers.append(f.center)
+        flat[i] = f.center
         for mono, coef in f.terms.items():
             if len(mono) != 1:
                 raise DegreeError("uncertain test points must be affine forms")
             a = own.get(mono[0])
             if a is None:
-                a = own[mono[0]] = len(own)
+                a = own[mono[0]] = len(own) + 1
                 flat += blank
             flat[a * d + i] = coef
-    x_c = np.array(centers)
-    Pt = np.array(flat).reshape(len(own), d)  # P', row a: the point's symbol a
-
-    W = weights.generators()
-    linear = x_c @ W
-    own_linear = Pt @ weights.w_R
-    C = Pt @ W  # row a: the monomials e_a e_v, for every weight symbol v
+    B = np.array(flat).reshape(-1, d) @ weights._stacked
+    center = float(B[0, 0])
+    B[0, 0] = 0.0
     merged = 0.0
     column = weights._columns
     both = [(a, column[sid]) for sid, a in own.items() if sid in column]
     if both:
         a, v = np.array(both).T
-        linear[v] += own_linear[a]
-        own_linear[a] = 0.0
-        block = C[a[:, None], v]  # e_a e_b with both symbols in both: merge both orders
-        C[a[:, None], v] = 0.0
+        B[0, v] += B[a, 0]
+        B[a, 0] = 0.0
+        block = B[a[:, None], v]  # e_a e_b with both symbols in both: merge both orders
+        B[a[:, None], v] = 0.0
         pairs = block + block.T
         merged = np.add.reduce(np.abs(block.diagonal())) + np.add.reduce(
             np.triu(np.abs(pairs, out=pairs), 1), axis=None
         )
-    center = float(x_c @ weights.w_R)
-    radius = float(
-        np.add.reduce(np.abs(linear, out=linear))
-        + np.add.reduce(np.abs(own_linear, out=own_linear))
-        + np.add.reduce(np.abs(C, out=C), axis=None)
-        + merged
-    )
-    return PredictionInterval(center - radius, center + radius)
+    radius = float(np.add.reduce(np.abs(B, out=B), axis=None) + merged)
+    return _record((center - radius, center + radius))
 
 
 def certify_robustness(
@@ -200,11 +198,8 @@ def certify_robustness(
     center, radius = _prediction_bounds(test_X, weights)
     lo, hi = center - radius, center + radius
     certified = hi - lo < threshold
-    return RobustnessReport(
-        threshold=threshold,
-        per_point=list(zip(map(PredictionInterval, lo.tolist(), hi.tolist()), certified.tolist())),
-        ratio=np.count_nonzero(certified) / test_X.shape[0],
-    )
+    per_point = list(zip(map(_record, zip(lo.tolist(), hi.tolist())), certified.tolist()))
+    return RobustnessReport(threshold, per_point, np.count_nonzero(certified) / test_X.shape[0])
 
 
 def _nearest_zero(center: np.ndarray, radius: np.ndarray) -> np.ndarray:

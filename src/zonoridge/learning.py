@@ -74,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import LABEL_COL, AbstractDataset, Cells
+from .dataset import LABEL_COL, AbstractDataset, Cells, _check_cube
 from .errors import (
     DataError,
     IllConditionedError,
@@ -149,10 +149,10 @@ class AbstractWeights:
     ``A^-1 diag(k) eps'`` has no symbol ids: its d symbols are the weights'
     own and appear in no dataset or test point.
 
-    The generator matrix is built on first use and kept; the column of each
-    data symbol id is indexed only when an uncertain test point first asks
-    for it.  Reassigning any field (``weights.k = ...``) drops both.
-    Changing a field's array in place does not.
+    The generator matrix ``W`` is built on first use and kept; ``[w_R | W]``
+    is stacked, and the column of each data symbol id in it indexed, only
+    when an uncertain test point first asks for them.  Reassigning any field
+    (``weights.w_R = ...``) drops all three; changing an array in place does not.
     """
 
     w_R: np.ndarray
@@ -164,8 +164,8 @@ class AbstractWeights:
     registry: SymbolRegistry
 
     def __setattr__(self, name, value):
-        self.__dict__.pop("_generators", None)
-        self.__dict__.pop("_columns", None)
+        for cached in ("_generators", "_stacked", "_columns"):
+            self.__dict__.pop(cached, None)
         super().__setattr__(name, value)
 
     @property
@@ -184,10 +184,14 @@ class AbstractWeights:
         return W
 
     @cached_property
+    def _stacked(self) -> np.ndarray:
+        return np.column_stack([self.w_R, self._generators])  # [w_R | W]
+
+    @cached_property
     def _columns(self) -> dict[int, int]:
-        """The column of ``generators()`` of each data symbol id."""
+        """The column of ``_stacked`` of each data symbol id: 1 + its column of ``W``."""
         ids = self.data_ids.tolist()
-        return dict(zip(ids, range(len(ids))))
+        return dict(zip(ids, range(1, len(ids) + 1)))
 
     def generators(self) -> np.ndarray:
         """Generator matrix ``W = [G_D' | A^-1 diag(k)]`` of the weight zonotope.
@@ -596,12 +600,16 @@ def _first_split_count(sys: NonDataSystem, lam: float) -> int:
     from scaling the symbolic part by 1/m; ``_split_fit`` re-checks actual
     per-part betas after splitting, since centers shift per part.  ``sys``
     (one part, or a stack of one) is infeasible with a feature cell, so
-    ``c'_max > 0``.
+    ``c'_max > 0``.  A diagonal entry ``q_ii <= -lam n`` leaves no split feasible;
+    only a custom transform gives one, and ``IllConditionedError`` names it.
     """
     cmax = float(np.max(sys.Cprime, initial=0.0))
-    denom = lam * sys.n + float(np.min(np.diagonal(sys.Q, axis1=-2, axis2=-1)))
+    q = np.diagonal(sys.Q, axis1=-2, axis2=-1).ravel()
+    i = int(np.argmin(q))
+    denom = lam * sys.n + q[i]
     if denom <= 0.0:
-        raise LambdaTooSmall(float(np.max(sys.beta)))
+        raise IllConditionedError(f"custom transform gives A X'X A^-1 diagonal entry {i} = "
+                                  f"{q[i]:.6g} <= -lam n: no split can help")
     return max(2, int(np.ceil(sys.Q.shape[-1] * cmax / denom)))
 
 
@@ -839,6 +847,7 @@ def contains_world_weights(
     has one too, as ``A`` is invertible.  A ``w*`` that is not ``(d,)``, or a
     row that is not 1-d or ends before a symbol of ``data_ids``, raises
     ``ShapeMismatchError``; the weights do not record S to refuse a long row.
+    A row with a value outside [-1, 1] is no world and raises ``ValueError``.
     """
     w_star = np.asarray(w_star, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -846,6 +855,7 @@ def contains_world_weights(
         raise ShapeMismatchError(f"w_star must be ({weights.dim},), got {w_star.shape}")
     if values.ndim != 1 or values.shape[0] <= weights.data_ids.max(initial=-1):
         raise ShapeMismatchError(f"values must be a 1-d row reaching every symbol id, got {values.shape}")
+    _check_cube(values)
     if tol is None:
         tol = 1e-7 * (1.0 + float(np.abs(w_star).max()))
     r = weights.A @ (w_star - weights.w_R - weights.w_D(values))

@@ -31,18 +31,21 @@ from typing import Iterator, Literal
 import numpy as np
 
 from . import learning
-from .dataset import AbstractDataset
+from .dataset import AbstractDataset, _check_cube
 from .errors import BudgetExceededError, DataError, ShapeMismatchError
 
 Strategy = Literal["corner", "grid", "uniform"]
 
 
 def _gram(X: np.ndarray, lam: float) -> np.ndarray:
-    """``X'X + lam*n*I`` of ``X``, one matrix or a stack; at ``lam == 0`` a rank-deficient
-    matrix raises ``LinAlgError``, and a negative or non-finite ``lam`` ``ValueError``."""
+    """``X'X + lam*n*I`` of ``X``, one matrix or a stack; a non-finite one (any NaN or inf in
+    ``X`` makes its diagonal one) raises ``DataError``, a rank-deficient one at ``lam == 0``
+    ``LinAlgError``, and a negative or non-finite ``lam`` ``ValueError``."""
     learning._check_lam(lam)
     n, d = X.shape[-2:]
     gram = X.swapaxes(-1, -2) @ X + lam * n * np.eye(d)
+    if not np.isfinite(gram).all():
+        raise DataError("training X'X must be finite")
     if lam == 0.0 and np.any(np.linalg.cond(gram) > 1e13):
         raise np.linalg.LinAlgError("X'X is singular at lambda = 0; need full column rank")
     return gram
@@ -51,17 +54,20 @@ def _gram(X: np.ndarray, lam: float) -> np.ndarray:
 def ridge_concrete(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Exact ridge solution ``(X'X + lam*n*I)^-1 X'y`` on concrete data.
 
-    ``X`` may be a stack ``(W, n, d)`` of worlds with labels ``(W, n)``;
-    the result is then ``(W, d)``, one stacked solve whose rows equal the
-    calls on each world.  For ``lam == 0`` every feature matrix must have
-    full column rank.  A negative or non-finite ``lam`` raises ``ValueError``,
-    and labels that are not one per row ``ShapeMismatchError``.
+    ``X`` may be a stack ``(W, n, d)`` of worlds with labels ``(W, n)``; the result
+    is then ``(W, d)``, one stacked solve whose rows equal the calls on each world.
+    For ``lam == 0`` every feature matrix must have full column rank.  A negative or
+    non-finite ``lam`` raises ``ValueError``, labels that are not one per row
+    ``ShapeMismatchError``, and a non-finite ``X'X`` or ``X'y`` ``DataError``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.shape != X.shape[:-1]:
         raise ShapeMismatchError(f"labels must be {X.shape[:-1]}, one per row of X, got {y.shape}")
-    return np.linalg.solve(_gram(X, lam), X.swapaxes(-1, -2) @ y[..., None])[..., 0]
+    gram, xty = _gram(X, lam), X.swapaxes(-1, -2) @ y[..., None]
+    if not np.isfinite(xty).all():
+        raise DataError("training X'y must be finite")
+    return np.linalg.solve(gram, xty)[..., 0]
 
 
 def concrete_loss(X: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float) -> float:
@@ -93,8 +99,7 @@ class WorldAssignment:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (np.abs(self.values) <= 1.0).all():  # NaN fails too
-            raise ValueError("assignments must lie in [-1, 1]")
+        _check_cube(self.values)
 
 
 def _assignments(
@@ -270,14 +275,13 @@ def interval_ridge_labels(
     ``y_intervals`` is (n, 2) with per-row [lo, hi].  The feature matrix must
     be certain.  Weight interval j sums the row intervals scaled by the
     entries of ``(X'X + lam*n*I)^-1 X'``.  A negative or non-finite ``lam``
-    raises ``ValueError``, and intervals that are not ``(n, 2)``, finite and
-    ordered ``DataError``.
+    raises ``ValueError``, and a non-finite ``X'X`` or intervals that are not
+    ``(n, 2)``, finite and ordered ``DataError``.
     """
     X = np.asarray(X, dtype=float)
     y_intervals = np.asarray(y_intervals, dtype=float)
     gram = _gram(X, lam)
-    n = X.shape[0]
-    if y_intervals.shape != (n, 2):
+    if y_intervals.shape != (len(X), 2):
         raise DataError(f"y_intervals must be (n, 2), got {y_intervals.shape}")
     if not np.isfinite(y_intervals).all():
         raise DataError("label intervals must be finite")

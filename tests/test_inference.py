@@ -85,6 +85,23 @@ class TestPredictionIntervalType:
                 setattr(p, name, 0.0)
         assert p == (1.0, 2.5)
 
+    def test_query_records_are_the_checked_records(self):
+        # The queries build their records without the lo <= hi check, which
+        # cannot fire there: each still is the record the constructor builds.
+        ds = make_dataset(12, 2, seed=30)
+        _, weights, _ = trained(ds, UncertaintySpec("both", 0.3, 0.2, seed=31), 0.1)
+        reg = weights.registry
+        sids = [0, *reg.new_symbols(2, SymbolKind.DATA)]
+        x = ZVector(reg, [PolyForm(reg, v, {(sid,): 0.1}) for v, sid in zip(ds.X[0], sids)])
+        records = [p for p, _ in certify_robustness(ds.X, weights, 1.0).per_point]
+        records.append(predict_interval_uncertain(x, weights))
+        for p in records:
+            q = PredictionInterval(p.lo, p.hi)
+            assert type(p) is PredictionInterval and p.lo < p.hi
+            assert p == q and hash(p) == hash(q) and (p.lo, p.hi, p.width) == (q.lo, q.hi, q.width)
+        with pytest.raises(ValueError, match="interval requires lo <= hi"):
+            PredictionInterval(1.0, 0.0)
+
 
 class TestPredictIntervalUncertain:
     @pytest.mark.parametrize("target", ["labels", "features", "both"])
@@ -414,8 +431,8 @@ class TestParameterIntervals:
 
 
 class TestCachedGenerators:
-    """The weights keep their generator matrix and symbol columns; reassigning
-    a field drops both."""
+    """The weights keep their generator matrix, ``[w_R | W]`` and symbol columns;
+    reassigning a field drops all three."""
 
     def answers(self, weights, x):
         pi = parameter_intervals(weights)
@@ -442,6 +459,7 @@ class TestCachedGenerators:
             ("data_ids", weights.data_ids[::-1].copy()),
             ("k", np.zeros_like(weights.k)),
             ("G_D", 2.0 * weights.G_D),
+            ("w_R", weights.w_R + 0.5),
         ):
             setattr(weights, name, value)
             fresh = dataclasses.replace(weights)  # the same fields, nothing cached
@@ -449,7 +467,8 @@ class TestCachedGenerators:
             for got, want in zip(after, self.answers(fresh, x)):
                 np.testing.assert_array_equal(got, want)
             # Only the uncertain point reads data_ids: they name its symbols' columns.
-            changed = slice(-1, None) if name == "data_ids" else slice(None)
+            # w_R is no generator: it moves the bounds and the point's range.
+            changed = {"data_ids": slice(-1, None), "w_R": slice(1, None)}.get(name, slice(None))
             for got, old in zip(after[changed], before[changed]):
                 assert not np.array_equal(got, old)
             before = after
@@ -462,10 +481,11 @@ class TestCachedGenerators:
         parameter_intervals(weights)
         loss_interval(np.eye(weights.dim), np.zeros(weights.dim), weights, 0.1)
         assert "_generators" in vars(weights) and "_columns" not in vars(weights)
+        assert "_stacked" not in vars(weights)
         predict_interval_uncertain(x, weights)
-        assert "_columns" in vars(weights)
+        assert "_columns" in vars(weights) and "_stacked" in vars(weights)
         weights.data_ids = weights.data_ids.copy()
-        assert "_generators" not in vars(weights) and "_columns" not in vars(weights)
+        assert not {"_generators", "_stacked", "_columns"} & vars(weights).keys()
 
 
 def _point(registry, length):

@@ -96,8 +96,8 @@ def nan_transform():
     (lambda: RidgeConfig(transform="qr"), ValueError, "unknown transform 'qr'"),
     (lambda: RidgeConfig(split_budget=0), ValueError, "split budget must be >= 1"),
     (lambda: RidgeConfig(split_budget=-1), ValueError, "split budget must be >= 1"),
-    (refused_split_start, LambdaTooSmall,
-     "regularization below feasibility threshold beta=8.6875"),
+    (refused_split_start, IllConditionedError,
+     "custom transform gives A X'X A^-1 diagonal entry 0 = -12 <= -lam n: no split can help"),
     (nan_transform, IllConditionedError, "custom transform has a non-finite entry"),
 ], ids=["unknown-transform", "split-budget-0", "split-budget-negative", "split-start",
         "nan-transform"])
@@ -522,8 +522,9 @@ class TestContainmentMatchesTheLoop:
         for w_star in ([bad, bad], [bad, center[1]], [1e9, bad], [center[0], bad]):
             assert not contains_world_weights(weights, e, w_star)
             assert not contains_world_weights(weights, e, w_star, tol=1e-3)
-        # A non-finite assignment value leaves a non-finite residual.
-        assert not contains_world_weights(weights, np.array([bad]), center)
+        # A non-finite assignment value is no point of the cube: no world at all.
+        with pytest.raises(ValueError, match=r"assignments must lie in \[-1, 1\]"):
+            contains_world_weights(weights, np.array([bad]), center)
 
     def test_split_weights_without_data_part(self):
         # One feature cell wide enough that beta exceeds lambda, so the fit splits.

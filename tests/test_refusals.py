@@ -4,7 +4,9 @@ and the same message for the same fault.
 
 The queries and ``oracle_ranges`` check their test set in full; the calls
 that run once per world or test point (``concrete_loss`` and the interval
-baseline's ``predict_interval``) check its shape only.
+baseline's ``predict_interval``) check its shape only.  A world row must lie
+in the cube [-1, 1]^S, and the oracles' training data must give a finite
+``X'X`` and ``X'y``.
 """
 
 import numpy as np
@@ -19,6 +21,8 @@ from zonoridge.oracles import concrete_loss, interval_ridge_labels, oracle_range
 SHAPE = "test set must be a nonempty 2-d array"
 WIDTH = "test set must be (n, 3)"
 FINITE = "test X and y must be finite"
+CUBE = "assignments must lie in [-1, 1]"
+GRAM = "training X'X must be finite"
 
 
 def _set(a, index, value):
@@ -121,6 +125,27 @@ CASES = [
                  "labels must be (10,), one per row of X, got (1,)", id="ridge-labels-short"),
     pytest.param(lambda c: ridge_concrete(c.train_X, c.train_y[:, None], 0.1), ShapeMismatchError,
                  "labels must be (10,), one per row of X, got (10, 1)", id="ridge-labels-column"),
+    # A world is a point of the cube [-1, 1]^S: a row outside it, NaN included, is none.
+    pytest.param(lambda c: contains_world_weights(c.weights, c.values + 5.0, c.weights.w_R), ValueError,
+                 CUBE, id="contains-row-outside"),
+    pytest.param(lambda c: contains_world_weights(c.weights, _set(c.values, 1, np.nan), c.weights.w_R),
+                 ValueError, CUBE, id="contains-row-nan"),
+    pytest.param(lambda c: c.ad.materialize_batch(np.full((1, 2), 5.0)), ValueError, CUBE,
+                 id="materialize-outside"),
+    pytest.param(lambda c: c.ad.materialize_batch(_set(np.zeros((3, 2)), (1, 0), -1.5)), ValueError, CUBE,
+                 id="materialize-one-entry-outside"),
+    pytest.param(lambda c: c.ad.materialize_batch(_set(np.zeros((3, 2)), (2, 1), np.nan)), ValueError, CUBE,
+                 id="materialize-nan"),
+    # Training data: a NaN or infinite cell makes X'X (or X'y) non-finite.
+    *(pytest.param(lambda c, v=v, lam=lam: ridge_concrete(_set(c.train_X, (2, 1), v), c.train_y, lam),
+                   DataError, GRAM, id=f"ridge-X-{v}-lam-{lam}")
+      for v in (np.nan, np.inf, -np.inf) for lam in (0.0, 0.1)),
+    pytest.param(lambda c: ridge_concrete(np.stack([c.train_X, _set(c.train_X, (2, 1), np.nan)]),
+                                          np.stack([c.train_y] * 2), 0.1), DataError, GRAM, id="ridge-X-stack-nan"),
+    *(pytest.param(lambda c, v=v: ridge_concrete(c.train_X, _set(c.train_y, 4, v), 0.1), DataError,
+                   "training X'y must be finite", id=f"ridge-y-{v}") for v in (np.nan, np.inf, -np.inf)),
+    *(pytest.param(lambda c, v=v: interval_ridge_labels(_set(c.train_X, (2, 1), v), c.ad.label_intervals(), 0.1),
+                   DataError, GRAM, id=f"baseline-X-{v}") for v in (np.nan, np.inf)),
     pytest.param(lambda c: interval_ridge_labels(c.train_X, _set(c.ad.label_intervals(), (3, 0), np.nan), 0.1),
                  DataError, "label intervals must be finite", id="baseline-nan-interval"),
     pytest.param(lambda c: interval_ridge_labels(c.train_X, _set(c.ad.label_intervals(), (3, 1), np.inf), 0.1),
