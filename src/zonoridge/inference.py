@@ -7,7 +7,12 @@ is exact for the zonotope; a robustness report computes the bounds and flags
 of all its points as arrays, in one pass, before it wraps each point in a
 :class:`PredictionInterval`, an immutable ``(lo, hi)`` tuple.  Losses are
 quadratic in the symbols and are linearized before concretizing, which stays
-sound but can widen; a loss range is a :class:`LossInterval`, the same
+sound but can widen.  The loss's degree-2 coefficients ``Q`` are formed
+through the d x d matrix ``H = X'X/n + lam I`` as ``W'(H W)``, an identity
+for the residual form ``R'R/n + lam W'W`` at O(n d (S+d) + d (S+d)^2)
+instead of O(n (S+d)^2), with ``Q`` still (S+d)^2 in memory; the radius
+sums every entry of ``|Q|``, which stays sound if rounding leaves ``Q``
+slightly asymmetric.  A loss range is a :class:`LossInterval`, the same
 ``(lo, hi)`` tuple.  An uncertain test point is a vector of affine forms
 (:class:`~zonoridge.forms.ZVector`), read in one pass into one matrix, its
 center row over its generator rows, which multiplies ``[w_R | W]`` (kept by
@@ -216,50 +221,58 @@ def loss_interval(
 ) -> LossInterval:
     """Range of the test loss ``mean((X w - y)**2) + lam w'w`` over the weight zonotope.
 
-    With the generator matrix ``W`` (see ``AbstractWeights.generators``),
-    residual generators ``R = X W`` and centers ``c = X w_R - y``, the loss
-    is the quadratic ``center + b'e + e'Qe`` in the symbols ``e``, where
+    With the generator matrix ``W`` (see ``AbstractWeights.generators``) and
+    centers ``c = X w_R - y``, the loss is the quadratic ``center + b'e +
+    e'Qe`` in the symbols ``e``.  With residual generators ``R = X W`` its
+    coefficients are ``Q = R'R/n + lam W'W`` and ``b = 2R'c/n + 2 lam W'w_R``;
+    they are formed through the d x d matrix ``H = X'X/n + lam I`` and the
+    vector ``g = X'c/n + lam w_R`` instead, by the identity
 
-        Q = R'R / n + lam W'W,   b = 2 R'c / n + 2 lam W'w_R.
+        Q = W'(H W),   b = 2 W'g,
+
+    which costs O(n d (S+d) + d (S+d)^2) rather than O(n (S+d)^2).  ``Q``
+    is still (S+d)^2 in memory; ``R`` is still formed, n x (S+d), for the
+    structural lower end below, and dropped before ``Q`` is.
 
     Linearizing every degree-2 monomial and concretizing gives the radius
-    ``sum |b| + sum |Q|``.  Aggregating symbolically before concretizing
-    keeps the cross-point correlations that per-prediction interval
-    arithmetic would lose, which tightens the upper end.  The loss is a
-    nonnegative combination of squares of affine forms, so the lower end
-    additionally uses each square's exact minimum (the squared distance of
-    zero to the affine term's interval, from the row sums of ``|R|`` and
-    ``|W|``); the linearized lower bound alone would forget that squares
-    cannot go negative.  At ``lam = 0`` the loss is the mean squared error.
-    A negative or non-finite ``lam`` raises ``ValueError``, as in
-    ``RidgeConfig``, and ``learning._test_set`` refuses a bad test set.
+    ``sum |b|`` plus the sum of every entry of ``|Q|``.  Summing both
+    ``|Q_ij|`` and ``|Q_ji|`` rather than doubling one of them keeps the
+    bound sound when rounding leaves the computed ``Q`` slightly
+    asymmetric: ``|Q_ij| + |Q_ji| >= |Q_ij + Q_ji|``.  Aggregating
+    symbolically before concretizing keeps the cross-point correlations
+    that per-prediction interval arithmetic would lose, which tightens the
+    upper end.  The loss is a nonnegative combination of squares of affine
+    forms, so the lower end additionally uses each square's exact minimum
+    (the squared distance of zero to the affine term's interval, from the
+    row sums of ``|R|`` and ``|W|``); the linearized lower bound alone
+    would forget that squares cannot go negative.  At ``lam = 0`` the loss
+    is the mean squared error.  A negative or non-finite ``lam`` raises
+    ``ValueError``, as in ``RidgeConfig``, and ``learning._test_set``
+    refuses a bad test set.
     """
     test_X, test_y = _test_set(test_X, weights.dim, test_y)
     _check_lam(lam)
     n = test_X.shape[0]
-    W = weights.generators()
-    R = test_X @ W
-    c = test_X @ weights.w_R - test_y
-    b = R.T @ (2.0 * c / n)
-    Q = R.T @ (R / n)
+    W, w_R = weights.generators(), weights.w_R
+    c = test_X @ w_R - test_y
     center = np.add.reduce(c * c / n)
     # Each structural term is the center's term in the same form at a |v| no
     # larger, so after rounding too it is no larger, and lo <= hi holds.
+    R = test_X @ W
     v = _nearest_zero(c, np.add.reduce(np.abs(R, out=R), axis=1))
+    del R
     structural_lo = np.add.reduce(v * v / n)
+    H = test_X.T @ (test_X / n)
+    g = test_X.T @ (c / n)
     if lam > 0.0:
-        w_R = weights.w_R
         center += np.add.reduce(lam * w_R * w_R)
         v = _nearest_zero(w_R, np.add.reduce(np.abs(W), axis=1))
         structural_lo += np.add.reduce(lam * v * v)
-        b += 2.0 * lam * (W.T @ w_R)
-        Q += lam * (W.T @ W)
-    np.abs(Q, out=Q)
-    radius = (
-        np.add.reduce(np.abs(b, out=b))
-        + np.add.reduce(Q.diagonal())
-        + 2.0 * np.add.reduce(np.triu(Q, 1), axis=None)
-    )
+        H.flat[:: H.shape[0] + 1] += lam
+        g += lam * w_R
+    half_b = W.T @ g
+    Q = W.T @ (H @ W)
+    radius = 2.0 * np.add.reduce(np.abs(half_b, out=half_b)) + np.add.reduce(np.abs(Q, out=Q), axis=None)
     return LossInterval(float(max(center - radius, structural_lo)), float(center + radius))
 
 

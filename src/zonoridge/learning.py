@@ -847,7 +847,8 @@ def contains_world_weights(
     has one too, as ``A`` is invertible.  A ``w*`` that is not ``(d,)``, or a
     row that is not 1-d or ends before a symbol of ``data_ids``, raises
     ``ShapeMismatchError``; the weights do not record S to refuse a long row.
-    A row with a value outside [-1, 1] is no world and raises ``ValueError``.
+    A row with a value outside [-1, 1] is no world and raises ``ValueError``,
+    as does a ``tol`` that is negative, NaN or infinite.
     """
     w_star = np.asarray(w_star, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -858,6 +859,8 @@ def contains_world_weights(
     _check_cube(values)
     if tol is None:
         tol = 1e-7 * (1.0 + float(np.abs(w_star).max()))
+    elif not 0.0 <= tol < np.inf:
+        raise ValueError("tol must be >= 0 and finite")
     r = weights.A @ (w_star - weights.w_R - weights.w_D(values))
     # k (1 + 1e-12) + tol where k > 0, else tol (fmax maps NaN to 0 too)
     bound = np.fmax(weights.k, 0.0) * (1.0 + 1e-12) + tol

@@ -148,12 +148,20 @@ def _assignments(
     return blocks()
 
 
+def _assignment(row: np.ndarray) -> WorldAssignment:
+    """The record of a row already checked against the cube, built without checking it again."""
+    record = object.__new__(WorldAssignment)
+    record.__dict__["values"] = row
+    return record
+
+
 def _worlds(
     ad: AbstractDataset, values: np.ndarray
 ) -> list[tuple[WorldAssignment, np.ndarray, np.ndarray]]:
-    """``(assignment, X, y)`` of every row of ``values``, built as one block."""
+    """``(assignment, X, y)`` of every row of ``values``, built as one block: ``materialize_batch``
+    checks the block against the cube once, so the records skip the constructor's check."""
     X, y = ad.materialize_batch(values)
-    return [(WorldAssignment(row), Xw, yw) for row, Xw, yw in zip(values, X, y)]
+    return [(_assignment(row), Xw, yw) for row, Xw, yw in zip(values, X, y)]
 
 
 def enumerate_worlds(

@@ -15,7 +15,10 @@ own and compare the kernel's results with a fit built step by step:
 rebuilt from the dataset and the weights alone, which a fit that does not
 split carries in ``diag.residual``.  ``split`` is the split reference: the
 parts of an even split as datasets of their own, which ``fixed_point``
-builds and solves in batches.
+builds and solves in batches.  ``loss_interval_residual`` is the loss
+reference: the loss coefficients formed from the residual generators
+``R = X W``, which ``zonoridge.inference.loss_interval`` forms through the
+d x d Hessian instead.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 
 from zonoridge.dataset import AbstractDataset
 from zonoridge.errors import ShapeMismatchError, SplitBudgetError
+from zonoridge.inference import LossInterval, _nearest_zero
 from zonoridge.learning import (
     _RANK_DEFICIENT,
     TOLERANCE,
@@ -40,6 +44,8 @@ from zonoridge.learning import (
     _residual_report,
     _ridge,
     _system,
+    _check_lam,
+    _test_set,
     _transform,
 )
 
@@ -200,3 +206,41 @@ def split(ad: AbstractDataset, m: int, budget: int = 65536) -> list[AbstractData
         )
         for X_p, y_p in zip(X, y)
     ]
+
+
+def loss_interval_residual(
+    test_X: np.ndarray, test_y: np.ndarray, weights: AbstractWeights, lam: float
+) -> LossInterval:
+    """``loss_interval`` with its coefficients in the residual form, at O(n (S+d)^2).
+
+    ``Q = R'R/n + lam W'W`` and ``b = 2R'c/n + 2 lam W'w_R`` with the
+    residual generators ``R = X W`` and centers ``c = X w_R - y``; the
+    radius is ``sum |b|`` plus the diagonal and twice the upper triangle of
+    ``|Q|``.  The lower end takes each square's exact minimum, as in
+    ``loss_interval``, whose centers and structural terms are the same sums.
+    """
+    test_X, test_y = _test_set(test_X, weights.dim, test_y)
+    _check_lam(lam)
+    n = test_X.shape[0]
+    W = weights.generators()
+    R = test_X @ W
+    c = test_X @ weights.w_R - test_y
+    b = R.T @ (2.0 * c / n)
+    Q = R.T @ (R / n)
+    center = np.add.reduce(c * c / n)
+    v = _nearest_zero(c, np.add.reduce(np.abs(R, out=R), axis=1))
+    structural_lo = np.add.reduce(v * v / n)
+    if lam > 0.0:
+        w_R = weights.w_R
+        center += np.add.reduce(lam * w_R * w_R)
+        v = _nearest_zero(w_R, np.add.reduce(np.abs(W), axis=1))
+        structural_lo += np.add.reduce(lam * v * v)
+        b += 2.0 * lam * (W.T @ w_R)
+        Q += lam * (W.T @ W)
+    np.abs(Q, out=Q)
+    radius = (
+        np.add.reduce(np.abs(b, out=b))
+        + np.add.reduce(Q.diagonal())
+        + 2.0 * np.add.reduce(np.triu(Q, 1), axis=None)
+    )
+    return LossInterval(float(max(center - radius, structural_lo)), float(center + radius))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import stages
+from conftest import cell_table
 from form_algebra import PolyForm, ZVector
 from zonoridge.dataset import LABEL_COL, AbstractDataset, Dataset, UncertaintySpec, inject_uncertainty
 from zonoridge.errors import RegistryMismatchError, ShapeMismatchError
@@ -388,6 +390,43 @@ class TestLossInterval:
             assert all(x <= y + 1e-12 for x, y in zip(a, b))
         for a, b in zip(param_widths, param_widths[1:]):
             assert np.all(a <= b + 1e-12)
+
+
+def _loss_case(case):
+    """``(weights, test_X, test_y)`` of one shape of the loss coefficients."""
+    rng = np.random.default_rng(31)
+    if case == "split":  # a box join: no data part
+        X = np.column_stack([np.ones(5), rng.uniform(0.5, 1.5, 5)])
+        reg = SymbolRegistry()
+        sid = reg.new_symbol(SymbolKind.DATA)
+        ad = AbstractDataset(
+            X_R=X, y_R=rng.uniform(-1.0, 1.0, 5), registry=reg, cells=cell_table({sid: (2, 1)}, {sid: 4.0})
+        )
+        weights, diag = fixed_point(ad, RidgeConfig(lam=0.05))
+        assert diag.splits_used > 1 and len(weights.data_ids) == 0 and weights.k.max() > 0.0
+        return weights, np.column_stack([np.ones(7), rng.uniform(0.5, 1.5, 7)]), rng.uniform(-1.0, 1.0, 7)
+    # (training rows, share of uncertain rows, test points): every uncertain row has 5 cells.
+    rows, share, points = {"tall": (60, 2 / 60, 500), "wide": (80, 0.5, 5), "no-width": (40, 0.0, 10)}[case]
+    ds = make_dataset(rows, 4, seed=32)
+    _, weights, _ = trained(ds, UncertaintySpec("both", share, 0.02, seed=33), 1.0)
+    assert len(weights.data_ids) == {"tall": 10, "wide": 200, "no-width": 0}[case]
+    test = make_dataset(points, 4, seed=34)
+    return weights, test.X, test.y
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("case", ["tall", "wide", "split", "no-width"])
+def test_loss_matches_residual_form(case, lam):
+    # Q = W'(X'X/n + lam I)W is R'R/n + lam W'W: the ends agree to 1e-12 of the width.
+    weights, test_X, test_y = _loss_case(case)
+    li = loss_interval(test_X, test_y, weights, lam)
+    ref = stages.loss_interval_residual(test_X, test_y, weights, lam)
+    tol = 1e-12 * (ref.hi - ref.lo)
+    assert abs(li.lo - ref.lo) <= tol and abs(li.hi - ref.hi) <= tol
+    if case == "no-width":
+        assert li.lo == li.hi == ref.lo == ref.hi
+    else:
+        assert li.lo < li.hi
 
 
 class TestParameterIntervals:

@@ -157,6 +157,22 @@ class TestWorldAssignment:
             WorldAssignment(np.array([0.5, bad, -0.5]))
 
 
+    def test_records_hold_the_block_rows(self):
+        # The oracles build their records without the constructor's check (the
+        # block is checked once); each record's values are its row, bit for bit.
+        ds = make_dataset(12, 2, seed=12)
+        ad = inject_uncertainty(ds, UncertaintySpec("both", 0.25, 0.1, seed=10))
+        for worlds, strategy, samples in [
+            (sample_worlds(ad, 40, seed=3), "uniform", 40),
+            (list(enumerate_worlds(ad, "grid", levels=2)), "grid", 0),
+        ]:
+            rows = oracle_ranges(ad, 0.1, ds.X[:2], ds.y[:2], strategy, 2, samples=samples, seed=3).values
+            assert all(type(wa) is WorldAssignment for wa, _, _ in worlds)
+            assert np.stack([wa.values for wa, _, _ in worlds]).tobytes() == rows.tobytes()
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            WorldAssignment(np.array([2.0]))
+
+
 class TestOracleRanges:
     def test_certain_data_degenerate(self):
         ds = make_dataset(10, 2, seed=10)

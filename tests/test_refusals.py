@@ -5,8 +5,9 @@ and the same message for the same fault.
 The queries and ``oracle_ranges`` check their test set in full; the calls
 that run once per world or test point (``concrete_loss`` and the interval
 baseline's ``predict_interval``) check its shape only.  A world row must lie
-in the cube [-1, 1]^S, and the oracles' training data must give a finite
-``X'X`` and ``X'y``.
+in the cube [-1, 1]^S, a containment check's slack must be finite and
+nonnegative, and the oracles' training data must give a finite ``X'X`` and
+``X'y``.
 """
 
 import numpy as np
@@ -121,6 +122,8 @@ CASES = [
                  "values must be a 1-d row reaching every symbol id, got (1, 2)", id="contains-row-2d"),
     pytest.param(lambda c: contains_world_weights(c.weights, c.values[:1], c.weights.w_R), ShapeMismatchError,
                  "values must be a 1-d row reaching every symbol id, got (1,)", id="contains-row-short"),
+    *(pytest.param(lambda c, tol=tol: contains_world_weights(c.weights, c.values, c.weights.w_R, tol), ValueError,
+                   "tol must be >= 0 and finite", id=f"contains-tol-{tol}") for tol in (np.nan, -1.0, np.inf)),
     pytest.param(lambda c: ridge_concrete(c.train_X, c.train_y[:1], 0.1), ShapeMismatchError,
                  "labels must be (10,), one per row of X, got (1,)", id="ridge-labels-short"),
     pytest.param(lambda c: ridge_concrete(c.train_X, c.train_y[:, None], 0.1), ShapeMismatchError,
