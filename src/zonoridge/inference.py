@@ -207,12 +207,6 @@ def certify_robustness(
     return RobustnessReport(threshold, per_point, np.count_nonzero(certified) / test_X.shape[0])
 
 
-def _nearest_zero(center: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """The point of each interval ``center +- radius`` nearest 0, where ``v**2`` is least."""
-    lo, hi = center - radius, center + radius
-    return np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0))
-
-
 def loss_interval(
     test_X: np.ndarray,
     test_y: np.ndarray,
@@ -256,17 +250,18 @@ def loss_interval(
     W, w_R = weights.generators(), weights.w_R
     c = test_X @ w_R - test_y
     center = np.add.reduce(c * c / n)
-    # Each structural term is the center's term in the same form at a |v| no
-    # larger, so after rounding too it is no larger, and lo <= hi holds.
+    # v is the distance from 0 to each interval c +- r, the least |.| on it (fmax maps
+    # NaN to 0).  Each structural term is the center's term in the same form at a v
+    # no larger than |c|, so after rounding too it is no larger, and lo <= hi holds.
     R = test_X @ W
-    v = _nearest_zero(c, np.add.reduce(np.abs(R, out=R), axis=1))
+    v = np.fmax(np.abs(c) - np.add.reduce(np.abs(R, out=R), axis=1), 0.0)
     del R
     structural_lo = np.add.reduce(v * v / n)
     H = test_X.T @ (test_X / n)
     g = test_X.T @ (c / n)
     if lam > 0.0:
         center += np.add.reduce(lam * w_R * w_R)
-        v = _nearest_zero(w_R, np.add.reduce(np.abs(W), axis=1))
+        v = np.fmax(np.abs(w_R) - np.add.reduce(np.abs(W), axis=1), 0.0)
         structural_lo += np.add.reduce(lam * v * v)
         H.flat[:: H.shape[0] + 1] += lam
         g += lam * w_R

@@ -46,7 +46,9 @@ One kernel (``_fit_stack``) computes these fixed points for a stack of parts:
 the part index is a leading axis of its arrays, and it reads each part only
 through its sums ``X'X`` and ``X'y`` and its rows at the uncertain cells.  The
 unsplit fit is the stack of one part, the dataset itself; a split builds the
-rows of its parts and passes them all.  It raises every failure but
+rows of its parts and passes them all.  Where the cells sit, not their
+coefficients, fixes the index tables of ``c'`` and ``h``, so a fit builds
+them once (``_index_plan``) for the unsplit stack and every split.  It raises every failure but
 infeasibility, which ``_split_fit`` answers.  Inside ``_diameter_terms`` the
 part axis is the innermost one instead, so that its numpy loops run over the
 parts, not over the d coefficients of a row; its results are part-first.
@@ -121,9 +123,11 @@ class RidgeConfig:
     """Learning configuration.
 
     ``transform`` selects the order-reduction space: ``"svd"`` diagonalizes
-    the center covariance (the default), ``"identity"`` reduces to a plain
-    interval hull, or a custom invertible matrix may be supplied.  A
-    ``split_budget`` of 1 never splits.
+    the center covariance (the default; computed by a symmetric
+    eigendecomposition of ``X_R'X_R``, the SVD's basis up to the sign of
+    each vector), ``"identity"`` reduces to a plain interval hull, or a
+    custom invertible matrix may be supplied.  A ``split_budget`` of 1
+    never splits.
     """
 
     lam: float = 0.0
@@ -316,8 +320,90 @@ def _abs_row_sums(parts: int, count: int, inner: int, d: int, block) -> np.ndarr
     return out
 
 
+class _IndexPlan(NamedTuple):
+    """The coefficient-free index tables of ``_diameter_terms``.
+
+    Built by ``_index_plan`` from the cells' rows and columns alone, so the
+    unsplit stack and every part stack of a split, whose cells differ only
+    in their coefficients, share one plan.  ``s`` and ``t`` number the
+    cells in ``order``.
+    """
+
+    order: np.ndarray  # the cells, features first
+    nf: int  # feature cells
+    fc: np.ndarray  # each feature cell's column
+    table: np.ndarray  # each touched row's cells in order, padded with the cell count
+    ps: np.ndarray  # same-row feature pairs (s, t), s <= t, by row
+    pt: np.ndarray
+    prow: np.ndarray  # each pair's table row
+    cs: np.ndarray  # each pair's columns
+    ct: np.ndarray
+    half: np.ndarray  # 0.5 for s = t, else 1
+    fl: np.ndarray  # same-row (feature s, label t) pairs
+    lt: np.ndarray
+    c1: np.ndarray  # the column pairs c1 <= c2 that occur
+    c2: np.ndarray
+    cp: np.ndarray  # each pair's column pair, numbered among those
+    q: np.ndarray  # pair q times the cell at place w of table row tq
+    w: np.ndarray
+    tq: np.ndarray
+    srt: np.ndarray  # the sorted triples; a run from ``runs`` on is one monomial
+    runs: np.ndarray
+    own: np.ndarray  # (feature s, cell t) with t >= s, so every label t
+    later: np.ndarray  # (feature s, feature t) with t > s
+
+
+def _index_plan(rows: np.ndarray, cols: np.ndarray, d: int) -> _IndexPlan | None:
+    """The index tables of ``_diameter_terms`` for cells at ``rows`` and ``cols``, or ``None``
+    without a feature cell (then ``c'`` and ``h`` are zero)."""
+    feat = cols != LABEL_COL
+    nf, ns = np.count_nonzero(feat), len(feat)
+    if nf == 0:
+        return None
+    order = (~feat).argsort(kind="stable")  # features first
+    rows, fc = rows[order], cols[order[:nf]]
+    # Each touched row's symbols in order (so its features first), padded with ns.
+    by_row = rows.argsort(kind="stable")
+    sr = rows[by_row]
+    start = sr.searchsorted(sr)  # where the symbol's row starts in by_row
+    place = np.arange(ns) - start
+    at = (place == 0).nonzero()[0].searchsorted(start)
+    table = np.full((int(at[-1]) + 1, int(place.max()) + 1), ns)
+    table[at, place] = by_row
+    isf, filled = table < nf, table < ns
+    # Same-row (feature s, symbol t), s <= t, by row: feature pairs, then feature/label pairs.
+    label, r, i, j = (np.array([isf, filled > isf])[:, :, None] & isf[:, :, None]
+                      & (table[:, :, None] <= table[:, None])).nonzero()
+    s, t, npairs = table[r, i], table[r, j], label.searchsorted(1)
+    ps, pt, prow = s[:npairs], t[:npairs], r[:npairs]
+    # The column pair (c1, c2), c1 <= c2, of each pair, numbered among those that occur.
+    cs, ct = fc[ps], fc[pt]
+    pair_col = np.minimum(cs, ct) * d + np.maximum(cs, ct)
+    occurs = np.zeros(d * d, dtype=bool)
+    occurs[pair_col] = True
+    flat = occurs.nonzero()[0]
+    # Pair q times a symbol of its row (table row tq, place w), by row; in the
+    # ``srt`` order each run of equal sorted triples, from ``runs`` on, is one monomial.
+    q, w = filled[prow].nonzero()
+    tq = prow[q]
+    qs, qt, u = ps[q], pt[q], table[tq, w]  # qs <= qt: the triple sorts to (min, median, max)
+    keys = (np.minimum(qs, u) * ns + np.minimum(np.maximum(u, qs), qt)) * ns + np.maximum(qt, u)
+    srt = keys.argsort(kind="stable")
+    keys = keys[srt]
+    findex = np.arange(nf)
+    return _IndexPlan(
+        order=order, nf=nf, fc=fc, table=table, ps=ps, pt=pt, prow=prow, cs=cs, ct=ct,
+        half=np.where(ps == pt, 0.5, 1.0), fl=s[npairs:], lt=t[npairs:],
+        c1=flat // d, c2=flat % d, cp=flat.searchsorted(pair_col), q=q, w=w, tq=tq, srt=srt,
+        runs=(keys != np.concatenate([[-1], keys[:-1]])).nonzero()[0],
+        own=(np.arange(ns) >= findex[:, None])[..., None],
+        later=(findex > findex[:, None])[..., None],
+    )
+
+
 def _diameter_terms(
-    cells: Cells,
+    plan: _IndexPlan | None,
+    coef: np.ndarray,
     x: np.ndarray,
     w_R: np.ndarray,
     G: np.ndarray,
@@ -326,10 +412,12 @@ def _diameter_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``c'`` and ``h`` of the diameter systems of P parts, as sums of |coefficients|.
 
-    The parts share ``cells``; part p has the feature row ``x[p, i]`` at
-    cell i, the ridge solution ``w_R[p]``, one ``w_D`` generator per cell in
-    ``G[p]`` and the transform ``A[p]``, ``A_inv[p]``.  Returns ``c'`` as
-    ``(P, d, d)`` and ``h`` as ``(P, d)``, both C-contiguous.
+    The parts share their cells: ``plan`` is ``_index_plan`` of the cells'
+    rows and columns and ``coef`` their coefficients.  Part p has the
+    feature row ``x[p, i]`` at cell i, the ridge solution ``w_R[p]``, one
+    ``w_D`` generator per cell in ``G[p]`` and the transform ``A[p]``,
+    ``A_inv[p]``.  Returns ``c'`` as ``(P, d, d)`` and ``h`` as ``(P, d)``,
+    both C-contiguous.
 
     Feature symbol s sits in row r, column c with coefficient a; g_s is its
     ``w_D`` generator (label symbols have generators but no M or N terms).
@@ -369,48 +457,18 @@ def _diameter_terms(
     prefix and suffix sums are always in order).
     """
     P, d = w_R.shape
-    feat = cells.cols != LABEL_COL
-    nf, ns = np.count_nonzero(feat), len(feat)
-    if nf == 0:
+    if plan is None:
         return np.zeros((P, d, d)), np.zeros((P, d))
-    order = (~feat).argsort(kind="stable")  # features first
-    rows, cols, coef = cells.rows[order], cells.cols[order], cells.coef[order]
-    fc, fa = cols[:nf], coef[:nf]
-    # Each touched row's symbols in order (so its features first), padded with ns.
-    by_row = rows.argsort(kind="stable")
-    sr = rows[by_row]
-    start = sr.searchsorted(sr)  # where the symbol's row starts in by_row
-    place = np.arange(ns) - start
-    at = (place == 0).nonzero()[0].searchsorted(start)
-    table = np.full((int(at[-1]) + 1, int(place.max()) + 1), ns)
-    table[at, place] = by_row
-    isf, filled, nr = table < nf, table < ns, len(table)
-    # Same-row (feature s, symbol t), s <= t, by row: feature pairs, then feature/label pairs.
-    label, r, i, j = (np.array([isf, filled > isf])[:, :, None] & isf[:, :, None]
-                      & (table[:, :, None] <= table[:, None])).nonzero()
-    s, t, npairs = table[r, i], table[r, j], label.searchsorted(1)
-    ps, pt, prow = s[:npairs], t[:npairs], r[:npairs]
-    fl, lt = s[npairs:], t[npairs:]
+    nf, fc, ps, pt, cs, ct, fl, lt, c1, c2, cp, q, w, tq = (
+        plan.nf, plan.fc, plan.ps, plan.pt, plan.cs, plan.ct, plan.fl, plan.lt, plan.c1, plan.c2,
+        plan.cp, plan.q, plan.w, plan.tq)
+    table, nr, ns = plan.table, len(plan.table), len(plan.order)
+    coef = coef[plan.order]
+    fa = coef[:nf]
     # N_st = fp (E_{c_s c_t} + E_{c_t c_s}); halving fp for s = t gives N_ss = a_s^2 E_cc.
-    fp = fa[ps] * fa[pt] * np.where(ps == pt, 0.5, 1.0)
-    # The column pair (c1, c2), c1 <= c2, of each pair, numbered among those that occur.
-    cs, ct = fc[ps], fc[pt]
-    pair_col = np.minimum(cs, ct) * d + np.maximum(cs, ct)
-    occurs = np.zeros(d * d, dtype=bool)
-    occurs[pair_col] = True
-    flat = occurs.nonzero()[0]
-    c1, c2, cp = flat // d, flat % d, flat.searchsorted(pair_col)
-    # Pair q times a symbol of its row (table row tq, place w), by row; in the
-    # ``srt`` order each run of equal sorted triples, from ``runs`` on, is one monomial.
-    q, w = filled[prow].nonzero()
-    tq = prow[q]
-    qs, qt, u = ps[q], pt[q], table[tq, w]  # qs <= qt: the triple sorts to (min, median, max)
-    keys = (np.minimum(qs, u) * ns + np.minimum(np.maximum(u, qs), qt)) * ns + np.maximum(qt, u)
-    srt = keys.argsort(kind="stable")
-    keys = keys[srt]
-    runs = (keys != np.concatenate([[-1], keys[:-1]])).nonzero()[0]
+    fp = fa[ps] * fa[pt] * plan.half
 
-    G, x = G[:, order], x[:, order[:nf]]
+    G, x = G[:, plan.order], x[:, plan.order[:nf]]
     # A x_r, x_r' A^-1, x_r . g_t, A e_c, e_c' A^-1, g_t[c], part last (a view if P = 1)
     A_t, G_t = A.swapaxes(1, 2), G.swapaxes(1, 2)
     Ax, xAi, xG, Ac, Ai, Gc = (np.ascontiguousarray(a.transpose(1, 2, 0))
@@ -434,9 +492,7 @@ def _diameter_terms(
     aZ[ps, pt] += fp[:, None] * w_R.T[ct]
     aZ[pt, ps] += fp[:, None] * w_R.T[cs]  # a second term when s = t
     aZ[fl, lt] -= (fa[fl] * coef[lt])[:, None]
-    findex = np.arange(nf)
-    own = (np.arange(ns) >= findex[:, None])[..., None]  # t >= s, so every label t
-    later = (findex > findex[:, None])[..., None]  # t > s among features
+    own, later = plan.own, plan.later
 
     def pairs(lo: int, hi: int) -> np.ndarray:
         b = slice(lo, hi)
@@ -465,10 +521,10 @@ def _diameter_terms(
     # Across rows each (pair, u) is its own monomial: |fp| times the row sums
     # before the pair's row plus those after it.
     outside = rsum.cumsum(axis=1)[:, :nr] + rsum[:, ::-1].cumsum(axis=1)[:, nr - 1 :: -1]
-    h += (np.abs(fp)[:, None, None] * outside[cp, prow]).sum(axis=0)
+    h += (np.abs(fp)[:, None, None] * outside[cp, plan.prow]).sum(axis=0)
     # Within a row the (at most 3) sources of a monomial are merged first.
     vals *= fp[q, None, None]
-    h += np.abs(np.add.reduceat(vals[srt], runs)).sum(axis=0)
+    h += np.abs(np.add.reduceat(vals[plan.srt], plan.runs)).sum(axis=0)
     return np.ascontiguousarray(cprime.transpose(2, 0, 1)), np.ascontiguousarray(h.T)
 
 
@@ -476,17 +532,20 @@ def _transform(gram: np.ndarray, cfg: RidgeConfig) -> tuple[np.ndarray, np.ndarr
     """Order-reduction transforms and their inverses for a stack of Gram matrices ``X_R'X_R``.
 
     Each is ``(P, d, d)``.  The SVD choice diagonalizes ``X_R'X_R`` so the
-    q-matrix of the diameter system is diagonal; identity leaves the
-    original space.  Custom matrices are validated for shape, finite
-    entries and conditioning before inverting.
+    q-matrix of the diameter system is diagonal: ``X_R'X_R`` is symmetric,
+    so its eigenvectors, by descending eigenvalue, are the rows of ``A``
+    and the columns of ``A^-1 = A'`` (its SVD's basis up to the sign of
+    each row, at about half the cost).  Identity leaves the original
+    space.  Custom matrices are validated for shape, finite entries and
+    conditioning before inverting.
     """
     P, d = gram.shape[0], gram.shape[-1]
     if isinstance(cfg.transform, str):
         if cfg.transform == "identity":
             eye = np.repeat(np.eye(d)[None], P, axis=0)
             return eye, eye.copy()
-        _, _, vt = np.linalg.svd(gram)
-        return vt, vt.swapaxes(1, 2)
+        v = np.linalg.eigh(gram)[1][..., ::-1]  # eigenvalues descending
+        return np.ascontiguousarray(v.swapaxes(1, 2)), np.ascontiguousarray(v)
     a = np.asarray(cfg.transform, dtype=float)
     if a.shape != (d, d):
         raise ShapeMismatchError(f"transform must be {d}x{d}, got {a.shape}")
@@ -629,13 +688,14 @@ class _Fit(NamedTuple):
 
 
 def _fit_stack(
-    gram: np.ndarray, xty: np.ndarray, cells: Cells, x: np.ndarray, y: np.ndarray, n: int,
-    cfg: RidgeConfig,
+    gram: np.ndarray, xty: np.ndarray, cells: Cells, plan: _IndexPlan | None, x: np.ndarray,
+    y: np.ndarray, n: int, cfg: RidgeConfig,
 ) -> _Fit:
     """Fixed points of P parts that share ``cells``, every stage one call over all parts.
 
-    Part p has ``n`` rows, the sums ``gram[p] = X'X`` and ``xty[p] = X'y``,
-    and the feature row ``x[p, i]`` and label ``y[p, i]`` at cell i.
+    ``plan`` is ``_index_plan`` of the cells' rows and columns.  Part p has
+    ``n`` rows, the sums ``gram[p] = X'X`` and ``xty[p] = X'y``, and the
+    feature row ``x[p, i]`` and label ``y[p, i]`` at cell i.
     Returns the fits of the parts, with the regularized Gram matrices and
     the data right-hand sides they were solved from.  Each part gets the
     rank check of ``_ridge``, then those of ``_diameters``; the error that
@@ -650,7 +710,7 @@ def _fit_stack(
     rhs = _data_rhs(cells, x, y, w_R)
     G = np.linalg.solve(reg, rhs).swapaxes(1, 2)
     A, A_inv = _transform(gram, cfg)
-    sys = _system(A @ gram @ A_inv, *_diameter_terms(cells, x, w_R, G, A, A_inv), n)
+    sys = _system(A @ gram @ A_inv, *_diameter_terms(plan, cells.coef, x, w_R, G, A, A_inv), n)
     k, checks, m = _diameters(sys, cfg.lam, TOLERANCE)
     error = _first_failure(
         [(deficient, lambda p: np.linalg.LinAlgError(_RANK_DEFICIENT)), *checks]
@@ -678,12 +738,15 @@ def _part_block(pos: np.ndarray, touched: int, d: int) -> int:
 
 
 def _split_fit(
-    ad: AbstractDataset, cells: Cells, sys: NonDataSystem, cfg: RidgeConfig
+    ad: AbstractDataset, cells: Cells, plan: _IndexPlan | None, sys: NonDataSystem,
+    cfg: RidgeConfig,
 ) -> tuple[tuple, list[float], float]:
     """Box join of the parts of the least feasible even split.
 
     ``sys`` is the kernel's infeasible stack of one, the unsplit fit on
-    ``cells``, the entries with a nonzero coefficient.  Part p of an
+    ``cells``, the entries with a nonzero coefficient, and ``plan`` their
+    index plan, which every part shares: a split moves only the centers
+    and coefficients of the cells.  Part p of an
     ``m``-way split, in ``itertools.product`` order, takes sub-cell ``j =
     combos[p, i]`` of cell i: its center moves by ``coef_i (2j + 1 - m) /
     m`` and its coefficient is ``coef_i / m``.  m starts at
@@ -716,7 +779,7 @@ def _split_fit(
             X, y = cells._replace(rows=pos).move(X_T, y_T, offsets)
             gram = gram_U + X.swapaxes(1, 2) @ X
             xty = xty_U + (X.swapaxes(1, 2) @ y[..., None])[..., 0]
-            fit = _fit_stack(gram, xty, parts, X[:, pos], y[:, pos], ad.n, cfg)
+            fit = _fit_stack(gram, xty, parts, plan, X[:, pos], y[:, pos], ad.n, cfg)
             if fit.infeasible:
                 break
             # Interval hull of [G_D' | A^-1 diag(k)] around w_R.
@@ -759,15 +822,16 @@ def fixed_point(
     """
     data_ids = np.flatnonzero(ad.cells.coef != 0.0)
     cells = ad.cells.select(data_ids)
+    plan = _index_plan(cells.rows, cells.cols, ad.d)
     gram, xty = ad.X_R.T @ ad.X_R, ad.X_R.T @ ad.y_R
-    one = _fit_stack(gram[None], xty[None], cells, *_at_cells(ad, cells), ad.n, cfg)
+    one = _fit_stack(gram[None], xty[None], cells, plan, *_at_cells(ad, cells), ad.n, cfg)
     if not one.infeasible:
         # G_D in C order: a view can round later products differently.
         fit = (one.w_R[0], np.ascontiguousarray(one.G[0]), data_ids, one.k[0], one.A[0],
                one.A_inv[0])
         part_betas, margin = None, float(_margin(one.m)[0])
     else:
-        fit, part_betas, margin = _split_fit(ad, cells, one.sys, cfg)
+        fit, part_betas, margin = _split_fit(ad, cells, plan, one.sys, cfg)
     weights = AbstractWeights(*fit, registry=ad.registry)
     diag = FixedPointDiagnostics(
         beta=float(one.sys.beta[0]),

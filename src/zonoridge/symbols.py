@@ -23,6 +23,7 @@ forms from different registries is an error.
 
 from __future__ import annotations
 
+import operator
 import threading
 from enum import Enum
 
@@ -47,6 +48,14 @@ class SymbolRegistry:
         return self.new_symbols(1, kind)[0]
 
     def new_symbols(self, count: int, kind: SymbolKind) -> list[int]:
+        """The next ``count`` ids; a negative or non-integer count raises ``ValueError``
+        and leaves the registry as it was, so no id is ever handed out twice."""
+        try:
+            count = operator.index(count)
+        except TypeError:
+            raise ValueError(f"symbol count must be an integer, got {count!r}") from None
+        if count < 0:
+            raise ValueError(f"symbol count must be >= 0, got {count}")
         with self._lock:
             start = self._next
             self._next += count

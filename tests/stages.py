@@ -27,7 +27,7 @@ import numpy as np
 
 from zonoridge.dataset import AbstractDataset
 from zonoridge.errors import ShapeMismatchError, SplitBudgetError
-from zonoridge.inference import LossInterval, _nearest_zero
+from zonoridge.inference import LossInterval
 from zonoridge.learning import (
     _RANK_DEFICIENT,
     TOLERANCE,
@@ -40,6 +40,7 @@ from zonoridge.learning import (
     _diameter_terms,
     _diameters,
     _first_failure,
+    _index_plan,
     _margin,
     _residual_report,
     _ridge,
@@ -83,8 +84,9 @@ def build_transform(X_R: np.ndarray, cfg: RidgeConfig) -> tuple[np.ndarray, np.n
     """Order-reduction transform and its inverse.
 
     The SVD choice diagonalizes ``X_R'X_R`` so the q-matrix of the diameter
-    system is diagonal; identity leaves the original space.  Custom matrices
-    are validated for conditioning before inverting.
+    system is diagonal; it is computed by a symmetric eigendecomposition, the
+    SVD's basis up to the sign of each row.  Identity leaves the original
+    space.  Custom matrices are validated for conditioning before inverting.
     """
     A, A_inv = _transform((X_R.T @ X_R)[None], cfg)
     return A[0], A_inv[0]
@@ -115,7 +117,8 @@ def build_non_data_system(
     if G_D.shape != (len(cells.coef), ad.d):
         raise ShapeMismatchError(f"G_D must be {(len(cells.coef), ad.d)}, got {G_D.shape}")
     x, _ = _at_cells(ad, cells)
-    cprime, h = _diameter_terms(cells, x, w_R[None], G_D[None], A[None], A_inv[None])
+    plan = _index_plan(cells.rows, cells.cols, ad.d)
+    cprime, h = _diameter_terms(plan, cells.coef, x, w_R[None], G_D[None], A[None], A_inv[None])
     Q = A @ (ad.X_R.T @ ad.X_R) @ A_inv
     return _system(Q, cprime[0], h[0], ad.n)
 
@@ -208,6 +211,14 @@ def split(ad: AbstractDataset, m: int, budget: int = 65536) -> list[AbstractData
     ]
 
 
+def nearest_zero(center: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """The point of each interval ``center +- radius`` nearest 0, where ``v**2`` is least:
+    the structural lower end's reference, which ``loss_interval`` takes as the distance
+    ``max(|center| - radius, 0)`` instead."""
+    lo, hi = center - radius, center + radius
+    return np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0))
+
+
 def loss_interval_residual(
     test_X: np.ndarray, test_y: np.ndarray, weights: AbstractWeights, lam: float
 ) -> LossInterval:
@@ -228,12 +239,12 @@ def loss_interval_residual(
     b = R.T @ (2.0 * c / n)
     Q = R.T @ (R / n)
     center = np.add.reduce(c * c / n)
-    v = _nearest_zero(c, np.add.reduce(np.abs(R, out=R), axis=1))
+    v = nearest_zero(c, np.add.reduce(np.abs(R, out=R), axis=1))
     structural_lo = np.add.reduce(v * v / n)
     if lam > 0.0:
         w_R = weights.w_R
         center += np.add.reduce(lam * w_R * w_R)
-        v = _nearest_zero(w_R, np.add.reduce(np.abs(W), axis=1))
+        v = nearest_zero(w_R, np.add.reduce(np.abs(W), axis=1))
         structural_lo += np.add.reduce(lam * v * v)
         b += 2.0 * lam * (W.T @ w_R)
         Q += lam * (W.T @ W)

@@ -218,6 +218,74 @@ def test_queries_match_reference(kind, d, n, seed, transform, lam):
     assert_close(dense_params.hi, reference_params.hi)
 
 
+@SETTINGS
+@given(**problem_args, lam=st.sampled_from([0.0, 0.3]))
+@example(kind="labels", d=2, n=5, seed=13, transform="svd", lam=0.3)
+def test_structural_lower_end_is_the_nearest_point_formula(kind, d, n, seed, transform, lam):
+    """``loss_interval``'s distance ``max(|c| - r, 0)`` squares, bit for bit, to the old
+    nearest point of ``c +- r``, and its lower end is at least their structural sum."""
+    ad, cfg = make_problem(kind, d, n, seed, transform)
+    weights = perturbed_weights(ad, cfg, seed)
+    test_X = np.random.default_rng(seed).uniform(-2.0, 2.0, (4, d))
+    test_y = ad.y_R[:4]
+    W = weights.generators()
+    c = test_X @ weights.w_R - test_y
+    r = np.add.reduce(np.abs(test_X @ W), axis=1)
+    # Ends on and next to 0 as well as the cases' intervals.
+    c = np.concatenate([c, r, -r, np.nextafter(r, 0.0), -np.nextafter(r, np.inf), [0.0]])
+    r = np.concatenate([r, r, r, r, r, [0.0]])
+    for center, radius in ((c, r), (weights.w_R, np.add.reduce(np.abs(W), axis=1))):
+        new = np.fmax(np.abs(center) - radius, 0.0)
+        old = stages.nearest_zero(center, radius)
+        assert bits(new * new / 4) == bits(old * old / 4)
+        assert bits(lam * new * new) == bits(lam * old * old)
+    v = stages.nearest_zero(c[:4], r[:4])
+    structural = np.add.reduce(v * v / 4)
+    if lam > 0.0:
+        v = stages.nearest_zero(weights.w_R, np.add.reduce(np.abs(W), axis=1))
+        structural += np.add.reduce(lam * v * v)
+    assert loss_interval(test_X, test_y, weights, lam).lo >= structural
+
+
+@SETTINGS
+@given(kind=problem_args["kind"], d=problem_args["d"], n=problem_args["n"], seed=problem_args["seed"])
+def test_default_transform_diagonalizes_the_gram_matrix(kind, d, n, seed):
+    """The default ``A`` is orthogonal, and ``A X'X A^-1`` diagonal with its diagonal descending."""
+    ad, _ = make_problem(kind, d, n, seed)
+    gram = ad.X_R.T @ ad.X_R
+    A, A_inv = build_transform(ad.X_R, RidgeConfig())
+    assert A.flags.c_contiguous and A_inv.flags.c_contiguous
+    np.testing.assert_array_equal(A_inv, A.T)
+    assert np.max(np.abs(A @ A.T - np.eye(d))) <= 1e-14
+    q = A @ gram @ A_inv
+    diag = np.diag(q)
+    assert np.max(np.abs(q - np.diag(diag))) <= 1e-13 * np.max(np.abs(gram))
+    assert (np.diff(diag) <= 1e-13 * np.max(np.abs(gram))).all()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_default_transform_agrees_with_the_svd_basis(kind):
+    """A default fit and a fit through the SVD basis of ``X_R'X_R``, as a custom transform, agree."""
+    for seed in range(4):
+        ad, cfg = make_problem(kind, 3, 7, seed, lam=5.0)
+        weights, diag = fixed_point(ad, cfg)
+        custom = dataclasses.replace(cfg, transform=np.linalg.svd(ad.X_R.T @ ad.X_R)[2])
+        svd_weights, svd_diag = fixed_point(ad, custom)
+        assert diag.splits_used == svd_diag.splits_used == 1
+        test_X = np.random.default_rng(seed).uniform(-2.0, 2.0, (5, 3))
+        test_y = ad.y_R[:5]
+        for lam in (0.0, 0.3):
+            got, want = (loss_interval(test_X, test_y, w, lam) for w in (weights, svd_weights))
+            assert_close([got.lo, got.hi], [want.lo, want.hi])
+        got, want = (certify_robustness(test_X, w, threshold=1.0) for w in (weights, svd_weights))
+        assert [c for _, c in got.per_point] == [c for _, c in want.per_point]
+        for x, (g, _), (w, _) in zip(test_X, got.per_point, want.per_point):
+            p, q = predict_interval(x, weights), predict_interval(x, svd_weights)
+            assert_close([p.lo, p.hi, g.lo, g.hi], [q.lo, q.hi, w.lo, w.hi])
+        got, want = (parameter_intervals(w) for w in (weights, svd_weights))
+        assert_close(np.concatenate([got.lo, got.hi]), np.concatenate([want.lo, want.hi]))
+
+
 def split_problem(seed):
     """One feature cell wide enough that beta exceeds lambda, so the fit splits."""
     rng = np.random.default_rng(seed)
@@ -360,12 +428,13 @@ def test_stacked_diameter_terms_equal_one_part_calls(cells, chunk, monkeypatch):
         rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
         for shape in ((parts, S, d), (parts, d), (parts, S, d), (parts, d, d), (parts, d, d))
     ]
-    cprime, h = learning._diameter_terms(cells, *args)
+    plan = learning._index_plan(cells.rows, cells.cols, d)
+    cprime, h = learning._diameter_terms(plan, cells.coef, *args)
     assert cprime.shape == (parts, d, d) and h.shape == (parts, d)
     assert cprime.flags.c_contiguous and h.flags.c_contiguous
     assert np.any(h) == (cells is not LABEL_CELLS)
     for p in range(parts):
-        one = learning._diameter_terms(cells, *(a[p : p + 1] for a in args))
+        one = learning._diameter_terms(plan, cells.coef, *(a[p : p + 1] for a in args))
         assert bits(cprime[p : p + 1]) == bits(one[0])
         assert bits(h[p : p + 1]) == bits(one[1])
 
@@ -780,6 +849,23 @@ def test_a_fit_computes_each_intermediate_once(monkeypatch):
     _, diag = fixed_point(ad, cfg)
     assert diag.splits_used > 1
     assert len(matrices) == len(stacks) == 1 + diag.splits_used
+
+
+def test_a_fit_builds_one_index_plan(monkeypatch):
+    """The unsplit stack and every part stack of a split, every block and every m, share one plan."""
+    plans = counting(monkeypatch, learning, "_index_plan")
+    stacks = counting(monkeypatch, learning, "_fit_stack")
+    ad, cfg = make_problem("both", 3, 7, 0, lam=5.0)
+    assert fixed_point(ad, cfg)[1].splits_used == 1
+    assert (len(plans), len(stacks)) == (1, 1)
+    # The retry tries the splits from m = 12 to 34, one stack or more each.
+    del plans[:], stacks[:]
+    assert fixed_point(*retry_case())[1].splits_used == 34**2
+    assert len(plans) == 1 and len(stacks) >= 1 + 23
+    monkeypatch.setattr(learning, "CHUNK_ELEMENTS", 1)  # one part per block
+    del plans[:], stacks[:]
+    assert fixed_point(*split_case("features", 3, 0))[1].splits_used > 1
+    assert len(plans) == 1 and len(stacks) > 2
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from zonoridge.errors import DataError, ShapeMismatchError
 from zonoridge.inference import certify_robustness, loss_interval, predict_interval
 from zonoridge.learning import RidgeConfig, contains_world_weights, fixed_point
 from zonoridge.oracles import concrete_loss, interval_ridge_labels, oracle_ranges, ridge_concrete
+from zonoridge.symbols import SymbolKind, SymbolRegistry
 
 SHAPE = "test set must be a nonempty 2-d array"
 WIDTH = "test set must be (n, 3)"
@@ -124,6 +125,11 @@ CASES = [
                  "values must be a 1-d row reaching every symbol id, got (1,)", id="contains-row-short"),
     *(pytest.param(lambda c, tol=tol: contains_world_weights(c.weights, c.values, c.weights.w_R, tol), ValueError,
                    "tol must be >= 0 and finite", id=f"contains-tol-{tol}") for tol in (np.nan, -1.0, np.inf)),
+    # A symbol count: a negative one would rewind the registry and hand out its ids again.
+    pytest.param(lambda c: c.ad.registry.new_symbols(-2, SymbolKind.DATA), ValueError,
+                 "symbol count must be >= 0, got -2", id="registry-count-negative"),
+    pytest.param(lambda c: c.ad.registry.new_symbols(2.0, SymbolKind.DATA), ValueError,
+                 "symbol count must be an integer, got 2.0", id="registry-count-float"),
     pytest.param(lambda c: ridge_concrete(c.train_X, c.train_y[:1], 0.1), ShapeMismatchError,
                  "labels must be (10,), one per row of X, got (1,)", id="ridge-labels-short"),
     pytest.param(lambda c: ridge_concrete(c.train_X, c.train_y[:, None], 0.1), ShapeMismatchError,
@@ -163,6 +169,16 @@ def test_refusals(refuse, error, message):
     with pytest.raises(error) as exc:
         refuse(case)
     assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_refused_symbol_count_leaves_the_registry():
+    reg = SymbolRegistry()
+    assert reg.new_symbols(3, SymbolKind.DATA) == [0, 1, 2]
+    for count in (-2, 1.5, "2", None):
+        with pytest.raises(ValueError):
+            reg.new_symbols(count, SymbolKind.DATA)
+    assert len(reg) == 3 and reg.new_symbols(2, SymbolKind.DATA) == [3, 4]
+    assert reg.new_symbols(np.int64(1), SymbolKind.FRESH) == [5] and reg.new_symbols(0, SymbolKind.DATA) == []
 
 
 def test_shape_checked_calls_show_a_nan():
