@@ -435,7 +435,7 @@ def cmd_oracle_check(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
         seed, pct, rad, lam = task
         li = loss_interval(test.X, test.y, weights, lam)
         report = certify_robustness(test.X, weights, threshold_abs)
-        pred_lo, pred_hi = np.array([interval for interval, _ in report.per_point]).T
+        pred_lo, pred_hi = report.lo, report.hi
         results = [oracle_ranges(ad, lam, test.X, test.y, "uniform", samples=cfg.oracle_samples, seed=seed)]
         try:
             results.append(oracle_ranges(ad, lam, test.X, test.y, "corner", budget=cfg.oracle_budget))

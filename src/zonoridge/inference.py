@@ -4,8 +4,9 @@ Everything here consumes the weight zonotope produced by learning, as its
 generator matrix ``W`` around ``w_R``; the weights build ``W`` once and keep
 it.  A prediction for a concrete point is affine in the symbols, so its range
 is exact for the zonotope; a robustness report computes the bounds and flags
-of all its points as arrays, in one pass, before it wraps each point in a
-:class:`PredictionInterval`, an immutable ``(lo, hi)`` tuple.  Losses are
+of all its points as read-only arrays, in one pass, and wraps each point in a
+:class:`PredictionInterval`, an immutable ``(lo, hi)`` tuple, only when its
+``per_point`` list is first read.  Losses are
 quadratic in the symbols and are linearized before concretizing, which stays
 sound but can widen.  The loss's degree-2 coefficients ``Q`` are formed
 through the d x d matrix ``H = X'X/n + lam I`` as ``W'(H W)``, an identity
@@ -27,7 +28,7 @@ taken in place on temporaries that nothing else reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -72,13 +73,26 @@ class LossInterval(_Interval):
     __slots__ = ()
 
 
-@dataclass
+@dataclass(eq=False)
 class RobustnessReport:
-    """Per-point robustness at an absolute width threshold."""
+    """Per-point robustness at an absolute width threshold.
+
+    ``lo``, ``hi`` and ``certified`` are read-only arrays of each point's
+    bounds and flag, and ``ratio`` is the certified share.  ``per_point``
+    wraps them, on first read, in one ``(PredictionInterval, bool)`` record
+    per point, in order, and keeps the list.
+    """
 
     threshold: float
-    per_point: list[tuple[PredictionInterval, bool]]
+    lo: np.ndarray
+    hi: np.ndarray
+    certified: np.ndarray
     ratio: float
+
+    @cached_property
+    def per_point(self) -> list[tuple[PredictionInterval, bool]]:
+        bounds = zip(self.lo.tolist(), self.hi.tolist())
+        return list(zip(map(_record, bounds), self.certified.tolist()))
 
 
 @dataclass
@@ -203,8 +217,9 @@ def certify_robustness(
     center, radius = _prediction_bounds(test_X, weights)
     lo, hi = center - radius, center + radius
     certified = hi - lo < threshold
-    per_point = list(zip(map(_record, zip(lo.tolist(), hi.tolist())), certified.tolist()))
-    return RobustnessReport(threshold, per_point, np.count_nonzero(certified) / test_X.shape[0])
+    for a in (lo, hi, certified):
+        a.flags.writeable = False
+    return RobustnessReport(threshold, lo, hi, certified, np.count_nonzero(certified) / test_X.shape[0])
 
 
 def loss_interval(

@@ -54,9 +54,10 @@ part axis is the innermost one instead, so that its numpy loops run over the
 parts, not over the d coefficients of a row; its results are part-first.
 The kernel is the only way into the stages: the module exports the fit,
 the weights and the membership check, and nothing that runs one stage on
-its own.  A fit computes each intermediate once: its residual
-(``_residual_report``) and M-matrix margin come from the sums, right-hand
-sides and coefficient matrices the kernel already built.
+its own.  A fit computes each intermediate once, and an unsplit fit its
+residual (``_residual_report``) and M-matrix margin only when they are first
+read, from the sums, right-hand sides and coefficient matrices the kernel
+already built.
 
 Everything here works on arrays, not on polynomial forms.  Each data symbol
 lives in exactly one cell (a row, a column or the label, and a coefficient),
@@ -151,7 +152,9 @@ class AbstractWeights:
     table.  A fit has one row per entry with a nonzero coefficient, in
     table order, and none after the box join of a split.  The box part
     ``A^-1 diag(k) eps'`` has no symbol ids: its d symbols are the weights'
-    own and appear in no dataset or test point.
+    own and appear in no dataset or test point.  ``cell_count`` is the
+    length of the cell table, so of a world's row; a fit records it, on
+    both paths, and hand-built weights may leave it ``None``.
 
     The generator matrix ``W`` is built on first use and kept; ``[w_R | W]``
     is stacked, and the column of each data symbol id in it indexed, only
@@ -166,6 +169,7 @@ class AbstractWeights:
     A: np.ndarray
     A_inv: np.ndarray
     registry: SymbolRegistry
+    cell_count: int | None = None
 
     def __setattr__(self, name, value):
         for cached in ("_generators", "_stacked", "_columns"):
@@ -252,13 +256,53 @@ class ResidualReport:
     box_residual_normalized: float
 
 
-@dataclass
+@dataclass(init=False)
 class FixedPointDiagnostics:
+    """What a fit reports beside its weights.
+
+    ``beta`` is the unsplit problem's feasibility threshold and
+    ``splits_used`` the part count, 1 for an unsplit fit; ``part_betas``
+    holds each part's beta, ``None`` for an unsplit fit.  ``m_matrix_margin``
+    is the least M-matrix margin (``_margin``) of the diameter systems
+    solved, and ``residual`` the one-step ``ResidualReport`` of an unsplit
+    fit, ``None`` for a split.  The constructor takes plain values.  For an
+    unsplit fit ``fixed_point`` defers the margin and the residual instead
+    (``_on_read``): each is computed on its first read, once, and kept.
+    ``repr``, ``==``, pickling and copying read every field.
+    """
+
     beta: float
     splits_used: int
     m_matrix_margin: float
-    residual: ResidualReport | None = None
-    part_betas: list[float] | None = None
+    residual: ResidualReport | None
+    part_betas: list[float] | None
+
+    def __init__(self, beta: float, splits_used: int, m_matrix_margin: float,
+                 residual: ResidualReport | None = None, part_betas: list[float] | None = None):
+        # Into the instance dict: the cached properties below never run.
+        self.beta, self.splits_used, self.part_betas = beta, splits_used, part_betas
+        self.m_matrix_margin, self.residual = m_matrix_margin, residual
+
+    @classmethod
+    def _on_read(cls, beta: float, margin, residual) -> FixedPointDiagnostics:
+        """An unsplit fit's diagnostics whose margin is ``margin()`` and residual ``residual()``,
+        each called on its first read."""
+        diag = cls.__new__(cls)
+        diag.beta, diag.splits_used, diag.part_betas = beta, 1, None
+        diag._deferred = margin, residual
+        return diag
+
+    def __reduce__(self):  # pickle and copy the values, not the deferred functions
+        return type(self), (self.beta, self.splits_used, self.m_matrix_margin, self.residual,
+                            self.part_betas)
+
+    @cached_property
+    def m_matrix_margin(self) -> float:
+        return self._deferred[0]()
+
+    @cached_property
+    def residual(self) -> ResidualReport | None:
+        return self._deferred[1]()
 
 
 _RANK_DEFICIENT = "centers are rank-deficient at lambda = 0"
@@ -801,21 +845,23 @@ def fixed_point(
 ) -> tuple[AbstractWeights, FixedPointDiagnostics]:
     """Compute the abstract fixed point, mu-splitting when beta exceeds lam.
 
-    Both paths run one kernel, ``_fit_stack``, over a stack of parts, and
-    yield the fit ``(w_R, G_D, data_ids, k, A, A_inv)``, the part betas and
-    the least M-matrix margin, from which the weights and diagnostics are
-    built in one place.  The direct path is the stack of one part, the
-    dataset itself: the result shares data symbols with the dataset and
-    carries the solved box diameters, and only its diagnostics carry the
-    residual of one gradient step (``_residual_report``).  The residual is
-    taken from what the fit already holds: the diameter system
-    just assembled, the sums ``X_R'X_R`` and ``X_R'y_R`` passed to the
-    kernel, the regularized Gram matrix and data right-hand side that
-    ``w_D`` was solved from, and the coefficient matrix of the diameter
-    solve, which also gives the margin.  If that part is below its
-    feasibility threshold (the kernel raises any other failure), the split
-    path is one call: ``_split_fit`` searches for the least feasible split
-    count and box-joins the ``m**s`` parts of that split.  Each part gets
+    Both paths run one kernel, ``_fit_stack``, over a stack of parts and
+    yield the fit ``(w_R, G_D, data_ids, k, A, A_inv)``; the weights also
+    record the cell table's length as ``cell_count``.  The direct path is
+    the stack of one part, the dataset itself: the result shares data
+    symbols with the dataset and carries the solved box diameters, and only
+    its diagnostics carry the residual of one gradient step
+    (``_residual_report``).  That residual and the M-matrix margin are
+    computed on first read, once, from what the fit already holds: the
+    diameter system just assembled, the sums ``X_R'X_R`` and ``X_R'y_R``
+    passed to the kernel, the regularized Gram matrix and data right-hand
+    side that ``w_D`` was solved from, the coefficient matrix of the
+    diameter solve, and the fit's own ``w_R``, ``G_D`` and ``k``, so
+    reassigning a field of the weights later changes neither.  If that
+    part is below its feasibility threshold (the kernel raises any other
+    failure), the split path is one call: ``_split_fit`` searches for the
+    least feasible split count, box-joins the ``m**s`` parts of that split
+    and returns the part betas and their least margin.  Each part gets
     the checks of the direct path, and the first failing part decides.
     The join drops the data-symbol correlation: the joined weights have no
     data part, and ``splits_used > 1`` tells them apart.
@@ -825,36 +871,34 @@ def fixed_point(
     plan = _index_plan(cells.rows, cells.cols, ad.d)
     gram, xty = ad.X_R.T @ ad.X_R, ad.X_R.T @ ad.y_R
     one = _fit_stack(gram[None], xty[None], cells, plan, *_at_cells(ad, cells), ad.n, cfg)
+    beta = float(one.sys.beta[0])
     if not one.infeasible:
         # G_D in C order: a view can round later products differently.
-        fit = (one.w_R[0], np.ascontiguousarray(one.G[0]), data_ids, one.k[0], one.A[0],
-               one.A_inv[0])
-        part_betas, margin = None, float(_margin(one.m)[0])
+        w_R, G_D, k = one.w_R[0], np.ascontiguousarray(one.G[0]), one.k[0]
+        fit = (w_R, G_D, data_ids, k, one.A[0], one.A_inv[0])
+        diag = FixedPointDiagnostics._on_read(
+            beta,
+            lambda: float(_margin(one.m)[0]),
+            lambda: _residual_report(w_R, G_D, k, one.sys, one.m[0], cfg.lam, gram, xty,
+                                     one.reg[0], one.rhs[0]),
+        )
     else:
         fit, part_betas, margin = _split_fit(ad, cells, plan, one.sys, cfg)
-    weights = AbstractWeights(*fit, registry=ad.registry)
-    diag = FixedPointDiagnostics(
-        beta=float(one.sys.beta[0]),
-        splits_used=1 if part_betas is None else len(part_betas),
-        m_matrix_margin=margin,
-        residual=None if part_betas is not None else _residual_report(
-            weights, one.sys, one.m[0], cfg.lam, gram, xty, one.reg[0], one.rhs[0]
-        ),
-        part_betas=part_betas,
-    )
-    return weights, diag
+        diag = FixedPointDiagnostics(beta, len(part_betas), margin, None, part_betas)
+    return AbstractWeights(*fit, registry=ad.registry, cell_count=len(ad.cells.coef)), diag
 
 
 def _residual_report(
-    weights: AbstractWeights, sys: NonDataSystem, m: np.ndarray, lam: float, gram: np.ndarray,
-    xty: np.ndarray, reg: np.ndarray, rhs: np.ndarray,
+    w_R: np.ndarray, G_D: np.ndarray, k: np.ndarray, sys: NonDataSystem, m: np.ndarray,
+    lam: float, gram: np.ndarray, xty: np.ndarray, reg: np.ndarray, rhs: np.ndarray,
 ) -> ResidualReport:
     """Apply one symbolic gradient step at ``lam`` and measure how far it moves.
 
-    ``sys`` is a stack of one, the diameter system assembled from the
-    weights' own ``w_D``.  The centers enter only through their sums ``gram
-    = X_R'X_R`` and ``xty = X_R'y_R``, the regularized ``reg = gram + lam n
-    I`` and the data right-hand side ``rhs`` ``(d, S)`` (``_data_rhs``);
+    ``w_R``, ``G_D`` and ``k`` are the weights' arrays, and ``sys`` is a
+    stack of one, the diameter system assembled from their ``w_D``.  The
+    centers enter only through their sums ``gram = X_R'X_R`` and ``xty =
+    X_R'y_R``, the regularized ``reg = gram + lam n I`` and the data
+    right-hand side ``rhs`` ``(d, S)`` (``_data_rhs``);
     ``m`` is the system's coefficient matrix at ``lam``.  ``fixed_point``
     passes the arrays its fit was solved from, so nothing is computed twice.
 
@@ -877,14 +921,14 @@ def _residual_report(
     eta = 0.5 / denom if denom > 0 else 0.1
 
     # Real part: one concrete gradient step.
-    g_r = (2.0 / n) * (gram @ weights.w_R - xty) + 2.0 * lam * weights.w_R
+    g_r = (2.0 / n) * (gram @ w_R - xty) + 2.0 * lam * w_R
     real_residual = float(np.max(np.abs(eta * g_r), initial=0.0))
 
-    g_d = reg @ weights.G_D.T - rhs
+    g_d = reg @ G_D.T - rhs
     data_residual = eta * (2.0 / n) * float(np.max(np.abs(g_d), initial=0.0))
 
     # k' - k = (2 eta / n) ((n/2) c0 - M k), see the docstring.
-    box_normalized = float(np.max(np.abs(m @ weights.k - (n / 2.0) * sys.c0[0]), initial=0.0))
+    box_normalized = float(np.max(np.abs(m @ k - (n / 2.0) * sys.c0[0]), initial=0.0))
     return ResidualReport(
         eta=eta,
         real_residual=real_residual,
@@ -908,9 +952,10 @@ def contains_world_weights(
     plus tolerance, degenerate dimensions must match to tolerance.  Valid
     for the structured fixed point shape (unsplit, or the box produced by a
     join).  A ``w*`` with a NaN or infinite entry is never inside: its ``r``
-    has one too, as ``A`` is invertible.  A ``w*`` that is not ``(d,)``, or a
-    row that is not 1-d or ends before a symbol of ``data_ids``, raises
-    ``ShapeMismatchError``; the weights do not record S to refuse a long row.
+    has one too, as ``A`` is invertible.  A ``w*`` that is not ``(d,)``, a
+    row that is not 1-d or ends before a symbol of ``data_ids``, or one whose
+    length is not the weights' ``cell_count`` (when they record it) raises
+    ``ShapeMismatchError``.
     A row with a value outside [-1, 1] is no world and raises ``ValueError``,
     as does a ``tol`` that is negative, NaN or infinite.
     """
@@ -920,6 +965,8 @@ def contains_world_weights(
         raise ShapeMismatchError(f"w_star must be ({weights.dim},), got {w_star.shape}")
     if values.ndim != 1 or values.shape[0] <= weights.data_ids.max(initial=-1):
         raise ShapeMismatchError(f"values must be a 1-d row reaching every symbol id, got {values.shape}")
+    if weights.cell_count is not None and values.shape[0] != weights.cell_count:
+        raise ShapeMismatchError(f"values must be a row of {weights.cell_count} cell values, got {values.shape}")
     _check_cube(values)
     if tol is None:
         tol = 1e-7 * (1.0 + float(np.abs(w_star).max()))

@@ -167,8 +167,8 @@ def residual(ad: AbstractDataset, weights: AbstractWeights, cfg: RidgeConfig) ->
     cells = ad.nonzero_cells()
     rhs = _data_rhs(cells, *_at_cells(ad, cells), weights.w_R[None])[0]
     reg = gram + cfg.lam * ad.n * np.eye(ad.d)
-    return _residual_report(weights, _stack_of_one(sys), sys.coefficient_matrix(cfg.lam), cfg.lam,
-                            gram, ad.X_R.T @ ad.y_R, reg, rhs)
+    return _residual_report(weights.w_R, weights.G_D, weights.k, _stack_of_one(sys),
+                            sys.coefficient_matrix(cfg.lam), cfg.lam, gram, ad.X_R.T @ ad.y_R, reg, rhs)
 
 
 def split(ad: AbstractDataset, m: int, budget: int = 65536) -> list[AbstractDataset]:

@@ -11,6 +11,7 @@ with one run of them.
 
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -761,13 +762,14 @@ def test_fit_result_contract_on_both_paths(case):
     np.testing.assert_array_equal(weights.data_ids, np.flatnonzero(ad.cells.coef))
     assert weights.G_D.shape == (len(cells.coef), ad.d) and weights.G_D.flags.c_contiguous
     assert diag.residual is not None and diag.part_betas is None and diag.splits_used == 1
+    assert weights.cell_count == len(ad.cells.coef)
 
     weights, diag = fixed_point(ad, cfg)
     assert weights.G_D.shape == (0, ad.d)
     assert weights.data_ids.dtype == np.int64 and weights.data_ids.shape == (0,)
     np.testing.assert_array_equal(weights.A, np.eye(ad.d))
     np.testing.assert_array_equal(weights.A_inv, np.eye(ad.d))
-    assert (weights.k >= 0).all() and diag.residual is None
+    assert (weights.k >= 0).all() and diag.residual is None and weights.cell_count == len(ad.cells.coef)
     s = len(cells.coef)
     m = round(diag.splits_used ** (1 / s))
     assert diag.splits_used == len(diag.part_betas) == m**s and m > 1
@@ -834,14 +836,29 @@ def counting(monkeypatch, owner, name):
 
 
 def test_a_fit_computes_each_intermediate_once(monkeypatch):
-    """The residual reuses the fit's right-hand side; each stack builds one coefficient matrix."""
+    """The residual reuses the fit's right-hand side, and is built, as the margin is, on first
+    read, once; each stack builds one coefficient matrix."""
     rhs = counting(monkeypatch, learning, "_data_rhs")
     stacks = counting(monkeypatch, learning, "_fit_stack")
     matrices = counting(monkeypatch, NonDataSystem, "coefficient_matrix")
+    reports = counting(monkeypatch, learning, "_residual_report")
+    margins = counting(monkeypatch, learning, "_margin")
     ad, cfg = make_problem("both", 3, 7, 0, lam=5.0)
     weights, diag = fixed_point(ad, cfg)
     assert diag.splits_used == 1 and weights.k.any()
-    assert (len(rhs), len(stacks), len(matrices)) == (1, 1, 1)
+    assert (len(rhs), len(stacks), len(matrices), len(reports), len(margins)) == (1, 1, 1, 0, 0)
+    first, margin = diag.residual, diag.m_matrix_margin
+    assert diag.residual is first and diag.m_matrix_margin is margin
+    assert (len(rhs), len(matrices), len(reports), len(margins)) == (1, 1, 1, 1)
+    assert bits(dataclasses.astuple(first)) == bits(dataclasses.astuple(residual(ad, weights, cfg)))
+    sys = build_non_data_system(ad, cfg.lam, weights.w_R, weights.G_D, weights.A, weights.A_inv)
+    assert bits(margin) == bits(stages.m_matrix_margin(sys, cfg.lam))
+    # The report is of the fit's own arrays, whatever the weights hold when it is read.
+    weights, diag = fixed_point(ad, cfg)
+    want = residual(ad, weights, cfg)
+    weights.k = 2.0 * weights.k
+    assert diag.residual == want and diag.residual != residual(ad, weights, cfg)
+    assert pickle.loads(pickle.dumps(diag)) == diag  # the values, not the deferred functions
     # One part per block: the unsplit attempt and every block make one call each.
     monkeypatch.setattr(learning, "CHUNK_ELEMENTS", 1)
     ad, cfg = split_case("features", 3, 0)

@@ -4,6 +4,7 @@ import pytest
 import stages
 from conftest import cell_table
 from form_algebra import PolyForm, ZVector
+from zonoridge import inference
 from zonoridge.dataset import LABEL_COL, AbstractDataset, Dataset, UncertaintySpec, inject_uncertainty
 from zonoridge.errors import RegistryMismatchError, ShapeMismatchError
 from zonoridge.inference import (
@@ -243,6 +244,23 @@ class TestCertifyRobustness:
         # bits may differ.
         for (p, _), x in zip(rep.per_point, ds.X):
             assert p == pytest.approx(predict_interval(x, weights), rel=1e-14)
+
+    def test_records_are_built_on_first_read(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(inference, "_record", lambda b: made.append(b) or PredictionInterval(*b))
+        ds = make_dataset(20, 2, seed=40)
+        _, weights, _ = trained(ds, UncertaintySpec("both", 0.3, 0.1, seed=41), 0.05)
+        rep = certify_robustness(ds.X, weights, 1.0)
+        rep = certify_robustness(ds.X, weights, float(np.median(rep.hi - rep.lo)))
+        assert made == [] and rep.certified.any() and not rep.certified.all()
+        for a in (rep.lo, rep.hi, rep.certified):
+            assert a.shape == (20,) and not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        records = rep.per_point
+        assert type(records) is list and rep.per_point is records and len(made) == 20
+        assert all(type(p) is PredictionInterval and type(f) is bool for p, f in records)
+        assert records == list(zip(zip(rep.lo.tolist(), rep.hi.tolist()), rep.certified.tolist()))
 
     @pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1.0])
     def test_threshold_must_be_positive(self, threshold):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import cell_table
@@ -15,6 +17,7 @@ from zonoridge.dataset import LABEL_COL, AbstractDataset, Dataset, UncertaintySp
 from zonoridge.errors import (
     IllConditionedError,
     LambdaTooSmall,
+    ShapeMismatchError,
     SplitBudgetError,
 )
 from zonoridge.learning import (
@@ -536,8 +539,11 @@ class TestContainmentMatchesTheLoop:
             e = np.array([float(rng.uniform(-1, 1)) for s in ad.data_symbols()])
             w_star = weights.w_R + weights.A_inv @ (weights.k * rng.uniform(-1.3, 1.3, weights.dim))
             assert contains_world_weights(weights, e, w_star) == looped_contains(weights, e, w_star)
-            empty = np.zeros(0)
-            assert contains_world_weights(weights, empty, w_star) == looped_contains(weights, empty, w_star)
+            # The join records the cell count, so only hand-built weights take a row of another length.
+            empty, unrecorded = np.zeros(0), dataclasses.replace(weights, cell_count=None)
+            assert contains_world_weights(unrecorded, empty, w_star) == looped_contains(weights, empty, w_star)
+            with pytest.raises(ShapeMismatchError, match="row of 1 cell values"):
+                contains_world_weights(weights, empty, w_star)
 
     def test_rows_skip_zero_coefficient_entries(self):
         # Every other entry has a zero coefficient: the fit's data_ids skip

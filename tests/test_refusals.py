@@ -4,8 +4,9 @@ and the same message for the same fault.
 
 The queries and ``oracle_ranges`` check their test set in full; the calls
 that run once per world or test point (``concrete_loss`` and the interval
-baseline's ``predict_interval``) check its shape only.  A world row must lie
-in the cube [-1, 1]^S, a containment check's slack must be finite and
+baseline's ``predict_interval``) check its shape only.  A world row must have
+one value per cell of a fit's table and lie in the cube [-1, 1]^S, a
+containment check's slack must be finite and
 nonnegative, and the oracles' training data must give a finite ``X'X`` and
 ``X'y``.
 """
@@ -123,6 +124,8 @@ CASES = [
                  "values must be a 1-d row reaching every symbol id, got (1, 2)", id="contains-row-2d"),
     pytest.param(lambda c: contains_world_weights(c.weights, c.values[:1], c.weights.w_R), ShapeMismatchError,
                  "values must be a 1-d row reaching every symbol id, got (1,)", id="contains-row-short"),
+    pytest.param(lambda c: contains_world_weights(c.weights, np.zeros(7), c.weights.w_R), ShapeMismatchError,
+                 "values must be a row of 2 cell values, got (7,)", id="contains-row-long"),
     *(pytest.param(lambda c, tol=tol: contains_world_weights(c.weights, c.values, c.weights.w_R, tol), ValueError,
                    "tol must be >= 0 and finite", id=f"contains-tol-{tol}") for tol in (np.nan, -1.0, np.inf)),
     # A symbol count: a negative one would rewind the registry and hand out its ids again.
