@@ -50,8 +50,9 @@ rows of its parts and passes them all.  Where the cells sit, not their
 coefficients, fixes the index tables of ``c'`` and ``h``, so a fit builds
 them once (``_index_plan``) for the unsplit stack and every split.  It raises every failure but
 infeasibility, which ``_split_fit`` answers.  Inside ``_diameter_terms`` the
-part axis is the innermost one instead, so that its numpy loops run over the
-parts, not over the d coefficients of a row; its results are part-first.
+part axis is innermost instead, with the symbol axis of its degree-2 block just
+before it, so that numpy's loops run over the parts (or, with one part, the
+cells), not over the d coefficients of a row; its results are part-first.
 The kernel is the only way into the stages: the module exports the fit,
 the weights and the membership check, and nothing that runs one stage on
 its own.  A fit computes each intermediate once, and an unsplit fit its
@@ -65,12 +66,15 @@ so the coefficient of every monomial in ``c'`` and ``h`` is a small product
 of rows of ``X_R``, ``A``, ``A^-1`` and the ``w_D`` generators, and only
 monomials whose symbols all share one row can collect more than one term.
 A same-row feature pair's cubic terms are built once per column pair, and
-its triples across rows are prefix and suffix sums (see ``_diameter_terms``).
+its triples across rows are prefix and suffix sums.  A degree-2 coefficient
+is an entry of the symmetric ``K + K'``, ``K = A M_s g_t``; half its sum counts
+each once (``K`` exactly on the diagonal), summed over s, then t, in order (``_diameter_terms``).
 The weight zonotope is the generator matrix ``[G_D' | A^-1 diag(k)]`` around ``w_R``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -93,11 +97,12 @@ _COND_BOUND = 1e12
 TOLERANCE = 1e-9
 #: Elements of one temporary array in the chunked kernels (512 KB of float64).
 CHUNK_ELEMENTS = 1 << 16
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _check_lam(lam: float) -> None:
-    """Raise ``ValueError`` unless ``lam`` is a finite, nonnegative penalty (NaN too)."""
-    if not (np.isfinite(lam) and lam >= 0):
+    """Raise ``ValueError`` unless ``lam`` is a real number in [0, the largest float]."""
+    if not (isinstance(lam, numbers.Real) and 0 <= lam <= _FLOAT_MAX):
         raise ValueError("lam must be >= 0 and finite")
 
 
@@ -139,7 +144,7 @@ class RidgeConfig:
         _check_lam(self.lam)
         if isinstance(self.transform, str) and self.transform not in ("svd", "identity"):
             raise ValueError(f"unknown transform {self.transform!r}")
-        if not self.split_budget >= 1:
+        if not (isinstance(self.split_budget, numbers.Integral) and self.split_budget >= 1):
             raise ValueError("split budget must be >= 1")
 
 
@@ -347,23 +352,6 @@ def _data_rhs(cells: Cells, x: np.ndarray, y: np.ndarray, w_R: np.ndarray) -> np
     return rhs.swapaxes(1, 2)
 
 
-def _abs_row_sums(parts: int, count: int, inner: int, d: int, block) -> np.ndarray:
-    """Per-row sums of ``|block(lo, hi)|`` over its inner axis, in chunks: ``(count, d, parts)``.
-
-    ``block(lo, hi)`` returns the ``(hi - lo, inner, d, parts)`` coefficients
-    of rows ``lo..hi-1``.  Each row of each part is reduced on its own and
-    the caller sums the rows afterwards, so the result does not depend on
-    the chunk size.
-    """
-    out = np.zeros((count, d, parts))
-    step = max(1, CHUNK_ELEMENTS // max(1, parts * inner * d))
-    for lo in range(0, count, step):
-        hi = min(count, lo + step)
-        coefs = block(lo, hi)
-        out[lo:hi] = np.abs(coefs, out=coefs).sum(axis=1)
-    return out
-
-
 class _IndexPlan(NamedTuple):
     """The coefficient-free index tables of ``_diameter_terms``.
 
@@ -374,7 +362,6 @@ class _IndexPlan(NamedTuple):
     """
 
     order: np.ndarray  # the cells, features first
-    nf: int  # feature cells
     fc: np.ndarray  # each feature cell's column
     table: np.ndarray  # each touched row's cells in order, padded with the cell count
     ps: np.ndarray  # same-row feature pairs (s, t), s <= t, by row
@@ -393,8 +380,6 @@ class _IndexPlan(NamedTuple):
     tq: np.ndarray
     srt: np.ndarray  # the sorted triples; a run from ``runs`` on is one monomial
     runs: np.ndarray
-    own: np.ndarray  # (feature s, cell t) with t >= s, so every label t
-    later: np.ndarray  # (feature s, feature t) with t > s
 
 
 def _index_plan(rows: np.ndarray, cols: np.ndarray, d: int) -> _IndexPlan | None:
@@ -434,14 +419,11 @@ def _index_plan(rows: np.ndarray, cols: np.ndarray, d: int) -> _IndexPlan | None
     keys = (np.minimum(qs, u) * ns + np.minimum(np.maximum(u, qs), qt)) * ns + np.maximum(qt, u)
     srt = keys.argsort(kind="stable")
     keys = keys[srt]
-    findex = np.arange(nf)
     return _IndexPlan(
-        order=order, nf=nf, fc=fc, table=table, ps=ps, pt=pt, prow=prow, cs=cs, ct=ct,
+        order=order, fc=fc, table=table, ps=ps, pt=pt, prow=prow, cs=cs, ct=ct,
         half=np.where(ps == pt, 0.5, 1.0), fl=s[npairs:], lt=t[npairs:],
         c1=flat // d, c2=flat % d, cp=flat.searchsorted(pair_col), q=q, w=w, tq=tq, srt=srt,
         runs=(keys != np.concatenate([[-1], keys[:-1]])).nonzero()[0],
-        own=(np.arange(ns) >= findex[:, None])[..., None],
-        later=(findex > findex[:, None])[..., None],
     )
 
 
@@ -488,24 +470,33 @@ def _diameter_terms(
     across rows add ``|fp|`` times the prefix plus the suffix sum of the row
     sums of ``|T|`` that skips its own row (nothing is subtracted), and its
     same-row triples take ``fp T``.
-    Degree 3 costs O(S d^3 + pairs d) per part, not O(pairs S d).  The
-    degree-2 block and ``T`` are built in blocks of whole rows of about
-    ``CHUNK_ELEMENTS`` elements, so the chunk size does not change a sum.
+    Degree 3 costs O(S d^3 + pairs d) per part, not O(pairs S d); ``T`` is
+    built in blocks of whole table rows of about ``CHUNK_ELEMENTS`` elements.
+
+    Degree 2 takes one product per feature s and cell t, ``K[s, :, t] = A M_s
+    g_t``, laid out ``(s, i, t, P)``: symbol axis inside, part axis last.  On
+    the feature square ``Z = K + K'`` is symmetric: ``e_s e_t``'s coefficient
+    sits at (s, t) and (t, s), and ``2 K[s, :, s]`` (exactly) at (s, s), so
+    half of its ``|Z|`` counts each monomial once; a label t adds ``|K[s, :, t]|``.
+    K is built in column blocks of about ``CHUNK_ELEMENTS`` elements with
+    every s and the mirror of their feature columns (one block transposes its
+    square); sums run over s, then t, in order, so blocks change no sum.
 
     The part axis is the last axis of every broadcast and sum, so numpy's
     inner loops run over the P parts, not over the d (3 on a typical split)
-    coefficients of a row.  The products with ``x`` are taken part-first,
-    one matrix per part, then transposed; so each part's terms equal, bit
-    for bit, its own one-part call's (but for d = 1, where numpy sums 8 or
-    more terms of one part pairwise and those of a stack in order; the
-    prefix and suffix sums are always in order).
+    coefficients of a row (with one part, degree 2's run over the cells).
+    The products with ``x`` are taken part-first, one matrix per part, then
+    transposed; so each part's terms equal, bit for bit, its own one-part
+    call's (but for d = 1, where numpy sums 8 or more terms of one part
+    pairwise, also in a degree-2 block of one column, and those of a stack
+    in order; the prefix, suffix and t sums are always in order).
     """
     P, d = w_R.shape
     if plan is None:
         return np.zeros((P, d, d)), np.zeros((P, d))
     nf, fc, ps, pt, cs, ct, fl, lt, c1, c2, cp, q, w, tq = (
-        plan.nf, plan.fc, plan.ps, plan.pt, plan.cs, plan.ct, plan.fl, plan.lt, plan.c1, plan.c2,
-        plan.cp, plan.q, plan.w, plan.tq)
+        len(plan.fc), plan.fc, plan.ps, plan.pt, plan.cs, plan.ct, plan.fl, plan.lt, plan.c1,
+        plan.c2, plan.cp, plan.q, plan.w, plan.tq)
     table, nr, ns = plan.table, len(plan.table), len(plan.order)
     coef = coef[plan.order]
     fa = coef[:nf]
@@ -527,27 +518,33 @@ def _diameter_terms(
         t *= k[:, None, None, None]
         cprime = cprime + np.abs(t, out=t).sum(axis=0)
 
-    # Degree 2: row s of a block holds the monomials e_s e_t with s < t
-    # among features, s = t, and every label t.  The same-row terms are
-    # multiples of A e_c too: N_st w_R = fp (w_R[c_t] A e_{c_s} + w_R[c_s]
-    # A e_{c_t}) and -a_s b_t A e_{c_s}, so they join the factors of aZ.
+    # Degree 2: K[s, :, t] = A M_s g_t = aY[s, t] A x_s + aZ[s, t] A e_{c_s} for each
+    # feature s and cell t.  The same-row terms are multiples of A e_c too: N_st w_R =
+    # fp (w_R[c_t] A e_{c_s} + w_R[c_s] A e_{c_t}) and -a_s b_t A e_{c_s}, so they join aZ.
     aY = fa[:, None, None] * Gc[fc]  # a_s g_t[c_s]
-    aZ = fa[:, None, None] * xG  # a_s (x_r . g_t), entry (t, s) for M_t g_s
+    aZ = xG  # a_s (x_r . g_t), in place: xG is read nowhere else
+    aZ *= fa[:, None, None]
     aZ[ps, pt] += fp[:, None] * w_R.T[ct]
     aZ[pt, ps] += fp[:, None] * w_R.T[cs]  # a second term when s = t
     aZ[fl, lt] -= (fa[fl] * coef[lt])[:, None]
-    own, later = plan.own, plan.later
-
-    def pairs(lo: int, hi: int) -> np.ndarray:
-        b = slice(lo, hi)
-        out = (aY[b] * own[b])[:, :, None] * Ax[b, None]  # M_s g_t
-        out += (aZ[b] * own[b])[:, :, None] * Ac[b, None]
-        back = (aY[:, b].swapaxes(0, 1) * later[b])[:, :, None] * Ax  # M_t g_s
-        back += (aZ[:, b].swapaxes(0, 1) * later[b])[:, :, None] * Ac
-        out[:, :nf] += back
-        return out
-
-    h = _abs_row_sums(P, nf, ns, d, pairs).sum(axis=0)
+    # Column blocks of K, (s, i, t, P), with the mirror K[t, :, s] of their feature columns.
+    h, step = np.zeros((d, 1, P)), max(1, CHUNK_ELEMENTS // (nf * d * P))
+    for lo in range(0, ns, step):
+        Z = aY[:, None, lo : lo + step] * Ax[:, :, None]
+        Z += aZ[:, None, lo : lo + step] * Ac[:, :, None]
+        if step >= ns:  # one block: the mirror is the square's own transpose
+            K = Z[:, :, :nf].transpose(2, 1, 0, 3)
+        else:  # from the factors of the block's feature columns f, transposed
+            f = slice(lo, min(nf, lo + step))
+            Yt, Zt, Xt, Ct = (np.ascontiguousarray(a[f].swapaxes(0, 1))
+                              for a in (aY[:, :nf], aZ[:, :nf], Ax, Ac))
+            K = Yt[:, None] * Xt[None]
+            K += Zt[:, None] * Ct[None]
+        Z[:, :, : K.shape[2]] += K  # Z = K + K' on the feature square (numpy reads K first)
+        col = np.abs(Z, out=Z).sum(axis=0)
+        col[:, : K.shape[2]] *= 0.5  # Z is symmetric there, and (K + K) / 2 = K
+        # Over t in order: the carry goes in front of the block.
+        h = np.cumsum(np.concatenate([h, col], axis=1), axis=1)[:, -1:]
 
     # Degree 3: A N_st g_u = fp T[cp, u], T[cp, u] = A e_c1 g_u[c2] + A e_c2 g_u[c1], in whole
     # table rows: its same-row values are kept, its sums of |T| per row go into ``rsum``.
@@ -565,7 +562,7 @@ def _diameter_terms(
     # Across rows each (pair, u) is its own monomial: |fp| times the row sums
     # before the pair's row plus those after it.
     outside = rsum.cumsum(axis=1)[:, :nr] + rsum[:, ::-1].cumsum(axis=1)[:, nr - 1 :: -1]
-    h += (np.abs(fp)[:, None, None] * outside[cp, plan.prow]).sum(axis=0)
+    h = h[:, 0] + (np.abs(fp)[:, None, None] * outside[cp, plan.prow]).sum(axis=0)
     # Within a row the (at most 3) sources of a monomial are merged first.
     vals *= fp[q, None, None]
     h += np.abs(np.add.reduceat(vals[plan.srt], plan.runs)).sum(axis=0)
@@ -644,19 +641,21 @@ def _diameters(
     Returns the diameters ``(P, d)``, the checks, in the order one part
     makes them, as ``(failed parts, error of part p)`` pairs (see
     ``_first_failure``), and the coefficient matrices, built once for the
-    solve and the margins.  A homogeneous part (zero constant column, e.g.
-    certain or label-only data) gets ``k = 0``, whatever its matrix looks
-    like, and passes every check; with no part left to solve, the
-    feasibility check is the only one.  Otherwise M-matrix theory
-    guarantees a nonnegative solution in the feasible regime; negative
-    entries beyond a small clamp indicate numerical trouble and fail.
+    solve and the margins.  A non-finite ``beta`` fails first.  A homogeneous
+    part (zero constant column, e.g. certain or label-only data) gets ``k =
+    0``, whatever its matrix looks like, and passes every other check.
+    Otherwise M-matrix theory guarantees a nonnegative solution in the
+    feasible regime; a non-finite ``k``, or entries below a small clamp, fail.
     """
     m = sys.coefficient_matrix(lam)
     homogeneous = ~sys.c0.any(axis=-1)
     infeasible = ~homogeneous & (lam < sys.beta - tolerance)
-    checks = [(infeasible, lambda p: LambdaTooSmall(float(sys.beta[p])))]
+    checks = [
+        (~np.isfinite(sys.beta), lambda p: DataError(f"threshold beta = {sys.beta[p]} is not finite")),
+        (infeasible, lambda p: LambdaTooSmall(float(sys.beta[p]))),
+    ]
     solved = ~(homogeneous | infeasible)
-    if not solved.any():
+    if not np.count_nonzero(solved):
         return np.zeros_like(sys.c0), checks, m
     rhs = (sys.n / 2.0) * sys.c0
     k, singular = _solve_each(m, rhs, solved)
@@ -667,6 +666,7 @@ def _diameters(
     clamp = tolerance * (1.0 + np.abs(k).max(axis=-1, initial=0.0))
     checks += [
         (singular, lambda p: np.linalg.LinAlgError("Singular matrix")),
+        (~np.isfinite(k).all(axis=-1), lambda p: DataError("box diameters are not finite")),
         (
             resid > 1e-8 * scale,
             lambda p: ZonoError(f"diameter system residual {resid[p]:.3e} too large"),
@@ -689,7 +689,7 @@ def _first_failure(checks: list) -> Exception | None:
     """
     first = None
     for failed, error in checks:
-        if failed.any():
+        if np.count_nonzero(failed):  # cheaper than .any() on a few parts
             p = int(failed.argmax())
             if first is None or p < first[0]:
                 first = (p, error)
@@ -770,8 +770,8 @@ def _part_block(pos: np.ndarray, touched: int, d: int) -> int:
     ``pos`` is the index of each cell's row among the ``touched`` rows that
     hold a split cell.  The largest per-part temporaries are the ``(terms,
     d, d)`` products of ``c'`` (one per feature cell and column pair), the
-    same-row triples of ``h``, the degree-2 factors, and the row sums of
-    the degree-3 block with one table row of it (see ``_diameter_terms``).
+    same-row triples of ``h``, the degree-2 block ``K`` (all its columns),
+    and the row sums of the degree-3 block with one table row of it.
     """
     per_row = np.bincount(pos).astype(np.int64)
     S = len(pos)
@@ -845,6 +845,7 @@ def fixed_point(
 ) -> tuple[AbstractWeights, FixedPointDiagnostics]:
     """Compute the abstract fixed point, mu-splitting when beta exceeds lam.
 
+    Sums ``X_R'X_R`` or ``X_R'y_R`` that are not finite raise ``DataError``.
     Both paths run one kernel, ``_fit_stack``, over a stack of parts and
     yield the fit ``(w_R, G_D, data_ids, k, A, A_inv)``; the weights also
     record the cell table's length as ``cell_count``.  The direct path is
@@ -852,24 +853,23 @@ def fixed_point(
     symbols with the dataset and carries the solved box diameters, and only
     its diagnostics carry the residual of one gradient step
     (``_residual_report``).  That residual and the M-matrix margin are
-    computed on first read, once, from what the fit already holds: the
-    diameter system just assembled, the sums ``X_R'X_R`` and ``X_R'y_R``
-    passed to the kernel, the regularized Gram matrix and data right-hand
-    side that ``w_D`` was solved from, the coefficient matrix of the
-    diameter solve, and the fit's own ``w_R``, ``G_D`` and ``k``, so
-    reassigning a field of the weights later changes neither.  If that
-    part is below its feasibility threshold (the kernel raises any other
-    failure), the split path is one call: ``_split_fit`` searches for the
-    least feasible split count, box-joins the ``m**s`` parts of that split
-    and returns the part betas and their least margin.  Each part gets
-    the checks of the direct path, and the first failing part decides.
-    The join drops the data-symbol correlation: the joined weights have no
-    data part, and ``splits_used > 1`` tells them apart.
+    computed on first read, once, from what the fit already holds (the
+    system, sums, right-hand sides and matrices the kernel built, and the
+    fit's own ``w_R``, ``G_D`` and ``k``), so reassigning a field of the
+    weights later changes neither.  If that part is below its feasibility
+    threshold (the kernel raises any other failure), ``_split_fit`` finds
+    the least feasible split count, box-joins the ``m**s`` parts of that
+    split and returns the part betas and their least margin; the first
+    failing part decides.  The joined weights have no data part (the join
+    drops the data-symbol correlation), and ``splits_used > 1`` tells them apart.
     """
     data_ids = np.flatnonzero(ad.cells.coef != 0.0)
     cells = ad.cells.select(data_ids)
     plan = _index_plan(cells.rows, cells.cols, ad.d)
     gram, xty = ad.X_R.T @ ad.X_R, ad.X_R.T @ ad.y_R
+    for name, total in (("X'X", gram), ("X'y", xty)):
+        if np.count_nonzero(np.isfinite(total)) < total.size:
+            raise DataError(f"training {name} must be finite")
     one = _fit_stack(gram[None], xty[None], cells, plan, *_at_cells(ad, cells), ad.n, cfg)
     beta = float(one.sys.beta[0])
     if not one.infeasible:

@@ -414,17 +414,33 @@ CROWDED_CELLS = Cells(
     coef=np.array([0.7, -1.3, 0.4, 0.9, 2.1, -0.6, 0.3, 1.1, -0.8, 0.5, -1.7, 1.4]),
 )
 
+# The ``features`` benchmark's shape, d = 5: ten of 50 rows, each with a feature
+# cell in every column but the bias and a label, 50 cells.  ``SEVEN_COLUMNS`` cuts
+# the degree-2 block of one part into column blocks of 7 cells, one of them across
+# the last feature cell.
+WORKLOAD_CELLS = Cells(
+    rows=np.repeat([1, 4, 9, 15, 17, 22, 30, 31, 38, 45], 5),
+    cols=np.tile([1, 2, 3, 4, LABEL_COL], 10),
+    coef=np.random.default_rng(30).uniform(0.02, 0.12, 50),
+)
+SEVEN_COLUMNS = 7 * 40 * 5
 
-@pytest.mark.parametrize("chunk", [learning.CHUNK_ELEMENTS, 1])
+
+def table_shape(cells, n, d):
+    """The rows and width of a test on ``cells``: ``(n, d)``, or 50 by 5 for the workload table."""
+    return (50, 5) if cells is WORKLOAD_CELLS else (n, d)
+
+
+@pytest.mark.parametrize("chunk", [learning.CHUNK_ELEMENTS, 1, SEVEN_COLUMNS])
 @pytest.mark.parametrize(
-    "cells", [MIXED_CELLS, LABEL_CELLS, ONE_ROW_CELLS, CROWDED_CELLS],
-    ids=["mixed", "labels", "one-row", "crowded"],
+    "cells", [MIXED_CELLS, LABEL_CELLS, ONE_ROW_CELLS, CROWDED_CELLS, WORKLOAD_CELLS],
+    ids=["mixed", "labels", "one-row", "crowded", "workload"],
 )
 def test_stacked_diameter_terms_equal_one_part_calls(cells, chunk, monkeypatch):
     """Each part of one batched call is, bit for bit, its own one-part call."""
     monkeypatch.setattr(learning, "CHUNK_ELEMENTS", chunk)
     rng = np.random.default_rng(5)
-    parts, S, d = 64, len(cells.coef), 3
+    parts, S, d = 64, len(cells.coef), table_shape(cells, 0, 3)[1]
     args = [
         rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
         for shape in ((parts, S, d), (parts, d), (parts, S, d), (parts, d, d), (parts, d, d))
@@ -440,16 +456,17 @@ def test_stacked_diameter_terms_equal_one_part_calls(cells, chunk, monkeypatch):
         assert bits(h[p : p + 1]) == bits(one[1])
 
 
-@pytest.mark.parametrize("chunk", [learning.CHUNK_ELEMENTS, 1])
+@pytest.mark.parametrize("chunk", [learning.CHUNK_ELEMENTS, 1, SEVEN_COLUMNS])
 @pytest.mark.parametrize("transform", ["svd", "identity", "custom"])
 @pytest.mark.parametrize(
-    "cells", [MIXED_CELLS, ONE_ROW_CELLS, CROWDED_CELLS], ids=["mixed", "one-row", "crowded"]
+    "cells", [MIXED_CELLS, ONE_ROW_CELLS, CROWDED_CELLS, WORKLOAD_CELLS],
+    ids=["mixed", "one-row", "crowded", "workload"],
 )
 def test_crowded_rows_match_reference(cells, transform, chunk, monkeypatch):
     """Rows of several feature cells, one cell of two symbols: c' and h as the reference's."""
     monkeypatch.setattr(learning, "CHUNK_ELEMENTS", chunk)
     rng = np.random.default_rng(9)
-    n, d = 8, 3
+    n, d = table_shape(cells, 8, 3)
     reg = SymbolRegistry()
     reg.new_symbols(len(cells.coef), SymbolKind.DATA)
     if transform == "custom":

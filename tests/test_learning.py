@@ -15,6 +15,7 @@ from stages import (
 from zonoridge import learning
 from zonoridge.dataset import LABEL_COL, AbstractDataset, Dataset, UncertaintySpec, inject_uncertainty
 from zonoridge.errors import (
+    DataError,
     IllConditionedError,
     LambdaTooSmall,
     ShapeMismatchError,
@@ -73,6 +74,21 @@ def gradient_descent_ridge(X, y, lam, steps=200_000, eta=None):
 def test_ridge_config_refuses_a_negative_or_non_finite_lambda(lam):
     with pytest.raises(ValueError, match="lam must be >= 0 and finite"):
         RidgeConfig(lam=lam)
+
+
+def test_diameter_checks_refuse_a_non_finite_beta_or_k():
+    """NaN passes every comparison, so the kernel's checks test finiteness first."""
+    c0 = np.array([[1.0, 1.0], [np.inf, 1.0], [1.0, 1.0]])
+    sys = learning.NonDataSystem(Q=np.repeat(np.eye(2)[None], 3, axis=0), Cprime=np.zeros((3, 2, 2)),
+                                 c0=c0, beta=np.array([0.0, 0.0, np.nan]), n=4)
+    with np.errstate(invalid="ignore"):
+        k, checks, _ = learning._diameters(sys, 0.1, learning.TOLERANCE)
+    error = learning._first_failure(checks)
+    assert np.isfinite(k[0]).all() and not np.isfinite(k[1]).all()
+    assert type(error) is DataError and str(error) == "box diameters are not finite"
+    sys.c0 = np.ones((3, 2))
+    error = learning._first_failure(learning._diameters(sys, 0.1, learning.TOLERANCE)[1])
+    assert type(error) is DataError and str(error) == "threshold beta = nan is not finite"
 
 
 def refused_split_start():

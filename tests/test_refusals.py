@@ -8,13 +8,14 @@ baseline's ``predict_interval``) check its shape only.  A world row must have
 one value per cell of a fit's table and lie in the cube [-1, 1]^S, a
 containment check's slack must be finite and
 nonnegative, and the oracles' training data must give a finite ``X'X`` and
-``X'y``.
+``X'y``, as a fit's must, with a finite diameter system.  A penalty is a
+finite, nonnegative number and a split budget an integer of at least 1.
 """
 
 import numpy as np
 import pytest
 
-from zonoridge.dataset import Dataset, UncertaintySpec, inject_uncertainty
+from zonoridge.dataset import Dataset, UncertaintySpec, abstract_missing, inject_uncertainty
 from zonoridge.errors import DataError, ShapeMismatchError
 from zonoridge.inference import certify_robustness, loss_interval, predict_interval
 from zonoridge.learning import RidgeConfig, contains_world_weights, fixed_point
@@ -49,6 +50,28 @@ class Case:
         self.train_X, self.train_y = X, y
         self.baseline = interval_ridge_labels(X, self.ad.label_intervals(), 0.1)
         self.values = np.zeros(len(self.ad.cells.coef))
+
+
+# Penalties that are no finite, nonnegative number.
+LAMS = [("huge-int", 10**400), ("string", "0.1"), ("none", None)]
+
+
+def _overflowing_fit(scale=1.0, label=None, missing_range=None):
+    """Fit 20 rows, a bias and 2 normal columns times ``scale``: ``both`` at 20%, or the
+    label ``label`` on every row, or one missing cell of range +-``missing_range``.
+    numpy warns of the overflow itself; the fit must then refuse, not return NaN."""
+    rng = np.random.default_rng(3)
+    X = np.column_stack([np.ones(20), scale * rng.standard_normal((20, 2))])
+    y = rng.standard_normal(20) if label is None else np.full(20, label)
+    if missing_range is None:
+        ad = inject_uncertainty(Dataset(X=X, y=y, columns=["bias", "f0", "f1"]),
+                                UncertaintySpec("both", 0.2, 0.1, seed=4))
+    else:
+        X[3, 1] = np.nan
+        ad = abstract_missing(Dataset(X=X, y=y, columns=["bias", "f0", "f1"]),
+                              {"f0": (-missing_range, missing_range), "f1": (-1.0, 1.0)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fixed_point(ad, RidgeConfig(lam=0.1))
 
 
 # A test set's faults: the bad X or y, and the error and message every full check gives.
@@ -164,8 +187,25 @@ CASES = [
                  DataError, "label intervals must be finite", id="baseline-inf-interval"),
 ]
 
+# A fit's training sums and its diameter system must be finite: NaN passes every comparison.
+FIT_CASES = [
+    pytest.param(lambda c: _overflowing_fit(scale=1e160), DataError, GRAM, id="fit-X-overflow"),
+    pytest.param(lambda c: _overflowing_fit(label=1e308), DataError, "training X'y must be finite",
+                 id="fit-y-overflow"),
+    pytest.param(lambda c: _overflowing_fit(missing_range=1e155), DataError,
+                 "threshold beta = inf is not finite", id="fit-beta-overflow"),
+    # A penalty or budget of the wrong type is a ValueError too, as a negative one is.
+    *(pytest.param(lambda c, lam=lam: RidgeConfig(lam=lam), ValueError, "lam must be >= 0 and finite",
+                   id=f"config-lam-{name}") for name, lam in LAMS),
+    *(pytest.param(lambda c, lam=lam: loss_interval(c.X, c.y, c.weights, lam), ValueError,
+                   "lam must be >= 0 and finite", id=f"loss-lam-{name}") for name, lam in LAMS),
+    *(pytest.param(lambda c, budget=budget: RidgeConfig(split_budget=budget), ValueError,
+                   "split budget must be >= 1", id=f"config-split-budget-{name}")
+      for name, budget in (("float", 1.5), ("string", "3"), ("none", None))),
+]
 
-@pytest.mark.parametrize("refuse, error, message", CASES)
+
+@pytest.mark.parametrize("refuse, error, message", CASES + FIT_CASES)
 def test_refusals(refuse, error, message):
     case = Case()
     assert len(case.values) == 2 and case.weights.data_ids.tolist() == [0, 1]
