@@ -477,7 +477,9 @@ def cmd_params(cfg: ExperimentConfig) -> tuple[RunReport, bool]:
 
     def task_rows(task, train, test, ad, weights):
         pi = parameter_intervals(weights, names=list(train.columns))
-        return [{**rec, "seed": task[0]} for rec in pi.to_csv_rows()]
+        return [{"coefficient": name, "lo": float(pi.lo[j]), "hi": float(pi.hi[j]),
+                 "inconclusive_direction": int(pi.inconclusive_direction(j)), "seed": task[0]}
+                for j, name in enumerate(pi.names)]
 
     rows = _run(cfg, data, task_rows, seeds=[cfg.seeds[0]])
     return RunReport("params", cfg.echo(), rows, rows), True

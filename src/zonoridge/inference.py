@@ -107,17 +107,6 @@ class ParameterIntervals:
         """True when the interval straddles zero, so the sign is ambiguous."""
         return self.lo[j] < 0.0 < self.hi[j]
 
-    def to_csv_rows(self) -> list[dict]:
-        return [
-            {
-                "coefficient": self.names[j] if j < len(self.names) else f"w{j}",
-                "lo": float(self.lo[j]),
-                "hi": float(self.hi[j]),
-                "inconclusive_direction": int(self.inconclusive_direction(j)),
-            }
-            for j in range(len(self.lo))
-        ]
-
 
 def _prediction_bounds(X: np.ndarray, weights: AbstractWeights) -> tuple[np.ndarray, np.ndarray]:
     """Centers ``X w_R`` and radii (row sums of ``|X W|``) of the predictions ``X w``."""

@@ -38,9 +38,11 @@ The constant column is stored as ``c0 = (2/n) h`` so the scalar case reads
 
     beta = (1/n) max_i ( sum_{j!=i} (|q_ij| + c'_ij) + c'_ii - q_ii ).
 
-Below that threshold the dataset is mu-split until every part satisfies the
-bound, the fixed points of all parts are computed in one batched pass, and
-the results are box-joined; ``_split_fit`` owns that whole search.
+Its least diagonal dominance, the M-matrix margin, is exactly ``n (lam -
+beta)`` (``FixedPointDiagnostics``).  Below that threshold the dataset is
+mu-split until every part satisfies the bound, the fixed points of all parts
+are computed in one batched pass, and the results are box-joined;
+``_split_fit`` owns that whole search.
 
 One kernel (``_fit_stack``) computes these fixed points for a stack of parts:
 the part index is a leading axis of its arrays, and it reads each part only
@@ -48,17 +50,19 @@ through its sums ``X'X`` and ``X'y`` and its rows at the uncertain cells.  The
 unsplit fit is the stack of one part, the dataset itself; a split builds the
 rows of its parts and passes them all.  Where the cells sit, not their
 coefficients, fixes the index tables of ``c'`` and ``h``, so a fit builds
-them once (``_index_plan``) for the unsplit stack and every split.  It raises every failure but
-infeasibility, which ``_split_fit`` answers.  Inside ``_diameter_terms`` the
+them once (``_index_plan``) for the unsplit stack and every split.  Its checks
+run in order over the whole stack, and the first that any part fails decides:
+rank, a finite beta, feasibility, then the solve and its result.  It raises
+every failure but infeasibility, which ``_split_fit`` answers; an infeasible
+stack is not solved.  Inside ``_diameter_terms`` the
 part axis is innermost instead, with the symbol axis of its degree-2 block just
 before it, so that numpy's loops run over the parts (or, with one part, the
 cells), not over the d coefficients of a row; its results are part-first.
 The kernel is the only way into the stages: the module exports the fit,
 the weights and the membership check, and nothing that runs one stage on
 its own.  A fit computes each intermediate once, and an unsplit fit its
-residual (``_residual_report``) and M-matrix margin only when they are first
-read, from the sums, right-hand sides and coefficient matrices the kernel
-already built.
+residual (``_residual_report``) only when it is first read, from the sums,
+right-hand sides and coefficient matrix the kernel already built.
 
 Everything here works on arrays, not on polynomial forms.  Each data symbol
 lives in exactly one cell (a row, a column or the label, and a coefficient),
@@ -74,6 +78,7 @@ The weight zonotope is the generator matrix ``[G_D' | A^-1 diag(k)]`` around ``w
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,7 +90,6 @@ from .dataset import LABEL_COL, AbstractDataset, Cells, _check_cube
 from .errors import (
     DataError,
     IllConditionedError,
-    LambdaTooSmall,
     ShapeMismatchError,
     SplitBudgetError,
     ZonoError,
@@ -240,16 +244,6 @@ class NonDataSystem:
         return m
 
 
-def _margin(m: np.ndarray) -> np.ndarray:
-    """The M-matrix margin of a coefficient matrix, or of each one of a stack.
-
-    The margin is the least diagonal dominance ``min_i (m_ii - sum_{j!=i} |m_ij|)``.
-    """
-    diag = np.diagonal(m, axis1=-2, axis2=-1)
-    off = np.abs(m).sum(axis=-1) - np.abs(diag)
-    return np.min(diag - off, axis=-1)
-
-
 @dataclass
 class ResidualReport:
     """Self-consistency of one symbolic gradient step at the fixed point."""
@@ -268,12 +262,22 @@ class FixedPointDiagnostics:
     ``beta`` is the unsplit problem's feasibility threshold and
     ``splits_used`` the part count, 1 for an unsplit fit; ``part_betas``
     holds each part's beta, ``None`` for an unsplit fit.  ``m_matrix_margin``
-    is the least M-matrix margin (``_margin``) of the diameter systems
-    solved, and ``residual`` the one-step ``ResidualReport`` of an unsplit
-    fit, ``None`` for a split.  The constructor takes plain values.  For an
-    unsplit fit ``fixed_point`` defers the margin and the residual instead
-    (``_on_read``): each is computed on its first read, once, and kept.
-    ``repr``, ``==``, pickling and copying read every field.
+    is the least diagonal dominance ``min_i (m_ii - sum_{j!=i} |m_ij|)`` of
+    the diameter systems solved, and ``residual`` the one-step
+    ``ResidualReport`` of an unsplit fit, ``None`` for a split.
+
+    The margin is read off beta.  Off the diagonal ``m_ij = -(|q_ij| +
+    c'_ij)``, and ``c' >= 0`` (a sum of |coefficients|), so ``|m_ij| = |q_ij|
+    + c'_ij`` and row i's dominance is ``lam n + q_ii - c'_ii - sum_{j!=i}
+    (|q_ij| + c'_ij) = lam n - n beta_i``, where ``n beta_i`` is the row's
+    term in ``beta = max_i beta_i``.  So one system's margin is ``n (lam -
+    beta)``, and that of the parts of a split, which all have n rows, ``n (lam
+    - max(part_betas))``.
+
+    The constructor takes plain values.  For an unsplit fit ``fixed_point``
+    defers the residual instead (``_on_read``): it is computed on its first
+    read, once, and kept.  ``repr``, ``==``, pickling and copying read every
+    field.
     """
 
     beta: float
@@ -284,50 +288,38 @@ class FixedPointDiagnostics:
 
     def __init__(self, beta: float, splits_used: int, m_matrix_margin: float,
                  residual: ResidualReport | None = None, part_betas: list[float] | None = None):
-        # Into the instance dict: the cached properties below never run.
+        # Into the instance dict: the cached property below never runs.
         self.beta, self.splits_used, self.part_betas = beta, splits_used, part_betas
         self.m_matrix_margin, self.residual = m_matrix_margin, residual
 
     @classmethod
-    def _on_read(cls, beta: float, margin, residual) -> FixedPointDiagnostics:
-        """An unsplit fit's diagnostics whose margin is ``margin()`` and residual ``residual()``,
-        each called on its first read."""
+    def _on_read(cls, beta: float, margin: float, residual) -> FixedPointDiagnostics:
+        """An unsplit fit's diagnostics whose residual is ``residual()``, called on its first read."""
         diag = cls.__new__(cls)
-        diag.beta, diag.splits_used, diag.part_betas = beta, 1, None
-        diag._deferred = margin, residual
+        diag.beta, diag.splits_used, diag.m_matrix_margin, diag.part_betas = beta, 1, margin, None
+        diag._report = residual
         return diag
 
-    def __reduce__(self):  # pickle and copy the values, not the deferred functions
+    def __reduce__(self):  # pickle and copy the values, not the deferred function
         return type(self), (self.beta, self.splits_used, self.m_matrix_margin, self.residual,
                             self.part_betas)
 
     @cached_property
-    def m_matrix_margin(self) -> float:
-        return self._deferred[0]()
-
-    @cached_property
     def residual(self) -> ResidualReport | None:
-        return self._deferred[1]()
+        return self._report()
 
 
 _RANK_DEFICIENT = "centers are rank-deficient at lambda = 0"
 
 
-def _ridge(
-    gram: np.ndarray, xty: np.ndarray, lam: float, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ridge solutions ``(X'X + lam n I)^-1 X'y`` of a stack of parts.
-
-    Returns the solutions ``(P, d)``, the regularized Gram matrices and the
-    parts whose centers are rank-deficient at ``lam = 0``; those are solved
-    against the identity instead, and the caller refuses them.
-    """
+def _ridge(gram: np.ndarray, xty: np.ndarray, lam: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ridge solutions ``(X'X + lam n I)^-1 X'y`` ``(P, d)`` of a stack of parts, and the
+    regularized Gram matrices.  At ``lam = 0`` rank-deficient centers in any part raise
+    ``LinAlgError``."""
     reg = gram + lam * n * np.eye(gram.shape[-1])
-    deficient = np.zeros(len(reg), dtype=bool)
-    if lam == 0.0:
-        deficient = np.linalg.cond(reg) > 1e13
-        reg[deficient] = np.eye(gram.shape[-1])
-    return np.linalg.solve(reg, xty[..., None])[..., 0], reg, deficient
+    if lam == 0.0 and np.count_nonzero(np.linalg.cond(reg) > 1e13):
+        raise np.linalg.LinAlgError(_RANK_DEFICIENT)
+    return np.linalg.solve(reg, xty[..., None])[..., 0], reg
 
 
 def _at_cells(ad: AbstractDataset, cells: Cells) -> tuple[np.ndarray, np.ndarray]:
@@ -612,108 +604,69 @@ def _system(Q: np.ndarray, cprime: np.ndarray, h: np.ndarray, n: int) -> NonData
     )
 
 
-def _solve_each(m: np.ndarray, rhs: np.ndarray, solve: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``m k = rhs`` for the parts marked in ``solve``; the others get ``k = 0``.
-
-    Returns ``k`` and the parts whose matrix is singular (their ``k`` is 0).
-    """
-    singular = np.zeros_like(solve)
-    try:
-        if solve.all():
-            return np.linalg.solve(m, rhs[..., None])[..., 0], singular
-        k = np.zeros_like(rhs)
-        k[solve] = np.linalg.solve(m[solve], rhs[solve][..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        k = np.zeros_like(rhs)
-        for p in np.flatnonzero(solve):
-            try:
-                k[p] = np.linalg.solve(m[p], rhs[p])
-            except np.linalg.LinAlgError:
-                singular[p] = True
-    return k, singular
-
-
 def _diameters(
     sys: NonDataSystem, lam: float, tolerance: float
-) -> tuple[np.ndarray, list, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, bool]:
     """Solve a stack of diameter systems; each requires ``lam >= beta`` up to tolerance.
 
-    Returns the diameters ``(P, d)``, the checks, in the order one part
-    makes them, as ``(failed parts, error of part p)`` pairs (see
-    ``_first_failure``), and the coefficient matrices, built once for the
-    solve and the margins.  A non-finite ``beta`` fails first.  A homogeneous
+    Returns the diameters ``(P, d)``, the coefficient matrices (built once,
+    for the solve and the residual report) and whether a part is below its
+    feasibility threshold.  The checks run in order over the whole stack;
+    the first that any part fails decides, and its lowest failing part
+    names it.  A non-finite ``beta`` raises ``DataError``.  A homogeneous
     part (zero constant column, e.g. certain or label-only data) gets ``k =
-    0``, whatever its matrix looks like, and passes every other check.
-    Otherwise M-matrix theory guarantees a nonnegative solution in the
-    feasible regime; a non-finite ``k``, or entries below a small clamp, fail.
+    0``, whatever its matrix looks like, and passes every later check.  If
+    another part has ``lam < beta - tolerance``, the stack is infeasible:
+    ``k = 0`` is returned at once, with nothing solved.  Otherwise one
+    batched solve runs (numpy raises ``LinAlgError`` for a singular matrix),
+    and M-matrix theory guarantees a nonnegative solution; a non-finite
+    ``k``, a large residual, or entries below a small clamp, raise.
     """
+    bad = ~np.isfinite(sys.beta)
+    if np.count_nonzero(bad):  # cheaper than .any() on a few parts
+        raise DataError(f"threshold beta = {sys.beta[bad.argmax()]} is not finite")
     m = sys.coefficient_matrix(lam)
-    homogeneous = ~sys.c0.any(axis=-1)
-    infeasible = ~homogeneous & (lam < sys.beta - tolerance)
-    checks = [
-        (~np.isfinite(sys.beta), lambda p: DataError(f"threshold beta = {sys.beta[p]} is not finite")),
-        (infeasible, lambda p: LambdaTooSmall(float(sys.beta[p]))),
-    ]
-    solved = ~(homogeneous | infeasible)
-    if not np.count_nonzero(solved):
-        return np.zeros_like(sys.c0), checks, m
+    k = np.zeros_like(sys.c0)
+    solve = sys.c0.any(axis=-1)
+    if np.count_nonzero(solve & (lam < sys.beta - tolerance)):
+        return k, m, True
+    if not np.count_nonzero(solve):
+        return k, m, False
     rhs = (sys.n / 2.0) * sys.c0
-    k, singular = _solve_each(m, rhs, solved)
-    # An unsolved part has k = 0: a homogeneous one passes the last two
-    # checks, and any other already failed an earlier one, which wins.
+    k[solve] = np.linalg.solve(m[solve], rhs[solve][..., None])[..., 0]
+    if np.count_nonzero(~np.isfinite(k)):
+        raise DataError("box diameters are not finite")
     resid = np.abs(np.einsum("pij,pj->pi", m, k) - rhs).max(axis=-1, initial=0.0)
-    scale = 1.0 + np.abs(rhs).max(axis=-1, initial=0.0)
+    bad = resid > 1e-8 * (1.0 + np.abs(rhs).max(axis=-1, initial=0.0))
+    if np.count_nonzero(bad):
+        raise ZonoError(f"diameter system residual {resid[bad.argmax()]:.3e} too large")
     clamp = tolerance * (1.0 + np.abs(k).max(axis=-1, initial=0.0))
-    checks += [
-        (singular, lambda p: np.linalg.LinAlgError("Singular matrix")),
-        (~np.isfinite(k).all(axis=-1), lambda p: DataError("box diameters are not finite")),
-        (
-            resid > 1e-8 * scale,
-            lambda p: ZonoError(f"diameter system residual {resid[p]:.3e} too large"),
-        ),
-        (
-            (k < -clamp[:, None]).any(axis=-1),
-            lambda p: ZonoError(f"negative box diameter {k[p].min():.3e} beyond tolerance"),
-        ),
-    ]
-    return np.maximum(k, 0.0), checks, m
+    bad = (k < -clamp[:, None]).any(axis=-1)
+    if np.count_nonzero(bad):
+        raise ZonoError(f"negative box diameter {k[bad.argmax()].min():.3e} beyond tolerance")
+    return np.maximum(k, 0.0), m, False
 
 
-def _first_failure(checks: list) -> Exception | None:
-    """The error that solving the parts one by one, in order, raises first.
-
-    ``checks`` lists ``(failed, error)`` pairs in the order one part runs
-    them: ``failed`` marks the parts that fail the check and ``error(p)``
-    builds part p's exception.  The lowest failing part wins, and within it
-    the earliest check.
-    """
-    first = None
-    for failed, error in checks:
-        if np.count_nonzero(failed):  # cheaper than .any() on a few parts
-            p = int(failed.argmax())
-            if first is None or p < first[0]:
-                first = (p, error)
-    return None if first is None else first[1](first[0])
-
-
-def _first_split_count(sys: NonDataSystem, lam: float) -> int:
+def _first_split_count(sys: NonDataSystem, lam: float, cap: int) -> int:
     """Where ``_split_fit`` starts: the least split count predicted to bring beta under lam.
 
     Uses the bound ``beta(m) <= (d * c'_max / m - min_i q_ii) / n`` obtained
     from scaling the symbolic part by 1/m; ``_split_fit`` re-checks actual
     per-part betas after splitting, since centers shift per part.  ``sys``
     (one part, or a stack of one) is infeasible with a feature cell, so
-    ``c'_max > 0``.  A diagonal entry ``q_ii <= -lam n`` leaves no split feasible;
+    ``c'_max > 0``.  The prediction, a float, is capped at ``cap`` before it
+    becomes an integer, so a cell of huge range predicts ``cap``, not a
+    300-digit count.  A diagonal entry ``q_ii <= -lam n`` leaves no split feasible;
     only a custom transform gives one, and ``IllConditionedError`` names it.
     """
     cmax = float(np.max(sys.Cprime, initial=0.0))
     q = np.diagonal(sys.Q, axis1=-2, axis2=-1).ravel()
     i = int(np.argmin(q))
-    denom = lam * sys.n + q[i]
+    denom = lam * sys.n + float(q[i])
     if denom <= 0.0:
         raise IllConditionedError(f"custom transform gives A X'X A^-1 diagonal entry {i} = "
                                   f"{q[i]:.6g} <= -lam n: no split can help")
-    return max(2, int(np.ceil(sys.Q.shape[-1] * cmax / denom)))
+    return max(2, math.ceil(min(sys.Q.shape[-1] * cmax / denom, cap)))
 
 
 class _Fit(NamedTuple):
@@ -728,7 +681,7 @@ class _Fit(NamedTuple):
     m: np.ndarray  # the coefficient matrix of each part's diameter system
     reg: np.ndarray  # X'X + lam n I
     rhs: np.ndarray  # the data right-hand side, (P, d, S)
-    infeasible: bool  # the first failure is a part below its feasibility threshold
+    infeasible: bool  # a part is below its feasibility threshold, so nothing was solved
 
 
 def _fit_stack(
@@ -741,27 +694,19 @@ def _fit_stack(
     ``n`` rows, the sums ``gram[p] = X'X`` and ``xty[p] = X'y``, and the
     feature row ``x[p, i]`` and label ``y[p, i]`` at cell i.
     Returns the fits of the parts, with the regularized Gram matrices and
-    the data right-hand sides they were solved from.  Each part gets the
-    rank check of ``_ridge``, then those of ``_diameters``; the error that
-    solving the parts one by one, in order, raises first is raised here,
-    unless it is ``LambdaTooSmall``: then the fit is returned with
-    ``infeasible`` set, for the caller to split.  A rank-deficient first
-    part raises at once, as nothing can precede it.
+    the data right-hand sides they were solved from.  The checks run in
+    order over the whole stack: a rank-deficient part at ``lam = 0`` raises
+    (``_ridge``), then those of ``_diameters`` run; an infeasible stack is
+    returned with ``infeasible`` set and ``k = 0``, for the caller to split.
     """
-    w_R, reg, deficient = _ridge(gram, xty, cfg.lam, n)
-    if deficient[0]:
-        raise np.linalg.LinAlgError(_RANK_DEFICIENT)
+    w_R, reg = _ridge(gram, xty, cfg.lam, n)
     rhs = _data_rhs(cells, x, y, w_R)
     G = np.linalg.solve(reg, rhs).swapaxes(1, 2)
     A, A_inv = _transform(gram, cfg)
-    sys = _system(A @ gram @ A_inv, *_diameter_terms(plan, cells.coef, x, w_R, G, A, A_inv), n)
-    k, checks, m = _diameters(sys, cfg.lam, TOLERANCE)
-    error = _first_failure(
-        [(deficient, lambda p: np.linalg.LinAlgError(_RANK_DEFICIENT)), *checks]
-    )
-    if error is not None and not isinstance(error, LambdaTooSmall):
-        raise error
-    return _Fit(w_R, G, A, A_inv, k, sys, m, reg, rhs, error is not None)
+    with np.errstate(over="ignore", invalid="ignore"):  # _diameters refuses a non-finite beta
+        sys = _system(A @ gram @ A_inv, *_diameter_terms(plan, cells.coef, x, w_R, G, A, A_inv), n)
+    k, m, infeasible = _diameters(sys, cfg.lam, TOLERANCE)
+    return _Fit(w_R, G, A, A_inv, k, sys, m, reg, rhs, infeasible)
 
 
 def _part_block(pos: np.ndarray, touched: int, d: int) -> int:
@@ -784,7 +729,7 @@ def _part_block(pos: np.ndarray, touched: int, d: int) -> int:
 def _split_fit(
     ad: AbstractDataset, cells: Cells, plan: _IndexPlan | None, sys: NonDataSystem,
     cfg: RidgeConfig,
-) -> tuple[tuple, list[float], float]:
+) -> tuple[tuple, list[float]]:
     """Box join of the parts of the least feasible even split.
 
     ``sys`` is the kernel's infeasible stack of one, the unsplit fit on
@@ -794,14 +739,16 @@ def _split_fit(
     ``m``-way split, in ``itertools.product`` order, takes sub-cell ``j =
     combos[p, i]`` of cell i: its center moves by ``coef_i (2j + 1 - m) /
     m`` and its coefficient is ``coef_i / m``.  m starts at
-    ``_first_split_count`` and grows while the kernel flags its stack
-    infeasible (centers shift per part; a nonzero constant column needs a
-    feature cell, so splitting makes progress); ``m**s`` parts over
+    ``_first_split_count`` and grows while the kernel flags a block of its
+    parts infeasible (centers shift per part; a nonzero constant column
+    needs a feature cell, so splitting makes progress): the kernel solves
+    nothing in such a block, and m + 1 is tried.  ``m**s`` parts over
     ``cfg.split_budget`` are refused before any is built.  The sums of the
     rows without a split cell are taken once per fit; each block of parts
-    gets its touched rows from ``Cells.move`` and one ``_fit_stack`` call.  Returns the fit ``(w_R,
-    G_D, data_ids, k, A, A_inv)`` of the smallest box holding every part's
-    interval hull, the part betas and the least M-matrix margin.
+    gets its touched rows from ``Cells.move`` and one ``_fit_stack`` call.
+    Any other failure of a block's kernel call refuses the fit.  Returns the
+    fit ``(w_R, G_D, data_ids, k, A, A_inv)`` of the smallest box holding
+    every part's interval hull, and the part betas.
     """
     s, d = len(cells.coef), ad.d
     touched, pos = np.unique(cells.rows, return_inverse=True)
@@ -809,7 +756,7 @@ def _split_fit(
     gram_U, xty_U = X_U.T @ X_U, X_U.T @ y_U
     X_T, y_T = ad.X_R[touched], ad.y_R[touched]
     block = _part_block(pos, len(touched), d)
-    m = _first_split_count(sys, cfg.lam)
+    m = _first_split_count(sys, cfg.lam, cfg.split_budget + 1)
     while True:
         if m**s > cfg.split_budget:
             raise SplitBudgetError(f"{m}**{s} parts exceed split budget {cfg.split_budget}")
@@ -817,12 +764,13 @@ def _split_fit(
         shifts = (2 * np.arange(m) + 1 - m) / m
         parts = cells._replace(coef=cells.coef / m)
         lo, hi = np.full(d, np.inf), np.full(d, -np.inf)
-        betas, margin = [], np.inf
+        betas = []
         for start in range(0, len(combos), block):
             offsets = cells.coef * shifts[combos[start:start + block]]
             X, y = cells._replace(rows=pos).move(X_T, y_T, offsets)
-            gram = gram_U + X.swapaxes(1, 2) @ X
-            xty = xty_U + (X.swapaxes(1, 2) @ y[..., None])[..., 0]
+            with np.errstate(over="ignore", invalid="ignore"):  # the kernel refuses a non-finite beta
+                gram = gram_U + X.swapaxes(1, 2) @ X
+                xty = xty_U + (X.swapaxes(1, 2) @ y[..., None])[..., 0]
             fit = _fit_stack(gram, xty, parts, plan, X[:, pos], y[:, pos], ad.n, cfg)
             if fit.infeasible:
                 break
@@ -832,11 +780,10 @@ def _split_fit(
             lo = np.minimum(lo, (fit.w_R - radius).min(axis=0))
             hi = np.maximum(hi, (fit.w_R + radius).max(axis=0))
             betas.extend(fit.sys.beta.tolist())
-            margin = min(margin, float(_margin(fit.m).min()))
         else:
             box = (0.5 * (lo + hi), np.zeros((0, d)), np.zeros(0, dtype=np.int64),
                    0.5 * (hi - lo), np.eye(d), np.eye(d))
-            return box, betas, margin
+            return box, betas
         m += 1
 
 
@@ -845,28 +792,32 @@ def fixed_point(
 ) -> tuple[AbstractWeights, FixedPointDiagnostics]:
     """Compute the abstract fixed point, mu-splitting when beta exceeds lam.
 
-    Sums ``X_R'X_R`` or ``X_R'y_R`` that are not finite raise ``DataError``.
-    Both paths run one kernel, ``_fit_stack``, over a stack of parts and
+    Sums ``X_R'X_R`` or ``X_R'y_R`` that are not finite raise ``DataError``;
+    an overflow there, or in a part's sums or diameter system, raises the
+    typed error, not numpy's ``RuntimeWarning``.  Both paths run one kernel, ``_fit_stack``, over a stack of parts and
     yield the fit ``(w_R, G_D, data_ids, k, A, A_inv)``; the weights also
     record the cell table's length as ``cell_count``.  The direct path is
     the stack of one part, the dataset itself: the result shares data
     symbols with the dataset and carries the solved box diameters, and only
     its diagnostics carry the residual of one gradient step
-    (``_residual_report``).  That residual and the M-matrix margin are
-    computed on first read, once, from what the fit already holds (the
-    system, sums, right-hand sides and matrices the kernel built, and the
-    fit's own ``w_R``, ``G_D`` and ``k``), so reassigning a field of the
-    weights later changes neither.  If that part is below its feasibility
-    threshold (the kernel raises any other failure), ``_split_fit`` finds
-    the least feasible split count, box-joins the ``m**s`` parts of that
-    split and returns the part betas and their least margin; the first
-    failing part decides.  The joined weights have no data part (the join
-    drops the data-symbol correlation), and ``splits_used > 1`` tells them apart.
+    (``_residual_report``).  That residual is computed on first read, once,
+    from what the fit already holds (the system, sums, right-hand sides and
+    matrix the kernel built, and the fit's own ``w_R``, ``G_D`` and ``k``),
+    so reassigning a field of the weights later does not change it.  If
+    that part is below its feasibility threshold (the kernel raises any
+    other failure), ``_split_fit`` finds the least feasible split count,
+    box-joins the ``m**s`` parts of that split and returns the part betas.
+    In every stack the first failing check decides, named by its lowest
+    failing part.  The M-matrix margin is ``n (lam - beta)``, over the part
+    betas for a split (see ``FixedPointDiagnostics``).  The joined weights
+    have no data part (the join drops the data-symbol correlation), and
+    ``splits_used > 1`` tells them apart.
     """
     data_ids = np.flatnonzero(ad.cells.coef != 0.0)
     cells = ad.cells.select(data_ids)
     plan = _index_plan(cells.rows, cells.cols, ad.d)
-    gram, xty = ad.X_R.T @ ad.X_R, ad.X_R.T @ ad.y_R
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, xty = ad.X_R.T @ ad.X_R, ad.X_R.T @ ad.y_R
     for name, total in (("X'X", gram), ("X'y", xty)):
         if np.count_nonzero(np.isfinite(total)) < total.size:
             raise DataError(f"training {name} must be finite")
@@ -878,13 +829,14 @@ def fixed_point(
         fit = (w_R, G_D, data_ids, k, one.A[0], one.A_inv[0])
         diag = FixedPointDiagnostics._on_read(
             beta,
-            lambda: float(_margin(one.m)[0]),
+            ad.n * (cfg.lam - beta),
             lambda: _residual_report(w_R, G_D, k, one.sys, one.m[0], cfg.lam, gram, xty,
                                      one.reg[0], one.rhs[0]),
         )
     else:
-        fit, part_betas, margin = _split_fit(ad, cells, plan, one.sys, cfg)
-        diag = FixedPointDiagnostics(beta, len(part_betas), margin, None, part_betas)
+        fit, part_betas = _split_fit(ad, cells, plan, one.sys, cfg)
+        diag = FixedPointDiagnostics(beta, len(part_betas), ad.n * (cfg.lam - max(part_betas)), None,
+                                     part_betas)
     return AbstractWeights(*fit, registry=ad.registry, cell_count=len(ad.cells.coef)), diag
 
 

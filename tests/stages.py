@@ -26,10 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from zonoridge.dataset import AbstractDataset
-from zonoridge.errors import ShapeMismatchError, SplitBudgetError
+from zonoridge.errors import LambdaTooSmall, ShapeMismatchError, SplitBudgetError
 from zonoridge.inference import LossInterval
 from zonoridge.learning import (
-    _RANK_DEFICIENT,
     TOLERANCE,
     AbstractWeights,
     NonDataSystem,
@@ -39,9 +38,7 @@ from zonoridge.learning import (
     _data_rhs,
     _diameter_terms,
     _diameters,
-    _first_failure,
     _index_plan,
-    _margin,
     _residual_report,
     _ridge,
     _system,
@@ -55,10 +52,7 @@ def ridge_closed_form_real(X_R: np.ndarray, y_R: np.ndarray, lam: float) -> np.n
     """Ridge solution on the real centers: ``(X_R'X_R + lam n I)^-1 X_R'y_R``."""
     X_R = np.asarray(X_R, dtype=float)
     y_R = np.asarray(y_R, dtype=float)
-    w_R, _, deficient = _ridge((X_R.T @ X_R)[None], (X_R.T @ y_R)[None], lam, X_R.shape[0])
-    if deficient[0]:
-        raise np.linalg.LinAlgError(_RANK_DEFICIENT)
-    return w_R[0]
+    return _ridge((X_R.T @ X_R)[None], (X_R.T @ y_R)[None], lam, X_R.shape[0])[0][0]
 
 
 def closed_form_symbolic_data(
@@ -138,18 +132,22 @@ def solve_non_data(sys: NonDataSystem, lam: float, tolerance: float = TOLERANCE)
     it bypasses the feasibility threshold.  Otherwise M-matrix theory
     guarantees a nonnegative solution in the feasible regime; negative
     entries beyond a small clamp indicate numerical trouble and are
-    rejected.
+    rejected.  Below the threshold it raises ``LambdaTooSmall``.
     """
-    k, checks, _ = _diameters(_stack_of_one(sys), lam, tolerance)
-    error = _first_failure(checks)
-    if error is not None:
-        raise error
+    k, _, infeasible = _diameters(_stack_of_one(sys), lam, tolerance)
+    if infeasible:
+        raise LambdaTooSmall(float(sys.beta))
     return k[0]
 
 
 def m_matrix_margin(sys: NonDataSystem, lam: float) -> float | np.ndarray:
-    """Least diagonal dominance ``min_i (m_ii - sum_{j!=i} |m_ij|)``."""
-    margin = _margin(sys.coefficient_matrix(lam))
+    """Least diagonal dominance ``min_i (m_ii - sum_{j!=i} |m_ij|)`` of the coefficient matrix.
+
+    The definition, from the matrix; ``fixed_point`` reports ``n (lam - beta)``, its value.
+    """
+    m = sys.coefficient_matrix(lam)
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    margin = np.min(diag - (np.abs(m).sum(axis=-1) - np.abs(diag)), axis=-1)
     return margin if margin.ndim else float(margin)
 
 

@@ -561,7 +561,7 @@ def looped_split_fit(ad, cfg):
     s = len(ad.split_symbols())
     if sys.beta <= cfg.lam or not (sys.Cprime > 0).any():
         return None, 1
-    m = learning._first_split_count(sys, cfg.lam)
+    m = learning._first_split_count(sys, cfg.lam, cfg.split_budget + 1)
     while True:
         if m**s > cfg.split_budget:
             raise SplitBudgetError(f"{m}**{s}")
@@ -650,7 +650,7 @@ def test_split_retry_grows_m_past_the_prediction():
     ad, cfg = retry_case()
     w_R, w_D, A, A_inv = prepared(ad, cfg)
     assert learning._first_split_count(build_non_data_system(ad, cfg.lam, w_R, w_D, A, A_inv),
-                                       cfg.lam) == 12
+                                       cfg.lam, cfg.split_budget + 1) == 12
     batched, splits_used = batched_split_fit(ad, cfg)
     assert splits_used == 34**2  # as the one-part-at-a-time loop found
     assert_join_close(batched, looped_join(stages.split(ad, 34), cfg))
@@ -669,17 +669,22 @@ def test_split_retry_resolves_only_the_parts(monkeypatch):
     assert len(calls) == 1
 
 
-def test_rank_deficient_part_at_lambda_zero_raises(monkeypatch):
-    # The x column is constant but for the one uncertain cell; the first
-    # part of a two-way split moves that cell onto the constant.
+def rank_case(center):
+    """The x column is constant but for the one uncertain cell at ``center``, coefficient 0.5:
+    one part of a two-way split moves that cell onto the constant."""
     reg = SymbolRegistry()
     sid = reg.new_symbol(SymbolKind.DATA)
-    ad = AbstractDataset(
-        X_R=np.column_stack([np.ones(4), [1.0, 1.0, 1.0, 1.25]]),
+    return AbstractDataset(
+        X_R=np.column_stack([np.ones(4), [1.0, 1.0, 1.0, center]]),
         y_R=np.array([0.0, 1.0, 0.5, 2.0]), registry=reg, cells=cell_table({sid: (3, 1)}, {sid: 0.5}),
     )
+
+
+def test_rank_deficient_part_at_lambda_zero_raises(monkeypatch):
+    # The first part of a two-way split moves the cell onto the constant.
+    ad = rank_case(1.25)
     cfg = RidgeConfig(lam=0.0, split_budget=16)
-    monkeypatch.setattr(learning, "_first_split_count", lambda sys, lam: 2)
+    monkeypatch.setattr(learning, "_first_split_count", lambda sys, lam, cap: 2)
     np.testing.assert_array_equal(stages.split(ad, 2)[0].X_R[:, 1], 1.0)
     with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
         looped_join(stages.split(ad, 2), cfg)
@@ -687,25 +692,43 @@ def test_rank_deficient_part_at_lambda_zero_raises(monkeypatch):
         fixed_point(ad, cfg)
 
 
-@pytest.mark.parametrize("case, refused", [
-    (lambda: split_case("features", 3, 0), 1),
-    (lambda: make_problem("both", 3, 7, 0, lam=5.0), 0),
+def test_rank_deficient_later_part_at_lambda_zero_raises(monkeypatch):
+    # The second part is rank-deficient.  The rank check runs first over the
+    # whole stack, so the fit is refused, though solving the parts one by
+    # one would stop at part 0, below its threshold, and try m = 3.
+    ad = rank_case(0.75)
+    cfg = RidgeConfig(lam=0.0, split_budget=16)
+    monkeypatch.setattr(learning, "_first_split_count", lambda sys, lam, cap: 2)
+    np.testing.assert_array_equal(stages.split(ad, 2)[1].X_R[:, 1], 1.0)
+    with pytest.raises(LambdaTooSmall):
+        looped_join(stages.split(ad, 2), cfg)
+    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+        fixed_point(ad, cfg)
+
+
+@pytest.mark.parametrize("case, split", [
+    (lambda: split_case("features", 3, 0), True),
+    (lambda: make_problem("both", 3, 7, 0, lam=5.0), False),
 ], ids=["split", "unsplit"])
-def test_kernel_raises_every_failure_but_infeasibility(monkeypatch, case, refused):
-    """A failing check after the threshold's refuses the fit, on both paths, in part order."""
-    diameters = learning._diameters
+def test_kernel_raises_every_failure_but_infeasibility(monkeypatch, case, split):
+    """A check that fails after the threshold's refuses the fit, on both paths."""
+    diameters, calls = learning._diameters, []
 
     def with_a_failing_check(sys, lam, tolerance):
-        k, checks, m = diameters(sys, lam, tolerance)
-        mask = np.arange(len(k)) == refused
-        return k, [*checks, (mask, lambda p: ZonoError(f"part {p} refused"))], m
+        k, m, infeasible = diameters(sys, lam, tolerance)
+        calls.append(infeasible)
+        if not infeasible:
+            raise ZonoError(f"stack {len(calls)} refused")
+        return k, m, infeasible
 
     ad, cfg = case()
-    assert (fixed_point(ad, cfg)[1].splits_used > 1) == (refused == 1)
+    assert (fixed_point(ad, cfg)[1].splits_used > 1) == split
     monkeypatch.setattr(learning, "_diameters", with_a_failing_check)
     with pytest.raises(ZonoError) as exc:
         fixed_point(ad, cfg)
-    assert type(exc.value) is ZonoError and str(exc.value) == f"part {refused} refused"
+    # The unsplit stack is infeasible on the split path, so a part stack raises.
+    assert (len(calls) > 1) == split and calls[0] == split
+    assert type(exc.value) is ZonoError and str(exc.value) == f"stack {len(calls)} refused"
 
 
 def test_homogeneous_part_skips_the_threshold():
@@ -713,29 +736,20 @@ def test_homogeneous_part_skips_the_threshold():
     Cprime = np.full((2, 2, 2), 0.5)
     c0 = np.array([[0.0, 0.0], [0.3, 0.1]])
     sys = NonDataSystem(Q=Q, Cprime=Cprime, c0=c0, beta=np.array([5.0, 0.01]), n=4)
-    k, checks, _ = learning._diameters(sys, 0.5, 1e-9)
-    assert learning._first_failure(checks) is None
+    k, _, infeasible = learning._diameters(sys, 0.5, 1e-9)
+    assert not infeasible
     np.testing.assert_array_equal(k[0], 0.0)
     one = NonDataSystem(Q=Q[1], Cprime=Cprime[1], c0=c0[1], beta=0.01, n=4)
     np.testing.assert_array_equal(k[1], solve_non_data(one, 0.5))
     # The same homogeneous part with a nonzero constant column is refused.
     sys.c0[0, 0] = 1e-3
-    _, checks, _ = learning._diameters(sys, 0.5, 1e-9)
-    assert isinstance(learning._first_failure(checks), LambdaTooSmall)
+    k, _, infeasible = learning._diameters(sys, 0.5, 1e-9)
+    assert infeasible and bits(k) == bits(np.zeros((2, 2)))
 
 
-def test_first_failure_is_the_lowest_part():
-    checks = [
-        (np.array([False, False, True]), lambda p: LambdaTooSmall(float(p))),
-        (np.array([False, True, True]), lambda p: ZonoError(f"part {p}")),
-    ]
-    error = learning._first_failure(checks)
-    assert type(error) is ZonoError and str(error) == "part 1"
-    checks[0][0][1] = True
-    assert isinstance(learning._first_failure(checks), LambdaTooSmall)
-
-
-def test_singular_part_fails_in_part_order():
+def test_checks_run_in_order_over_the_stack():
+    """The first check that any part fails decides: a part below its threshold makes the
+    stack infeasible before any solve, so a singular matrix elsewhere is not reached."""
     # d = 1: beta = (c' - q) / n, and lam = beta makes the matrix exactly 0.
     q = np.array([4.0, 2.0, 1.0])  # regular, singular at lam = 0.25, infeasible
     cp = np.array([1.0, 3.0, 3.0])
@@ -750,11 +764,12 @@ def test_singular_part_fails_in_part_order():
         return NonDataSystem(Q=q[i, None, None], Cprime=cp[i, None, None], c0=np.ones(1),
                              beta=float((cp[i] - q[i]) / 4), n=4)
 
-    k, checks, _ = learning._diameters(stack([0, 1, 2]), 0.25, 1e-9)
-    assert isinstance(learning._first_failure(checks), np.linalg.LinAlgError)
-    np.testing.assert_array_equal(k[0], solve_non_data(one(0), 0.25))
-    _, checks, _ = learning._diameters(stack([2, 1]), 0.25, 1e-9)
-    assert isinstance(learning._first_failure(checks), LambdaTooSmall)
+    k, _, infeasible = learning._diameters(stack([0, 1, 2]), 0.25, 1e-9)
+    assert infeasible and bits(k) == bits(np.zeros((3, 1)))
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        learning._diameters(stack([1, 0]), 0.25, 1e-9)
+    k, _, infeasible = learning._diameters(stack([0]), 0.25, 1e-9)
+    assert not infeasible and bits(k[0]) == bits(solve_non_data(one(0), 0.25))
     with pytest.raises(np.linalg.LinAlgError):
         solve_non_data(one(1), 0.25)
 
@@ -790,11 +805,20 @@ def test_fit_result_contract_on_both_paths(case):
     s = len(cells.coef)
     m = round(diag.splits_used ** (1 / s))
     assert diag.splits_used == len(diag.part_betas) == m**s and m > 1
+    assert bits(diag.m_matrix_margin) == bits(ad.n * (cfg.lam - max(diag.part_betas)))
 
 
 def bits(a):
     a = np.asarray(a)
     return a.shape, a.dtype, a.tobytes()
+
+
+def assert_margin_is_n_lam_minus_beta(margin, ad, sys, lam):
+    """A fit's margin is, bit for bit, ``n (lam - beta)`` of the one-part system, and agrees
+    with the matrix definition up to rounding."""
+    assert bits(margin) == bits(ad.n * (lam - sys.beta))
+    scale = lam * sys.n + np.abs(sys.coefficient_matrix(lam)).max()
+    assert abs(margin - stages.m_matrix_margin(sys, lam)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("transform", ["svd", "identity", "custom"])
@@ -815,7 +839,7 @@ def test_unsplit_fit_is_the_one_part_chain(kind, transform):
             assert bits(got) == bits(want)
         assert weights.G_D.flags.c_contiguous
         assert diag.beta == sys.beta
-        assert diag.m_matrix_margin == stages.m_matrix_margin(sys, cfg.lam)
+        assert_margin_is_n_lam_minus_beta(diag.m_matrix_margin, ad, sys, cfg.lam)
         chain = dataclasses.replace(weights, w_R=w_R, G_D=G_D, k=k, A=A, A_inv=A_inv)
         assert diag.residual == residual(ad, chain, cfg)
 
@@ -853,29 +877,28 @@ def counting(monkeypatch, owner, name):
 
 
 def test_a_fit_computes_each_intermediate_once(monkeypatch):
-    """The residual reuses the fit's right-hand side, and is built, as the margin is, on first
-    read, once; each stack builds one coefficient matrix."""
+    """The residual reuses the fit's right-hand side, and is built on first read, once; the
+    margin is ``n (lam - beta)``; each stack builds one coefficient matrix."""
     rhs = counting(monkeypatch, learning, "_data_rhs")
     stacks = counting(monkeypatch, learning, "_fit_stack")
     matrices = counting(monkeypatch, NonDataSystem, "coefficient_matrix")
     reports = counting(monkeypatch, learning, "_residual_report")
-    margins = counting(monkeypatch, learning, "_margin")
     ad, cfg = make_problem("both", 3, 7, 0, lam=5.0)
     weights, diag = fixed_point(ad, cfg)
     assert diag.splits_used == 1 and weights.k.any()
-    assert (len(rhs), len(stacks), len(matrices), len(reports), len(margins)) == (1, 1, 1, 0, 0)
-    first, margin = diag.residual, diag.m_matrix_margin
-    assert diag.residual is first and diag.m_matrix_margin is margin
-    assert (len(rhs), len(matrices), len(reports), len(margins)) == (1, 1, 1, 1)
+    assert (len(rhs), len(stacks), len(matrices), len(reports)) == (1, 1, 1, 0)
+    first = diag.residual
+    assert diag.residual is first
+    assert (len(rhs), len(matrices), len(reports)) == (1, 1, 1)
     assert bits(dataclasses.astuple(first)) == bits(dataclasses.astuple(residual(ad, weights, cfg)))
     sys = build_non_data_system(ad, cfg.lam, weights.w_R, weights.G_D, weights.A, weights.A_inv)
-    assert bits(margin) == bits(stages.m_matrix_margin(sys, cfg.lam))
+    assert_margin_is_n_lam_minus_beta(diag.m_matrix_margin, ad, sys, cfg.lam)
     # The report is of the fit's own arrays, whatever the weights hold when it is read.
     weights, diag = fixed_point(ad, cfg)
     want = residual(ad, weights, cfg)
     weights.k = 2.0 * weights.k
     assert diag.residual == want and diag.residual != residual(ad, weights, cfg)
-    assert pickle.loads(pickle.dumps(diag)) == diag  # the values, not the deferred functions
+    assert pickle.loads(pickle.dumps(diag)) == diag  # the values, not the deferred function
     # One part per block: the unsplit attempt and every block make one call each.
     monkeypatch.setattr(learning, "CHUNK_ELEMENTS", 1)
     ad, cfg = split_case("features", 3, 0)
@@ -906,7 +929,8 @@ def test_a_fit_builds_one_index_plan(monkeypatch):
     "target, d, n, lam, radius", [("labels", 8, 500, 0.01, 0.05), ("both", 5, 100, 1.0, 0.02)]
 )
 def test_fit_residual_and_margin_are_those_of_the_assembled_system(target, d, n, lam, radius):
-    """On workload-shaped problems the diagnostics equal, bit for bit, a rebuild from the weights."""
+    """On workload-shaped problems the residual equals, bit for bit, a rebuild from the weights,
+    and the margin is ``n (lam - beta)`` of the rebuilt system."""
     rng = np.random.default_rng(d)
     X = np.column_stack([np.ones(n), rng.standard_normal((n, d - 1))])
     y = X @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n)
@@ -920,7 +944,7 @@ def test_fit_residual_and_margin_are_those_of_the_assembled_system(target, d, n,
     assert diag.splits_used == 1
     assert diag.residual == residual(ad, weights, cfg)
     sys = build_non_data_system(ad, cfg.lam, weights.w_R, weights.G_D, weights.A, weights.A_inv)
-    assert bits(diag.m_matrix_margin) == bits(stages.m_matrix_margin(sys, cfg.lam))
+    assert_margin_is_n_lam_minus_beta(diag.m_matrix_margin, ad, sys, cfg.lam)
 
 
 @pytest.mark.parametrize(
@@ -928,7 +952,8 @@ def test_fit_residual_and_margin_are_those_of_the_assembled_system(target, d, n,
     [[True, False, True, False], [False, True], [True, True, True], [True, False, False]],
 )
 def test_diameters_without_a_part_to_solve(monkeypatch, homogeneous):
-    """Homogeneous and infeasible parts only: k = 0, and the per-part solves' first error."""
+    """Homogeneous and infeasible parts only: k = 0, nothing solved, and the stack is
+    infeasible when a part alone is refused as below its threshold."""
     rng = np.random.default_rng(len(homogeneous))
     P, d, n, lam = len(homogeneous), 3, 10, 0.5
     Q = np.stack([np.diag(rng.uniform(0.5, 1.0, d)) for _ in range(P)])
@@ -936,17 +961,16 @@ def test_diameters_without_a_part_to_solve(monkeypatch, homogeneous):
     h = rng.uniform(0.1, 1.0, (P, d)) * ~np.array(homogeneous)[:, None]
     sys = learning._system(Q, cprime, h, n)
     assert (sys.beta > lam).all()
-    expected = None
+    refused = []
     for p in range(P):
         one = NonDataSystem(Q=Q[p], Cprime=cprime[p], c0=sys.c0[p], beta=float(sys.beta[p]), n=n)
         try:
             solve_non_data(one, lam)
-        except ZonoError as error:
-            expected = error
-            break
-    monkeypatch.setattr(learning, "_solve_each", None)  # no part reaches the solve
-    k, checks, m = learning._diameters(sys, lam, learning.TOLERANCE)
+            refused.append(False)
+        except LambdaTooSmall:
+            refused.append(True)
+    monkeypatch.setattr(np.linalg, "solve", None)  # no part reaches the solve
+    k, m, infeasible = learning._diameters(sys, lam, learning.TOLERANCE)
     assert bits(k) == bits(np.zeros((P, d)))
     assert bits(m) == bits(sys.coefficient_matrix(lam))
-    error = learning._first_failure(checks)
-    assert type(error) is type(expected) and str(error) == str(expected)
+    assert infeasible == any(refused) == (not all(homogeneous))

@@ -81,14 +81,13 @@ def test_diameter_checks_refuse_a_non_finite_beta_or_k():
     c0 = np.array([[1.0, 1.0], [np.inf, 1.0], [1.0, 1.0]])
     sys = learning.NonDataSystem(Q=np.repeat(np.eye(2)[None], 3, axis=0), Cprime=np.zeros((3, 2, 2)),
                                  c0=c0, beta=np.array([0.0, 0.0, np.nan]), n=4)
-    with np.errstate(invalid="ignore"):
-        k, checks, _ = learning._diameters(sys, 0.1, learning.TOLERANCE)
-    error = learning._first_failure(checks)
-    assert np.isfinite(k[0]).all() and not np.isfinite(k[1]).all()
-    assert type(error) is DataError and str(error) == "box diameters are not finite"
-    sys.c0 = np.ones((3, 2))
-    error = learning._first_failure(learning._diameters(sys, 0.1, learning.TOLERANCE)[1])
-    assert type(error) is DataError and str(error) == "threshold beta = nan is not finite"
+    # The beta check comes first: part 2's NaN decides, though part 1's k would be infinite.
+    for beta, message in ((sys.beta, "threshold beta = nan is not finite"),
+                          (np.zeros(3), "box diameters are not finite")):
+        sys.beta = beta
+        with pytest.raises(DataError) as exc:
+            learning._diameters(sys, 0.1, learning.TOLERANCE)
+        assert type(exc.value) is DataError and str(exc.value) == message
 
 
 def refused_split_start():
@@ -364,7 +363,7 @@ class TestDetermineNumSplits:
         A, A_inv = build_transform(ad.X_R, cfg)
         sys = build_non_data_system(ad, cfg.lam, w_R, w_D, A, A_inv)
         assert sys.beta > cfg.lam
-        m = learning._first_split_count(sys, cfg.lam)
+        m = learning._first_split_count(sys, cfg.lam, cfg.split_budget + 1)
         assert m >= 2
         weights, diag = fixed_point(ad, cfg)
         assert diag.splits_used > 1

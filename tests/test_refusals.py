@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from zonoridge.dataset import Dataset, UncertaintySpec, abstract_missing, inject_uncertainty
-from zonoridge.errors import DataError, ShapeMismatchError
+from zonoridge.errors import DataError, ShapeMismatchError, SplitBudgetError
 from zonoridge.inference import certify_robustness, loss_interval, predict_interval
 from zonoridge.learning import RidgeConfig, contains_world_weights, fixed_point
 from zonoridge.oracles import concrete_loss, interval_ridge_labels, oracle_ranges, ridge_concrete
@@ -59,7 +59,8 @@ LAMS = [("huge-int", 10**400), ("string", "0.1"), ("none", None)]
 def _overflowing_fit(scale=1.0, label=None, missing_range=None):
     """Fit 20 rows, a bias and 2 normal columns times ``scale``: ``both`` at 20%, or the
     label ``label`` on every row, or one missing cell of range +-``missing_range``.
-    numpy warns of the overflow itself; the fit must then refuse, not return NaN."""
+    The fit must refuse, not return NaN, and raise its typed error, not numpy's overflow
+    warning (an exception under ``-W error::RuntimeWarning``)."""
     rng = np.random.default_rng(3)
     X = np.column_stack([np.ones(20), scale * rng.standard_normal((20, 2))])
     y = rng.standard_normal(20) if label is None else np.full(20, label)
@@ -70,8 +71,7 @@ def _overflowing_fit(scale=1.0, label=None, missing_range=None):
         X[3, 1] = np.nan
         ad = abstract_missing(Dataset(X=X, y=y, columns=["bias", "f0", "f1"]),
                               {"f0": (-missing_range, missing_range), "f1": (-1.0, 1.0)})
-    with np.errstate(over="ignore", invalid="ignore"):
-        return fixed_point(ad, RidgeConfig(lam=0.1))
+    return fixed_point(ad, RidgeConfig(lam=0.1))
 
 
 # A test set's faults: the bad X or y, and the error and message every full check gives.
@@ -194,6 +194,10 @@ FIT_CASES = [
                  id="fit-y-overflow"),
     pytest.param(lambda c: _overflowing_fit(missing_range=1e155), DataError,
                  "threshold beta = inf is not finite", id="fit-beta-overflow"),
+    # A huge range predicts a huge split count, or an infinite one: it is capped at the budget + 1.
+    *(pytest.param(lambda c, r=r: _overflowing_fit(missing_range=r), SplitBudgetError,
+                   "4097**1 parts exceed split budget 4096", id=f"fit-split-count-{r:g}")
+      for r in (1e100, 1e154)),
     # A penalty or budget of the wrong type is a ValueError too, as a negative one is.
     *(pytest.param(lambda c, lam=lam: RidgeConfig(lam=lam), ValueError, "lam must be >= 0 and finite",
                    id=f"config-lam-{name}") for name, lam in LAMS),
